@@ -55,6 +55,7 @@ from .solver import (
     SolveReport,
     SweepSchedule,
     bootstrap_smallest,
+    continue_from,
     extrapolate_init,
     gauss_newton,
     jacobian,

@@ -16,7 +16,7 @@ vector blocks, one value per line:
 Numbers render as the shortest decimal that round-trips the 64-bit binary
 value (Python repr), so parse(render(x)) is bit-identical. The d block is
 required and is the single source of truth; a, b, c, eps are advisory and
-verification re-derives them.
+verification re-derives them. Every number must be finite.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rates import RateParams
-from .recursion import derive_full
 from .solver import SolveReport
 
 __all__ = [
@@ -86,7 +85,7 @@ class CertificateFile:
 
 def certificate_from_report(report: SolveReport) -> CertificateFile:
     """File payload for a converged solve: stored d plus derived vectors."""
-    cert = derive_full(report.params, report.d)
+    cert = report.cert
     return CertificateFile(
         N=report.params.N, alpha=report.params.alpha, r=report.params.r,
         delta=report.delta, d=cert.d, a=cert.a, b=cert.b, c=cert.c,
@@ -155,6 +154,9 @@ def parse_certificate(text: str) -> CertificateFile:
     except ValueError as exc:
         raise CertificateFormatError(f"bad header value: {exc}") from exc
     kwargs = {name: np.array(vals) for name, vals in blocks.items()}
+    for name, vec in (("header", np.array([alpha, r, delta])), *kwargs.items()):
+        if not np.isfinite(vec).all():
+            raise CertificateFormatError(f"non-finite value in {name!r}")
     return CertificateFile(N=n, alpha=alpha, r=r, delta=delta, **kwargs)
 
 
@@ -163,14 +165,22 @@ def default_path(outdir, n: int) -> str:
 
 
 def write_certificate(cf: CertificateFile, path=None, outdir=None) -> str:
-    """Write to `path`, or to the canonical name cert_N#####.txt in `outdir`."""
+    """Write to `path`, or to the canonical name cert_N#####.txt in `outdir`,
+    atomically: a temporary file in the same directory replaces the target."""
     if path is None:
         if outdir is None:
             raise ValueError("need either path or outdir")
         path = default_path(outdir, cf.N)
     os.makedirs(os.path.dirname(os.path.abspath(os.fspath(path))), exist_ok=True)
-    with open(path, "w") as fh:
-        fh.write(render_certificate(cf))
+    text = render_certificate(cf)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
     return os.fspath(path)
 
 

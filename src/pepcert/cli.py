@@ -12,6 +12,7 @@ files.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -25,9 +26,7 @@ from .solver import (
     DEFAULT_TOL,
     NonConvergence,
     SweepSchedule,
-    bootstrap_smallest,
-    extrapolate_init,
-    gauss_newton,
+    continue_from,
     sweep,
 )
 from .verifier import check_delta_certificate, oracle_check, oracle_scale
@@ -72,32 +71,22 @@ def cmd_rates(args) -> int:
 
 
 def _solve_one(n, warm_paths, tol, max_iter):
-    params = solve_rate_params(n)
-    if warm_paths:
-        sources = []
-        for path in warm_paths:
-            cf = certfile.read_certificate(path)
-            sources.append((cf.N, cf.d))
-        sources.sort(key=lambda pair: pair[0])
-        if len(sources) == 1:
-            (n1, d1) = sources[0]
-            d0 = extrapolate_init(n1, d1, n1, d1, n)
-        else:
-            (n1, d1), (n2, d2) = sources[-2], sources[-1]
-            d0 = extrapolate_init(n1, d1, n2, d2, n)
-        return gauss_newton(params, d0, tol=tol, max_iter=max_iter)
-    if n == 3:
-        return bootstrap_smallest(params, tol=tol, max_iter=max_iter)
-    # cold start: continuation from N=3 up to n, keeping only the last report
-    reports = sweep(SweepSchedule.dense(n), tol=tol, max_iter=max_iter)
-    return reports[-1]
+    if not warm_paths:
+        # cold start: the doubling chain from N=3, keeping only the last report
+        return sweep(SweepSchedule.doubling(n), tol=tol, max_iter=max_iter)[-1]
+    sources = []
+    for path in warm_paths:
+        cf = certfile.read_certificate(path)
+        sources.append((cf.N, cf.d))
+    try:
+        return continue_from(sources, n, tol=tol, max_iter=max_iter)
+    except ValueError as exc:
+        raise _UsageError(f"bad warm start: {exc}")
 
 
 def cmd_solve(args) -> int:
     if args.N < 3:
         raise _UsageError("solve requires N >= 3")
-    if args.warm and len(args.warm) > 2:
-        raise _UsageError("at most two warm-start files")
     report = _solve_one(args.N, args.warm, args.tol, args.max_iter)
     cf = certfile.certificate_from_report(report)
     path = args.out or certfile.default_path(_outdir(args), args.N)
@@ -163,7 +152,7 @@ def cmd_verify(args) -> int:
         if stored is None:
             continue
         gap = float(np.max(np.abs(stored - getattr(cert, name))))
-        if gap > CROSS_TOL:
+        if not gap <= CROSS_TOL:  # a NaN gap is corruption too
             print(
                 f"corruption: stored {name} deviates from recomputed by {gap:.3e}",
                 file=sys.stderr,
@@ -285,10 +274,16 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    # built on first use, not at import, so the cmd_* functions it binds are
+    # the module attributes of that moment
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -75,31 +75,15 @@ def _check_len(name: str, arr: np.ndarray, expect: int):
         )
 
 
-def _cumsum(x: np.ndarray, compensated: bool) -> np.ndarray:
-    if not compensated:
-        return np.cumsum(x, axis=-1)
-    # Kahan running sum along the last axis
-    out = np.empty_like(x)
-    s = np.zeros(x.shape[:-1])
-    carry = np.zeros(x.shape[:-1])
-    for i in range(x.shape[-1]):
-        y = x[..., i] - carry
-        t = s + y
-        carry = (t - s) - y
-        s = t
-        out[..., i] = s
-    return out
-
-
-def _suffix_sums(c: np.ndarray, compensated: bool) -> np.ndarray:
+def _suffix_sums(c: np.ndarray) -> np.ndarray:
     # suff[..., k] = sum_{j >= k} c_j, with one extra trailing zero so that
     # empty suffixes index cleanly
     suff = np.zeros(c.shape[:-1] + (c.shape[-1] + 1,))
-    suff[..., :-1] = _cumsum(c[..., ::-1], compensated)[..., ::-1]
+    suff[..., :-1] = np.cumsum(c[..., ::-1], axis=-1)[..., ::-1]
     return suff
 
 
-def c_from_d(params: Params, d, kahan: bool = False) -> np.ndarray:
+def c_from_d(params: Params, d) -> np.ndarray:
     """The vector c (length N+1), affine in d.
 
     c_i = 2r (alpha * sum_{l<=i} d_l - d_i + alpha) for i <= N-2,
@@ -110,7 +94,7 @@ def c_from_d(params: Params, d, kahan: bool = False) -> np.ndarray:
     d = np.asarray(d, dtype=float)
     _check_len("d", d, N - 1)
     two_r = 2.0 * r
-    sd = _cumsum(d, kahan)
+    sd = np.cumsum(d, axis=-1)
     c = np.empty(d.shape[:-1] + (N + 1,))
     c[..., : N - 1] = two_r * (alpha * sd - d + alpha)
     c[..., N - 1] = two_r * (1.0 + sd[..., -1] + (alpha - 1.0) / math.sqrt(two_r))
@@ -118,7 +102,7 @@ def c_from_d(params: Params, d, kahan: bool = False) -> np.ndarray:
     return c
 
 
-def ab_from_cd(params: Params, c, d, kahan: bool = False):
+def ab_from_cd(params: Params, c, d):
     """The vectors a (length N) and b (length N-1) by backward recursion.
 
     a_{N-1} comes from the unit-sum condition on the last multiplier column;
@@ -133,8 +117,8 @@ def ab_from_cd(params: Params, c, d, kahan: bool = False):
     _check_len("c", c, N + 1)
     _check_len("d", d, N - 1)
     two_r = 2.0 * r
-    sd = _cumsum(d, kahan)
-    suffc = _suffix_sums(c, kahan)
+    sd = np.cumsum(d, axis=-1)
+    suffc = _suffix_sums(c)
     # od[..., k] = 1 + sum_{j <= k-1} d_j for k = 0..N-1
     od = np.empty(d.shape[:-1] + (N,))
     od[..., 0] = 1.0
@@ -172,7 +156,7 @@ def ab_from_cd(params: Params, c, d, kahan: bool = False):
     return a, b
 
 
-def eps_from(params: Params, a, b, c, d, kahan: bool = False) -> np.ndarray:
+def eps_from(params: Params, a, b, c, d) -> np.ndarray:
     """The residual vector eps (length N+1) from derived (a, b, c) and d."""
     N, alpha, r = params.N, params.alpha, params.r
     _check_n(N)
@@ -184,8 +168,8 @@ def eps_from(params: Params, a, b, c, d, kahan: bool = False) -> np.ndarray:
     _check_len("b", b, N - 1)
     _check_len("c", c, N + 1)
     _check_len("d", d, N - 1)
-    sd = _cumsum(d, kahan)
-    suffc = _suffix_sums(c, kahan)
+    sd = np.cumsum(d, axis=-1)
+    suffc = _suffix_sums(c)
     od = np.empty(d.shape[:-1] + (N,))
     od[..., 0] = 1.0
     od[..., 1:] = 1.0 + sd
@@ -212,15 +196,15 @@ def eps_from(params: Params, a, b, c, d, kahan: bool = False) -> np.ndarray:
     return eps
 
 
-def residual(params: Params, d, kahan: bool = False) -> np.ndarray:
+def residual(params: Params, d) -> np.ndarray:
     """Residuals eps(d): the composition of the three derivations.
 
     Each component is an exactly quadratic polynomial in d; a zero of the map
     with positive derived data is a certificate.
     """
-    c = c_from_d(params, d, kahan)
-    a, b = ab_from_cd(params, c, d, kahan)
-    return eps_from(params, a, b, c, d, kahan)
+    c = c_from_d(params, d)
+    a, b = ab_from_cd(params, c, d)
+    return eps_from(params, a, b, c, d)
 
 
 @dataclass(frozen=True)
@@ -255,7 +239,8 @@ class FullCertificate:
         if self.c[N] != math.sqrt(2.0 * self.params.r):
             raise ValueError("c[N] != sqrt(2 r)")
         tail = 1.0 - self.c[N] * (1.0 + np.cumsum(self.d)[-1])
-        if abs(self.a[N - 1] - tail) > 1e-12 * max(1.0, abs(tail)):
+        # written so that a NaN fails the check
+        if not abs(self.a[N - 1] - tail) <= 1e-12 * max(1.0, abs(tail)):
             raise ValueError("a[N-1] violates the unit-column condition")
 
     @property
@@ -267,12 +252,12 @@ class FullCertificate:
         )
 
 
-def derive_full(params: Params, d, kahan: bool = False) -> FullCertificate:
+def derive_full(params: Params, d) -> FullCertificate:
     """Bundle the whole derivation for a single d into a FullCertificate."""
     d = np.asarray(d, dtype=float)
     if d.ndim != 1:
         raise ValueError("derive_full expects a single 1-D vector d")
-    c = c_from_d(params, d, kahan)
-    a, b = ab_from_cd(params, c, d, kahan)
-    eps = eps_from(params, a, b, c, d, kahan)
+    c = c_from_d(params, d)
+    a, b = ab_from_cd(params, c, d)
+    eps = eps_from(params, a, b, c, d)
     return FullCertificate(params=params, a=a, b=b, c=c, d=d.copy(), eps=eps)

@@ -2,9 +2,9 @@
 
 The residual map eps(d) is overdetermined (N+1 equations, N-1 unknowns) and
 exactly quadratic, so damped Gauss-Newton with QR least-squares steps converges
-quadratically near a zero-residual solution. A sweep solves increasing N,
-warm-starting each solve by linear extrapolation of the two most recent
-certificate shapes.
+quadratically near a zero-residual solution. Every solve past N=3 goes
+through `continue_from`, warm-started by linear extrapolation of the one or
+two most recent certificate shapes; a sweep chains such solves over N.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .rates import RateParams, solve_rate_params
-from .recursion import derive_full, residual
+from .recursion import FullCertificate, derive_full, residual
 
 __all__ = [
     "NonConvergence",
@@ -28,13 +28,13 @@ __all__ = [
     "gauss_newton",
     "resample",
     "extrapolate_init",
+    "continue_from",
     "bootstrap_smallest",
     "sweep",
 ]
 
 DEFAULT_TOL = 1e-13
 DEFAULT_MAX_ITER = 50
-BOOTSTRAP_SEED = 20804
 
 
 class NonConvergence(RuntimeError):
@@ -55,10 +55,10 @@ class RankDeficientJacobian(RuntimeWarning):
 
 @dataclass
 class SolveReport:
-    """Convergence record of one Gauss-Newton run."""
+    """Convergence record of one Gauss-Newton run and its derived certificate."""
 
     params: RateParams
-    d: np.ndarray
+    cert: FullCertificate
     iterations: int
     residual_sup: float
     delta: float
@@ -66,7 +66,10 @@ class SolveReport:
     converged: bool
     rank_deficient: bool = False
     res_norms: list[float] = field(default_factory=list)
-    seed: int | None = None
+
+    @property
+    def d(self) -> np.ndarray:
+        return self.cert.d
 
 
 def jacobian(params: RateParams, d, step_scale: float = 1.0) -> np.ndarray:
@@ -150,7 +153,7 @@ def gauss_newton(params: RateParams, d0, tol: float = DEFAULT_TOL,
                 )
             delta = float(np.sum(np.maximum(eps, 0.0)))
             return SolveReport(
-                params=params, d=d, iterations=it, residual_sup=sup,
+                params=params, cert=cert, iterations=it, residual_sup=sup,
                 delta=delta, positive=True, converged=True,
                 rank_deficient=rank_flag, res_norms=norms,
             )
@@ -213,42 +216,29 @@ def extrapolate_init(n1: int, d1, n2: int, d2, target: int) -> np.ndarray:
     return np.maximum(v1 + w * (v2 - v1), 1e-12)
 
 
-def bootstrap_smallest(params: RateParams, tol: float = DEFAULT_TOL,
-                       max_iter: int = DEFAULT_MAX_ITER,
-                       seed: int = BOOTSTRAP_SEED) -> SolveReport:
-    """First certificate of a sweep (N = 3), multi-start Gauss-Newton.
+def continue_from(sources, n: int, tol: float = DEFAULT_TOL,
+                  max_iter: int = DEFAULT_MAX_ITER) -> SolveReport:
+    """Solve size n from one or two solved (N, d) pairs, warm-started by
+    extrapolate_init of the first and last pair in N order. Raises ValueError
+    for unusable sources and NonConvergence when the solve fails."""
+    if len(sources) not in (1, 2):
+        raise ValueError(f"need one or two continuation sources, got {len(sources)}")
+    ordered = sorted(sources, key=lambda pair: pair[0])
+    (n1, d1), (n2, d2) = ordered[0], ordered[-1]
+    d0 = extrapolate_init(n1, d1, n2, d2, n)
+    return gauss_newton(solve_rate_params(n), d0, tol=tol, max_iter=max_iter)
 
-    Tries the deterministic constant ladder d = (k, k) for
-    k in {0.05, 0.1, 0.2, ..., 1.0}, then seeded pseudo-random positive
-    starts. The seed is recorded in the report, so repeated calls are
-    bit-identical.
+
+def bootstrap_smallest(params: RateParams, tol: float = DEFAULT_TOL,
+                       max_iter: int = DEFAULT_MAX_ITER) -> SolveReport:
+    """First certificate of a sweep (N = 3): Gauss-Newton from the single
+    documented start d0 = (0.05, 0.05).
+
+    Raises NonConvergence if that start fails; there is no fallback.
     """
     if params.N != 3:
         raise ValueError(f"bootstrap_smallest requires N=3, got N={params.N}")
-    ladder = [0.05] + [k / 10.0 for k in range(1, 11)]
-    starts = (np.full(2, kappa) for kappa in ladder)
-    failures = 0
-    for d0 in starts:
-        try:
-            report = gauss_newton(params, d0, tol=tol, max_iter=max_iter)
-        except NonConvergence:
-            failures += 1
-            continue
-        report.seed = seed
-        return report
-    rng = np.random.default_rng(seed)
-    for _ in range(40):
-        d0 = rng.uniform(0.01, 1.5, size=2)
-        try:
-            report = gauss_newton(params, d0, tol=tol, max_iter=max_iter)
-        except NonConvergence:
-            failures += 1
-            continue
-        report.seed = seed
-        return report
-    raise NonConvergence(
-        f"bootstrap at N=3 failed after {failures} starts", N=3,
-    )
+    return gauss_newton(params, np.full(2, 0.05), tol=tol, max_iter=max_iter)
 
 
 @dataclass(frozen=True)
@@ -293,18 +283,30 @@ class SweepSchedule:
             return cls.dense(n_max)
         return cls(((3, stride_from, 1), (stride_from, n_max, stride)))
 
+    @classmethod
+    def doubling(cls, n_max: int) -> "SweepSchedule":
+        """Dense on 3..20, then 40, 80, 160, ... below n_max, then n_max; the
+        cold-solve chain, O(log N) solves. For n_max <= 20 it is dense."""
+        if n_max <= 20:
+            return cls.dense(n_max)
+        segments = [(3, 20, 1)]
+        while segments[-1][1] < n_max:
+            lo = segments[-1][1]
+            hi = min(2 * lo, n_max)
+            segments.append((lo, hi, hi - lo))
+        return cls(tuple(segments))
+
 
 def sweep(schedule: SweepSchedule, tol: float = DEFAULT_TOL,
           max_iter: int = DEFAULT_MAX_ITER, outdir=None,
           progress=None) -> list[SolveReport]:
     """Continuation sweep over the schedule; one SolveReport per problem size.
 
-    N=3 is solved by bootstrap_smallest, the second size by resampling the
-    N=3 shape, and every later size by extrapolating the two most recent
-    certificates. When `outdir` is given, each certificate is persisted there
-    (pepcert/1 files) as soon as it is solved, so partial results survive an
-    aborted sweep. `progress` is an optional callback invoked with each
-    report.
+    N=3 is solved by bootstrap_smallest and every later size by continue_from
+    the two most recent certificates (one, for the second size). When `outdir`
+    is given, each certificate is persisted there (pepcert/1 files) as soon as
+    it is solved, so partial results survive an aborted sweep. `progress` is
+    an optional callback invoked with each report.
 
     Raises NonConvergence (annotated with the failing N) if any solve fails;
     the continuation chain is broken at that point and the sweep stops.
@@ -313,21 +315,13 @@ def sweep(schedule: SweepSchedule, tol: float = DEFAULT_TOL,
     if ns[0] != 3:
         raise ValueError("sweep schedules must start at N=3")
     reports: list[SolveReport] = []
-    solved: list[tuple[int, np.ndarray]] = []
     for n in ns:
-        params = solve_rate_params(n)
-        if not solved:
-            report = bootstrap_smallest(params, tol=tol, max_iter=max_iter)
+        if not reports:
+            report = bootstrap_smallest(solve_rate_params(n), tol=tol, max_iter=max_iter)
         else:
-            if len(solved) == 1:
-                n1, d1 = solved[-1]
-                d0 = extrapolate_init(n1, d1, n1, d1, n)
-            else:
-                (n1, d1), (n2, d2) = solved[-2], solved[-1]
-                d0 = extrapolate_init(n1, d1, n2, d2, n)
-            report = gauss_newton(params, d0, tol=tol, max_iter=max_iter)
+            sources = [(rep.params.N, rep.d) for rep in reports[-2:]]
+            report = continue_from(sources, n, tol=tol, max_iter=max_iter)
         reports.append(report)
-        solved.append((n, report.d))
         if outdir is not None:
             from .certfile import write_certificate, certificate_from_report
 

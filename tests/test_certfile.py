@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -93,6 +94,55 @@ class TestParseErrors:
     def test_missing_file(self, tmp_path):
         with pytest.raises(CertificateFormatError):
             read_certificate(tmp_path / "nope.txt")
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_block_value(self, bad):
+        text = render_certificate(tricky_file()).replace(repr(math.pi), bad)
+        with pytest.raises(CertificateFormatError):
+            parse_certificate(text)
+
+    @pytest.mark.parametrize("key", ["alpha", "r", "delta"])
+    def test_non_finite_header_value(self, key):
+        lines = render_certificate(tricky_file()).splitlines()
+        lines = [f"{key} nan" if line.startswith(f"{key} ") else line for line in lines]
+        with pytest.raises(CertificateFormatError):
+            parse_certificate("\n".join(lines) + "\n")
+
+
+class TestAtomicWrite:
+    def test_failed_render_keeps_old_file(self, tmp_path, monkeypatch):
+        import pepcert.certfile as certfile_mod
+
+        path = write_certificate(tricky_file(), path=tmp_path / "c.txt")
+        before = open(path, "rb").read()
+
+        def broken(cf):
+            raise RuntimeError("render failed")
+
+        monkeypatch.setattr(certfile_mod, "render_certificate", broken)
+        with pytest.raises(RuntimeError):
+            write_certificate(tricky_file(), path=path)
+        assert open(path, "rb").read() == before
+        assert os.listdir(tmp_path) == ["c.txt"]
+
+    def test_failed_replace_keeps_old_file(self, tmp_path, monkeypatch):
+        path = write_certificate(tricky_file(), path=tmp_path / "c.txt")
+        before = open(path, "rb").read()
+        cf = tricky_file()
+        cf.delta = 0.5
+
+        def broken(src, dst):
+            raise OSError("replace failed")
+
+        monkeypatch.setattr(os, "replace", broken)
+        with pytest.raises(OSError):
+            write_certificate(cf, path=path)
+        monkeypatch.undo()
+        assert open(path, "rb").read() == before
+        assert os.listdir(tmp_path) == ["c.txt"]
+        write_certificate(cf, path=path)
+        assert read_certificate(path).delta == 0.5
+        assert os.listdir(tmp_path) == ["c.txt"]
 
 
 class TestParamsFromFile:

@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
 
+import pepcert.solver as solver_mod
 from pepcert import cli
-from pepcert.certfile import parse_certificate, read_certificate
+from pepcert.certfile import (
+    params_from_file,
+    parse_certificate,
+    read_certificate,
+    write_certificate,
+)
+from pepcert.recursion import derive_full
+from pepcert.verifier import check_delta_certificate
 
 
 def run(capsys, *argv):
@@ -59,6 +67,52 @@ class TestSolve:
         iters = int(next(l for l in out.splitlines() if l.startswith("iterations")).split()[1])
         assert iters <= 15
         assert (tmp_path / "c12.txt").exists()
+
+    def test_warm_start_matches_sweep(self, capsys, cert_dir, tmp_path):
+        code, _, _ = run(
+            capsys, "solve", 12,
+            "--warm", cert_dir / "cert_N00011.txt", cert_dir / "cert_N00010.txt",
+            "--out", tmp_path / "c12.txt",
+        )
+        assert code == 0
+        assert cli.main(["sweep", "12", "--outdir", str(tmp_path / "sweep")]) == 0
+        capsys.readouterr()
+        swept = (tmp_path / "sweep" / "cert_N00012.txt").read_bytes()
+        assert (tmp_path / "c12.txt").read_bytes() == swept
+
+    def test_warm_same_n_different_d_is_usage_error(self, capsys, cert_dir, tmp_path):
+        cf = read_certificate(cert_dir / "cert_N00010.txt")
+        other = type(cf)(N=cf.N, alpha=cf.alpha, r=cf.r, delta=cf.delta, d=cf.d * 1.01)
+        path = write_certificate(other, path=tmp_path / "other.txt")
+        code, _, err = run(capsys, "solve", 12,
+                           "--warm", cert_dir / "cert_N00010.txt", path,
+                           "--out", tmp_path / "c12.txt")
+        assert code == 1
+        assert "usage error" in err
+        assert not (tmp_path / "c12.txt").exists()
+        three = [cert_dir / f"cert_N{n:05d}.txt" for n in (5, 10, 11)]
+        assert cli.main(["solve", "12", "--warm", *map(str, three)]) == 1
+
+    def test_cold_solve_doubling_chain(self, capsys, tmp_path, monkeypatch):
+        solved = []
+        real = solver_mod.continue_from
+
+        def recording(sources, n, **kw):
+            solved.append(n)
+            return real(sources, n, **kw)
+
+        monkeypatch.setattr(solver_mod, "continue_from", recording)
+        code, out, _ = run(capsys, "solve", 100, "--outdir", tmp_path)
+        assert code == 0
+        assert "converged True" in out
+        assert [3] + solved == list(range(3, 21)) + [40, 80, 100]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cert_N00100.txt"]
+        cf = read_certificate(tmp_path / "cert_N00100.txt")
+        cert = derive_full(params_from_file(cf), cf.d)
+        is_cert, delta, _ = check_delta_certificate(cert)
+        assert np.max(np.abs(cert.eps)) <= 1e-13
+        assert delta <= 1e-11
+        assert is_cert and cert.positive
 
 
 class TestSweep:
@@ -140,6 +194,29 @@ class TestVerify:
         code, _, err = run(capsys, "verify", bad)
         assert code == 4
 
+    @pytest.mark.parametrize("anchor, offset, value", [
+        ("a:", 3, "nan"), ("d:", 3, "inf"), ("alpha ", 0, "alpha nan"),
+    ])
+    def test_non_finite_value_is_corruption(self, capsys, cert_dir, tmp_path,
+                                            anchor, offset, value):
+        lines = (cert_dir / "cert_N00010.txt").read_text().splitlines()
+        idx = next(i for i, line in enumerate(lines) if line.startswith(anchor))
+        lines[idx + offset] = value
+        bad = tmp_path / "nonfinite.txt"
+        bad.write_text("\n".join(lines) + "\n")
+        code, out, _ = run(capsys, "verify", bad)
+        assert code == 4
+        assert "CERTIFIED" not in out
+
+    def test_nan_gap_is_corruption(self, capsys, cert_dir, monkeypatch):
+        # the cross check itself must not pass a NaN, whatever the parser lets in
+        cf = read_certificate(cert_dir / "cert_N00010.txt")
+        cf.a[5] = np.nan
+        monkeypatch.setattr(cli.certfile, "read_certificate", lambda path: cf)
+        code, out, err = run(capsys, "verify", "any.txt")
+        assert code == 4
+        assert "corruption" in err and "CERTIFIED" not in out
+
 
 class TestPlotdata:
     def test_normalized_curves(self, capsys, cert_dir, tmp_path):
@@ -187,3 +264,22 @@ class TestParser:
 
     def test_no_command(self, capsys):
         assert cli.main([]) == 1
+
+    def test_parser_built_once(self, capsys, monkeypatch):
+        built = []
+        real = cli.build_parser
+
+        def counting():
+            built.append(1)
+            return real()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        cli._parser.cache_clear()
+        try:
+            assert cli.main(["rates", "3"]) == 0
+            assert cli.main(["frobnicate"]) == 1
+            assert cli.main(["rates", "0"]) == 1
+            assert cli.main(["rates", "4"]) == 0
+        finally:
+            cli._parser.cache_clear()
+        assert len(built) == 1

@@ -116,13 +116,6 @@ class TestEpsAndResidual:
         for row in range(6):
             np.testing.assert_array_equal(eps[row], residual(params, batch[row]))
 
-    def test_kahan_flag_close_to_plain(self, rng):
-        params = solve_rate_params(15)
-        d = rng.uniform(0.05, 1.5, 14)
-        np.testing.assert_allclose(
-            residual(params, d, kahan=True), residual(params, d), rtol=0, atol=1e-13
-        )
-
 
 class TestDeriveFull:
     def test_wellformed_on_arbitrary_d(self):
@@ -152,3 +145,11 @@ class TestDeriveFull:
     def test_rejects_batch(self):
         with pytest.raises(ValueError):
             derive_full(EXAMPLE, np.ones((2, 2)))
+
+    def test_nan_last_a_rejected(self):
+        cert = derive_full(EXAMPLE, EXAMPLE_D)
+        a = cert.a.copy()
+        a[-1] = np.nan
+        with pytest.raises(ValueError):
+            FullCertificate(params=cert.params, a=a, b=cert.b, c=cert.c,
+                            d=cert.d, eps=cert.eps)

@@ -7,6 +7,7 @@ from pepcert import (
     RankDeficientJacobian,
     SweepSchedule,
     bootstrap_smallest,
+    continue_from,
     derive_full,
     extrapolate_init,
     gauss_newton,
@@ -107,6 +108,13 @@ class TestGaussNewton:
         with pytest.raises(ValueError):
             gauss_newton(solve_rate_params(5), np.ones(3))
 
+    def test_report_carries_its_certificate(self, small_sweep):
+        report = small_sweep[8]
+        again = derive_full(report.params, report.d)
+        assert report.cert.positive
+        for name in ("a", "b", "c", "d", "eps"):
+            np.testing.assert_array_equal(getattr(report.cert, name), getattr(again, name))
+
 
 class TestExtrapolateInit:
     def test_degenerate_equal_sources(self, small_sweep):
@@ -138,7 +146,6 @@ class TestBootstrap:
         report = bootstrap_smallest(solve_rate_params(3), tol=1e-13)
         assert report.converged and report.positive
         assert report.delta <= 1e-11
-        assert report.seed is not None
 
     def test_deterministic(self):
         r1 = bootstrap_smallest(solve_rate_params(3))
@@ -149,6 +156,34 @@ class TestBootstrap:
     def test_requires_n3(self):
         with pytest.raises(ValueError):
             bootstrap_smallest(solve_rate_params(4))
+
+    def test_single_start_failure_raises(self):
+        # no iterations allowed: the one start is not a certificate, and
+        # there is no fallback start
+        with pytest.raises(NonConvergence) as err:
+            bootstrap_smallest(solve_rate_params(3), max_iter=0)
+        assert err.value.N == 3
+
+
+class TestContinueFrom:
+    def test_matches_sweep_step(self, small_sweep):
+        sources = [(11, small_sweep[11].d), (10, small_sweep[10].d)]
+        report = continue_from(sources, 12)
+        np.testing.assert_array_equal(report.d, small_sweep[12].d)
+        assert report.iterations == small_sweep[12].iterations
+
+    def test_one_source_resamples(self, small_sweep):
+        report = continue_from([(9, small_sweep[9].d)], 12)
+        d0 = extrapolate_init(9, small_sweep[9].d, 9, small_sweep[9].d, 12)
+        expect = gauss_newton(solve_rate_params(12), d0)
+        np.testing.assert_array_equal(report.d, expect.d)
+
+    def test_source_count(self, small_sweep):
+        with pytest.raises(ValueError):
+            continue_from([], 12)
+        three = [(n, small_sweep[n].d) for n in (9, 10, 11)]
+        with pytest.raises(ValueError):
+            continue_from(three, 12)
 
 
 class TestSweep:
@@ -199,3 +234,12 @@ class TestSweep:
     def test_strided_classmethod(self):
         sched = SweepSchedule.strided(40, 10, 15)
         assert sched.values() == list(range(3, 11)) + [25, 40]
+
+    def test_doubling_classmethod(self):
+        dense = list(range(3, 21))
+        assert SweepSchedule.doubling(3).values() == [3]
+        assert SweepSchedule.doubling(20).values() == dense
+        assert SweepSchedule.doubling(21).values() == dense + [21]
+        assert SweepSchedule.doubling(160).values() == dense + [40, 80, 160]
+        assert SweepSchedule.doubling(300).values() == dense + [40, 80, 160, 300]
+        assert SweepSchedule.doubling(1000).values() == dense + [40, 80, 160, 320, 640, 1000]
