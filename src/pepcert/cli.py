@@ -70,6 +70,14 @@ def cmd_rates(args) -> int:
     return EXIT_OK
 
 
+def _check_solver_flags(args):
+    # written so that a NaN tolerance is rejected too
+    if not args.tol > 0:
+        raise _UsageError(f"--tol must be positive, got {args.tol}")
+    if args.max_iter < 0:
+        raise _UsageError(f"--max-iter must be non-negative, got {args.max_iter}")
+
+
 def _solve_one(n, warm_paths, tol, max_iter):
     if not warm_paths:
         # cold start: the doubling chain from N=3, keeping only the last report
@@ -87,6 +95,7 @@ def _solve_one(n, warm_paths, tol, max_iter):
 def cmd_solve(args) -> int:
     if args.N < 3:
         raise _UsageError("solve requires N >= 3")
+    _check_solver_flags(args)
     report = _solve_one(args.N, args.warm, args.tol, args.max_iter)
     cf = certfile.certificate_from_report(report)
     path = args.out or certfile.default_path(_outdir(args), args.N)
@@ -114,6 +123,7 @@ def _parse_segment(spec: str):
 def cmd_sweep(args) -> int:
     if args.N_MAX < 3:
         raise _UsageError("sweep requires N_MAX >= 3")
+    _check_solver_flags(args)
     if args.segment:
         try:
             schedule = SweepSchedule(tuple(_parse_segment(s) for s in args.segment))

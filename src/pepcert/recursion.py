@@ -102,13 +102,42 @@ def c_from_d(params: Params, d) -> np.ndarray:
     return c
 
 
+def _backward_scan(z: np.ndarray, rho: float) -> np.ndarray:
+    """In place along the last axis, h -> z with z_{n-1} = h_{n-1} and
+    z_i = rho z_{i+1} + h_i; returns z.
+
+    Recursive doubling: after the pass with shift s, z_i sums rho**(j-i) h_j
+    over i <= j < i + 2s, so ceil(log2 n) whole-array passes finish the scan.
+    Every weight is a power of rho, which stays stable for |rho| < 1.
+    """
+    n = z.shape[-1]
+    shift, weight = 1, rho
+    while shift < n:
+        z[..., :-shift] += weight * z[..., shift:]
+        shift, weight = 2 * shift, weight * weight
+    return z
+
+
 def ab_from_cd(params: Params, c, d):
     """The vectors a (length N) and b (length N-1) by backward recursion.
 
-    a_{N-1} comes from the unit-sum condition on the last multiplier column;
-    (a_{N-2}, b_{N-2}) from the closing pair of equations; then each (a_i, b_i)
-    for i = N-3 down to 0 from the running pair, using prefix sums of d and
-    suffix sums of c (one pass each, so the whole derivation is O(N)).
+    a_{N-1} comes from the unit-sum condition on the last multiplier column.
+    Each (a_i, b_i), i = N-2 down to 0, is affine in the next pair through
+    z_{i+1} = -a_{i+1} + (2 alpha - 1) b_{i+1} alone (the 2x2 transfer matrix
+    has rank one), with b_{N-1} = 0:
+
+        a_i = (z_{i+1} + p_i) / alpha,  b_i = ((alpha - 1) z_{i+1} + q_i) / alpha,
+        z_i = (2 alpha - 3) z_{i+1} + g_i,
+
+    with csq_i = c_{i+1}^2 / 2r, cross_i = c_i c_{i+1} / 2r,
+    lin_i = c_{i+1} (1 + sum_{j<i} d_j), tail_i = d_{i+1} sum_{j>=i+3} c_j and
+
+        p = csq + cross - (1 + alpha) lin - tail,
+        q = (alpha - 1) (csq - tail) - cross + lin,
+        g = ((2 alpha - 1) q - p) / alpha = (2 alpha - 3) (csq - tail) - 2 cross + 3 lin.
+
+    All of these are whole-array expressions and the recurrence for z is one
+    backward scan, so the derivation is O(N) work in O(log N) array passes.
     """
     N, alpha, r = params.N, params.alpha, params.r
     _check_n(N)
@@ -117,42 +146,31 @@ def ab_from_cd(params: Params, c, d):
     _check_len("c", c, N + 1)
     _check_len("d", d, N - 1)
     two_r = 2.0 * r
-    sd = np.cumsum(d, axis=-1)
+    shape = np.broadcast_shapes(c.shape[:-1], d.shape[:-1])
     suffc = _suffix_sums(c)
-    # od[..., k] = 1 + sum_{j <= k-1} d_j for k = 0..N-1
-    od = np.empty(d.shape[:-1] + (N,))
+    sd = np.cumsum(d, axis=-1)
+    # od[..., i] = 1 + sum_{j <= i-1} d_j for i = 0..N-2
+    od = np.empty(d.shape[:-1] + (N - 1,))
     od[..., 0] = 1.0
-    od[..., 1:] = 1.0 + sd
+    od[..., 1:] = 1.0 + sd[..., :-1]
+    # terms of step i = 0..N-2; tail_{N-2} = 0 (no d_{N-1})
+    csq = c[..., 1:N] ** 2 / two_r
+    cross = c[..., : N - 1] * c[..., 1:N] / two_r
+    lin = c[..., 1:N] * od
+    tail = np.zeros(shape + (N - 1,))
+    tail[..., : N - 2] = d[..., 1:] * suffc[..., 3 : N + 1]
+    p = csq + cross - (1.0 + alpha) * lin - tail
+    q = (alpha - 1.0) * (csq - tail) - cross + lin
 
-    shape = d.shape[:-1]
     a = np.empty(shape + (N,))
-    b = np.empty(shape + (N - 1,))
-    a[..., N - 1] = 1.0 - c[..., N] * od[..., N - 1]
-    a[..., N - 2] = (
-        c[..., N - 1] ** 2 / two_r
-        + c[..., N - 2] * c[..., N - 1] / two_r
-        - a[..., N - 1]
-        - (1.0 + alpha) * c[..., N - 1] * od[..., N - 2]
-    ) / alpha
-    b[..., N - 2] = (
-        (alpha - 1.0) * c[..., N - 1] ** 2 / two_r
-        - c[..., N - 2] * c[..., N - 1] / two_r
-        - (alpha - 1.0) * a[..., N - 1]
-        + c[..., N - 1] * od[..., N - 2]
-    ) / alpha
-    for i in range(N - 3, -1, -1):
-        tail = d[..., i + 1] * suffc[..., i + 3]
-        cross = c[..., i] * c[..., i + 1] / two_r
-        csq = c[..., i + 1] ** 2 / two_r
-        lin = c[..., i + 1] * od[..., i]
-        a[..., i] = (
-            csq + cross - a[..., i + 1] - (1.0 + alpha) * lin - tail
-            + (2.0 * alpha - 1.0) * b[..., i + 1]
-        ) / alpha
-        b[..., i] = (
-            (alpha - 1.0) * (csq - a[..., i + 1] - tail + (2.0 * alpha - 1.0) * b[..., i + 1])
-            - cross + lin
-        ) / alpha
+    a[..., N - 1] = 1.0 - c[..., N] * (1.0 + sd[..., -1])
+    rho = 2.0 * alpha - 3.0
+    h = np.empty(shape + (N,))
+    h[..., : N - 1] = rho * (csq - tail) - 2.0 * cross + 3.0 * lin
+    h[..., N - 1] = -a[..., N - 1]
+    z_next = _backward_scan(h, rho)[..., 1:]
+    a[..., : N - 1] = (z_next + p) / alpha
+    b = ((alpha - 1.0) * z_next + q) / alpha
     return a, b
 
 
@@ -211,9 +229,10 @@ def residual(params: Params, d) -> np.ndarray:
 class FullCertificate:
     """Complete certificate data (a, b, c, d, eps) for one problem size.
 
-    Lengths are enforced on construction; c[N] and a[N-1] are pinned to their
-    defining expressions bit-for-bit (same accumulation order as the
-    derivation), which makes file round-trips safely re-checkable.
+    Lengths are enforced on construction. c[N] must equal sqrt(2r) bit for
+    bit; a[N-1] must match its unit-column expression t = 1 - c[N] (1 + sum d)
+    to within 1e-12 * max(1, |t|), and a NaN fails. This makes file
+    round-trips safely re-checkable.
     """
 
     params: Params

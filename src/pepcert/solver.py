@@ -2,9 +2,12 @@
 
 The residual map eps(d) is overdetermined (N+1 equations, N-1 unknowns) and
 exactly quadratic, so damped Gauss-Newton with QR least-squares steps converges
-quadratically near a zero-residual solution. Every solve past N=3 goes
-through `continue_from`, warm-started by linear extrapolation of the one or
-two most recent certificate shapes; a sweep chains such solves over N.
+quadratically near a zero-residual solution. The Jacobian is exact: forward-mode
+tangents of the recursion, with no finite differences, in O(N^2) time and
+memory. The step applies Q^T to eps through the Householder reflectors and
+never forms Q. Every solve past N=3 goes through `continue_from`,
+warm-started by linear extrapolation of the one or two most recent
+certificate shapes; a sweep chains such solves over N.
 """
 
 from __future__ import annotations
@@ -13,10 +16,10 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import qr_multiply, solve_triangular
 
 from .rates import RateParams, solve_rate_params
-from .recursion import FullCertificate, derive_full, residual
+from .recursion import FullCertificate, c_from_d, derive_full, residual
 
 __all__ = [
     "NonConvergence",
@@ -72,37 +75,124 @@ class SolveReport:
         return self.cert.d
 
 
-def jacobian(params: RateParams, d, step_scale: float = 1.0) -> np.ndarray:
-    """Jacobian J[i, k] = d eps_i / d d_k by central finite differences.
+def jacobian(params: RateParams, d) -> np.ndarray:
+    """Exact Jacobian J[i, k] = d eps_i / d d_k by forward-mode differentiation.
 
-    Step h_k = max(1, |d_k|) * 2**-26 * step_scale. The residual components
-    are exactly quadratic, so central differences carry no truncation error;
-    only rounding remains (which shrinks with larger step_scale).
+    The tangents of c_from_d -> ab_from_cd -> eps_from are propagated for all
+    N-1 unit directions at once, by the product rule; the tangent of d itself
+    is the identity, so its products are diagonal updates. eps is exactly
+    quadratic in d, so J carries rounding error only.
+
+    With u_i = a_i - b_i (u_{N-1} = a_{N-1}, u_{-1} = 0) and the scan
+    variable z_i = -a_i + (2 alpha - 1) b_i of ab_from_cd, eps_from reads
+
+        eps_i = u_i - u_{i-1} + tl_i - c_i od_{i-1},   i = 0..N-1,
+        eps_N = z_0 - c_0 - tl_0 + c_0^2 / 2r,
+        u_i = kappa z_{i+1} + kappa (csq_i - tail_i)
+              + (2 cross_i - (2 + alpha) lin_i) / alpha,   i < N-1,
+
+    with kappa = (2 - alpha) / alpha, od_i = 1 + sum_{j<i} d_j (od_{-1} = 1),
+    suffc_j = sum_{l>=j} c_l, tl_i = d_i suffc_{i+2} (tl_{N-1} = 0) and the
+    step terms of ab_from_cd (tail_i = tl_{i+1}).
+
+    The tangents of g and of eps without its z terms have rows that are
+    constant left of the diagonal, a multiple of d suffc_j / d d_k =
+    2 r alpha (N-1-k) far right of it, and irregular only on a few diagonals
+    in between, so `fill` writes each (N, N-1) array in three passes. The
+    tangent of z then comes from the scan of g, row by row.
     """
     d = np.asarray(d, dtype=float)
-    m = params.N - 1
+    N, alpha, r = params.N, params.alpha, params.r
+    m = N - 1
     if d.shape != (m,):
         raise ValueError(f"d must have shape ({m},), got {d.shape}")
-    h = np.maximum(1.0, np.abs(d)) * 2.0**-26 * step_scale
-    batch = np.repeat(d[None, :], 2 * m, axis=0)
-    batch[:m] += np.diag(h)
-    batch[m:] -= np.diag(h)
-    eps = residual(params, batch)
-    return (eps[:m] - eps[m:]).T / (2.0 * h)
+    two_r = 2.0 * r
+    rho = 2.0 * alpha - 3.0
+    kappa = (2.0 - alpha) / alpha
+    c = c_from_d(params, d)
+    od = np.ones(N)
+    od[1:] += np.cumsum(d)
+    odp = np.append(1.0, od[:-1])
+    # zero-padded so that rows past the end index safely
+    dpad = np.zeros(N + 1)
+    dpad[:m] = d
+    suffc = np.zeros(N + 3)
+    suffc[: N + 1] = np.cumsum(c[::-1])[::-1]
+
+    # Entries at index arrays (i, k). k = -1 lies left of every row, so
+    # entry(i, -1) is the value of row i left of the diagonal.
+    def tc(i, k):  # d c_i / d d_k for i <= N-1; c_N is constant
+        return np.where(i == m, two_r, two_r * (alpha * (k <= i) - (k == i)))
+
+    def tod(i, k):  # d od_i / d d_k
+        return (k < i).astype(float)
+
+    def ttl(i, k):  # d tl_i / d d_k
+        j = i + 2
+        tsuff = np.where(j >= N, 0.0,
+                         np.where(k < j, two_r * (alpha * (m - j) + 1.0), two_r * alpha * (m - k)))
+        return dpad[i] * tsuff + suffc[j] * (k == i)
+
+    def th(i, k):  # d g_i / d d_k, and d z_{N-1} / d d_k = c_N in row N-1
+        t_next = tc(i + 1, k)
+        g = (rho * (c[i + 1] / r * t_next - ttl(i + 1, k))
+             - (c[i + 1] * tc(i, k) + c[i] * t_next) / r
+             + 3.0 * (od[i] * t_next + c[i + 1] * tod(i, k)))
+        return np.where(i == m, c[N], g)
+
+    def su(i, k):  # d (u_i - kappa z_{i+1}) / d d_k for -1 <= i <= N-1
+        t_next = tc(i + 1, k)
+        rest = (kappa * (c[i + 1] / r * t_next - ttl(i + 1, k))
+                + ((c[i + 1] * tc(i, k) + c[i] * t_next) / r
+                   - (2.0 + alpha) * (od[i] * t_next + c[i + 1] * tod(i, k))) / alpha)
+        return np.where(i < 0, 0.0, np.where(i == m, -c[N], rest))
+
+    def sj(i, k):  # d eps_i / d d_k without its z terms, for i <= N-1
+        return su(i, k) - su(i - 1, k) + ttl(i, k) - odp[i] * tc(i, k) - c[i] * tod(i - 1, k)
+
+    cols = np.arange(m)
+    far = two_r * alpha * (m - cols)
+
+    def fill(out, entry, lower, upper, far_coef):
+        # entry(i, -1) where k - i <= lower, far_coef_i * far_k where
+        # k - i >= upper, and the exact entries on the diagonals in between
+        rows = np.arange(out.shape[0])
+        np.multiply(far_coef[:, None], far, out=out)
+        np.copyto(out, entry(rows, -1)[:, None], where=cols <= rows[:, None] + lower)
+        for offset in range(lower + 1, upper):
+            i = rows[(rows + offset >= 0) & (rows + offset < m)]
+            out[i, i + offset] = entry(i, i + offset)
+
+    tz = np.empty((N, m))
+    fill(tz, th, -1, 3, -rho * dpad[1:])
+    # the backward scan of ab_from_cd, row by row: one pass over the array,
+    # where recursive doubling would make log2(N) passes
+    for i in range(N - 2, -1, -1):
+        tz[i] += rho * tz[i + 1]
+    J = np.empty((N + 1, m))
+    far_j = (1.0 + kappa) * dpad[:N] - kappa * dpad[1:]
+    far_j[0] = d[0] - kappa * dpad[1]  # u_{-1} = 0 has no far part
+    fill(J[:N], sj, -2, 3, far_j)
+    J[N] = tz[0] + (c[0] / r - 1.0) * tc(0, cols) - ttl(0, cols)
+    tz[1:] *= kappa
+    J[:m] += tz[1:]
+    J[1:N] -= tz[1:]
+    return J
 
 
 def least_squares_step(J: np.ndarray, eps: np.ndarray):
     """Solve min_s ||J s + eps||_2 by QR; returns (s, rank_ok).
 
-    When the QR diagonal signals rank below full column rank (relative to
-    1e-12 of its largest entry) a RankDeficientJacobian warning is issued and
-    the SVD minimum-norm solution is used instead.
+    Q^T eps is applied with the Householder reflectors (qr_multiply), so Q is
+    never formed. When the R diagonal signals rank below full column rank
+    (relative to 1e-12 of its largest entry) a RankDeficientJacobian warning
+    is issued and the SVD minimum-norm solution is used instead.
     """
-    q, rmat = np.linalg.qr(J)
+    qt_eps, rmat = qr_multiply(J, eps)
     diag = np.abs(np.diag(rmat))
     rank_ok = bool(diag.min() >= 1e-12 * diag.max())
     if rank_ok:
-        s = solve_triangular(rmat, -(q.T @ eps))
+        s = solve_triangular(rmat, -qt_eps)
     else:
         warnings.warn(
             f"Jacobian numerically rank deficient (diag ratio {diag.min() / diag.max():.2e})",
@@ -132,8 +222,10 @@ def gauss_newton(params: RateParams, d0, tol: float = DEFAULT_TOL,
         the terminal certificate is not strictly positive. A sign-violating
         result is never reported as converged.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
+    if max_iter < 0:
+        raise ValueError("max_iter must be non-negative")
     d = np.array(d0, dtype=float)
     if d.shape != (params.N - 1,):
         raise ValueError(f"d0 must have shape ({params.N - 1},), got {d.shape}")

@@ -57,6 +57,13 @@ class TestSolve:
         code, _, err = run(capsys, "solve", 2)
         assert code == 1
 
+    @pytest.mark.parametrize("flags", [("--tol", 0), ("--tol", "nan"), ("--max-iter", -1)])
+    def test_bad_solver_flags_are_usage_errors(self, capsys, tmp_path, flags):
+        code, _, err = run(capsys, "solve", 5, *flags, "--outdir", tmp_path)
+        assert code == 1
+        assert err.startswith("usage error: " + flags[0])
+        assert not list(tmp_path.iterdir())
+
     def test_warm_start(self, capsys, cert_dir, tmp_path):
         code, out, _ = run(
             capsys, "solve", 12,
@@ -131,6 +138,13 @@ class TestSweep:
             fa = (a / f"cert_N{n:05d}.txt").read_bytes()
             fb = (b / f"cert_N{n:05d}.txt").read_bytes()
             assert fa == fb
+
+    @pytest.mark.parametrize("flags", [("--tol", -1), ("--max-iter", -1)])
+    def test_bad_solver_flags_are_usage_errors(self, capsys, tmp_path, flags):
+        code, _, err = run(capsys, "sweep", 5, *flags, "--outdir", tmp_path)
+        assert code == 1
+        assert err.startswith("usage error: " + flags[0])
+        assert not list(tmp_path.iterdir())
 
     def test_strided_flags(self, capsys, tmp_path):
         code, _, _ = run(capsys, "sweep", 30, "--stride-from", 10, "--stride", 10,

@@ -25,6 +25,41 @@ EXAMPLE_B = np.array([0.0, 0.25])
 EXAMPLE_EPS = np.array([0.5, -0.0625, -1.75, -0.609375])
 
 
+def ab_from_cd_loop(params, c, d):
+    """Reference for ab_from_cd: the per-index backward recursion on (a_i, b_i)."""
+    N, alpha, r = params.N, params.alpha, params.r
+    two_r = 2.0 * r
+    suffc = np.zeros(c.shape[:-1] + (N + 2,))
+    suffc[..., :-1] = np.cumsum(c[..., ::-1], axis=-1)[..., ::-1]
+    od = np.ones(d.shape[:-1] + (N,))
+    od[..., 1:] += np.cumsum(d, axis=-1)
+    a = np.empty(d.shape[:-1] + (N,))
+    b = np.empty(d.shape[:-1] + (N - 1,))
+    a[..., N - 1] = 1.0 - c[..., N] * od[..., N - 1]
+    a[..., N - 2] = (
+        c[..., N - 1] ** 2 / two_r + c[..., N - 2] * c[..., N - 1] / two_r
+        - a[..., N - 1] - (1.0 + alpha) * c[..., N - 1] * od[..., N - 2]
+    ) / alpha
+    b[..., N - 2] = (
+        (alpha - 1.0) * c[..., N - 1] ** 2 / two_r - c[..., N - 2] * c[..., N - 1] / two_r
+        - (alpha - 1.0) * a[..., N - 1] + c[..., N - 1] * od[..., N - 2]
+    ) / alpha
+    for i in range(N - 3, -1, -1):
+        tail = d[..., i + 1] * suffc[..., i + 3]
+        cross = c[..., i] * c[..., i + 1] / two_r
+        csq = c[..., i + 1] ** 2 / two_r
+        lin = c[..., i + 1] * od[..., i]
+        a[..., i] = (
+            csq + cross - a[..., i + 1] - (1.0 + alpha) * lin - tail
+            + (2.0 * alpha - 1.0) * b[..., i + 1]
+        ) / alpha
+        b[..., i] = (
+            (alpha - 1.0) * (csq - a[..., i + 1] - tail + (2.0 * alpha - 1.0) * b[..., i + 1])
+            - cross + lin
+        ) / alpha
+    return a, b
+
+
 class TestCFromD:
     def test_example_values(self):
         c = c_from_d(EXAMPLE, EXAMPLE_D)
@@ -68,6 +103,24 @@ class TestAbFromCd:
             a, b = ab_from_cd(params, c, d)
             assert a.shape == (n,)
             assert b.shape == (n - 1,)
+
+    @pytest.mark.parametrize("n", [3, 4, 7, 20, 300, 2000])
+    def test_matches_loop_reference(self, rng, n):
+        params = solve_rate_params(n)
+        for shape in ((n - 1,), (4, n - 1)):
+            # unit-scale rows and 10/n-scale rows (certificates span about 1/4n to 9)
+            d = rng.uniform(0.05, 1.5, shape) * rng.choice([1.0, 10.0 / n], shape[:-1] + (1,))
+            c = c_from_d(params, d)
+            a, b = ab_from_cd(params, c, d)
+            a_ref, b_ref = ab_from_cd_loop(params, c, d)
+            scale = max(np.max(np.abs(a_ref)), np.max(np.abs(b_ref)))
+            assert np.max(np.abs(a - a_ref)) <= 1e-13 * scale
+            assert np.max(np.abs(b - b_ref)) <= 1e-13 * scale
+
+    def test_loop_reference_example_values(self):
+        a, b = ab_from_cd_loop(EXAMPLE, EXAMPLE_C, EXAMPLE_D)
+        np.testing.assert_array_equal(a, EXAMPLE_A)
+        np.testing.assert_array_equal(b, EXAMPLE_B)
 
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):

@@ -27,26 +27,39 @@ class TestJacobian:
         assert J.shape == (10, 8)
 
     def test_directional_consistency(self, rng):
-        params = solve_rate_params(8)
-        d = rng.uniform(0.1, 1.5, 7)
-        J = jacobian(params, d, step_scale=2.0**13)
-        p = rng.standard_normal(7)
-        h = 2.0**-13
-        fd = (residual(params, d + h * p) - residual(params, d - h * p)) / (2 * h)
-        assert np.linalg.norm(J @ p - fd) <= 1e-8 * max(1.0, np.linalg.norm(fd))
+        # eps is exactly quadratic, so the central difference with any step p
+        # is J p up to rounding
+        for n in (3, 4, 9, 50, 300):
+            params = solve_rate_params(n)
+            d = rng.uniform(0.1, 1.5, n - 1)
+            J = jacobian(params, d)
+            for _ in range(3):
+                p = rng.standard_normal(n - 1)
+                plus, minus = residual(params, d + p), residual(params, d - p)
+                scale = max(np.max(np.abs(plus)), np.max(np.abs(minus)))
+                assert np.max(np.abs(J @ p - (plus - minus) / 2.0)) <= 1e-13 * scale
 
-    def test_quadratic_exactness_step_invariance(self, rng):
-        # no truncation error on exactly quadratic residuals: two step sizes
-        # a factor 8 apart agree to rounding
-        params = solve_rate_params(11)
-        d = rng.uniform(0.1, 1.5, 10)
-        J1 = jacobian(params, d, step_scale=2.0**13)
-        J2 = jacobian(params, d, step_scale=2.0**10)
-        assert np.max(np.abs(J1 - J2)) <= 1e-9 * np.max(np.abs(J1))
-        # at the default tiny step the comparison is rounding-limited
-        J3 = jacobian(params, d)
-        J4 = jacobian(params, d, step_scale=0.125)
-        assert np.max(np.abs(J3 - J4)) <= 1e-5 * np.max(np.abs(J3))
+    def test_matches_central_differences(self, rng):
+        h = 2.0**-6
+        for n in (3, 4, 12, 40):
+            params = solve_rate_params(n)
+            d = rng.uniform(0.1, 1.5, n - 1)
+            fd = np.empty((n + 1, n - 1))
+            for k in range(n - 1):
+                step = np.zeros(n - 1)
+                step[k] = h
+                fd[:, k] = (residual(params, d + step) - residual(params, d - step)) / (2 * h)
+            J = jacobian(params, d)
+            assert np.max(np.abs(J - fd)) <= 1e-12 * np.max(np.abs(fd))
+
+    def test_evaluates_no_residuals(self, monkeypatch, small_sweep):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("jacobian must not evaluate perturbed residuals")
+
+        rep = small_sweep[15]
+        expect = jacobian(rep.params, rep.d)
+        monkeypatch.setattr(solver_mod, "residual", forbidden)
+        np.testing.assert_array_equal(solver_mod.jacobian(rep.params, rep.d), expect)
 
 
 class TestLeastSquaresStep:
@@ -107,6 +120,12 @@ class TestGaussNewton:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             gauss_newton(solve_rate_params(5), np.ones(3))
+
+    def test_budget_and_tolerance_validation(self):
+        params = solve_rate_params(5)
+        for kwargs in ({"max_iter": -1}, {"tol": 0.0}, {"tol": float("nan")}):
+            with pytest.raises(ValueError):
+                gauss_newton(params, np.full(4, 0.3), **kwargs)
 
     def test_report_carries_its_certificate(self, small_sweep):
         report = small_sweep[8]

@@ -2,6 +2,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from pepcert import (
     STAR,
@@ -81,6 +84,19 @@ class TestAssembleLambda:
         for i in range(9):
             gap = lam[1 + i, :].sum() - lam[:, 1 + i].sum()
             assert abs(gap - cert.eps[i]) <= 1e-12
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(3, 40).flatmap(lambda n: hnp.arrays(
+        float, n - 1, elements=st.floats(1e-6, 1e3))))
+    def test_row_minus_column_gives_eps_property(self, d):
+        # the recursion identity, for any positive d and size
+        n = d.shape[0] + 1
+        cert = derive_full(solve_rate_params(n), d)
+        lam = assemble_lambda(cert).entries
+        gap = lam[1 : n + 1, :].sum(axis=1) - lam[:, 1 : n + 1].sum(axis=0)
+        size = np.abs(lam)
+        scale = size[1 : n + 1, :].sum(axis=1) + size[:, 1 : n + 1].sum(axis=0)
+        assert np.all(np.abs(gap - cert.eps[:n]) <= 1e-12 * scale)
 
 
 class TestQForm:
