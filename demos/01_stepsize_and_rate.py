@@ -11,9 +11,10 @@ envelope, with common value r(N).
 import numpy as np
 
 from pepcert import (
-    ObjectiveSpec,
+    huber,
     huber_rate,
     lower_bound_envelope,
+    quadratic,
     quadratic_rate,
     simulate,
     solve_rate_params,
@@ -43,9 +44,9 @@ print(f"\nenvelope minimum for N={n}: alpha ~ {grid[best]:.4f} "
 
 # running gradient descent reproduces the closed forms exactly
 alpha = p.alpha
-quad = simulate(ObjectiveSpec.quadratic(), x0=1.0, alpha=alpha, N=n)
+quad = simulate(quadratic, x0=1.0, alpha=alpha, N=n)
 delta = 1.0 / (2 * n * alpha + 1.0)
-hub = simulate(ObjectiveSpec.huber(delta), x0=1.0, alpha=alpha, N=n)
+hub = simulate(huber(delta), x0=1.0, alpha=alpha, N=n)
 print(f"\nsimulated final gaps at alpha(N):")
 print(f"  quadratic: {quad.fvals[-1]:.16e}  closed form {quadratic_rate(n, alpha):.16e}")
 print(f"  huber:     {hub.fvals[-1]:.16e}  closed form {huber_rate(n, alpha):.16e}")

@@ -29,19 +29,18 @@ from .certfile import (
 )
 from .rates import (
     BALANCE_TOL,
-    ObjectiveKind,
-    ObjectiveSpec,
     RateParams,
     SimTrace,
+    huber,
     huber_rate,
     lower_bound_envelope,
+    quadratic,
     quadratic_rate,
     simulate,
     solve_rate_params,
     solve_rate_params_mp,
 )
 from .recursion import (
-    CertParams,
     FullCertificate,
     ab_from_cd,
     c_from_d,

@@ -194,9 +194,9 @@ def read_certificate(path) -> CertificateFile:
 
 
 def params_from_file(cf: CertificateFile) -> RateParams:
-    """RateParams from stored header values; the balance validation doubles as
-    a corruption check on (N, alpha, r)."""
+    """Balanced RateParams from stored header values; the balance check
+    doubles as a corruption check on (N, alpha, r)."""
     try:
-        return RateParams(N=cf.N, alpha=cf.alpha, r=cf.r)
+        return RateParams(N=cf.N, alpha=cf.alpha, r=cf.r).check_balance()
     except ValueError as exc:
         raise CertificateFormatError(f"inconsistent rate parameters: {exc}") from exc

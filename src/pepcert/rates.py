@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import mpmath as mp
 import numpy as np
@@ -23,8 +22,8 @@ import numpy as np
 __all__ = [
     "BALANCE_TOL",
     "RateParams",
-    "ObjectiveKind",
-    "ObjectiveSpec",
+    "quadratic",
+    "huber",
     "SimTrace",
     "solve_rate_params",
     "solve_rate_params_mp",
@@ -70,11 +69,12 @@ def _log_balance_slope(N: int, alpha: float) -> float:
 
 @dataclass(frozen=True)
 class RateParams:
-    """Problem size N with the balancing stepsize alpha and rate r.
+    """Problem size N with a stepsize alpha and a rate r.
 
-    Validated on construction: alpha in (1, 2), r in (0, 1/2), and the two
-    closed-form performances at alpha agree with each other and with r to
-    BALANCE_TOL (absolute).
+    Construction checks only N >= 1, alpha > 0 and r > 0: the certificate
+    recursion is an algebraic identity for any such pair. Balance is a
+    property of the pair alone and is checked on request by `check_balance`;
+    `solve_rate_params` and certificate files call it.
     """
 
     N: int
@@ -84,6 +84,20 @@ class RateParams:
     def __post_init__(self):
         if self.N < 1:
             raise ValueError(f"N must be >= 1, got {self.N}")
+        # written so that a NaN fails
+        if not self.alpha > 0:
+            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if not self.r > 0:
+            raise ValueError(f"r must be positive, got {self.r}")
+
+    def check_balance(self) -> "RateParams":
+        """Return self when (alpha, r) is the balancing pair of N; raise
+        ValueError otherwise.
+
+        Requires alpha in (1, 2), r in (0, 1/2), and the two closed-form
+        performances at alpha to agree with each other and with r to
+        BALANCE_TOL (absolute).
+        """
         if not 1.0 < self.alpha < 2.0:
             raise ValueError(f"alpha must lie in (1, 2), got {self.alpha}")
         if not 0.0 < self.r < 0.5:
@@ -97,6 +111,7 @@ class RateParams:
             )
         if abs(self.r - h) > BALANCE_TOL:
             raise ValueError(f"r={self.r!r} is not the common value {h!r}")
+        return self
 
 
 def solve_rate_params(N: int) -> RateParams:
@@ -137,7 +152,7 @@ def solve_rate_params(N: int) -> RateParams:
         if nxt == alpha:
             break
         alpha = nxt
-    return RateParams(N=N, alpha=alpha, r=huber_rate(N, alpha))
+    return RateParams(N=N, alpha=alpha, r=huber_rate(N, alpha)).check_balance()
 
 
 def solve_rate_params_mp(N: int, dps: int = 50):
@@ -160,49 +175,26 @@ def solve_rate_params_mp(N: int, dps: int = 50):
         return +a, +r
 
 
-class ObjectiveKind(Enum):
-    QUADRATIC = "quadratic"
-    HUBER = "huber"
+def quadratic(x: float) -> tuple[float, float]:
+    """The quadratic x^2/2: (value, gradient) at x."""
+    return 0.5 * x * x, x
 
 
-@dataclass(frozen=True)
-class ObjectiveSpec:
-    """One of the two extremal 1-D objectives (minimizer at 0, value 0 there).
+def huber(delta: float):
+    """The Huber objective with breakpoint delta, as a function x -> (value,
+    gradient): x^2/2 inside [-delta, delta], linear with slope delta outside.
 
-    For HUBER, delta is the breakpoint: quadratic inside [-delta, delta],
-    linear with slope delta outside. Must lie in (0, 1] under the D = 1
-    normalization. Ignored for QUADRATIC.
+    delta must lie in (0, 1] under the D = 1 normalization.
     """
+    if not 0.0 < delta <= 1.0:
+        raise ValueError(f"Huber breakpoint must lie in (0, 1], got {delta}")
 
-    kind: ObjectiveKind
-    delta: float | None = None
+    def objective(x: float) -> tuple[float, float]:
+        if abs(x) <= delta:
+            return 0.5 * x * x, x
+        return delta * abs(x) - 0.5 * delta**2, (delta if x > 0 else -delta)
 
-    def __post_init__(self):
-        if self.kind is ObjectiveKind.HUBER:
-            if self.delta is None or not 0.0 < self.delta <= 1.0:
-                raise ValueError(f"Huber breakpoint must lie in (0, 1], got {self.delta}")
-
-    @classmethod
-    def quadratic(cls) -> "ObjectiveSpec":
-        return cls(ObjectiveKind.QUADRATIC)
-
-    @classmethod
-    def huber(cls, delta: float) -> "ObjectiveSpec":
-        return cls(ObjectiveKind.HUBER, delta)
-
-    def value(self, x: float) -> float:
-        if self.kind is ObjectiveKind.QUADRATIC:
-            return 0.5 * x * x
-        if abs(x) <= self.delta:
-            return 0.5 * x * x
-        return self.delta * abs(x) - 0.5 * self.delta**2
-
-    def grad(self, x: float) -> float:
-        if self.kind is ObjectiveKind.QUADRATIC:
-            return x
-        if abs(x) <= self.delta:
-            return x
-        return self.delta if x > 0 else -self.delta
+    return objective
 
 
 @dataclass(frozen=True)
@@ -214,8 +206,9 @@ class SimTrace:
     gvals: np.ndarray
 
 
-def simulate(obj: ObjectiveSpec, x0: float, alpha: float, N: int) -> SimTrace:
-    """Run N exact gradient descent steps x_{k+1} = x_k - alpha * f'(x_k).
+def simulate(obj, x0: float, alpha: float, N: int) -> SimTrace:
+    """Run N exact gradient descent steps x_{k+1} = x_k - alpha * f'(x_k) on
+    an objective x -> (value, gradient), such as `quadratic` or `huber(delta)`.
 
     The piecewise Huber gradient is evaluated exactly (no smoothing) so the
     trace reproduces the closed-form performances to rounding.
@@ -229,8 +222,7 @@ def simulate(obj: ObjectiveSpec, x0: float, alpha: float, N: int) -> SimTrace:
     x = float(x0)
     for k in range(N + 1):
         xs[k] = x
-        fvals[k] = obj.value(x)
-        gvals[k] = obj.grad(x)
+        fvals[k], gvals[k] = obj(x)
         if k < N:
             x = x - alpha * gvals[k]
     return SimTrace(xs=xs, fvals=fvals, gvals=gvals)

@@ -13,7 +13,8 @@ Index conventions (0-based, matching the multiplier-matrix subscripts):
 
 All derivation functions accept leading batch dimensions on their array
 arguments (shape (..., k)); the recursion runs vectorized across the batch.
-Requires N >= 3.
+Requires N >= 3. The parameters need not be balanced: the elimination is an
+algebraic identity for any positive stepsize alpha and rate r.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import numpy as np
 from .rates import RateParams
 
 __all__ = [
-    "CertParams",
     "FullCertificate",
     "c_from_d",
     "ab_from_cd",
@@ -34,32 +34,6 @@ __all__ = [
     "residual",
     "derive_full",
 ]
-
-
-@dataclass(frozen=True)
-class CertParams:
-    """Unvalidated (N, alpha, r) carrier for the recursion.
-
-    The elimination identity holds for any stepsize/rate pair, not only the
-    balancing one, so derivations accept this alongside RateParams (which
-    enforces the balance equation). Useful for oracle trials at arbitrary
-    admissible values.
-    """
-
-    N: int
-    alpha: float
-    r: float
-
-    def __post_init__(self):
-        if self.N < 3:
-            raise ValueError(f"N must be >= 3, got {self.N}")
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if not self.r > 0:
-            raise ValueError(f"r must be positive, got {self.r}")
-
-
-Params = RateParams | CertParams
 
 
 def _check_n(N: int):
@@ -83,7 +57,7 @@ def _suffix_sums(c: np.ndarray) -> np.ndarray:
     return suff
 
 
-def c_from_d(params: Params, d) -> np.ndarray:
+def c_from_d(params: RateParams, d) -> np.ndarray:
     """The vector c (length N+1), affine in d.
 
     c_i = 2r (alpha * sum_{l<=i} d_l - d_i + alpha) for i <= N-2,
@@ -118,7 +92,7 @@ def _backward_scan(z: np.ndarray, rho: float) -> np.ndarray:
     return z
 
 
-def ab_from_cd(params: Params, c, d):
+def ab_from_cd(params: RateParams, c, d):
     """The vectors a (length N) and b (length N-1) by backward recursion.
 
     a_{N-1} comes from the unit-sum condition on the last multiplier column.
@@ -174,7 +148,7 @@ def ab_from_cd(params: Params, c, d):
     return a, b
 
 
-def eps_from(params: Params, a, b, c, d) -> np.ndarray:
+def eps_from(params: RateParams, a, b, c, d) -> np.ndarray:
     """The residual vector eps (length N+1) from derived (a, b, c) and d."""
     N, alpha, r = params.N, params.alpha, params.r
     _check_n(N)
@@ -214,7 +188,7 @@ def eps_from(params: Params, a, b, c, d) -> np.ndarray:
     return eps
 
 
-def residual(params: Params, d) -> np.ndarray:
+def residual(params: RateParams, d) -> np.ndarray:
     """Residuals eps(d): the composition of the three derivations.
 
     Each component is an exactly quadratic polynomial in d; a zero of the map
@@ -229,13 +203,14 @@ def residual(params: Params, d) -> np.ndarray:
 class FullCertificate:
     """Complete certificate data (a, b, c, d, eps) for one problem size.
 
-    Lengths are enforced on construction. c[N] must equal sqrt(2r) bit for
-    bit; a[N-1] must match its unit-column expression t = 1 - c[N] (1 + sum d)
-    to within 1e-12 * max(1, |t|), and a NaN fails. This makes file
-    round-trips safely re-checkable.
+    `params` holds the (N, alpha, r) the data was derived at, balanced or
+    not. N >= 3 and the lengths are enforced on construction. c[N] must equal
+    sqrt(2r) bit for bit; a[N-1] must match its unit-column expression
+    t = 1 - c[N] (1 + sum d) to within 1e-12 * max(1, |t|), and a NaN fails.
+    This makes file round-trips safely re-checkable.
     """
 
-    params: Params
+    params: RateParams
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
@@ -271,7 +246,7 @@ class FullCertificate:
         )
 
 
-def derive_full(params: Params, d) -> FullCertificate:
+def derive_full(params: RateParams, d) -> FullCertificate:
     """Bundle the whole derivation for a single d into a FullCertificate."""
     d = np.asarray(d, dtype=float)
     if d.ndim != 1:

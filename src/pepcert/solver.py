@@ -58,15 +58,15 @@ class RankDeficientJacobian(RuntimeWarning):
 
 @dataclass
 class SolveReport:
-    """Convergence record of one Gauss-Newton run and its derived certificate."""
+    """Record of one converged Gauss-Newton run and its strictly positive
+    certificate; gauss_newton raises NonConvergence rather than return any
+    other outcome."""
 
     params: RateParams
     cert: FullCertificate
     iterations: int
     residual_sup: float
     delta: float
-    positive: bool
-    converged: bool
     rank_deficient: bool = False
     res_norms: list[float] = field(default_factory=list)
 
@@ -213,7 +213,8 @@ def gauss_newton(params: RateParams, d0, tol: float = DEFAULT_TOL,
 
     Returns
     -------
-    SolveReport with converged=True; `iterations` counts accepted steps.
+    SolveReport of the converged, positive certificate; `iterations` counts
+    accepted steps.
 
     Raises
     ------
@@ -246,8 +247,7 @@ def gauss_newton(params: RateParams, d0, tol: float = DEFAULT_TOL,
             delta = float(np.sum(np.maximum(eps, 0.0)))
             return SolveReport(
                 params=params, cert=cert, iterations=it, residual_sup=sup,
-                delta=delta, positive=True, converged=True,
-                rank_deficient=rank_flag, res_norms=norms,
+                delta=delta, rank_deficient=rank_flag, res_norms=norms,
             )
         if it == max_iter:
             break

@@ -11,17 +11,18 @@ import numpy as np
 import pytest
 
 from pepcert import (
-    CertParams,
-    ObjectiveSpec,
+    RateParams,
     SweepSchedule,
     aggregate,
     assemble_lambda,
     check_delta_certificate,
     derive_full,
+    huber,
     huber_rate,
     lower_bound_envelope,
     oracle_check,
     oracle_scale,
+    quadratic,
     quadratic_rate,
     rhs_with_errors,
     simulate,
@@ -87,7 +88,7 @@ def test_criterion_2_strided_continuation():
         ns = [rep.params.N for rep in reports]
         assert ns == list(range(3, 301)) + list(range(350, 1001, 50))
         for rep in reports:
-            assert rep.converged and rep.positive
+            assert rep.cert.positive
             assert rep.residual_sup <= SUP_TOL
             assert rep.delta <= DELTA_TOL
 
@@ -101,10 +102,9 @@ def test_criterion_3_elimination_oracle():
             n = int(rng.integers(3, 16))
             d = rng.uniform(1e-6, 2.0, n - 1)
             if trials % 2 == 0:
-                p = solve_rate_params(n)
-                params = CertParams(n, p.alpha, p.r)
+                params = solve_rate_params(n)
             else:
-                params = CertParams(n, rng.uniform(1.001, 1.999),
+                params = RateParams(n, rng.uniform(1.001, 1.999),
                                     rng.uniform(0.005, 0.4))
             cert = derive_full(params, d)
             assert oracle_check(cert) <= 1e-10 * oracle_scale(cert)
@@ -163,10 +163,10 @@ def test_criterion_6_simulation_formula_agreement():
         for n in range(1, 51):
             balanced = solve_rate_params(n).alpha
             for alpha in (1.0, 1.5, balanced):
-                quad = simulate(ObjectiveSpec.quadratic(), 1.0, alpha, n)
+                quad = simulate(quadratic, 1.0, alpha, n)
                 assert abs(quad.fvals[-1] - quadratic_rate(n, alpha)) <= 1e-12
                 delta = 1.0 / (2 * n * alpha + 1.0)
-                hub = simulate(ObjectiveSpec.huber(delta), 1.0, alpha, n)
+                hub = simulate(huber(delta), 1.0, alpha, n)
                 assert abs(hub.fvals[-1] - huber_rate(n, alpha)) <= 1e-12
 
 

@@ -156,3 +156,9 @@ class TestParamsFromFile:
         cf.alpha += 1e-6  # breaks the balance equation
         with pytest.raises(CertificateFormatError):
             params_from_file(cf)
+        for field, value in (("r", tricky_file().r * (1 + 1e-9)),  # off the common value
+                             ("alpha", 2.5), ("alpha", 0.5)):  # outside (1, 2)
+            cf = tricky_file()
+            setattr(cf, field, value)
+            with pytest.raises(CertificateFormatError):
+                params_from_file(cf)

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from pepcert import (
-    ObjectiveSpec,
     RateParams,
+    huber,
     huber_rate,
     lower_bound_envelope,
+    quadratic,
     quadratic_rate,
     simulate,
     solve_rate_params,
@@ -74,10 +75,23 @@ class TestSolveRateParams:
             solve_rate_params(0)
 
     def test_params_validation(self):
-        with pytest.raises(ValueError):
-            RateParams(N=3, alpha=1.5, r=0.125)  # alpha(1) at N=3 is unbalanced
-        with pytest.raises(ValueError):
-            RateParams(N=1, alpha=2.5, r=0.125)
+        # construction checks only N >= 1 and positive alpha, r (NaN fails)
+        for n, alpha, r in ((0, 1.5, 0.125), (3, 0.0, 0.125), (3, -1.5, 0.125),
+                            (3, math.nan, 0.125), (3, 1.5, 0.0), (3, 1.5, -0.1),
+                            (3, 1.5, math.nan)):
+            with pytest.raises(ValueError):
+                RateParams(N=n, alpha=alpha, r=r)
+        params = solve_rate_params(3)
+        assert params.check_balance() is params
+        for unbalanced in (
+            RateParams(N=3, alpha=1.5, r=0.125),  # alpha(1) at N=3 is unbalanced
+            RateParams(N=1, alpha=2.5, r=0.125),  # alpha outside (1, 2)
+            RateParams(N=1, alpha=1.5, r=0.5),  # r outside (0, 1/2)
+            RateParams(N=1, alpha=1.5, r=0.125 + 1e-12),  # r off the common value
+            RateParams(N=3, alpha=params.alpha + 1e-6, r=params.r),
+        ):
+            with pytest.raises(ValueError):
+                unbalanced.check_balance()
 
 
 class TestClosedForms:
@@ -117,23 +131,23 @@ class TestClosedForms:
 
 class TestSimulate:
     def test_quadratic_one_step(self):
-        trace = simulate(ObjectiveSpec.quadratic(), x0=1.0, alpha=1.5, N=1)
+        trace = simulate(quadratic, x0=1.0, alpha=1.5, N=1)
         assert trace.xs[1] == -0.5
         assert trace.fvals[-1] == 0.125
 
     def test_huber_one_step(self):
-        trace = simulate(ObjectiveSpec.huber(0.25), x0=1.0, alpha=1.5, N=1)
+        trace = simulate(huber(0.25), x0=1.0, alpha=1.5, N=1)
         assert trace.xs[1] == 0.625
         assert trace.fvals[-1] == 0.125
 
     def test_starts_at_minimizer(self):
-        trace = simulate(ObjectiveSpec.quadratic(), x0=0.0, alpha=1.3, N=6)
+        trace = simulate(quadratic, x0=0.0, alpha=1.3, N=6)
         assert np.all(trace.xs == 0.0)
         assert trace.fvals[-1] == 0.0
 
     def test_update_rule_exact(self, rng):
         alpha = 1.21
-        trace = simulate(ObjectiveSpec.huber(0.4), x0=0.9, alpha=alpha, N=12)
+        trace = simulate(huber(0.4), x0=0.9, alpha=alpha, N=12)
         for k in range(12):
             assert trace.xs[k + 1] == trace.xs[k] - alpha * trace.gvals[k]
 
@@ -141,17 +155,16 @@ class TestSimulate:
     @pytest.mark.parametrize("alpha_kind", ["1.0", "1.5", "balanced"])
     def test_matches_closed_forms(self, n, alpha_kind):
         alpha = solve_rate_params(n).alpha if alpha_kind == "balanced" else float(alpha_kind)
-        quad = simulate(ObjectiveSpec.quadratic(), 1.0, alpha, n)
+        quad = simulate(quadratic, 1.0, alpha, n)
         assert abs(quad.fvals[-1] - quadratic_rate(n, alpha)) <= 1e-12
         delta = 1.0 / (2 * n * alpha + 1.0)
-        hub = simulate(ObjectiveSpec.huber(delta), 1.0, alpha, n)
+        hub = simulate(huber(delta), 1.0, alpha, n)
         assert abs(hub.fvals[-1] - huber_rate(n, alpha)) <= 1e-12
 
     def test_huber_breakpoint_validation(self):
-        with pytest.raises(ValueError):
-            ObjectiveSpec.huber(0.0)
-        with pytest.raises(ValueError):
-            ObjectiveSpec.huber(1.5)
+        for delta in (0.0, -0.25, 1.5, math.nan):
+            with pytest.raises(ValueError):
+                huber(delta)
 
 
 class TestEnvelope:

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from pepcert import (
-    CertParams,
     FullCertificate,
+    RateParams,
     ab_from_cd,
     c_from_d,
     derive_full,
@@ -15,7 +15,7 @@ from pepcert import (
 )
 
 # the recursion examples run at deliberately unbalanced parameters
-EXAMPLE = CertParams(N=3, alpha=1.5, r=0.125)
+EXAMPLE = RateParams(N=3, alpha=1.5, r=0.125)
 EXAMPLE_D = np.array([0.5, 0.5])
 
 # frozen regression values for EXAMPLE (hand-evaluated; dyadic, hence exact)
@@ -124,7 +124,7 @@ class TestAbFromCd:
 
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
-            CertParams(N=2, alpha=1.4, r=0.1)
+            derive_full(RateParams(N=2, alpha=1.4, r=0.1), np.array([0.5]))
 
 
 class TestEpsAndResidual:

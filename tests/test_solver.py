@@ -89,7 +89,7 @@ class TestGaussNewton:
     def test_warm_start_n5(self, small_sweep):
         d0 = extrapolate_init(3, small_sweep[3].d, 4, small_sweep[4].d, 5)
         report = gauss_newton(solve_rate_params(5), d0, tol=1e-13)
-        assert report.converged and report.positive
+        assert report.cert.positive
         assert report.residual_sup <= 1e-13
         assert report.iterations <= 20
 
@@ -115,7 +115,7 @@ class TestGaussNewton:
             report = gauss_newton(params, np.array([-0.5, 2.0, -1.0, 0.7]))
         except NonConvergence:
             return
-        assert report.converged and report.positive
+        assert report.cert.positive
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
@@ -152,7 +152,7 @@ class TestExtrapolateInit:
     def test_pipeline_10_11_to_12(self, small_sweep):
         d0 = extrapolate_init(10, small_sweep[10].d, 11, small_sweep[11].d, 12)
         report = gauss_newton(solve_rate_params(12), d0)
-        assert report.converged
+        assert report.cert.positive
         assert report.iterations <= 10
 
     def test_clamped_positive(self):
@@ -163,7 +163,7 @@ class TestExtrapolateInit:
 class TestBootstrap:
     def test_converges_positive(self):
         report = bootstrap_smallest(solve_rate_params(3), tol=1e-13)
-        assert report.converged and report.positive
+        assert report.cert.positive
         assert report.delta <= 1e-11
 
     def test_deterministic(self):
@@ -215,7 +215,7 @@ class TestSweep:
     def test_dense_small(self, small_sweep):
         assert sorted(small_sweep) == list(range(3, 21))
         for rep in small_sweep.values():
-            assert rep.converged and rep.positive
+            assert rep.cert.positive
             assert rep.residual_sup <= 1e-13
             assert rep.iterations <= 15
             cert = derive_full(rep.params, rep.d)
@@ -225,7 +225,7 @@ class TestSweep:
         reports = sweep(SweepSchedule(((3, 12, 1), (12, 30, 6))))
         ns = [rep.params.N for rep in reports]
         assert ns == list(range(3, 13)) + [18, 24, 30]
-        assert all(rep.converged for rep in reports)
+        assert all(rep.cert.positive for rep in reports)
 
     def test_schedule_validation(self):
         with pytest.raises(ValueError):

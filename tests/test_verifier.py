@@ -8,8 +8,8 @@ from hypothesis.extra import numpy as hnp
 
 from pepcert import (
     STAR,
-    CertParams,
     LambdaMatrix,
+    RateParams,
     aggregate,
     assemble_lambda,
     check_delta_certificate,
@@ -23,7 +23,7 @@ from pepcert import (
     solve_rate_params,
 )
 
-EXAMPLE = CertParams(N=3, alpha=1.5, r=0.125)
+EXAMPLE = RateParams(N=3, alpha=1.5, r=0.125)
 
 
 def example_cert():
@@ -177,7 +177,7 @@ class TestOracle:
 
     def test_identity_at_arbitrary_params(self, rng):
         # the elimination identity is algebraic, not conditioned on balance
-        cert = derive_full(CertParams(N=7, alpha=1.3, r=0.2),
+        cert = derive_full(RateParams(N=7, alpha=1.3, r=0.2),
                            rng.uniform(0.05, 2.0, 6))
         assert oracle_check(cert) <= 1e-10 * oracle_scale(cert)
 
@@ -186,10 +186,9 @@ class TestOracle:
             n = int(rng.integers(3, 16))
             d = rng.uniform(1e-3, 2.0, n - 1)
             if rng.random() < 0.5:
-                p = solve_rate_params(n)
-                params = CertParams(n, p.alpha, p.r)
+                params = solve_rate_params(n)
             else:
-                params = CertParams(n, rng.uniform(1.01, 1.99), rng.uniform(0.01, 0.39))
+                params = RateParams(n, rng.uniform(1.01, 1.99), rng.uniform(0.01, 0.39))
             cert = derive_full(params, d)
             assert oracle_check(cert) <= 1e-10 * oracle_scale(cert)
 
