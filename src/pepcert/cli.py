@@ -12,6 +12,7 @@ files.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
 import os
 import sys
@@ -53,9 +54,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _outdir(args) -> str:
-    if getattr(args, "outdir", None):
-        return args.outdir
-    return os.environ.get("PEPCERT_OUTDIR", ".")
+    return getattr(args, "outdir", None) or os.environ.get("PEPCERT_OUTDIR", ".")
 
 
 def cmd_rates(args) -> int:
@@ -124,15 +123,15 @@ def cmd_sweep(args) -> int:
     if args.N_MAX < 3:
         raise _UsageError("sweep requires N_MAX >= 3")
     _check_solver_flags(args)
-    if args.segment:
-        try:
+    try:
+        if args.segment:
             schedule = SweepSchedule(tuple(_parse_segment(s) for s in args.segment))
-        except ValueError as exc:
-            raise _UsageError(str(exc))
-    elif args.stride_from is not None:
-        schedule = SweepSchedule.strided(args.N_MAX, args.stride_from, args.stride)
-    else:
-        schedule = SweepSchedule.dense(args.N_MAX)
+        elif args.stride_from is not None:
+            schedule = SweepSchedule.strided(args.N_MAX, args.stride_from, args.stride)
+        else:
+            schedule = SweepSchedule.dense(args.N_MAX)
+    except ValueError as exc:
+        raise _UsageError(str(exc))
     outdir = _outdir(args)
     print(f"{'N':>6} {'alpha':>20} {'r':>14} {'iters':>5} {'sup|eps|':>10} {'delta':>10}")
 
@@ -154,6 +153,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    for flag, value in (("--tol", args.tol), ("--oracle-tol", args.oracle_tol)):
+        if not value > 0:
+            raise _UsageError(f"{flag} must be positive, got {value}")
     cf = certfile.read_certificate(args.file)
     params = certfile.params_from_file(cf)
     cert = derive_full(params, cf.d)
@@ -214,7 +216,7 @@ def _parse_grid(spec: str) -> np.ndarray:
         lo, hi, step = (float(part) for part in spec.split(":"))
     except ValueError:
         raise _UsageError(f"bad grid spec {spec!r}, expected lo:hi:step")
-    if step <= 0 or hi < lo:
+    if not np.isfinite([lo, hi, step]).all() or step <= 0 or hi < lo:
         raise _UsageError(f"bad grid spec {spec!r}")
     n = int(np.floor((hi - lo) / step + 1e-9)) + 1
     return lo + step * np.arange(n)
@@ -291,7 +293,17 @@ def _parser() -> _Parser:
     return build_parser()
 
 
+@functools.cache
+def _fix_mmap_threshold() -> None:
+    # glibc raises its mmap threshold to each freed block's size (up to 32 MiB),
+    # after which the solver's O(N^2) arrays come from a fragmenting heap and
+    # peak RSS moves between runs; fixed, every block of 4 MiB or more is mmapped
+    if sys.platform.startswith("linux"):
+        ctypes.CDLL(None).mallopt(-3, 4 << 20)  # -3 is M_MMAP_THRESHOLD
+
+
 def main(argv=None) -> int:
+    _fix_mmap_threshold()
     try:
         args = _parser().parse_args(argv)
         return args.func(args)

@@ -347,10 +347,10 @@ class SweepSchedule:
         if not self.segments:
             raise ValueError("schedule needs at least one segment")
         object.__setattr__(self, "segments", tuple(tuple(s) for s in self.segments))
+        if self.segments[0][0] != 3:
+            raise ValueError(f"schedules must start at N=3, got {self.segments[0][0]}")
         prev_start = 0
         for start, stop, stride in self.segments:
-            if start < 3:
-                raise ValueError(f"segment start must be >= 3, got {start}")
             if stop < start:
                 raise ValueError(f"segment stop {stop} below start {start}")
             if stride < 1:
@@ -403,11 +403,8 @@ def sweep(schedule: SweepSchedule, tol: float = DEFAULT_TOL,
     Raises NonConvergence (annotated with the failing N) if any solve fails;
     the continuation chain is broken at that point and the sweep stops.
     """
-    ns = schedule.values()
-    if ns[0] != 3:
-        raise ValueError("sweep schedules must start at N=3")
     reports: list[SolveReport] = []
-    for n in ns:
+    for n in schedule.values():
         if not reports:
             report = bootstrap_smallest(solve_rate_params(n), tol=tol, max_iter=max_iter)
         else:

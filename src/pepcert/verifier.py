@@ -10,6 +10,10 @@ enters only through h (its gradient is zero). An aggregate holds
 where the f-index order is (star, 0, ..., N), v is the basis column, and gram
 is stored symmetric (a cross term <u, w> contributes (u w^T + w u^T)/2).
 
+`aggregate` sums lam_ij * Q_ij over a whole multiplier matrix in closed form,
+from the row and column sums of lam and one cumulative sum down its columns,
+in O(N^2) time.
+
 The decisive check: the multiplier matrix built from derived certificate data
 must aggregate to exactly the rate expression plus the residual error terms,
 coefficient by coefficient, for any admissible (alpha, r) and any d.
@@ -78,10 +82,6 @@ class QuadraticAggregate:
             raise ValueError(f"gram asymmetry {asym:.3e} exceeds 1e-14 of scale")
         self.gram = 0.5 * (self.gram + self.gram.T)
 
-    @classmethod
-    def zeros(cls, N: int) -> "QuadraticAggregate":
-        return cls(np.zeros(N + 2), np.zeros((N + 2, N + 2)))
-
     def max_abs_diff(self, other: "QuadraticAggregate") -> float:
         return max(
             float(np.max(np.abs(self.fcoef - other.fcoef))),
@@ -107,64 +107,55 @@ def assemble_lambda(cert: FullCertificate) -> LambdaMatrix:
     return LambdaMatrix(N=N, entries=lam)
 
 
-def _add_interp_pair(fcoef, gram, i: int, j: int, w: float, N: int, alpha: float):
-    """Accumulate w * Q_ij, the weighted interpolation inequality between
-    points i and j, into (fcoef, gram)."""
-    fcoef[_position(i)] += w
-    fcoef[_position(j)] -= w
-    if j != STAR:
-        # -w <g_j, x_i - x_j>; zero when j is star since g_star = 0
-        dx = np.zeros(N + 2)
-        if i == STAR:
-            dx[0] = -1.0
-            dx[1 : 1 + j] = alpha
-        else:
-            lo, hi = (i, j) if i < j else (j, i)
-            dx[1 + lo : 1 + hi] = alpha if i < j else -alpha
-        pj = _position(j)
-        gram[pj, :] -= 0.5 * w * dx
-        gram[:, pj] -= 0.5 * w * dx
-    # -w/2 ||g_i - g_j||^2 with g_star = 0
-    if i == STAR:
-        gram[_position(j), _position(j)] -= 0.5 * w
-    elif j == STAR:
-        gram[_position(i), _position(i)] -= 0.5 * w
-    else:
-        pi, pj = _position(i), _position(j)
-        gram[pi, pi] -= 0.5 * w
-        gram[pj, pj] -= 0.5 * w
-        gram[pi, pj] += 0.5 * w
-        gram[pj, pi] += 0.5 * w
-
-
 def q_form(i: int, j: int, N: int, alpha: float) -> QuadraticAggregate:
     """Expand one interpolation inequality
 
         f_i - f_j - <g_j, x_i - x_j> - 1/2 ||g_i - g_j||^2
 
-    over the basis. Indices run over STAR and 0..N, i != j. The expansion
-    does not involve r."""
+    over the basis: the aggregate of the multiplier matrix whose only nonzero
+    entry is a 1 at (i, j). Indices run over STAR and 0..N, i != j. The
+    expansion does not involve r."""
     for idx in (i, j):
         if idx != STAR and not 0 <= idx <= N:
             raise ValueError(f"index {idx} outside {{star, 0..{N}}}")
     if i == j:
         raise ValueError("q_form requires i != j")
-    agg = QuadraticAggregate.zeros(N)
-    _add_interp_pair(agg.fcoef, agg.gram, i, j, 1.0, N, alpha)
-    return QuadraticAggregate(agg.fcoef, agg.gram)
+    entries = np.zeros((N + 2, N + 2))
+    entries[_position(i), _position(j)] = 1.0
+    return aggregate(LambdaMatrix(N=N, entries=entries), N, alpha)
 
 
 def aggregate(lam: LambdaMatrix, N: int, alpha: float) -> QuadraticAggregate:
-    """Sum of lam[i, j] * Q_ij over the nonzero multiplier entries."""
+    """Sum of lam[p, q] * Q_pq over all entries, in closed form.
+
+    With w = lam.entries in matrix positions (star at 0), g_star = 0 and
+    x_p - x_star = h - alpha sum_{l<p-1} g_l for p >= 1:
+    - fcoef = row sums - column sums of w;
+    - the cross terms are -sum_q <g_q, sum_p w_pq (x_p - x_q)>, and for
+      q >= 1 that inner sum has the coefficient -w[0, q] on h and
+      alpha (sum_{p<=m} w_pq - [m >= q] cols_q) on g_{m-1}: a cumulative sum
+      down the columns of w;
+    - the squared terms -1/2 sum w_pq ||g_p - g_q||^2 are
+      -1/2 (diag(rows + cols) - w - w^T) restricted to the g block.
+    Diagonal entries cancel, as Q_pp = 0. One (N+2)^2 work array beside gram.
+    """
     if lam.N != N:
         raise ValueError(f"lambda is for N={lam.N}, not {N}")
-    fcoef = np.zeros(N + 2)
-    gram = np.zeros((N + 2, N + 2))
-    for p, q in zip(*np.nonzero(lam.entries)):
-        i = STAR if p == 0 else int(p) - 1
-        j = STAR if q == 0 else int(q) - 1
-        _add_interp_pair(fcoef, gram, i, j, float(lam.entries[p, q]), N, alpha)
-    return QuadraticAggregate(fcoef, gram)
+    w = lam.entries
+    rows, cols = w.sum(axis=1), w.sum(axis=0)
+    # the gram is the symmetric part of `half`, less diag(rows + cols) / 2 on
+    # the g block; first the cross terms below the h row
+    half = np.cumsum(w, axis=0)
+    np.subtract(half, cols, out=half, where=np.tri(N + 2, dtype=bool))
+    half *= -alpha
+    half += w  # the <g_p, g_q> part of the squared terms
+    half[0] = w[0]  # the cross terms on the h row
+    half[:, 0] = 0.0  # g_star = 0
+    gram = half + half.T
+    del half
+    gram.flat[N + 3 :: N + 3] -= (rows + cols)[1:]
+    gram *= 0.5
+    return QuadraticAggregate(rows - cols, gram)
 
 
 def rhs_with_errors(cert: FullCertificate) -> QuadraticAggregate:
@@ -204,8 +195,7 @@ def oracle_check(cert: FullCertificate, tol: float | None = None) -> float:
     (alpha, r), certificate or not; a nonzero value localizes a transcription
     error. With `tol` given, a deviation above it raises ValueError.
     """
-    lam = assemble_lambda(cert)
-    agg = aggregate(lam, cert.params.N, cert.params.alpha)
+    agg = aggregate(assemble_lambda(cert), cert.params.N, cert.params.alpha)
     rhs = rhs_with_errors(cert)
     dev = agg.max_abs_diff(rhs)
     if tol is not None and not dev <= tol:

@@ -1,3 +1,8 @@
+import os
+import platform
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -146,6 +151,17 @@ class TestSweep:
         assert err.startswith("usage error: " + flags[0])
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("flags", [
+        ("--segment", "5:10:1"),  # does not start at N=3
+        ("--stride-from", 2),  # first segment 3:2 ends below its start
+        ("--stride", 0, "--stride-from", 5),
+    ])
+    def test_bad_schedule_is_usage_error(self, capsys, tmp_path, flags):
+        code, _, err = run(capsys, "sweep", 10, *flags, "--outdir", tmp_path)
+        assert code == 1
+        assert err.startswith("usage error: ")
+        assert not list(tmp_path.iterdir())
+
     def test_strided_flags(self, capsys, tmp_path):
         code, _, _ = run(capsys, "sweep", 30, "--stride-from", 10, "--stride", 10,
                          "--outdir", tmp_path)
@@ -165,6 +181,16 @@ class TestVerify:
         assert code == 0
         line = next(l for l in out.splitlines() if l.startswith("oracle_deviation"))
         assert float(line.split()[1]) <= 1e-10
+
+    @pytest.mark.parametrize("flags", [
+        ("--tol", "nan"), ("--tol", -1), ("--tol", 0),
+        ("--oracle", "--oracle-tol", "nan"), ("--oracle", "--oracle-tol", 0),
+    ])
+    def test_bad_tolerance_is_usage_error(self, capsys, cert_dir, flags):
+        code, out, err = run(capsys, "verify", cert_dir / "cert_N00005.txt", *flags)
+        assert code == 1
+        assert err.startswith("usage error: " + flags[-2])
+        assert "verdict" not in out
 
     def test_negated_d_with_stored_vectors_is_corruption(self, capsys, cert_dir, tmp_path):
         text = (cert_dir / "cert_N00005.txt").read_text()
@@ -267,6 +293,12 @@ class TestEnvelope:
         code, _, _ = run(capsys, "envelope", 4, "--grid", "nope")
         assert code == 1
 
+    @pytest.mark.parametrize("grid", ["0:1:nan", "nan:1:0.1", "0:inf:0.1", "-inf:1:0.1"])
+    def test_non_finite_grid(self, capsys, grid):
+        code, _, err = run(capsys, "envelope", 10, f"--grid={grid}")
+        assert code == 1
+        assert err.startswith("usage error: ")
+
     def test_bad_n(self, capsys):
         code, _, _ = run(capsys, "envelope", 0)
         assert code == 1
@@ -297,3 +329,44 @@ class TestParser:
         finally:
             cli._parser.cache_clear()
         assert len(built) == 1
+
+
+# Frees two 16 MiB arrays, then reports how far the resident size falls when a
+# third is freed. glibc's dynamic mmap threshold would have put the third on
+# the heap, below its trim threshold, so the resident size would not fall.
+FREE_PROBE = """
+import os, sys
+import numpy as np
+from pepcert import cli
+if sys.argv[1] == "fixed":
+    cli._fix_mmap_threshold()
+def resident():
+    with open("/proc/self/statm") as fh:
+        return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+for _ in range(2):
+    block = np.ones(2 << 20)
+    del block
+block = np.ones(2 << 20)
+before = resident()
+del block
+print(before - resident())
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc allocator only")
+class TestMmapThreshold:
+    def released(self, mode):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        # allocator settings from the environment would hide the default
+        env = {key: value for key, value in os.environ.items()
+               if not key.startswith(("MALLOC_", "GLIBC_TUNABLES"))}
+        env["PYTHONPATH"] = os.path.join(root, "src")
+        done = subprocess.run([sys.executable, "-c", FREE_PROBE, mode], env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        return int(done.stdout)
+
+    def test_large_blocks_return_to_the_system(self):
+        assert self.released("fixed") >= 15 << 20
+
+    def test_probe_sees_the_dynamic_threshold(self):
+        assert self.released("dynamic") < 1 << 20

@@ -44,6 +44,39 @@ def pattern_mask(n):
     return mask
 
 
+def reference_aggregate(entries, N, alpha):
+    """Sum of w * Q_pq one nonzero entry at a time, over matrix positions p, q
+    (star at 0), each inequality transcribed term by term; the small-N
+    reference for the closed-form aggregate."""
+    fcoef = np.zeros(N + 2)
+    gram = np.zeros((N + 2, N + 2))
+    for p, q in zip(*np.nonzero(entries)):
+        if p == q:
+            continue  # Q_pp is identically zero
+        w = float(entries[p, q])
+        fcoef[p] += w
+        fcoef[q] -= w
+        if q != 0:
+            # -w <g_q, x_p - x_q>, with x_k - x_star = h - alpha sum_{l<k} g_l
+            dx = np.zeros(N + 2)
+            if p == 0:
+                dx[0] = -1.0
+                dx[1:q] = alpha
+            else:
+                lo, hi = min(p, q), max(p, q)
+                dx[lo:hi] = alpha if p < q else -alpha
+            gram[q, :] -= 0.5 * w * dx
+            gram[:, q] -= 0.5 * w * dx
+        # -w/2 ||g_p - g_q||^2 with g_star = 0
+        for a in (p, q):
+            if a != 0:
+                gram[a, a] -= 0.5 * w
+        if p != 0 and q != 0:
+            gram[p, q] += 0.5 * w
+            gram[q, p] += 0.5 * w
+    return fcoef, gram
+
+
 class TestAssembleLambda:
     def test_pattern_readoffs(self):
         cert = example_cert()
@@ -138,6 +171,26 @@ class TestAggregate:
         agg = aggregate(LambdaMatrix(N=4, entries=entries), 4, 1.6)
         ref = q_form(STAR, 0, 4, 1.6)
         assert agg.max_abs_diff(ref) == 0.0
+
+    def test_matches_per_pair_reference(self, rng):
+        # entries anywhere, star row, star column and diagonal included
+        for N in range(3, 13):
+            for _ in range(4):
+                alpha = rng.uniform(1.0, 2.0)
+                entries = rng.normal(size=(N + 2, N + 2))
+                entries *= rng.random((N + 2, N + 2)) < rng.uniform(0.2, 1.0)
+                agg = aggregate(LambdaMatrix(N=N, entries=entries), N, alpha)
+                fcoef, gram = reference_aggregate(entries, N, alpha)
+                scale = max(1.0, np.abs(fcoef).max(), np.abs(gram).max())
+                assert np.abs(agg.fcoef - fcoef).max() <= 1e-13 * scale
+                assert np.abs(agg.gram - gram).max() <= 1e-13 * scale
+
+    def test_star_star_entry_is_zero(self):
+        # Q(star, star) is identically zero, so it adds nothing
+        entries = np.zeros((6, 6))
+        entries[0, 0] = 0.7
+        agg = aggregate(LambdaMatrix(N=4, entries=entries), 4, 1.6)
+        assert np.all(agg.fcoef == 0.0) and np.all(agg.gram == 0.0)
 
     def test_fcoef_conservation_any_lambda(self, rng):
         entries = rng.uniform(0.0, 1.0, (8, 8)) * (rng.random((8, 8)) < 0.4)
