@@ -71,7 +71,6 @@ from .verifier import (
     check_delta_certificate,
     oracle_check,
     oracle_scale,
-    q_form,
     rhs_with_errors,
     slack_gram,
     slack_psd_check,

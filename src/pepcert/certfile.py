@@ -62,7 +62,6 @@ class CertificateFile:
     b: np.ndarray | None = None
     c: np.ndarray | None = None
     eps: np.ndarray | None = None
-    version: str = FORMAT_TAG
 
     def __post_init__(self):
         self.d = np.asarray(self.d, dtype=float)
@@ -87,14 +86,13 @@ def certificate_from_report(report: SolveReport) -> CertificateFile:
     """File payload for a converged solve: stored d plus derived vectors."""
     cert = report.cert
     return CertificateFile(
-        N=report.params.N, alpha=report.params.alpha, r=report.params.r,
-        delta=report.delta, d=cert.d, a=cert.a, b=cert.b, c=cert.c,
-        eps=cert.eps,
+        N=cert.params.N, alpha=cert.params.alpha, r=cert.params.r,
+        delta=cert.delta, d=cert.d, a=cert.a, b=cert.b, c=cert.c, eps=cert.eps,
     )
 
 
 def render_certificate(cf: CertificateFile) -> str:
-    lines = [f"format {cf.version}"]
+    lines = [f"format {FORMAT_TAG}"]
     lines.append(f"N {cf.N}")
     for key in ("alpha", "r", "delta"):
         lines.append(f"{key} {getattr(cf, key)!r}")

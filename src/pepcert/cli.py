@@ -41,6 +41,7 @@ EXIT_CORRUPT = 4
 DELTA_TOL = 1e-11
 CROSS_TOL = 1e-12
 ORACLE_TOL = 1e-10
+MAX_GRID_POINTS = 10**6  # envelope --grid
 
 
 class _UsageError(Exception):
@@ -218,8 +219,10 @@ def _parse_grid(spec: str) -> np.ndarray:
         raise _UsageError(f"bad grid spec {spec!r}, expected lo:hi:step")
     if not np.isfinite([lo, hi, step]).all() or step <= 0 or hi < lo:
         raise _UsageError(f"bad grid spec {spec!r}")
-    n = int(np.floor((hi - lo) / step + 1e-9)) + 1
-    return lo + step * np.arange(n)
+    n = np.floor((hi - lo) / step + 1e-9) + 1
+    if not n <= MAX_GRID_POINTS:  # also catches an infinite count
+        raise _UsageError(f"grid spec {spec!r} has more than {MAX_GRID_POINTS} points")
+    return lo + step * np.arange(int(n))
 
 
 def cmd_envelope(args) -> int:

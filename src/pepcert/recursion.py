@@ -245,6 +245,11 @@ class FullCertificate:
             and (self.c > 0).all() and (self.d > 0).all()
         )
 
+    @property
+    def delta(self) -> float:
+        """Total positive error, the sum of max(eps_i, 0)."""
+        return float(np.sum(np.maximum(self.eps, 0.0)))
+
 
 def derive_full(params: RateParams, d) -> FullCertificate:
     """Bundle the whole derivation for a single d into a FullCertificate."""

@@ -60,19 +60,29 @@ class RankDeficientJacobian(RuntimeWarning):
 class SolveReport:
     """Record of one converged Gauss-Newton run and its strictly positive
     certificate; gauss_newton raises NonConvergence rather than return any
-    other outcome."""
+    other outcome. `params`, `d`, `residual_sup` and `delta` are read from
+    `cert`."""
 
-    params: RateParams
     cert: FullCertificate
     iterations: int
-    residual_sup: float
-    delta: float
     rank_deficient: bool = False
     res_norms: list[float] = field(default_factory=list)
 
     @property
+    def params(self) -> RateParams:
+        return self.cert.params
+
+    @property
     def d(self) -> np.ndarray:
         return self.cert.d
+
+    @property
+    def residual_sup(self) -> float:
+        return float(np.max(np.abs(self.cert.eps)))
+
+    @property
+    def delta(self) -> float:
+        return self.cert.delta
 
 
 def jacobian(params: RateParams, d) -> np.ndarray:
@@ -244,11 +254,8 @@ def gauss_newton(params: RateParams, d0, tol: float = DEFAULT_TOL,
                     "is not strictly positive",
                     N=params.N, residual_sup=sup,
                 )
-            delta = float(np.sum(np.maximum(eps, 0.0)))
-            return SolveReport(
-                params=params, cert=cert, iterations=it, residual_sup=sup,
-                delta=delta, rank_deficient=rank_flag, res_norms=norms,
-            )
+            return SolveReport(cert=cert, iterations=it, rank_deficient=rank_flag,
+                               res_norms=norms)
         if it == max_iter:
             break
         J = jacobian(params, d)

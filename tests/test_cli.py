@@ -299,6 +299,18 @@ class TestEnvelope:
         assert code == 1
         assert err.startswith("usage error: ")
 
+    @pytest.mark.parametrize("grid", ["0:1e300:1e-300", "0:1e9:1e-3"])
+    def test_grid_point_bound(self, capsys, monkeypatch, grid):
+        # an infinite count, or 10^12 + 1 points, is refused before any
+        # grid array is allocated
+        def no_arange(*args, **kwargs):
+            raise AssertionError("np.arange called")
+
+        monkeypatch.setattr(cli.np, "arange", no_arange)
+        code, _, err = run(capsys, "envelope", 10, f"--grid={grid}")
+        assert code == 1
+        assert err.startswith("usage error: ")
+
     def test_bad_n(self, capsys):
         code, _, _ = run(capsys, "envelope", 0)
         assert code == 1
