@@ -50,14 +50,12 @@ from .recursion import (
 )
 from .solver import (
     NonConvergence,
-    RankDeficientJacobian,
     SolveReport,
     SweepSchedule,
     bootstrap_smallest,
     continue_from,
     extrapolate_init,
     gauss_newton,
-    jacobian,
     least_squares_step,
     resample,
     sweep,

@@ -1,32 +1,30 @@
 """Gauss-Newton certificate solver with continuation in the problem size.
 
 The residual map eps(d) is overdetermined (N+1 equations, N-1 unknowns) and
-exactly quadratic, so damped Gauss-Newton with QR least-squares steps converges
-quadratically near a zero-residual solution. The Jacobian is exact: forward-mode
-tangents of the recursion, with no finite differences, in O(N^2) time and
-memory. The step applies Q^T to eps through the Householder reflectors and
-never forms Q. Every solve past N=3 goes through `continue_from`,
+exactly quadratic, so damped Gauss-Newton with least-squares steps converges
+quadratically near a zero-residual solution. The step is exact and never forms
+the Jacobian: the recursion is linearized in a few local unknowns per index
+(prefix and suffix sums, and the tangent of the backward scan), and the
+constrained least-squares problem is one banded augmented system, so a step
+takes O(N) time and memory. Every solve past N=3 goes through `continue_from`,
 warm-started by linear extrapolation of the one or two most recent
 certificate shapes; a sweep chains such solves over N.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import qr_multiply, solve_triangular
+from scipy.linalg import LinAlgError, solve_banded
 
 from .rates import RateParams, solve_rate_params
 from .recursion import FullCertificate, c_from_d, derive_full, residual
 
 __all__ = [
     "NonConvergence",
-    "RankDeficientJacobian",
     "SolveReport",
     "SweepSchedule",
-    "jacobian",
     "least_squares_step",
     "gauss_newton",
     "resample",
@@ -41,19 +39,15 @@ DEFAULT_MAX_ITER = 50
 
 
 class NonConvergence(RuntimeError):
-    """Gauss-Newton failed: stagnation, iteration budget, or a sign-violating
-    terminal certificate. Carries the problem size and last residual sup."""
+    """Gauss-Newton failed: a failed step, stagnation, iteration budget, or a
+    sign-violating terminal certificate. Carries the problem size and last
+    residual sup."""
 
     def __init__(self, message: str, N: int | None = None,
                  residual_sup: float | None = None):
         super().__init__(message)
         self.N = N
         self.residual_sup = residual_sup
-
-
-class RankDeficientJacobian(RuntimeWarning):
-    """QR detected numerical rank below N-1; the iteration continues with an
-    SVD minimum-norm step."""
 
 
 @dataclass
@@ -65,7 +59,6 @@ class SolveReport:
 
     cert: FullCertificate
     iterations: int
-    rank_deficient: bool = False
     res_norms: list[float] = field(default_factory=list)
 
     @property
@@ -85,139 +78,187 @@ class SolveReport:
         return self.cert.delta
 
 
-def jacobian(params: RateParams, d) -> np.ndarray:
-    """Exact Jacobian J[i, k] = d eps_i / d d_k by forward-mode differentiation.
+def _shifted(v: np.ndarray, k: int) -> np.ndarray:
+    """v[i + k] at every i, zero where i + k leaves the array."""
+    out = np.zeros_like(v)
+    if k >= 0:
+        out[: len(v) - k] = v[k:]
+    else:
+        out[-k:] = v[:k]
+    return out
 
-    The tangents of c_from_d -> ab_from_cd -> eps_from are propagated for all
-    N-1 unit directions at once, by the product rule; the tangent of d itself
-    is the identity, so its products are diagonal updates. eps is exactly
-    quadratic in d, so J carries rounding error only.
 
-    With u_i = a_i - b_i (u_{N-1} = a_{N-1}, u_{-1} = 0) and the scan
-    variable z_i = -a_i + (2 alpha - 1) b_i of ab_from_cd, eps_from reads
+# A linear form is one linearized equation per index i, as a dict that maps
+# (unknown, offset) to the coefficient array of that unknown at index
+# i + offset. Unknowns outside their index range are zero and are dropped
+# when the system is assembled.
 
-        eps_i = u_i - u_{i-1} + tl_i - c_i od_{i-1},   i = 0..N-1,
-        eps_N = z_0 - c_0 - tl_0 + c_0^2 / 2r,
-        u_i = kappa z_{i+1} + kappa (csq_i - tail_i)
-              + (2 cross_i - (2 + alpha) lin_i) / alpha,   i < N-1,
+def _combine(*terms) -> dict:
+    """The form sum(coef * form) over (coef, form) pairs; coef is a scalar or
+    an array over the equation index."""
+    out: dict = {}
+    for coef, form in terms:
+        for key, val in form.items():
+            out[key] = out[key] + coef * val if key in out else coef * val
+    return out
 
-    with kappa = (2 - alpha) / alpha, od_i = 1 + sum_{j<i} d_j (od_{-1} = 1),
-    suffc_j = sum_{l>=j} c_l, tl_i = d_i suffc_{i+2} (tl_{N-1} = 0) and the
-    step terms of ab_from_cd (tail_i = tl_{i+1}).
 
-    The tangents of g and of eps without its z terms have rows that are
-    constant left of the diagonal, a multiple of d suffc_j / d d_k =
-    2 r alpha (N-1-k) far right of it, and irregular only on a few diagonals
-    in between, so `fill` writes each (N, N-1) array in three passes. The
-    tangent of z then comes from the scan of g, row by row.
+def _shift(form: dict, k: int) -> dict:
+    """The form of equation i + k, written at equation i."""
+    return {(name, off + k): _shifted(val, k) for (name, off), val in form.items()}
+
+
+def _linearized_equations(params: RateParams, d: np.ndarray) -> dict:
+    """Equations of the step, linear in the local unknowns s, S, T and Z.
+
+    With the step s, S_i = sum_{l<=i} s_l, T_j = sum_{l>=j} dc_l (dc the
+    tangent of c_from_d) and Z the tangent of ab_from_cd's scan variable z,
+    every tangent of the recursion reaches only indices i-2 .. i+3
+    (kappa = (2 - alpha) / alpha, rho = 2 alpha - 3):
+
+        dc_i   = 2r (alpha S_i - s_i),  dc_{N-1} = 2r S_{N-1},  dc_N = 0,
+        dtl_i  = s_i suffc_{i+2} + d_i T_{i+2},
+        du_i   = kappa (Z_{i+1} + dcsq_i - dtail_i)
+                 + (2 dcross_i - (2 + alpha) dlin_i) / alpha,   i < N-1,
+        du_{N-1} = -c_N S_{N-1},
+        deps_i = du_i - du_{i-1} + dtl_i - od_{i-1} dc_i - c_i S_{i-2},
+        deps_N = Z_0 - dc_0 - dtl_0 + c_0 dc_0 / r,
+
+    in the notation of the recursion (u_i = a_i - b_i, tl_i = d_i
+    suffc_{i+2}; `ab_from_cd` has the step terms csq, cross, lin and tail,
+    whose tangents are products of dc with the current c and od). S_{N-1} =
+    S_{N-2}, since s has no entry N-1. The auxiliaries are tied to s by the
+    constraints
+
+        S_i - S_{i-1} - s_i = 0,  T_j - T_{j+1} - dc_j = 0,
+        Z_i - rho Z_{i+1} - dh_i = 0,
+
+    where dh is the tangent of the scan's input h (dh_{N-1} = c_N S_{N-1}).
+    Returns the forms by equation: "w" holds deps_0 .. deps_{N-1}, "wN"
+    deps_N (its index-0 entry), and "yS", "yT", "yZ" the three constraints.
     """
-    d = np.asarray(d, dtype=float)
     N, alpha, r = params.N, params.alpha, params.r
-    m = N - 1
-    if d.shape != (m,):
-        raise ValueError(f"d must have shape ({m},), got {d.shape}")
     two_r = 2.0 * r
     rho = 2.0 * alpha - 3.0
     kappa = (2.0 - alpha) / alpha
     c = c_from_d(params, d)
-    od = np.ones(N)
-    od[1:] += np.cumsum(d)
-    odp = np.append(1.0, od[:-1])
-    # zero-padded so that rows past the end index safely
+    index = np.arange(N + 1)
+    one = np.ones(N + 1)
+    inner = (index <= N - 2).astype(float)  # the steps of ab_from_cd
+    last = (index == N - 1).astype(float)
     dpad = np.zeros(N + 1)
-    dpad[:m] = d
+    dpad[: N - 1] = d
+    od = np.ones(N + 1)  # od_i = 1 + sum_{j<i} d_j
+    od[1:] += np.cumsum(dpad[:-1])
     suffc = np.zeros(N + 3)
     suffc[: N + 1] = np.cumsum(c[::-1])[::-1]
+    c_next = _shifted(c, 1)
+    od_prev = _shifted(od, -1)
+    od_prev[0] = 1.0
 
-    # Entries at index arrays (i, k). k = -1 lies left of every row, so
-    # entry(i, -1) is the value of row i left of the diagonal.
-    def tc(i, k):  # d c_i / d d_k for i <= N-1; c_N is constant
-        return np.where(i == m, two_r, two_r * (alpha * (k <= i) - (k == i)))
-
-    def tod(i, k):  # d od_i / d d_k
-        return (k < i).astype(float)
-
-    def ttl(i, k):  # d tl_i / d d_k
-        j = i + 2
-        tsuff = np.where(j >= N, 0.0,
-                         np.where(k < j, two_r * (alpha * (m - j) + 1.0), two_r * alpha * (m - k)))
-        return dpad[i] * tsuff + suffc[j] * (k == i)
-
-    def th(i, k):  # d g_i / d d_k, and d z_{N-1} / d d_k = c_N in row N-1
-        t_next = tc(i + 1, k)
-        g = (rho * (c[i + 1] / r * t_next - ttl(i + 1, k))
-             - (c[i + 1] * tc(i, k) + c[i] * t_next) / r
-             + 3.0 * (od[i] * t_next + c[i + 1] * tod(i, k)))
-        return np.where(i == m, c[N], g)
-
-    def su(i, k):  # d (u_i - kappa z_{i+1}) / d d_k for -1 <= i <= N-1
-        t_next = tc(i + 1, k)
-        rest = (kappa * (c[i + 1] / r * t_next - ttl(i + 1, k))
-                + ((c[i + 1] * tc(i, k) + c[i] * t_next) / r
-                   - (2.0 + alpha) * (od[i] * t_next + c[i + 1] * tod(i, k))) / alpha)
-        return np.where(i < 0, 0.0, np.where(i == m, -c[N], rest))
-
-    def sj(i, k):  # d eps_i / d d_k without its z terms, for i <= N-1
-        return su(i, k) - su(i - 1, k) + ttl(i, k) - odp[i] * tc(i, k) - c[i] * tod(i - 1, k)
-
-    cols = np.arange(m)
-    far = two_r * alpha * (m - cols)
-
-    def fill(out, entry, lower, upper, far_coef):
-        # entry(i, -1) where k - i <= lower, far_coef_i * far_k where
-        # k - i >= upper, and the exact entries on the diagonals in between
-        rows = np.arange(out.shape[0])
-        np.multiply(far_coef[:, None], far, out=out)
-        np.copyto(out, entry(rows, -1)[:, None], where=cols <= rows[:, None] + lower)
-        for offset in range(lower + 1, upper):
-            i = rows[(rows + offset >= 0) & (rows + offset < m)]
-            out[i, i + offset] = entry(i, i + offset)
-
-    tz = np.empty((N, m))
-    fill(tz, th, -1, 3, -rho * dpad[1:])
-    # the backward scan of ab_from_cd, row by row: one pass over the array,
-    # where recursive doubling would make log2(N) passes
-    for i in range(N - 2, -1, -1):
-        tz[i] += rho * tz[i + 1]
-    J = np.empty((N + 1, m))
-    far_j = (1.0 + kappa) * dpad[:N] - kappa * dpad[1:]
-    far_j[0] = d[0] - kappa * dpad[1]  # u_{-1} = 0 has no far part
-    fill(J[:N], sj, -2, 3, far_j)
-    J[N] = tz[0] + (c[0] / r - 1.0) * tc(0, cols) - ttl(0, cols)
-    tz[1:] *= kappa
-    J[:m] += tz[1:]
-    J[1:N] -= tz[1:]
-    return J
+    dc = {("S", 0): two_r * (alpha * inner + last), ("s", 0): -two_r * one}
+    dc_next = _shift(dc, 1)
+    dtl = {("s", 0): suffc[2:], ("T", 2): dpad}
+    dcross = _combine((c_next / two_r, dc), (c / two_r, dc_next))
+    dlin = _combine((od, dc_next), (c_next, {("S", -1): one}))
+    dsq_tail = _combine((c_next / r, dc_next), (-1.0, _shift(dtl, 1)))
+    s_last = {("S", 0): c[N] * last}
+    dh = _combine((rho * inner, dsq_tail), (-2.0 * inner, dcross),
+                  (3.0 * inner, dlin), (1.0, s_last))
+    du = _combine((kappa * inner, {("Z", 1): one}), (kappa * inner, dsq_tail),
+                  (2.0 / alpha * inner, dcross),
+                  (-(2.0 + alpha) / alpha * inner, dlin), (-1.0, s_last))
+    return {
+        "w": _combine((1.0, du), (-1.0, _shift(du, -1)), (1.0, dtl),
+                      (-od_prev, dc), (-c, {("S", -2): one})),
+        "wN": _combine((1.0, {("Z", 0): one}), (c / r - 1.0, dc), (-1.0, dtl)),
+        "yS": {("S", 0): one, ("S", -1): -one, ("s", 0): -one},
+        "yT": _combine((1.0, {("T", 0): one, ("T", 1): -one}), (-1.0, dc)),
+        "yZ": _combine((1.0, {("Z", 0): one, ("Z", 1): -rho * one}), (-1.0, dh)),
+    }
 
 
-def least_squares_step(J: np.ndarray, eps: np.ndarray):
-    """Solve min_s ||J s + eps||_2 by QR; returns (s, rank_ok).
+# Unknowns of the augmented system and the index each one sits at. w_i is the
+# residual of linearized eps_i and y the multipliers of the constraints. w_i
+# and S_i sit one index later, T_j one earlier: each equation then reaches at
+# most 13 places to either side, against 28 with every unknown at its own index.
+_UNKNOWNS = (("w", 1), ("T", -1), ("Z", 0), ("S", 1), ("wN", 0), ("s", 0),
+             ("yS", 0), ("yT", 0), ("yZ", 0))
+_KIND = {kind: k for k, (kind, _) in enumerate(_UNKNOWNS)}
+_PAD = 3  # the largest |offset| in a linearized equation
 
-    Q^T eps is applied with the Householder reflectors (qr_multiply), so Q is
-    never formed. When the R diagonal signals rank below full column rank
-    (relative to 1e-12 of its largest entry) a RankDeficientJacobian warning
-    is issued and the SVD minimum-norm solution is used instead.
+
+def _layout(N: int) -> np.ndarray:
+    """Positions of the 8N unknowns of the augmented system, ordered by the
+    index they sit at, then by kind: table[kind, i + _PAD] for unknown i of
+    that kind, -1 where there is none."""
+    sizes = [1 if kind == "wN" else N - 1 if kind == "s" else N for kind, _ in _UNKNOWNS]
+    own = np.concatenate([np.arange(n) for n in sizes])
+    kind = np.repeat(np.arange(len(sizes)), sizes)
+    sits_at = own + np.repeat([at for _, at in _UNKNOWNS], sizes)
+    pos = np.empty(own.size, dtype=np.intp)
+    pos[np.lexsort((kind, sits_at))] = np.arange(own.size)
+    table = np.full((len(sizes), N + 2 * _PAD), -1, dtype=np.intp)
+    table[kind, own + _PAD] = pos
+    return table
+
+
+def least_squares_step(params: RateParams, d, eps: np.ndarray):
+    """The Gauss-Newton step s = argmin ||J s + eps||_2 at d, with J = d eps / d d;
+    returns (s, ok).
+
+    J is never formed. The linearization is written in the local unknowns
+    x = (s, S, T, Z) of _linearized_equations, as A x + eps with the
+    constraints C x = 0 that tie the auxiliaries to s, so A restricted to
+    C x = 0 is J. The step solves the augmented system
+
+        [[I, -A, 0], [A^T, 0, C^T], [0, C, 0]] (w, x, y) = (eps, 0, 0),
+
+    whose unknowns are ordered by index: every equation reaches only a few
+    neighbours, so one banded LU (LAPACK gbsv) solves it in O(N) time and
+    memory. `ok` is False when the factorization finds an exactly singular
+    pivot or s is not finite.
     """
-    qt_eps, rmat = qr_multiply(J, eps)
-    diag = np.abs(np.diag(rmat))
-    rank_ok = bool(diag.min() >= 1e-12 * diag.max())
-    if rank_ok:
-        s = solve_triangular(rmat, -qt_eps)
-    else:
-        warnings.warn(
-            f"Jacobian numerically rank deficient (diag ratio {diag.min() / diag.max():.2e})",
-            RankDeficientJacobian,
-        )
-        s, *_ = np.linalg.lstsq(J, -eps, rcond=None)
-    return s, rank_ok
+    N = params.N
+    table = _layout(N)
+    forms = _linearized_equations(params, np.asarray(d, dtype=float))
+    # one row per (equation kind, unknown, offset), one column per index
+    eq, var, off = np.array([(_KIND[kind], _KIND[name], shift)
+                             for kind, form in forms.items() for name, shift in form]).T
+    coef = np.array([val[:N] for form in forms.values() for val in form.values()])
+    index = np.arange(N) + _PAD
+    row = table[eq[:, None], index]
+    col = table[var[:, None], index + off[:, None]]
+    keep = (row >= 0) & (col >= 0)
+    # the entry (equation, unknown) is -A or C, its mirror A^T or C^T
+    in_a = (eq == _KIND["w"]) | (eq == _KIND["wN"])
+    at_eq = np.where(in_a[:, None], -coef, coef)[keep]
+    row, col, coef = row[keep], col[keep], coef[keep]
+    diag = np.append(table[_KIND["w"], _PAD : N + _PAD], table[_KIND["wN"], _PAD])
+    rows = np.concatenate([diag, row, col])
+    cols = np.concatenate([diag, col, row])
+    band = rows - cols
+    lower, upper = int(band.max()), int(-band.min())
+    ab = np.zeros((lower + upper + 1, 8 * N))
+    ab[upper + band, cols] = np.concatenate([np.ones(N + 1), at_eq, coef])
+    rhs = np.zeros(8 * N)
+    rhs[diag] = eps
+    try:
+        sol = solve_banded((lower, upper), ab, rhs, overwrite_ab=True,
+                           overwrite_b=True, check_finite=False)
+    except LinAlgError:
+        return None, False
+    s = sol[table[_KIND["s"], _PAD : N - 1 + _PAD]]
+    return s, bool(np.isfinite(s).all())
 
 
 def gauss_newton(params: RateParams, d0, tol: float = DEFAULT_TOL,
                  max_iter: int = DEFAULT_MAX_ITER) -> SolveReport:
     """Damped Gauss-Newton on the residual system from the start d0.
 
-    Each iteration takes the QR least-squares step s and accepts the largest
-    damping t in {1, 1/2, ..., 2**-20} that strictly decreases ||eps||_2.
+    Each iteration takes the banded least-squares step s of
+    least_squares_step and accepts the largest damping t in
+    {1, 1/2, ..., 2**-20} that strictly decreases ||eps||_2.
     Stops as soon as max_i |eps_i| <= tol. Positivity of the derived
     (a, b, c, d) is checked only at termination.
 
@@ -229,9 +270,10 @@ def gauss_newton(params: RateParams, d0, tol: float = DEFAULT_TOL,
     Raises
     ------
     NonConvergence
-        if the line search stagnates, the iteration budget is exhausted, or
-        the terminal certificate is not strictly positive. A sign-violating
-        result is never reported as converged.
+        if a step fails (singular system or non-finite step), the line search
+        stagnates, the iteration budget is exhausted, or the terminal
+        certificate is not strictly positive. A sign-violating result is
+        never reported as converged.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -241,7 +283,6 @@ def gauss_newton(params: RateParams, d0, tol: float = DEFAULT_TOL,
     if d.shape != (params.N - 1,):
         raise ValueError(f"d0 must have shape ({params.N - 1},), got {d.shape}")
     norms: list[float] = []
-    rank_flag = False
     for it in range(max_iter + 1):
         eps = residual(params, d)
         sup = float(np.max(np.abs(eps)))
@@ -254,13 +295,16 @@ def gauss_newton(params: RateParams, d0, tol: float = DEFAULT_TOL,
                     "is not strictly positive",
                     N=params.N, residual_sup=sup,
                 )
-            return SolveReport(cert=cert, iterations=it, rank_deficient=rank_flag,
-                               res_norms=norms)
+            return SolveReport(cert=cert, iterations=it, res_norms=norms)
         if it == max_iter:
             break
-        J = jacobian(params, d)
-        s, rank_ok = least_squares_step(J, eps)
-        rank_flag = rank_flag or not rank_ok
+        s, ok = least_squares_step(params, d, eps)
+        if not ok:
+            raise NonConvergence(
+                f"Gauss-Newton step failed at N={params.N} (singular system or "
+                f"non-finite step) with residual sup {sup:.3e}",
+                N=params.N, residual_sup=sup,
+            )
         accepted = False
         t = 1.0
         while t >= 2.0**-20:

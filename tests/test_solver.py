@@ -1,23 +1,137 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError, qr_multiply, solve_triangular
 
 import pepcert.solver as solver_mod
 from pepcert import (
     NonConvergence,
-    RankDeficientJacobian,
     SweepSchedule,
     bootstrap_smallest,
+    c_from_d,
     continue_from,
     derive_full,
     extrapolate_init,
     gauss_newton,
-    jacobian,
     least_squares_step,
     resample,
     residual,
     solve_rate_params,
     sweep,
 )
+
+
+def jacobian(params, d) -> np.ndarray:
+    """Exact dense Jacobian J[i, k] = d eps_i / d d_k by forward-mode
+    differentiation: the reference for least_squares_step, O(N^2) memory.
+
+    The tangents of c_from_d -> ab_from_cd -> eps_from are propagated for all
+    N-1 unit directions at once, by the product rule; the tangent of d itself
+    is the identity, so its products are diagonal updates. eps is exactly
+    quadratic in d, so J carries rounding error only.
+
+    With u_i = a_i - b_i (u_{N-1} = a_{N-1}, u_{-1} = 0) and the scan
+    variable z_i = -a_i + (2 alpha - 1) b_i of ab_from_cd, eps_from reads
+
+        eps_i = u_i - u_{i-1} + tl_i - c_i od_{i-1},   i = 0..N-1,
+        eps_N = z_0 - c_0 - tl_0 + c_0^2 / 2r,
+        u_i = kappa z_{i+1} + kappa (csq_i - tail_i)
+              + (2 cross_i - (2 + alpha) lin_i) / alpha,   i < N-1,
+
+    with kappa = (2 - alpha) / alpha, od_i = 1 + sum_{j<i} d_j (od_{-1} = 1),
+    suffc_j = sum_{l>=j} c_l, tl_i = d_i suffc_{i+2} (tl_{N-1} = 0) and the
+    step terms of ab_from_cd (tail_i = tl_{i+1}).
+
+    The tangents of g and of eps without its z terms have rows that are
+    constant left of the diagonal, a multiple of d suffc_j / d d_k =
+    2 r alpha (N-1-k) far right of it, and irregular only on a few diagonals
+    in between, so `fill` writes each (N, N-1) array in three passes. The
+    tangent of z then comes from the scan of g, row by row.
+    """
+    d = np.asarray(d, dtype=float)
+    N, alpha, r = params.N, params.alpha, params.r
+    m = N - 1
+    if d.shape != (m,):
+        raise ValueError(f"d must have shape ({m},), got {d.shape}")
+    two_r = 2.0 * r
+    rho = 2.0 * alpha - 3.0
+    kappa = (2.0 - alpha) / alpha
+    c = c_from_d(params, d)
+    od = np.ones(N)
+    od[1:] += np.cumsum(d)
+    odp = np.append(1.0, od[:-1])
+    # zero-padded so that rows past the end index safely
+    dpad = np.zeros(N + 1)
+    dpad[:m] = d
+    suffc = np.zeros(N + 3)
+    suffc[: N + 1] = np.cumsum(c[::-1])[::-1]
+
+    # Entries at index arrays (i, k). k = -1 lies left of every row, so
+    # entry(i, -1) is the value of row i left of the diagonal.
+    def tc(i, k):  # d c_i / d d_k for i <= N-1; c_N is constant
+        return np.where(i == m, two_r, two_r * (alpha * (k <= i) - (k == i)))
+
+    def tod(i, k):  # d od_i / d d_k
+        return (k < i).astype(float)
+
+    def ttl(i, k):  # d tl_i / d d_k
+        j = i + 2
+        tsuff = np.where(j >= N, 0.0,
+                         np.where(k < j, two_r * (alpha * (m - j) + 1.0), two_r * alpha * (m - k)))
+        return dpad[i] * tsuff + suffc[j] * (k == i)
+
+    def th(i, k):  # d g_i / d d_k, and d z_{N-1} / d d_k = c_N in row N-1
+        t_next = tc(i + 1, k)
+        g = (rho * (c[i + 1] / r * t_next - ttl(i + 1, k))
+             - (c[i + 1] * tc(i, k) + c[i] * t_next) / r
+             + 3.0 * (od[i] * t_next + c[i + 1] * tod(i, k)))
+        return np.where(i == m, c[N], g)
+
+    def su(i, k):  # d (u_i - kappa z_{i+1}) / d d_k for -1 <= i <= N-1
+        t_next = tc(i + 1, k)
+        rest = (kappa * (c[i + 1] / r * t_next - ttl(i + 1, k))
+                + ((c[i + 1] * tc(i, k) + c[i] * t_next) / r
+                   - (2.0 + alpha) * (od[i] * t_next + c[i + 1] * tod(i, k))) / alpha)
+        return np.where(i < 0, 0.0, np.where(i == m, -c[N], rest))
+
+    def sj(i, k):  # d eps_i / d d_k without its z terms, for i <= N-1
+        return su(i, k) - su(i - 1, k) + ttl(i, k) - odp[i] * tc(i, k) - c[i] * tod(i - 1, k)
+
+    cols = np.arange(m)
+    far = two_r * alpha * (m - cols)
+
+    def fill(out, entry, lower, upper, far_coef):
+        # entry(i, -1) where k - i <= lower, far_coef_i * far_k where
+        # k - i >= upper, and the exact entries on the diagonals in between
+        rows = np.arange(out.shape[0])
+        np.multiply(far_coef[:, None], far, out=out)
+        np.copyto(out, entry(rows, -1)[:, None], where=cols <= rows[:, None] + lower)
+        for offset in range(lower + 1, upper):
+            i = rows[(rows + offset >= 0) & (rows + offset < m)]
+            out[i, i + offset] = entry(i, i + offset)
+
+    tz = np.empty((N, m))
+    fill(tz, th, -1, 3, -rho * dpad[1:])
+    # the backward scan of ab_from_cd, row by row: one pass over the array,
+    # where recursive doubling would make log2(N) passes
+    for i in range(N - 2, -1, -1):
+        tz[i] += rho * tz[i + 1]
+    J = np.empty((N + 1, m))
+    far_j = (1.0 + kappa) * dpad[:N] - kappa * dpad[1:]
+    far_j[0] = d[0] - kappa * dpad[1]  # u_{-1} = 0 has no far part
+    fill(J[:N], sj, -2, 3, far_j)
+    J[N] = tz[0] + (c[0] / r - 1.0) * tc(0, cols) - ttl(0, cols)
+    tz[1:] *= kappa
+    J[:m] += tz[1:]
+    J[1:N] -= tz[1:]
+    return J
+
+
+def qr_step(J, eps):
+    """The dense reference step: min_s ||J s + eps||_2 by Householder QR."""
+    qt_eps, rmat = qr_multiply(J, eps)
+    return solve_triangular(rmat, -qt_eps)
 
 
 class TestJacobian:
@@ -52,37 +166,92 @@ class TestJacobian:
             J = jacobian(params, d)
             assert np.max(np.abs(J - fd)) <= 1e-12 * np.max(np.abs(fd))
 
-    def test_evaluates_no_residuals(self, monkeypatch, small_sweep):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("jacobian must not evaluate perturbed residuals")
 
-        rep = small_sweep[15]
-        expect = jacobian(rep.params, rep.d)
-        monkeypatch.setattr(solver_mod, "residual", forbidden)
-        np.testing.assert_array_equal(solver_mod.jacobian(rep.params, rep.d), expect)
+STEP_SIZES = (3, 4, 5, 12, 40, 300)
 
 
 class TestLeastSquaresStep:
+    @pytest.mark.parametrize("n", STEP_SIZES)
+    def test_matches_qr_step_at_random_d(self, n, rng):
+        params = solve_rate_params(n)
+        for _ in range(3):
+            d = rng.uniform(0.1, 1.5, n - 1)
+            eps = residual(params, d)
+            s, ok = least_squares_step(params, d, eps)
+            assert ok
+            ref = qr_step(jacobian(params, d), eps)
+            assert np.linalg.norm(s - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("n", STEP_SIZES)
+    def test_matches_qr_step_near_a_solution(self, n, rng):
+        # the steps Gauss-Newton takes at the end of a solve: small, from a
+        # start close to a certificate
+        params = solve_rate_params(n)
+        d_star = sweep(SweepSchedule.doubling(n))[-1].d
+        for scale in (1e-2, 1e-6):
+            d = d_star * (1.0 + scale * rng.standard_normal(n - 1))
+            eps = residual(params, d)
+            s, ok = least_squares_step(params, d, eps)
+            assert ok
+            ref = qr_step(jacobian(params, d), eps)
+            assert np.linalg.norm(s - ref) <= 1e-12 * np.linalg.norm(ref)
+
     def test_normal_equation_residual(self, rng):
         params = solve_rate_params(12)
         d = rng.uniform(0.1, 1.2, 11)
         J = jacobian(params, d)
         eps = residual(params, d)
-        s, rank_ok = least_squares_step(J, eps)
-        assert rank_ok
+        s, ok = least_squares_step(params, d, eps)
+        assert ok
         lhs = np.linalg.norm(J.T @ (J @ s + eps))
         assert lhs <= 1e-8 * np.linalg.norm(J.T) * np.linalg.norm(eps)
 
-    def test_rank_deficient_warns_and_minimum_norm(self):
-        J = np.zeros((6, 3))
-        J[:, 0] = 1.0
-        J[:, 1] = 1.0  # duplicated column: rank 1
-        eps = np.ones(6)
-        with pytest.warns(RankDeficientJacobian):
-            s, rank_ok = least_squares_step(J, eps)
-        assert not rank_ok
-        expected, *_ = np.linalg.lstsq(J, -eps, rcond=None)
-        np.testing.assert_allclose(s, expected, atol=1e-12)
+    def test_evaluates_no_residuals(self, monkeypatch, small_sweep):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the step must not evaluate perturbed residuals")
+
+        rep = small_sweep[15]
+        eps = residual(rep.params, rep.d)
+        expect, _ = least_squares_step(rep.params, rep.d, eps)
+        monkeypatch.setattr(solver_mod, "residual", forbidden)
+        s, _ = solver_mod.least_squares_step(rep.params, rep.d, eps)
+        np.testing.assert_array_equal(s, expect)
+
+    def test_non_finite_step_is_not_ok(self):
+        params = solve_rate_params(12)
+        d = np.full(11, 0.3)
+        d[4] = np.nan
+        s, ok = least_squares_step(params, d, residual(params, d))
+        assert not ok
+
+    def test_singular_factor_raises_nonconvergence(self, monkeypatch):
+        def singular(*args, **kwargs):
+            raise LinAlgError("singular matrix")
+
+        monkeypatch.setattr(solver_mod, "solve_banded", singular)
+        assert solver_mod.least_squares_step(
+            solve_rate_params(7), np.full(6, 0.3), np.ones(8)) == (None, False)
+        with pytest.raises(NonConvergence) as err:
+            solver_mod.gauss_newton(solve_rate_params(7), np.full(6, 0.3))
+        assert err.value.N == 7
+        assert "N=7" in str(err.value)
+
+    def test_memory_is_linear_in_n(self):
+        # one warm solve at N=5000 stays within 25 kB per index; the dense
+        # Jacobian alone would take 200 MB there
+        n = 5000
+        reports = sweep(SweepSchedule.doubling(2560))
+        (n1, d1), (n2, d2) = [(rep.params.N, rep.d) for rep in reports[-2:]]
+        d0 = extrapolate_init(n1, d1, n2, d2, n)
+        params = solve_rate_params(n)
+        tracemalloc.start()
+        try:
+            report = gauss_newton(params, d0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.cert.positive
+        assert peak <= 25_000 * n
 
 
 class TestGaussNewton:
