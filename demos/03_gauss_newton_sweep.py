@@ -3,9 +3,9 @@
 The residual system is overdetermined (N+1 equations in N-1 unknowns) yet
 Gauss-Newton drives it to machine precision, which is exactly the nontrivial
 numerical evidence: a generic overdetermined quadratic system has no solution
-at all. Certificate shapes vary mildly with N, so each solve is warm-started
-by linearly extrapolating the two previous solutions; iteration counts stay
-flat as N grows.
+at all. Certificate shapes vary smoothly with N, so each solve is warm-started
+by extrapolating the four previous solutions with a cubic in 1/N; past the
+N of about 80 one Gauss-Newton step suffices.
 """
 
 import os
@@ -20,7 +20,7 @@ outdir = os.path.join(tempfile.gettempdir(), "pepcert_demo_sweep")
 n_max = 60
 
 print(f"sweeping N = 3..{n_max} (certificates written to {outdir})\n")
-reports = sweep(SweepSchedule.dense(n_max), outdir=outdir)
+reports = list(sweep(SweepSchedule.dense(n_max), outdir=outdir))
 
 print(f"{'N':>4} {'iters':>5} {'sup|eps|':>10} {'delta':>10} {'r(N)':>12}")
 for rep in reports:
@@ -39,7 +39,7 @@ print(f"stored certificate for N={sample.N}: delta = {sample.delta:.2e}, "
       f"len(d) = {len(sample.d)}")
 
 # a strided continuation works too; extrapolation bridges the gaps
-strided = sweep(SweepSchedule(((3, 30, 1), (30, 120, 30))))
+strided = list(sweep(SweepSchedule(((3, 30, 1), (30, 120, 30)))))
 print("\nstrided schedule 3..30 dense then every 30th:")
 for rep in strided[-4:]:
     print(f"  N={rep.params.N:>3}: {rep.iterations} iterations, "

@@ -1,7 +1,7 @@
 """Certificate shape curves across problem sizes.
 
 Rescaled to [0, 1] in both index and value, the four certificate vectors
-barely move as N grows; that mild drift is what makes linear extrapolation
+barely move as N grows; that smooth drift is what makes extrapolation in N
 such a good warm start. This script emits two-column text files (normalized
 index, normalized value) ready for any plotting tool, and sketches the d
 curves as ASCII to show the drift directly.

@@ -101,7 +101,7 @@ def render_certificate(cf: CertificateFile) -> str:
         if vec is None:
             continue
         lines.append(f"{name}:")
-        lines.extend(repr(float(x)) for x in vec)
+        lines.append("\n".join(map(repr, vec.tolist())))
     return "\n".join(lines) + "\n"
 
 

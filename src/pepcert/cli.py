@@ -81,7 +81,9 @@ def _check_solver_flags(args):
 def _solve_one(n, warm_paths, tol, max_iter):
     if not warm_paths:
         # cold start: the doubling chain from N=3, keeping only the last report
-        return sweep(SweepSchedule.doubling(n), tol=tol, max_iter=max_iter)[-1]
+        for report in sweep(SweepSchedule.doubling(n), tol=tol, max_iter=max_iter):
+            pass
+        return report
     sources = []
     for path in warm_paths:
         cf = certfile.read_certificate(path)
@@ -135,21 +137,19 @@ def cmd_sweep(args) -> int:
         raise _UsageError(str(exc))
     outdir = _outdir(args)
     print(f"{'N':>6} {'alpha':>20} {'r':>14} {'iters':>5} {'sup|eps|':>10} {'delta':>10}")
-
-    def row(report):
-        print(
-            f"{report.params.N:>6} {report.params.alpha:>20.16f} "
-            f"{report.params.r:>14.6e} {report.iterations:>5} "
-            f"{report.residual_sup:>10.2e} {report.delta:>10.2e}"
-        )
-
+    written = 0
     try:
-        reports = sweep(schedule, tol=args.tol, max_iter=args.max_iter,
-                        outdir=outdir, progress=row)
+        for report in sweep(schedule, tol=args.tol, max_iter=args.max_iter, outdir=outdir):
+            print(
+                f"{report.params.N:>6} {report.params.alpha:>20.16f} "
+                f"{report.params.r:>14.6e} {report.iterations:>5} "
+                f"{report.residual_sup:>10.2e} {report.delta:>10.2e}"
+            )
+            written += 1
     except NonConvergence as exc:
         print(f"sweep aborted: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
-    print(f"{len(reports)} certificates written to {outdir}")
+    print(f"{written} certificates written to {outdir}")
     return EXIT_OK
 
 
@@ -248,7 +248,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("solve", help="solve one certificate and write its file")
     p.add_argument("N", type=int)
     p.add_argument("--warm", nargs="+", metavar="FILE",
-                   help="one or two certificate files to extrapolate from")
+                   help="one to four solved certificate files to extrapolate "
+                        "from (a cubic in 1/N)")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
     p.add_argument("--out", help="output file path")

@@ -7,12 +7,16 @@ the Jacobian: the recursion is linearized in a few local unknowns per index
 (prefix and suffix sums, and the tangent of the backward scan), and the
 constrained least-squares problem is one banded augmented system, so a step
 takes O(N) time and memory. Every solve past N=3 goes through `continue_from`,
-warm-started by linear extrapolation of the one or two most recent
-certificate shapes; a sweep chains such solves over N.
+warm-started from up to four recent certificate shapes: each is resampled
+onto the new grid by local cubic interpolation, and the shapes are
+extrapolated to the new size by a cubic in 1/N, which leaves most sizes one
+Gauss-Newton step from convergence. A sweep chains such solves over N.
 """
 
 from __future__ import annotations
 
+from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +40,8 @@ __all__ = [
 
 DEFAULT_TOL = 1e-13
 DEFAULT_MAX_ITER = 50
+# certificates a warm start extrapolates from: a cubic in 1/N
+CONTINUATION_SOURCES = 4
 
 
 class NonConvergence(RuntimeError):
@@ -327,48 +333,73 @@ def gauss_newton(params: RateParams, d0, tol: float = DEFAULT_TOL,
 
 
 def resample(d, n_target: int) -> np.ndarray:
-    """Piecewise-linear resampling of a certificate shape onto the grid of a
-    different problem size (normalized index t_i = i/(N-2) on [0, 1])."""
+    """Local cubic resampling of a certificate shape onto the grid of a
+    different problem size (normalized index t_i = i/(N-2) on [0, 1]).
+
+    Each target point is the 4-point Lagrange interpolant through the source
+    points nearest to it, so cubic polynomials are reproduced exactly; with
+    fewer than four source points it is linear interpolation. Target points
+    that fall on a source point take its value exactly.
+    """
     d = np.asarray(d, dtype=float)
     if n_target < 3:
         raise ValueError("target N must be >= 3")
-    src = np.linspace(0.0, 1.0, d.shape[-1])
-    dst = np.linspace(0.0, 1.0, n_target - 1)
-    return np.interp(dst, src, d)
+    m = d.shape[-1]
+    if m < 4:
+        return np.interp(np.linspace(0.0, 1.0, n_target - 1), np.linspace(0.0, 1.0, m), d)
+    # target i sits at source position i (m-1) / (n_target-2) = k + rem / (n_target-2)
+    num = np.arange(n_target - 1) * (m - 1)
+    k, rem = np.divmod(num, n_target - 2)
+    base = np.clip(k - 1, 0, m - 4)
+    x = (k - base) + rem / (n_target - 2)  # in [0, 3], relative to the stencil
+    x1, x2, x3 = x - 1.0, x - 2.0, x - 3.0
+    return (-x1 * x2 * x3 / 6.0 * d[base] + x * x2 * x3 / 2.0 * d[base + 1]
+            - x * x1 * x3 / 2.0 * d[base + 2] + x * x1 * x2 / 6.0 * d[base + 3])
 
 
-def extrapolate_init(n1: int, d1, n2: int, d2, target: int) -> np.ndarray:
-    """Warm start for size `target` by linear extrapolation in N of two solved
-    certificate shapes (each resampled onto the target grid first).
+def extrapolate_init(sources, target: int) -> np.ndarray:
+    """Warm start for size `target` from up to CONTINUATION_SOURCES solved
+    (N, d) pairs: each d is resampled onto the target grid, and the results
+    are extrapolated to the target by Lagrange interpolation in x = 1/N.
 
-    Entries are clamped below at 1e-12 to keep the start positive. With
-    n1 == n2 the sources must coincide and the common shape is resampled
-    (degenerate one-source continuation).
+    One source gives its resample. Sources of equal N must have identical d
+    and count once. Entries are clamped below at 1e-12 to keep the start
+    positive.
     """
-    if n1 < 3:
-        raise ValueError("source sizes must be >= 3")
-    if n2 < n1:
-        raise ValueError("sources must satisfy n1 <= n2")
-    v1 = resample(d1, target)
-    v2 = resample(d2, target)
-    if n2 == n1:
-        if not np.array_equal(np.asarray(d1, float), np.asarray(d2, float)):
+    if not 1 <= len(sources) <= CONTINUATION_SOURCES:
+        raise ValueError(f"need 1 to {CONTINUATION_SOURCES} continuation sources, "
+                         f"got {len(sources)}")
+    # Python ints throughout: the products in the weights exceed 64 bits
+    target = int(target)
+    shapes: dict[int, np.ndarray] = {}
+    for n, d in sorted(sources, key=lambda pair: pair[0]):
+        n = int(n)
+        if n < 3:
+            raise ValueError("source sizes must be >= 3")
+        d = np.asarray(d, dtype=float)
+        if n in shapes and not np.array_equal(shapes[n], d):
             raise ValueError("equal source sizes require identical vectors")
-        return np.maximum(v2, 1e-12)
-    w = (target - n1) / (n2 - n1)
-    return np.maximum(v1 + w * (v2 - v1), 1e-12)
+        shapes[n] = d
+    out = np.zeros(target - 1)
+    for n, d in shapes.items():
+        # the Lagrange weight of node 1/n at 1/target, the product over the
+        # other nodes j of (1/target - 1/j) / (1/n - 1/j); in integers, so the
+        # one division rounds it once
+        num = den = 1
+        for j in shapes:
+            if j != n:
+                num *= n * (j - target)
+                den *= target * (j - n)
+        out += num / den * resample(d, target)
+    return np.maximum(out, 1e-12)
 
 
 def continue_from(sources, n: int, tol: float = DEFAULT_TOL,
                   max_iter: int = DEFAULT_MAX_ITER) -> SolveReport:
-    """Solve size n from one or two solved (N, d) pairs, warm-started by
-    extrapolate_init of the first and last pair in N order. Raises ValueError
-    for unusable sources and NonConvergence when the solve fails."""
-    if len(sources) not in (1, 2):
-        raise ValueError(f"need one or two continuation sources, got {len(sources)}")
-    ordered = sorted(sources, key=lambda pair: pair[0])
-    (n1, d1), (n2, d2) = ordered[0], ordered[-1]
-    d0 = extrapolate_init(n1, d1, n2, d2, n)
+    """Solve size n from one to CONTINUATION_SOURCES solved (N, d) pairs,
+    warm-started by extrapolate_init. Raises ValueError for unusable sources
+    and NonConvergence when the solve fails."""
+    d0 = extrapolate_init(sources, n)
     return gauss_newton(solve_rate_params(n), d0, tol=tol, max_iter=max_iter)
 
 
@@ -441,31 +472,29 @@ class SweepSchedule:
 
 
 def sweep(schedule: SweepSchedule, tol: float = DEFAULT_TOL,
-          max_iter: int = DEFAULT_MAX_ITER, outdir=None,
-          progress=None) -> list[SolveReport]:
-    """Continuation sweep over the schedule; one SolveReport per problem size.
+          max_iter: int = DEFAULT_MAX_ITER, outdir=None) -> Iterator[SolveReport]:
+    """Continuation sweep over the schedule; yields one SolveReport per
+    problem size, in order.
 
     N=3 is solved by bootstrap_smallest and every later size by continue_from
-    the two most recent certificates (one, for the second size). When `outdir`
-    is given, each certificate is persisted there (pepcert/1 files) as soon as
-    it is solved, so partial results survive an aborted sweep. `progress` is
-    an optional callback invoked with each report.
+    the CONTINUATION_SOURCES most recent certificates (fewer at the start).
+    Only their (N, d) pairs are kept, so a report the caller drops is freed.
+    When `outdir` is given, each certificate is persisted there (pepcert/1
+    files) before its report is yielded, so partial results survive an
+    aborted sweep.
 
     Raises NonConvergence (annotated with the failing N) if any solve fails;
     the continuation chain is broken at that point and the sweep stops.
     """
-    reports: list[SolveReport] = []
+    from .certfile import certificate_from_report, write_certificate
+
+    recent: deque = deque(maxlen=CONTINUATION_SOURCES)
     for n in schedule.values():
-        if not reports:
+        if not recent:
             report = bootstrap_smallest(solve_rate_params(n), tol=tol, max_iter=max_iter)
         else:
-            sources = [(rep.params.N, rep.d) for rep in reports[-2:]]
-            report = continue_from(sources, n, tol=tol, max_iter=max_iter)
-        reports.append(report)
+            report = continue_from(recent, n, tol=tol, max_iter=max_iter)
+        recent.append((n, report.d))
         if outdir is not None:
-            from .certfile import write_certificate, certificate_from_report
-
             write_certificate(certificate_from_report(report), outdir=outdir)
-        if progress is not None:
-            progress(report)
-    return reports
+        yield report

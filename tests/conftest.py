@@ -7,7 +7,7 @@ from pepcert import SweepSchedule, solve_rate_params, sweep
 @pytest.fixture(scope="session")
 def small_sweep():
     """Converged certificates for N = 3..20, shared across tests."""
-    reports = sweep(SweepSchedule.dense(20))
+    reports = list(sweep(SweepSchedule.dense(20)))
     return {rep.params.N: rep for rep in reports}
 
 

@@ -44,6 +44,17 @@ class TestRoundTrip:
             np.testing.assert_array_equal(getattr(back, name), getattr(cf, name))
         assert render_certificate(back) == render_certificate(cf)
 
+    def test_render_matches_per_element_form(self, small_sweep):
+        # the reference rendering: one repr(float(x)) line per entry
+        cf = certificate_from_report(small_sweep[20])
+        lines = ["format pepcert/1", f"N {cf.N}"]
+        lines += [f"{key} {getattr(cf, key)!r}" for key in ("alpha", "r", "delta")]
+        for name in ("d", "a", "b", "c", "eps"):
+            lines.append(f"{name}:")
+            lines.extend(repr(float(x)) for x in getattr(cf, name))
+        expect = "\n".join(lines) + "\n"
+        assert render_certificate(cf).encode() == expect.encode()
+
     def test_derived_vectors_present(self, small_sweep):
         cf = certificate_from_report(small_sweep[5])
         assert cf.a is not None and cf.b is not None

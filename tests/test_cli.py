@@ -26,9 +26,9 @@ def run(capsys, *argv):
 
 @pytest.fixture(scope="module")
 def cert_dir(tmp_path_factory):
-    """Certificates for N = 5, 10, 11 solved through the CLI."""
+    """Certificates for N = 5 and 8..11 solved through the CLI."""
     out = tmp_path_factory.mktemp("certs")
-    for n in (5, 10, 11):
+    for n in (5, 8, 9, 10, 11):
         assert cli.main(["solve", str(n), "--outdir", str(out)]) == 0
     return out
 
@@ -81,11 +81,9 @@ class TestSolve:
         assert (tmp_path / "c12.txt").exists()
 
     def test_warm_start_matches_sweep(self, capsys, cert_dir, tmp_path):
-        code, _, _ = run(
-            capsys, "solve", 12,
-            "--warm", cert_dir / "cert_N00011.txt", cert_dir / "cert_N00010.txt",
-            "--out", tmp_path / "c12.txt",
-        )
+        # the sweep warms N=12 from N=8..11; the file order does not matter
+        warm = [cert_dir / f"cert_N{n:05d}.txt" for n in (11, 9, 8, 10)]
+        code, _, _ = run(capsys, "solve", 12, "--warm", *warm, "--out", tmp_path / "c12.txt")
         assert code == 0
         assert cli.main(["sweep", "12", "--outdir", str(tmp_path / "sweep")]) == 0
         capsys.readouterr()
@@ -102,8 +100,8 @@ class TestSolve:
         assert code == 1
         assert "usage error" in err
         assert not (tmp_path / "c12.txt").exists()
-        three = [cert_dir / f"cert_N{n:05d}.txt" for n in (5, 10, 11)]
-        assert cli.main(["solve", "12", "--warm", *map(str, three)]) == 1
+        five = [cert_dir / f"cert_N{n:05d}.txt" for n in (5, 8, 9, 10, 11)]
+        assert cli.main(["solve", "12", "--warm", *map(str, five)]) == 1
 
     def test_cold_solve_doubling_chain(self, capsys, tmp_path, monkeypatch):
         solved = []

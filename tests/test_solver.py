@@ -1,4 +1,6 @@
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -187,7 +189,7 @@ class TestLeastSquaresStep:
         # the steps Gauss-Newton takes at the end of a solve: small, from a
         # start close to a certificate
         params = solve_rate_params(n)
-        d_star = sweep(SweepSchedule.doubling(n))[-1].d
+        d_star = list(sweep(SweepSchedule.doubling(n)))[-1].d
         for scale in (1e-2, 1e-6):
             d = d_star * (1.0 + scale * rng.standard_normal(n - 1))
             eps = residual(params, d)
@@ -240,9 +242,8 @@ class TestLeastSquaresStep:
         # one warm solve at N=5000 stays within 25 kB per index; the dense
         # Jacobian alone would take 200 MB there
         n = 5000
-        reports = sweep(SweepSchedule.doubling(2560))
-        (n1, d1), (n2, d2) = [(rep.params.N, rep.d) for rep in reports[-2:]]
-        d0 = extrapolate_init(n1, d1, n2, d2, n)
+        reports = list(sweep(SweepSchedule.doubling(2560)))
+        d0 = extrapolate_init([(rep.params.N, rep.d) for rep in reports[-4:]], n)
         params = solve_rate_params(n)
         tracemalloc.start()
         try:
@@ -256,7 +257,7 @@ class TestLeastSquaresStep:
 
 class TestGaussNewton:
     def test_warm_start_n5(self, small_sweep):
-        d0 = extrapolate_init(3, small_sweep[3].d, 4, small_sweep[4].d, 5)
+        d0 = extrapolate_init([(3, small_sweep[3].d), (4, small_sweep[4].d)], 5)
         report = gauss_newton(solve_rate_params(5), d0, tol=1e-13)
         assert report.cert.positive
         assert report.residual_sup <= 1e-13
@@ -304,29 +305,101 @@ class TestGaussNewton:
             np.testing.assert_array_equal(getattr(report.cert, name), getattr(again, name))
 
 
+def cubic(t):
+    return 0.3 + 0.8 * t - 1.1 * t**2 + 0.45 * t**3
+
+
+class TestResample:
+    @pytest.mark.parametrize("m, n", [(4, 3), (4, 9), (5, 4), (12, 40), (40, 12),
+                                      (299, 301), (300, 1000)])
+    def test_cubic_polynomial_exact(self, m, n):
+        out = resample(cubic(np.linspace(0.0, 1.0, m)), n)
+        np.testing.assert_allclose(out, cubic(np.linspace(0.0, 1.0, n - 1)),
+                                   rtol=0, atol=1e-14)
+
+    def test_linear_below_four_points(self):
+        d = np.array([0.2, 0.9, 0.4])
+        np.testing.assert_array_equal(resample(d, 9), np.interp(
+            np.linspace(0.0, 1.0, 8), np.linspace(0.0, 1.0, 3), d))
+
+    def test_same_grid_and_nodes_exact(self, small_sweep):
+        d = small_sweep[15].d
+        np.testing.assert_array_equal(resample(d, 15), d)
+        # every other target point of N=28 falls on a source point of N=15
+        np.testing.assert_array_equal(resample(d, 28)[::2], d)
+
+
 class TestExtrapolateInit:
-    def test_degenerate_equal_sources(self, small_sweep):
+    def test_one_source_is_the_resample(self, small_sweep):
         d = small_sweep[6].d
-        out = extrapolate_init(6, d, 6, d, 9)
+        out = extrapolate_init([(6, d)], 9)
         np.testing.assert_array_equal(out, np.maximum(resample(d, 9), 1e-12))
+
+    def test_degenerate_equal_sources(self, small_sweep):
+        # sources of equal N count once
+        d6, d7 = small_sweep[6].d, small_sweep[7].d
+        np.testing.assert_array_equal(extrapolate_init([(6, d6), (6, d6.copy())], 9),
+                                      extrapolate_init([(6, d6)], 9))
+        np.testing.assert_array_equal(extrapolate_init([(7, d7), (6, d6), (7, d7)], 9),
+                                      extrapolate_init([(6, d6), (7, d7)], 9))
 
     def test_equal_sizes_different_vectors_rejected(self):
         with pytest.raises(ValueError):
-            extrapolate_init(6, np.full(5, 0.3), 6, np.full(5, 0.4), 9)
+            extrapolate_init([(6, np.full(5, 0.3)), (6, np.full(5, 0.4))], 9)
+
+    def test_source_count(self, small_sweep):
+        five = [(n, small_sweep[n].d) for n in (7, 8, 9, 10, 11)]
+        with pytest.raises(ValueError):
+            extrapolate_init(five, 12)
+        with pytest.raises(ValueError):
+            extrapolate_init([], 12)
+
+    def test_source_size_validated(self):
+        with pytest.raises(ValueError):
+            extrapolate_init([(2, np.full(1, 0.3)), (6, np.full(5, 0.3))], 9)
 
     def test_constant_preserved(self):
-        out = extrapolate_init(10, np.full(9, 0.7), 11, np.full(10, 0.7), 14)
+        out = extrapolate_init([(10, np.full(9, 0.7)), (11, np.full(10, 0.7))], 14)
         np.testing.assert_allclose(out, 0.7, rtol=0, atol=1e-15)
+        # four sources: the weights of a cubic extrapolation have magnitudes
+        # summing to about 15, so the rounding of the sum reaches a few ulp
+        sources = [(n, np.full(n - 1, 0.7)) for n in (10, 11, 12, 13)]
+        out = extrapolate_init(sources, 14)
+        np.testing.assert_allclose(out, 0.7, rtol=0, atol=1e-14)
+
+    def test_cubic_in_inverse_n_exact(self):
+        # d_i(N) = cubic(t_i) * (1 + 2/N - 3/N^2 + 5/N^3) on each grid: cubic
+        # in t, so the resample is exact, and cubic in 1/N, so is the
+        # extrapolation
+        def shape(n):
+            x = 1.0 / n
+            return cubic(np.linspace(0.0, 1.0, n - 1)) * (1 + 2 * x - 3 * x**2 + 5 * x**3)
+
+        # NumPy integer sizes too: the weights' integer products exceed 64 bits
+        big = tuple(np.int64(n) for n in (5000, 10000, 15000, 20000))
+        for ns, target in (((20, 24, 28, 32), 40), ((8, 9, 10, 11), 12),
+                           ((300, 1000, 1500, 2000), 2500), (big, np.int64(20160))):
+            out = extrapolate_init([(n, shape(n)) for n in ns], target)
+            np.testing.assert_allclose(out, shape(target), rtol=1e-13, atol=0)
 
     def test_pipeline_10_11_to_12(self, small_sweep):
-        d0 = extrapolate_init(10, small_sweep[10].d, 11, small_sweep[11].d, 12)
+        d0 = extrapolate_init([(10, small_sweep[10].d), (11, small_sweep[11].d)], 12)
         report = gauss_newton(solve_rate_params(12), d0)
         assert report.cert.positive
         assert report.iterations <= 10
 
     def test_clamped_positive(self):
-        out = extrapolate_init(5, np.full(4, 1e-13), 6, np.full(5, 1e-14), 8)
+        out = extrapolate_init([(5, np.full(4, 1e-13)), (6, np.full(5, 1e-14))], 8)
         assert np.all(out >= 1e-12)
+
+    def test_evaluates_no_residuals(self, monkeypatch, small_sweep):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the warm start must not evaluate residuals")
+
+        sources = [(n, small_sweep[n].d) for n in (10, 11, 12, 13)]
+        expect = extrapolate_init(sources, 14)
+        monkeypatch.setattr(solver_mod, "residual", forbidden)
+        np.testing.assert_array_equal(solver_mod.extrapolate_init(sources, 14), expect)
 
 
 class TestBootstrap:
@@ -355,14 +428,14 @@ class TestBootstrap:
 
 class TestContinueFrom:
     def test_matches_sweep_step(self, small_sweep):
-        sources = [(11, small_sweep[11].d), (10, small_sweep[10].d)]
+        sources = [(n, small_sweep[n].d) for n in (11, 9, 10, 8)]
         report = continue_from(sources, 12)
         np.testing.assert_array_equal(report.d, small_sweep[12].d)
         assert report.iterations == small_sweep[12].iterations
 
     def test_one_source_resamples(self, small_sweep):
         report = continue_from([(9, small_sweep[9].d)], 12)
-        d0 = extrapolate_init(9, small_sweep[9].d, 9, small_sweep[9].d, 12)
+        d0 = np.maximum(resample(small_sweep[9].d, 12), 1e-12)
         expect = gauss_newton(solve_rate_params(12), d0)
         np.testing.assert_array_equal(report.d, expect.d)
 
@@ -370,13 +443,15 @@ class TestContinueFrom:
         with pytest.raises(ValueError):
             continue_from([], 12)
         three = [(n, small_sweep[n].d) for n in (9, 10, 11)]
+        assert continue_from(three, 12).cert.positive
+        five = [(n, small_sweep[n].d) for n in (7, 8, 9, 10, 11)]
         with pytest.raises(ValueError):
-            continue_from(three, 12)
+            continue_from(five, 12)
 
 
 class TestSweep:
     def test_single_value_equals_bootstrap(self):
-        reports = sweep(SweepSchedule(((3, 3, 1),)))
+        reports = list(sweep(SweepSchedule(((3, 3, 1),))))
         boot = bootstrap_smallest(solve_rate_params(3))
         assert len(reports) == 1
         np.testing.assert_array_equal(reports[0].d, boot.d)
@@ -391,7 +466,7 @@ class TestSweep:
             assert cert.positive
 
     def test_strided_gaps(self):
-        reports = sweep(SweepSchedule(((3, 12, 1), (12, 30, 6))))
+        reports = list(sweep(SweepSchedule(((3, 12, 1), (12, 30, 6)))))
         ns = [rep.params.N for rep in reports]
         assert ns == list(range(3, 13)) + [18, 24, 30]
         assert all(rep.cert.positive for rep in reports)
@@ -404,7 +479,7 @@ class TestSweep:
         with pytest.raises(ValueError):
             SweepSchedule(())
         with pytest.raises(ValueError):
-            sweep(SweepSchedule(((5, 9, 1),)))  # must start at the bootstrap size
+            list(sweep(SweepSchedule(((5, 9, 1),))))  # must start at the bootstrap size
 
     def test_abort_reports_failing_n(self, monkeypatch):
         real = solver_mod.gauss_newton
@@ -416,8 +491,24 @@ class TestSweep:
 
         monkeypatch.setattr(solver_mod, "gauss_newton", failing)
         with pytest.raises(NonConvergence) as err:
-            solver_mod.sweep(SweepSchedule.dense(9))
+            list(solver_mod.sweep(SweepSchedule.dense(9)))
         assert err.value.N == 7
+
+    def test_one_step_past_n100(self):
+        # the cubic warm start in 1/N leaves each size past N=100 within one
+        # Gauss-Newton step of the 1e-13 gate
+        late = [rep for rep in sweep(SweepSchedule.dense(150)) if rep.params.N >= 100]
+        assert len(late) == 51
+        assert [rep.iterations for rep in late] == [1] * 51
+
+    def test_keeps_only_what_continuation_needs(self):
+        # a report the caller drops is freed once the sweep has moved on
+        sizes = sweep(SweepSchedule.dense(12))
+        ref = weakref.ref(next(sizes).cert)
+        for _ in range(solver_mod.CONTINUATION_SOURCES + 1):
+            next(sizes)
+        gc.collect()
+        assert ref() is None
 
     def test_strided_classmethod(self):
         sched = SweepSchedule.strided(40, 10, 15)
