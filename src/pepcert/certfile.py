@@ -64,6 +64,8 @@ class CertificateFile:
     eps: np.ndarray | None = None
 
     def __post_init__(self):
+        if self.N < 3:
+            raise CertificateFormatError(f"certificates need N >= 3, got N={self.N}")
         self.d = np.asarray(self.d, dtype=float)
         if self.d.shape != (self.N - 1,):
             raise CertificateFormatError(

@@ -4,9 +4,11 @@ Subcommands: rates, solve, sweep, verify, plotdata, envelope.
 
 Exit codes: 0 verified/converged, 1 usage error, 2 non-convergence,
 3 verification failure, 4 file corruption. The default output directory is
-taken from PEPCERT_OUTDIR (falling back to the working directory); all
-tolerances are flag-overridable. Identical invocations produce byte-identical
-files.
+taken from PEPCERT_OUTDIR (falling back to the working directory). The gates
+are fixed: a solve converges at max_i |eps_i| <= 1e-13, and verify certifies
+a file whose delta, recomputed and as stored, is at most 1e-11 and, with
+--oracle, whose coefficient deviation is at most 1e-10 times the oracle
+scale. Identical invocations produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -22,14 +24,7 @@ import numpy as np
 from . import certfile
 from .rates import huber_rate, lower_bound_envelope, quadratic_rate, solve_rate_params
 from .recursion import derive_full
-from .solver import (
-    DEFAULT_MAX_ITER,
-    DEFAULT_TOL,
-    NonConvergence,
-    SweepSchedule,
-    continue_from,
-    sweep,
-)
+from .solver import NonConvergence, SweepSchedule, continue_from, sweep
 from .verifier import check_delta_certificate, oracle_check, oracle_scale
 
 EXIT_OK = 0
@@ -70,18 +65,10 @@ def cmd_rates(args) -> int:
     return EXIT_OK
 
 
-def _check_solver_flags(args):
-    # written so that a NaN tolerance is rejected too
-    if not args.tol > 0:
-        raise _UsageError(f"--tol must be positive, got {args.tol}")
-    if args.max_iter < 0:
-        raise _UsageError(f"--max-iter must be non-negative, got {args.max_iter}")
-
-
-def _solve_one(n, warm_paths, tol, max_iter):
+def _solve_one(n, warm_paths):
     if not warm_paths:
         # cold start: the doubling chain from N=3, keeping only the last report
-        for report in sweep(SweepSchedule.doubling(n), tol=tol, max_iter=max_iter):
+        for report in sweep(SweepSchedule.doubling(n)):
             pass
         return report
     sources = []
@@ -89,7 +76,7 @@ def _solve_one(n, warm_paths, tol, max_iter):
         cf = certfile.read_certificate(path)
         sources.append((cf.N, cf.d))
     try:
-        return continue_from(sources, n, tol=tol, max_iter=max_iter)
+        return continue_from(sources, n)
     except ValueError as exc:
         raise _UsageError(f"bad warm start: {exc}")
 
@@ -97,8 +84,7 @@ def _solve_one(n, warm_paths, tol, max_iter):
 def cmd_solve(args) -> int:
     if args.N < 3:
         raise _UsageError("solve requires N >= 3")
-    _check_solver_flags(args)
-    report = _solve_one(args.N, args.warm, args.tol, args.max_iter)
+    report = _solve_one(args.N, args.warm)
     cf = certfile.certificate_from_report(report)
     path = args.out or certfile.default_path(_outdir(args), args.N)
     certfile.write_certificate(cf, path=path)
@@ -125,12 +111,9 @@ def _parse_segment(spec: str):
 def cmd_sweep(args) -> int:
     if args.N_MAX < 3:
         raise _UsageError("sweep requires N_MAX >= 3")
-    _check_solver_flags(args)
     try:
         if args.segment:
             schedule = SweepSchedule(tuple(_parse_segment(s) for s in args.segment))
-        elif args.stride_from is not None:
-            schedule = SweepSchedule.strided(args.N_MAX, args.stride_from, args.stride)
         else:
             schedule = SweepSchedule.dense(args.N_MAX)
     except ValueError as exc:
@@ -139,7 +122,7 @@ def cmd_sweep(args) -> int:
     print(f"{'N':>6} {'alpha':>20} {'r':>14} {'iters':>5} {'sup|eps|':>10} {'delta':>10}")
     written = 0
     try:
-        for report in sweep(schedule, tol=args.tol, max_iter=args.max_iter, outdir=outdir):
+        for report in sweep(schedule, outdir=outdir):
             print(
                 f"{report.params.N:>6} {report.params.alpha:>20.16f} "
                 f"{report.params.r:>14.6e} {report.iterations:>5} "
@@ -154,9 +137,6 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    for flag, value in (("--tol", args.tol), ("--oracle-tol", args.oracle_tol)):
-        if not value > 0:
-            raise _UsageError(f"{flag} must be positive, got {value}")
     cf = certfile.read_certificate(args.file)
     params = certfile.params_from_file(cf)
     cert = derive_full(params, cf.d)
@@ -176,10 +156,14 @@ def cmd_verify(args) -> int:
     print(f"delta {delta:.6e}")
     print(f"positive {is_cert}")
     print(f"bound {params.r!r} + {delta / 2:.3e} = {bound!r}")
-    ok = is_cert and delta <= args.tol
+    # the header's delta is gated too: a file may not claim a larger error
+    # than the gate, even when its d shows a smaller one
+    if cf.delta > DELTA_TOL:
+        print(f"header delta {cf.delta:.3e} exceeds {DELTA_TOL:.0e}", file=sys.stderr)
+    ok = is_cert and max(delta, cf.delta) <= DELTA_TOL
     if args.oracle:
         dev = oracle_check(cert)
-        tol = args.oracle_tol * oracle_scale(cert)
+        tol = ORACLE_TOL * oracle_scale(cert)
         print(f"oracle_deviation {dev:.3e} (tolerance {tol:.3e})")
         ok = ok and dev <= tol
     print("verdict " + ("CERTIFIED" if ok else "FAILED"))
@@ -250,32 +234,22 @@ def build_parser() -> _Parser:
     p.add_argument("--warm", nargs="+", metavar="FILE",
                    help="one to four solved certificate files to extrapolate "
                         "from (a cubic in 1/N)")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
     p.add_argument("--out", help="output file path")
     p.add_argument("--outdir")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("sweep", help="continuation sweep, one file per N")
     p.add_argument("N_MAX", type=int)
-    p.add_argument("--stride-from", type=int, default=None,
-                   help="switch from stride 1 to --stride at this N")
-    p.add_argument("--stride", type=int, default=50)
     p.add_argument("--segment", action="append", metavar="START:STOP:STRIDE",
                    help="explicit schedule segment (repeatable, overrides "
-                        "N_MAX/--stride-from); e.g. 3:2240:1 2240:8960:320")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
+                        "N_MAX); e.g. 3:2240:1 2240:8960:320")
     p.add_argument("--outdir")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("verify", help="re-derive and check a certificate file")
     p.add_argument("file")
-    p.add_argument("--tol", type=float, default=DELTA_TOL,
-                   help="maximum total positive error delta")
     p.add_argument("--oracle", action="store_true",
                    help="also run the coefficient-matching oracle")
-    p.add_argument("--oracle-tol", type=float, default=ORACLE_TOL)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("plotdata", help="emit normalized a,b,c,d curves")

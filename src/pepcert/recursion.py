@@ -11,10 +11,10 @@ Index conventions (0-based, matching the multiplier-matrix subscripts):
                                       d with eps identically zero and all of
                                       a, b, c, d positive
 
-All derivation functions accept leading batch dimensions on their array
-arguments (shape (..., k)); the recursion runs vectorized across the batch.
-Requires N >= 3. The parameters need not be balanced: the elimination is an
-algebraic identity for any positive stepsize alpha and rate r.
+Every derivation takes and returns 1-D vectors of these lengths, raises
+ValueError for any other shape, and requires N >= 3. The parameters need not
+be balanced: the elimination is an algebraic identity for any positive
+stepsize alpha and rate r.
 """
 
 from __future__ import annotations
@@ -41,19 +41,16 @@ def _check_n(N: int):
         raise ValueError(f"certificate recursion requires N >= 3, got N={N}")
 
 
-def _check_len(name: str, arr: np.ndarray, expect: int):
-    if arr.shape[-1] != expect:
-        raise ValueError(
-            f"{name} must have length {expect} along the last axis, "
-            f"got {arr.shape[-1]}"
-        )
+def _check_shape(name: str, arr: np.ndarray, expect: int):
+    if arr.shape != (expect,):
+        raise ValueError(f"{name} must have shape ({expect},), got {arr.shape}")
 
 
 def _suffix_sums(c: np.ndarray) -> np.ndarray:
-    # suff[..., k] = sum_{j >= k} c_j, with one extra trailing zero so that
-    # empty suffixes index cleanly
-    suff = np.zeros(c.shape[:-1] + (c.shape[-1] + 1,))
-    suff[..., :-1] = np.cumsum(c[..., ::-1], axis=-1)[..., ::-1]
+    # suff[k] = sum_{j >= k} c_j, with one extra trailing zero so that empty
+    # suffixes index cleanly
+    suff = np.zeros(len(c) + 1)
+    suff[:-1] = np.cumsum(c[::-1])[::-1]
     return suff
 
 
@@ -66,28 +63,28 @@ def c_from_d(params: RateParams, d) -> np.ndarray:
     N, alpha, r = params.N, params.alpha, params.r
     _check_n(N)
     d = np.asarray(d, dtype=float)
-    _check_len("d", d, N - 1)
+    _check_shape("d", d, N - 1)
     two_r = 2.0 * r
-    sd = np.cumsum(d, axis=-1)
-    c = np.empty(d.shape[:-1] + (N + 1,))
-    c[..., : N - 1] = two_r * (alpha * sd - d + alpha)
-    c[..., N - 1] = two_r * (1.0 + sd[..., -1] + (alpha - 1.0) / math.sqrt(two_r))
-    c[..., N] = math.sqrt(two_r)
+    sd = np.cumsum(d)
+    c = np.empty(N + 1)
+    c[: N - 1] = two_r * (alpha * sd - d + alpha)
+    c[N - 1] = two_r * (1.0 + sd[-1] + (alpha - 1.0) / math.sqrt(two_r))
+    c[N] = math.sqrt(two_r)
     return c
 
 
 def _backward_scan(z: np.ndarray, rho: float) -> np.ndarray:
-    """In place along the last axis, h -> z with z_{n-1} = h_{n-1} and
-    z_i = rho z_{i+1} + h_i; returns z.
+    """In place, h -> z with z_{n-1} = h_{n-1} and z_i = rho z_{i+1} + h_i;
+    returns z.
 
     Recursive doubling: after the pass with shift s, z_i sums rho**(j-i) h_j
     over i <= j < i + 2s, so ceil(log2 n) whole-array passes finish the scan.
     Every weight is a power of rho, which stays stable for |rho| < 1.
     """
-    n = z.shape[-1]
+    n = len(z)
     shift, weight = 1, rho
     while shift < n:
-        z[..., :-shift] += weight * z[..., shift:]
+        z[:-shift] += weight * z[shift:]
         shift, weight = 2 * shift, weight * weight
     return z
 
@@ -117,33 +114,32 @@ def ab_from_cd(params: RateParams, c, d):
     _check_n(N)
     c = np.asarray(c, dtype=float)
     d = np.asarray(d, dtype=float)
-    _check_len("c", c, N + 1)
-    _check_len("d", d, N - 1)
+    _check_shape("c", c, N + 1)
+    _check_shape("d", d, N - 1)
     two_r = 2.0 * r
-    shape = np.broadcast_shapes(c.shape[:-1], d.shape[:-1])
     suffc = _suffix_sums(c)
-    sd = np.cumsum(d, axis=-1)
-    # od[..., i] = 1 + sum_{j <= i-1} d_j for i = 0..N-2
-    od = np.empty(d.shape[:-1] + (N - 1,))
-    od[..., 0] = 1.0
-    od[..., 1:] = 1.0 + sd[..., :-1]
+    sd = np.cumsum(d)
+    # od[i] = 1 + sum_{j <= i-1} d_j for i = 0..N-2
+    od = np.empty(N - 1)
+    od[0] = 1.0
+    od[1:] = 1.0 + sd[:-1]
     # terms of step i = 0..N-2; tail_{N-2} = 0 (no d_{N-1})
-    csq = c[..., 1:N] ** 2 / two_r
-    cross = c[..., : N - 1] * c[..., 1:N] / two_r
-    lin = c[..., 1:N] * od
-    tail = np.zeros(shape + (N - 1,))
-    tail[..., : N - 2] = d[..., 1:] * suffc[..., 3 : N + 1]
+    csq = c[1:N] ** 2 / two_r
+    cross = c[: N - 1] * c[1:N] / two_r
+    lin = c[1:N] * od
+    tail = np.zeros(N - 1)
+    tail[: N - 2] = d[1:] * suffc[3 : N + 1]
     p = csq + cross - (1.0 + alpha) * lin - tail
     q = (alpha - 1.0) * (csq - tail) - cross + lin
 
-    a = np.empty(shape + (N,))
-    a[..., N - 1] = 1.0 - c[..., N] * (1.0 + sd[..., -1])
+    a = np.empty(N)
+    a[N - 1] = 1.0 - c[N] * (1.0 + sd[-1])
     rho = 2.0 * alpha - 3.0
-    h = np.empty(shape + (N,))
-    h[..., : N - 1] = rho * (csq - tail) - 2.0 * cross + 3.0 * lin
-    h[..., N - 1] = -a[..., N - 1]
-    z_next = _backward_scan(h, rho)[..., 1:]
-    a[..., : N - 1] = (z_next + p) / alpha
+    h = np.empty(N)
+    h[: N - 1] = rho * (csq - tail) - 2.0 * cross + 3.0 * lin
+    h[N - 1] = -a[N - 1]
+    z_next = _backward_scan(h, rho)[1:]
+    a[: N - 1] = (z_next + p) / alpha
     b = ((alpha - 1.0) * z_next + q) / alpha
     return a, b
 
@@ -156,34 +152,31 @@ def eps_from(params: RateParams, a, b, c, d) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     c = np.asarray(c, dtype=float)
     d = np.asarray(d, dtype=float)
-    _check_len("a", a, N)
-    _check_len("b", b, N - 1)
-    _check_len("c", c, N + 1)
-    _check_len("d", d, N - 1)
-    sd = np.cumsum(d, axis=-1)
+    _check_shape("a", a, N)
+    _check_shape("b", b, N - 1)
+    _check_shape("c", c, N + 1)
+    _check_shape("d", d, N - 1)
+    sd = np.cumsum(d)
     suffc = _suffix_sums(c)
-    od = np.empty(d.shape[:-1] + (N,))
-    od[..., 0] = 1.0
-    od[..., 1:] = 1.0 + sd
+    od = np.empty(N)
+    od[0] = 1.0
+    od[1:] = 1.0 + sd
 
-    eps = np.empty(np.broadcast_shapes(a.shape[:-1], d.shape[:-1]) + (N + 1,))
-    eps[..., 0] = a[..., 0] + d[..., 0] * suffc[..., 2] - b[..., 0] - c[..., 0]
-    eps[..., 1 : N - 1] = (
-        b[..., 0 : N - 2]
-        + a[..., 1 : N - 1]
-        + d[..., 1 : N - 1] * suffc[..., 3 : N + 1]
-        - a[..., 0 : N - 2]
-        - b[..., 1 : N - 1]
-        - c[..., 1 : N - 1] * od[..., 0 : N - 2]
+    eps = np.empty(N + 1)
+    eps[0] = a[0] + d[0] * suffc[2] - b[0] - c[0]
+    eps[1 : N - 1] = (
+        b[0 : N - 2]
+        + a[1 : N - 1]
+        + d[1 : N - 1] * suffc[3 : N + 1]
+        - a[0 : N - 2]
+        - b[1 : N - 1]
+        - c[1 : N - 1] * od[0 : N - 2]
     )
-    eps[..., N - 1] = (
-        b[..., N - 2] + a[..., N - 1] - a[..., N - 2]
-        - c[..., N - 1] * od[..., N - 2]
-    )
-    eps[..., N] = (
-        -c[..., 0] - a[..., 0] - d[..., 0] * suffc[..., 2]
-        + (2.0 * alpha - 1.0) * b[..., 0]
-        + c[..., 0] ** 2 / (2.0 * r)
+    eps[N - 1] = b[N - 2] + a[N - 1] - a[N - 2] - c[N - 1] * od[N - 2]
+    eps[N] = (
+        -c[0] - a[0] - d[0] * suffc[2]
+        + (2.0 * alpha - 1.0) * b[0]
+        + c[0] ** 2 / (2.0 * r)
     )
     return eps
 
@@ -227,9 +220,7 @@ class FullCertificate:
             ("d", self.d, N - 1),
             ("eps", self.eps, N + 1),
         ):
-            if arr.ndim != 1:
-                raise ValueError(f"{name} must be one-dimensional")
-            _check_len(name, arr, expect)
+            _check_shape(name, arr, expect)
         if self.c[N] != math.sqrt(2.0 * self.params.r):
             raise ValueError("c[N] != sqrt(2 r)")
         tail = 1.0 - self.c[N] * (1.0 + np.cumsum(self.d)[-1])
@@ -254,8 +245,6 @@ class FullCertificate:
 def derive_full(params: RateParams, d) -> FullCertificate:
     """Bundle the whole derivation for a single d into a FullCertificate."""
     d = np.asarray(d, dtype=float)
-    if d.ndim != 1:
-        raise ValueError("derive_full expects a single 1-D vector d")
     c = c_from_d(params, d)
     a, b = ab_from_cd(params, c, d)
     eps = eps_from(params, a, b, c, d)

@@ -38,8 +38,9 @@ __all__ = [
     "sweep",
 ]
 
-DEFAULT_TOL = 1e-13
-DEFAULT_MAX_ITER = 50
+# the convergence gate on max_i |eps_i|, and the Gauss-Newton step budget
+RESIDUAL_TOL = 1e-13
+MAX_ITER = 50
 # certificates a warm start extrapolates from: a cubic in 1/N
 CONTINUATION_SOURCES = 4
 
@@ -258,20 +259,19 @@ def least_squares_step(params: RateParams, d, eps: np.ndarray):
     return s, bool(np.isfinite(s).all())
 
 
-def gauss_newton(params: RateParams, d0, tol: float = DEFAULT_TOL,
-                 max_iter: int = DEFAULT_MAX_ITER) -> SolveReport:
+def gauss_newton(params: RateParams, d0) -> SolveReport:
     """Damped Gauss-Newton on the residual system from the start d0.
 
     Each iteration takes the banded least-squares step s of
     least_squares_step and accepts the largest damping t in
     {1, 1/2, ..., 2**-20} that strictly decreases ||eps||_2.
-    Stops as soon as max_i |eps_i| <= tol. Positivity of the derived
+    Stops as soon as max_i |eps_i| <= RESIDUAL_TOL. Positivity of the derived
     (a, b, c, d) is checked only at termination.
 
     Returns
     -------
     SolveReport of the converged, positive certificate; `iterations` counts
-    accepted steps.
+    accepted steps, at most MAX_ITER.
 
     Raises
     ------
@@ -281,19 +281,15 @@ def gauss_newton(params: RateParams, d0, tol: float = DEFAULT_TOL,
         certificate is not strictly positive. A sign-violating result is
         never reported as converged.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    if max_iter < 0:
-        raise ValueError("max_iter must be non-negative")
     d = np.array(d0, dtype=float)
     if d.shape != (params.N - 1,):
         raise ValueError(f"d0 must have shape ({params.N - 1},), got {d.shape}")
     norms: list[float] = []
-    for it in range(max_iter + 1):
+    for it in range(MAX_ITER + 1):
         eps = residual(params, d)
         sup = float(np.max(np.abs(eps)))
         norms.append(float(np.linalg.norm(eps)))
-        if sup <= tol:
+        if sup <= RESIDUAL_TOL:
             cert = derive_full(params, d)
             if not cert.positive:
                 raise NonConvergence(
@@ -302,7 +298,7 @@ def gauss_newton(params: RateParams, d0, tol: float = DEFAULT_TOL,
                     N=params.N, residual_sup=sup,
                 )
             return SolveReport(cert=cert, iterations=it, res_norms=norms)
-        if it == max_iter:
+        if it == MAX_ITER:
             break
         s, ok = least_squares_step(params, d, eps)
         if not ok:
@@ -326,7 +322,7 @@ def gauss_newton(params: RateParams, d0, tol: float = DEFAULT_TOL,
                 N=params.N, residual_sup=sup,
             )
     raise NonConvergence(
-        f"no convergence at N={params.N} within {max_iter} iterations "
+        f"no convergence at N={params.N} within {MAX_ITER} iterations "
         f"(residual sup {sup:.3e})",
         N=params.N, residual_sup=sup,
     )
@@ -394,17 +390,15 @@ def extrapolate_init(sources, target: int) -> np.ndarray:
     return np.maximum(out, 1e-12)
 
 
-def continue_from(sources, n: int, tol: float = DEFAULT_TOL,
-                  max_iter: int = DEFAULT_MAX_ITER) -> SolveReport:
+def continue_from(sources, n: int) -> SolveReport:
     """Solve size n from one to CONTINUATION_SOURCES solved (N, d) pairs,
     warm-started by extrapolate_init. Raises ValueError for unusable sources
     and NonConvergence when the solve fails."""
     d0 = extrapolate_init(sources, n)
-    return gauss_newton(solve_rate_params(n), d0, tol=tol, max_iter=max_iter)
+    return gauss_newton(solve_rate_params(n), d0)
 
 
-def bootstrap_smallest(params: RateParams, tol: float = DEFAULT_TOL,
-                       max_iter: int = DEFAULT_MAX_ITER) -> SolveReport:
+def bootstrap_smallest(params: RateParams) -> SolveReport:
     """First certificate of a sweep (N = 3): Gauss-Newton from the single
     documented start d0 = (0.05, 0.05).
 
@@ -412,7 +406,7 @@ def bootstrap_smallest(params: RateParams, tol: float = DEFAULT_TOL,
     """
     if params.N != 3:
         raise ValueError(f"bootstrap_smallest requires N=3, got N={params.N}")
-    return gauss_newton(params, np.full(2, 0.05), tol=tol, max_iter=max_iter)
+    return gauss_newton(params, np.full(2, 0.05))
 
 
 @dataclass(frozen=True)
@@ -452,12 +446,6 @@ class SweepSchedule:
         return cls(((3, n_max, 1),))
 
     @classmethod
-    def strided(cls, n_max: int, stride_from: int, stride: int) -> "SweepSchedule":
-        if stride_from >= n_max:
-            return cls.dense(n_max)
-        return cls(((3, stride_from, 1), (stride_from, n_max, stride)))
-
-    @classmethod
     def doubling(cls, n_max: int) -> "SweepSchedule":
         """Dense on 3..20, then 40, 80, 160, ... below n_max, then n_max; the
         cold-solve chain, O(log N) solves. For n_max <= 20 it is dense."""
@@ -471,8 +459,7 @@ class SweepSchedule:
         return cls(tuple(segments))
 
 
-def sweep(schedule: SweepSchedule, tol: float = DEFAULT_TOL,
-          max_iter: int = DEFAULT_MAX_ITER, outdir=None) -> Iterator[SolveReport]:
+def sweep(schedule: SweepSchedule, outdir=None) -> Iterator[SolveReport]:
     """Continuation sweep over the schedule; yields one SolveReport per
     problem size, in order.
 
@@ -491,9 +478,9 @@ def sweep(schedule: SweepSchedule, tol: float = DEFAULT_TOL,
     recent: deque = deque(maxlen=CONTINUATION_SOURCES)
     for n in schedule.values():
         if not recent:
-            report = bootstrap_smallest(solve_rate_params(n), tol=tol, max_iter=max_iter)
+            report = bootstrap_smallest(solve_rate_params(n))
         else:
-            report = continue_from(recent, n, tol=tol, max_iter=max_iter)
+            report = continue_from(recent, n)
         recent.append((n, report.d))
         if outdir is not None:
             write_certificate(certificate_from_report(report), outdir=outdir)

@@ -84,7 +84,7 @@ def test_criterion_1_desk_scale_sweep(sweep300_dir):
 
 def test_criterion_2_strided_continuation():
     with criterion(2, "strided continuation: stride 1 to 300, stride 50 to 1000"):
-        reports = list(sweep(SweepSchedule.strided(1000, 300, 50)))
+        reports = list(sweep(SweepSchedule(((3, 300, 1), (300, 1000, 50)))))
         ns = [rep.params.N for rep in reports]
         assert ns == list(range(3, 301)) + list(range(350, 1001, 50))
         for rep in reports:

@@ -1,5 +1,6 @@
 import os
 import platform
+import shlex
 import subprocess
 import sys
 
@@ -14,8 +15,11 @@ from pepcert.certfile import (
     read_certificate,
     write_certificate,
 )
+from pepcert.rates import solve_rate_params
 from pepcert.recursion import derive_full
 from pepcert.verifier import check_delta_certificate
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def run(capsys, *argv):
@@ -62,11 +66,14 @@ class TestSolve:
         code, _, err = run(capsys, "solve", 2)
         assert code == 1
 
-    @pytest.mark.parametrize("flags", [("--tol", 0), ("--tol", "nan"), ("--max-iter", -1)])
+    # the gates and the iteration budget are fixed: even their old defaults
+    # are refused, and nothing is solved or written
+    @pytest.mark.parametrize("flags", [("--tol", 1e-13), ("--max-iter", 50),
+                                       ("--tol", 1, "--max-iter", 0)])
     def test_bad_solver_flags_are_usage_errors(self, capsys, tmp_path, flags):
         code, _, err = run(capsys, "solve", 5, *flags, "--outdir", tmp_path)
         assert code == 1
-        assert err.startswith("usage error: " + flags[0])
+        assert err.startswith("usage error: unrecognized arguments: " + flags[0])
         assert not list(tmp_path.iterdir())
 
     def test_warm_start(self, capsys, cert_dir, tmp_path):
@@ -142,17 +149,19 @@ class TestSweep:
             fb = (b / f"cert_N{n:05d}.txt").read_bytes()
             assert fa == fb
 
-    @pytest.mark.parametrize("flags", [("--tol", -1), ("--max-iter", -1)])
+    # fixed gates and budget; --segment is the one way to write a stride
+    @pytest.mark.parametrize("flags", [("--tol", 1e-13), ("--max-iter", 50),
+                                       ("--stride-from", 5), ("--stride", 50)])
     def test_bad_solver_flags_are_usage_errors(self, capsys, tmp_path, flags):
-        code, _, err = run(capsys, "sweep", 5, *flags, "--outdir", tmp_path)
+        code, _, err = run(capsys, "sweep", 10, *flags, "--outdir", tmp_path)
         assert code == 1
-        assert err.startswith("usage error: " + flags[0])
+        assert err.startswith("usage error: unrecognized arguments: " + flags[0])
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("flags", [
         ("--segment", "5:10:1"),  # does not start at N=3
-        ("--stride-from", 2),  # first segment 3:2 ends below its start
-        ("--stride", 0, "--stride-from", 5),
+        ("--segment", "3:2:1"),  # ends below its start
+        ("--segment", "3:10:0"),
     ])
     def test_bad_schedule_is_usage_error(self, capsys, tmp_path, flags):
         code, _, err = run(capsys, "sweep", 10, *flags, "--outdir", tmp_path)
@@ -161,7 +170,7 @@ class TestSweep:
         assert not list(tmp_path.iterdir())
 
     def test_strided_flags(self, capsys, tmp_path):
-        code, _, _ = run(capsys, "sweep", 30, "--stride-from", 10, "--stride", 10,
+        code, _, _ = run(capsys, "sweep", 30, "--segment", "3:10:1", "--segment", "10:30:10",
                          "--outdir", tmp_path)
         assert code == 0
         names = sorted(p.name for p in tmp_path.glob("cert_*.txt"))
@@ -180,15 +189,29 @@ class TestVerify:
         line = next(l for l in out.splitlines() if l.startswith("oracle_deviation"))
         assert float(line.split()[1]) <= 1e-10
 
+    # the delta and oracle gates are fixed: no value of either flag is taken
     @pytest.mark.parametrize("flags", [
-        ("--tol", "nan"), ("--tol", -1), ("--tol", 0),
-        ("--oracle", "--oracle-tol", "nan"), ("--oracle", "--oracle-tol", 0),
+        ("--tol", 1e-11), ("--tol", 1), ("--oracle-tol", 1e-10),
+        ("--oracle", "--oracle-tol", 1e-10), ("--oracle", "--oracle-tol", 1),
     ])
     def test_bad_tolerance_is_usage_error(self, capsys, cert_dir, flags):
         code, out, err = run(capsys, "verify", cert_dir / "cert_N00005.txt", *flags)
         assert code == 1
-        assert err.startswith("usage error: " + flags[-2])
+        assert err.startswith("usage error: unrecognized arguments: " + flags[-2])
         assert "verdict" not in out
+
+    def test_inflated_header_delta_fails(self, capsys, cert_dir, tmp_path):
+        # a file that claims more error than the gate is not certified, even
+        # when its d recomputes to a delta far below it
+        lines = (cert_dir / "cert_N00008.txt").read_text().splitlines()
+        idx = next(i for i, line in enumerate(lines) if line.startswith("delta "))
+        lines[idx] = "delta 0.25"
+        bad = tmp_path / "inflated.txt"
+        bad.write_text("\n".join(lines) + "\n")
+        code, out, err = run(capsys, "verify", bad)
+        assert code == 3
+        assert "positive True" in out and "verdict FAILED" in out
+        assert "header delta 2.500e-01" in err
 
     def test_negated_d_with_stored_vectors_is_corruption(self, capsys, cert_dir, tmp_path):
         text = (cert_dir / "cert_N00005.txt").read_text()
@@ -256,6 +279,28 @@ class TestVerify:
         assert "corruption" in err and "CERTIFIED" not in out
 
 
+def small_n_file(path, n):
+    """A well-formed file for N < 3, with that N's balanced alpha and r."""
+    params = solve_rate_params(n)
+    d = "".join("0.5\n" for _ in range(n - 1))
+    path.write_text(f"format pepcert/1\nN {n}\nalpha {params.alpha!r}\n"
+                    f"r {params.r!r}\ndelta 0.0\nd:\n{d}")
+    return path
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("command", ["verify FILE", "plotdata FILE --outdir OUT",
+                                     "solve 5 --warm FILE --outdir OUT"])
+def test_n_below_3_is_corruption(capsys, tmp_path, n, command):
+    path = small_n_file(tmp_path / "small.txt", n)
+    out = tmp_path / "out"
+    argv = [{"FILE": path, "OUT": out}.get(word, word) for word in command.split()]
+    code, _, err = run(capsys, *argv)
+    assert code == 4
+    assert err.startswith("corrupt certificate: ") and "N >= 3" in err
+    assert not list(tmp_path.glob("out/*"))
+
+
 class TestPlotdata:
     def test_normalized_curves(self, capsys, cert_dir, tmp_path):
         code, _, _ = run(capsys, "plotdata", cert_dir / "cert_N00010.txt",
@@ -314,7 +359,26 @@ class TestEnvelope:
         assert code == 1
 
 
+def readme_commands():
+    """Every `pepcert ...` line of README.md as an argument list, with
+    backslash continuations joined and comments dropped."""
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        text = fh.read().replace("\\\n", " ")
+    return [shlex.split(line, comments=True)[1:] for line in text.splitlines()
+            if line.startswith("pepcert ")]
+
+
 class TestParser:
+    def test_readme_commands_parse(self):
+        commands = readme_commands()
+        assert len(commands) >= 8
+        parser = cli.build_parser()
+        for argv in commands:
+            try:
+                parser.parse_args(argv)
+            except cli._UsageError as exc:
+                pytest.fail(f"README command {shlex.join(argv)!r}: {exc}")
+
     def test_unknown_command(self, capsys):
         assert cli.main(["frobnicate"]) == 1
 
@@ -366,11 +430,10 @@ print(before - resident())
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc allocator only")
 class TestMmapThreshold:
     def released(self, mode):
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         # allocator settings from the environment would hide the default
         env = {key: value for key, value in os.environ.items()
                if not key.startswith(("MALLOC_", "GLIBC_TUNABLES"))}
-        env["PYTHONPATH"] = os.path.join(root, "src")
+        env["PYTHONPATH"] = os.path.join(ROOT, "src")
         done = subprocess.run([sys.executable, "-c", FREE_PROBE, mode], env=env,
                               capture_output=True, text=True, timeout=120, check=True)
         return int(done.stdout)

@@ -107,9 +107,9 @@ class TestAbFromCd:
     @pytest.mark.parametrize("n", [3, 4, 7, 20, 300, 2000])
     def test_matches_loop_reference(self, rng, n):
         params = solve_rate_params(n)
-        for shape in ((n - 1,), (4, n - 1)):
-            # unit-scale rows and 10/n-scale rows (certificates span about 1/4n to 9)
-            d = rng.uniform(0.05, 1.5, shape) * rng.choice([1.0, 10.0 / n], shape[:-1] + (1,))
+        for _ in range(5):
+            # unit-scale and 10/n-scale vectors (certificates span about 1/4n to 9)
+            d = rng.uniform(0.05, 1.5, n - 1) * rng.choice([1.0, 10.0 / n])
             c = c_from_d(params, d)
             a, b = ab_from_cd(params, c, d)
             a_ref, b_ref = ab_from_cd_loop(params, c, d)
@@ -161,13 +161,11 @@ class TestEpsAndResidual:
             scale = np.maximum(1.0, np.max(np.abs([r0, r1, r2, r3]), axis=0))
             assert np.max(np.abs(pred - r3) / scale) <= 1e-12
 
-    def test_batched_rows_match_single(self, rng):
+    def test_rejects_2d_d(self, rng):
         params = solve_rate_params(9)
-        batch = rng.uniform(0.05, 1.5, (6, 8))
-        eps = residual(params, batch)
-        assert eps.shape == (6, 9 + 1)
-        for row in range(6):
-            np.testing.assert_array_equal(eps[row], residual(params, batch[row]))
+        for shape in ((6, 8), (1, 8), (8, 1)):
+            with pytest.raises(ValueError, match="shape"):
+                residual(params, rng.uniform(0.05, 1.5, shape))
 
 
 class TestDeriveFull:

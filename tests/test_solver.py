@@ -258,14 +258,14 @@ class TestLeastSquaresStep:
 class TestGaussNewton:
     def test_warm_start_n5(self, small_sweep):
         d0 = extrapolate_init([(3, small_sweep[3].d), (4, small_sweep[4].d)], 5)
-        report = gauss_newton(solve_rate_params(5), d0, tol=1e-13)
+        report = gauss_newton(solve_rate_params(5), d0)
         assert report.cert.positive
         assert report.residual_sup <= 1e-13
         assert report.iterations <= 20
 
     def test_fixed_point(self, small_sweep):
         rep = small_sweep[10]
-        again = gauss_newton(rep.params, rep.d, tol=1e-13)
+        again = gauss_newton(rep.params, rep.d)
         assert again.iterations <= 1
         assert np.max(np.abs(again.d - rep.d)) <= 1e-14
 
@@ -292,10 +292,18 @@ class TestGaussNewton:
             gauss_newton(solve_rate_params(5), np.ones(3))
 
     def test_budget_and_tolerance_validation(self):
-        params = solve_rate_params(5)
-        for kwargs in ({"max_iter": -1}, {"tol": 0.0}, {"tol": float("nan")}):
-            with pytest.raises(ValueError):
-                gauss_newton(params, np.full(4, 0.3), **kwargs)
+        # the gate and the budget are module constants, settable by no caller
+        assert (solver_mod.RESIDUAL_TOL, solver_mod.MAX_ITER) == (1e-13, 50)
+        params = solve_rate_params(3)
+        calls = [lambda **kw: gauss_newton(params, np.full(2, 0.05), **kw),
+                 lambda **kw: bootstrap_smallest(params, **kw),
+                 lambda **kw: continue_from([(3, np.full(2, 0.05))], 4, **kw),
+                 lambda **kw: list(sweep(SweepSchedule.dense(3), **kw))]
+        for call in calls:
+            for kwargs in ({"tol": 1e-13}, {"max_iter": 50}):
+                with pytest.raises(TypeError):
+                    call(**kwargs)
+        assert not hasattr(SweepSchedule, "strided")
 
     def test_report_carries_its_certificate(self, small_sweep):
         report = small_sweep[8]
@@ -404,7 +412,7 @@ class TestExtrapolateInit:
 
 class TestBootstrap:
     def test_converges_positive(self):
-        report = bootstrap_smallest(solve_rate_params(3), tol=1e-13)
+        report = bootstrap_smallest(solve_rate_params(3))
         assert report.cert.positive
         assert report.delta <= 1e-11
 
@@ -418,11 +426,12 @@ class TestBootstrap:
         with pytest.raises(ValueError):
             bootstrap_smallest(solve_rate_params(4))
 
-    def test_single_start_failure_raises(self):
-        # no iterations allowed: the one start is not a certificate, and
-        # there is no fallback start
+    def test_single_start_failure_raises(self, monkeypatch):
+        # the one start is not a certificate, its first step fails, and there
+        # is no fallback start
+        monkeypatch.setattr(solver_mod, "least_squares_step", lambda *args: (None, False))
         with pytest.raises(NonConvergence) as err:
-            bootstrap_smallest(solve_rate_params(3), max_iter=0)
+            bootstrap_smallest(solve_rate_params(3))
         assert err.value.N == 3
 
 
@@ -509,10 +518,6 @@ class TestSweep:
             next(sizes)
         gc.collect()
         assert ref() is None
-
-    def test_strided_classmethod(self):
-        sched = SweepSchedule.strided(40, 10, 15)
-        assert sched.values() == list(range(3, 11)) + [25, 40]
 
     def test_doubling_classmethod(self):
         dense = list(range(3, 21))
