@@ -12,13 +12,13 @@ import tempfile
 
 import numpy as np
 
-from pepcert import SweepSchedule, sweep
+from pepcert import sweep
 
 outdir = os.path.join(tempfile.gettempdir(), "pepcert_demo_curves")
 os.makedirs(outdir, exist_ok=True)
 
 sizes = (20, 60, 180)
-reports = {rep.params.N: rep for rep in sweep(SweepSchedule.dense(max(sizes)))}
+reports = {rep.params.N: rep for rep in sweep(range(3, max(sizes) + 1))}
 
 from pepcert import derive_full  # noqa: E402
 

@@ -8,11 +8,17 @@ The library is organized around five pieces:
 - `recursion`: derivation of the certificate data (a, b, c) and residuals eps
   from the free vector d.
 - `solver`: damped Gauss-Newton on the overdetermined residual system, with
-  warm-started continuation sweeps over N.
-- `verifier`: symbolic aggregation of the interpolation inequalities against
-  the target rate expression, structural multiplier checks, and the
-  delta-certificate rate bound.
+  warm-started continuation sweeps over a list of sizes.
+- `verifier`: the multiplier matrix, symbolic aggregation of the
+  interpolation inequalities against the target rate expression (the oracle),
+  the rank-one slack check, and the delta-certificate rate bound.
 - `certfile`/`cli`: the pepcert/1 file format and command-line front end.
+
+`pepcert verify` re-derives a file's vectors from d, checks the stored ones
+against them, and gates positivity and delta; `--oracle` adds the coefficient
+match. It runs no structural check: criterion 7 of the acceptance suite
+checks the sparsity pattern, unit column sum and row/column balance of the
+matrix `assemble_lambda` builds, and calls `slack_psd_check`.
 """
 
 from .certfile import (
@@ -51,9 +57,9 @@ from .recursion import (
 from .solver import (
     NonConvergence,
     SolveReport,
-    SweepSchedule,
     bootstrap_smallest,
     continue_from,
+    doubling,
     extrapolate_init,
     gauss_newton,
     least_squares_step,
@@ -61,9 +67,7 @@ from .solver import (
     sweep,
 )
 from .verifier import (
-    STAR,
     LambdaMatrix,
-    QuadraticAggregate,
     aggregate,
     assemble_lambda,
     check_delta_certificate,

@@ -164,13 +164,9 @@ def default_path(outdir, n: int) -> str:
     return os.path.join(os.fspath(outdir), f"cert_N{n:05d}.txt")
 
 
-def write_certificate(cf: CertificateFile, path=None, outdir=None) -> str:
-    """Write to `path`, or to the canonical name cert_N#####.txt in `outdir`,
+def write_certificate(cf: CertificateFile, path) -> str:
+    """Write to `path` (for the canonical name, `default_path(outdir, N)`)
     atomically: a temporary file in the same directory replaces the target."""
-    if path is None:
-        if outdir is None:
-            raise ValueError("need either path or outdir")
-        path = default_path(outdir, cf.N)
     os.makedirs(os.path.dirname(os.path.abspath(os.fspath(path))), exist_ok=True)
     text = render_certificate(cf)
     tmp = f"{path}.{os.getpid()}.tmp"

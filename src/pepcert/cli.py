@@ -14,7 +14,6 @@ scale. Identical invocations produce byte-identical files.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import functools
 import os
 import sys
@@ -24,7 +23,7 @@ import numpy as np
 from . import certfile
 from .rates import huber_rate, lower_bound_envelope, quadratic_rate, solve_rate_params
 from .recursion import derive_full
-from .solver import NonConvergence, SweepSchedule, continue_from, sweep
+from .solver import NonConvergence, continue_from, doubling, sweep
 from .verifier import check_delta_certificate, oracle_check, oracle_scale
 
 EXIT_OK = 0
@@ -68,7 +67,7 @@ def cmd_rates(args) -> int:
 def _solve_one(n, warm_paths):
     if not warm_paths:
         # cold start: the doubling chain from N=3, keeping only the last report
-        for report in sweep(SweepSchedule.doubling(n)):
+        for report in sweep(doubling(n)):
             pass
         return report
     sources = []
@@ -87,7 +86,7 @@ def cmd_solve(args) -> int:
     report = _solve_one(args.N, args.warm)
     cf = certfile.certificate_from_report(report)
     path = args.out or certfile.default_path(_outdir(args), args.N)
-    certfile.write_certificate(cf, path=path)
+    certfile.write_certificate(cf, path)
     print(f"N {report.params.N}")
     print(f"alpha {report.params.alpha!r}")
     print(f"r {report.params.r!r}")
@@ -105,24 +104,42 @@ def _parse_segment(spec: str):
         start, stop, stride = (int(part) for part in spec.split(":"))
     except ValueError:
         raise _UsageError(f"bad segment {spec!r}, expected START:STOP:STRIDE")
+    if stop < start:
+        raise _UsageError(f"segment stop {stop} below start {start}")
+    if stride < 1:
+        raise _UsageError(f"stride must be >= 1, got {stride}")
     return start, stop, stride
+
+
+def _sweep_sizes(args) -> list[int]:
+    """The sizes a sweep covers: 3..N_MAX, or the merged values of the
+    --segment specs (stops inclusive), which must start at N=3 and be
+    ordered by start."""
+    if not args.segment:
+        return list(range(3, args.N_MAX + 1))
+    segments = [_parse_segment(spec) for spec in args.segment]
+    if segments[0][0] != 3:
+        raise _UsageError(f"schedules must start at N=3, got {segments[0][0]}")
+    starts = [start for start, _, _ in segments]
+    if starts != sorted(starts):
+        raise _UsageError("segments must be ordered by start")
+    return sorted({n for start, stop, stride in segments
+                   for n in range(start, stop + 1, stride)})
 
 
 def cmd_sweep(args) -> int:
     if args.N_MAX < 3:
         raise _UsageError("sweep requires N_MAX >= 3")
-    try:
-        if args.segment:
-            schedule = SweepSchedule(tuple(_parse_segment(s) for s in args.segment))
-        else:
-            schedule = SweepSchedule.dense(args.N_MAX)
-    except ValueError as exc:
-        raise _UsageError(str(exc))
+    sizes = _sweep_sizes(args)
     outdir = _outdir(args)
     print(f"{'N':>6} {'alpha':>20} {'r':>14} {'iters':>5} {'sup|eps|':>10} {'delta':>10}")
     written = 0
     try:
-        for report in sweep(schedule, outdir=outdir):
+        # each file is written before its row is printed and the next size
+        # solved, so the files of an aborted sweep survive it
+        for report in sweep(sizes):
+            certfile.write_certificate(certfile.certificate_from_report(report),
+                                       certfile.default_path(outdir, report.params.N))
             print(
                 f"{report.params.N:>6} {report.params.alpha:>20.16f} "
                 f"{report.params.r:>14.6e} {report.iterations:>5} "
@@ -171,27 +188,26 @@ def cmd_verify(args) -> int:
 
 
 def cmd_plotdata(args) -> int:
-    outdir = _outdir(args)
-    os.makedirs(outdir, exist_ok=True)
-    written = []
+    # every file is read, derived and checked before anything is written
+    curves = []
     for path in args.files:
         cf = certfile.read_certificate(path)
-        params = certfile.params_from_file(cf)
-        cert = derive_full(params, cf.d)
+        cert = derive_full(certfile.params_from_file(cf), cf.d)
         stem = os.path.splitext(os.path.basename(path))[0]
         for name in ("a", "b", "c", "d"):
             vec = getattr(cert, name)
             top = float(np.max(vec))
             if top == 0.0:
                 raise _UsageError(f"vector {name} in {path} has max 0; cannot rescale")
-            out = os.path.join(outdir, f"{stem}_{name}.dat")
-            with open(out, "w") as fh:
-                m = len(vec)
-                for i, v in enumerate(vec):
-                    t = i / (m - 1)
-                    fh.write(f"{t!r} {float(v) / top!r}\n")
-            written.append(out)
-    for out in written:
+            curves.append((f"{stem}_{name}.dat", vec / top))
+    outdir = _outdir(args)
+    os.makedirs(outdir, exist_ok=True)
+    for name, values in curves:
+        out = os.path.join(outdir, name)
+        with open(out, "w") as fh:
+            m = len(values)
+            for i, v in enumerate(values.tolist()):
+                fh.write(f"{i / (m - 1)!r} {v!r}\n")
         print(f"wrote {out}")
     return EXIT_OK
 
@@ -271,17 +287,7 @@ def _parser() -> _Parser:
     return build_parser()
 
 
-@functools.cache
-def _fix_mmap_threshold() -> None:
-    # glibc raises its mmap threshold to each freed block's size (up to 32 MiB),
-    # after which the solver's O(N^2) arrays come from a fragmenting heap and
-    # peak RSS moves between runs; fixed, every block of 4 MiB or more is mmapped
-    if sys.platform.startswith("linux"):
-        ctypes.CDLL(None).mallopt(-3, 4 << 20)  # -3 is M_MMAP_THRESHOLD
-
-
 def main(argv=None) -> int:
-    _fix_mmap_threshold()
     try:
         args = _parser().parse_args(argv)
         return args.func(args)

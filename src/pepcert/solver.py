@@ -10,7 +10,8 @@ takes O(N) time and memory. Every solve past N=3 goes through `continue_from`,
 warm-started from up to four recent certificate shapes: each is resampled
 onto the new grid by local cubic interpolation, and the shapes are
 extrapolated to the new size by a cubic in 1/N, which leaves most sizes one
-Gauss-Newton step from convergence. A sweep chains such solves over N.
+Gauss-Newton step from convergence. A sweep chains such solves over a list
+of sizes and yields each report; writing files is left to its caller.
 """
 
 from __future__ import annotations
@@ -28,13 +29,13 @@ from .recursion import FullCertificate, c_from_d, derive_full, residual
 __all__ = [
     "NonConvergence",
     "SolveReport",
-    "SweepSchedule",
     "least_squares_step",
     "gauss_newton",
     "resample",
     "extrapolate_init",
     "continue_from",
     "bootstrap_smallest",
+    "doubling",
     "sweep",
 ]
 
@@ -409,79 +410,42 @@ def bootstrap_smallest(params: RateParams) -> SolveReport:
     return gauss_newton(params, np.full(2, 0.05))
 
 
-@dataclass(frozen=True)
-class SweepSchedule:
-    """Continuation schedule: (start, stop, stride) segments, stops inclusive.
-
-    Segment values are merged, deduplicated, and must begin at N=3 (the
-    bootstrap size) and increase strictly.
-    """
-
-    segments: tuple
-
-    def __post_init__(self):
-        if not self.segments:
-            raise ValueError("schedule needs at least one segment")
-        object.__setattr__(self, "segments", tuple(tuple(s) for s in self.segments))
-        if self.segments[0][0] != 3:
-            raise ValueError(f"schedules must start at N=3, got {self.segments[0][0]}")
-        prev_start = 0
-        for start, stop, stride in self.segments:
-            if stop < start:
-                raise ValueError(f"segment stop {stop} below start {start}")
-            if stride < 1:
-                raise ValueError(f"stride must be >= 1, got {stride}")
-            if start < prev_start:
-                raise ValueError("segments must be ordered by start")
-            prev_start = start
-
-    def values(self) -> list[int]:
-        out = set()
-        for start, stop, stride in self.segments:
-            out.update(range(start, stop + 1, stride))
-        return sorted(out)
-
-    @classmethod
-    def dense(cls, n_max: int) -> "SweepSchedule":
-        return cls(((3, n_max, 1),))
-
-    @classmethod
-    def doubling(cls, n_max: int) -> "SweepSchedule":
-        """Dense on 3..20, then 40, 80, 160, ... below n_max, then n_max; the
-        cold-solve chain, O(log N) solves. For n_max <= 20 it is dense."""
-        if n_max <= 20:
-            return cls.dense(n_max)
-        segments = [(3, 20, 1)]
-        while segments[-1][1] < n_max:
-            lo = segments[-1][1]
-            hi = min(2 * lo, n_max)
-            segments.append((lo, hi, hi - lo))
-        return cls(tuple(segments))
+def doubling(n_max: int) -> list[int]:
+    """The cold-solve chain: every N in 3..20, then 40, 80, 160, ... below
+    n_max, then n_max itself, so O(log N) solves. For n_max <= 20 it is the
+    dense chain 3..n_max."""
+    if n_max < 3:
+        raise ValueError(f"the chain needs n_max >= 3, got {n_max}")
+    sizes = list(range(3, min(n_max, 20) + 1))
+    while sizes[-1] < n_max:
+        sizes.append(min(2 * sizes[-1], n_max))
+    return sizes
 
 
-def sweep(schedule: SweepSchedule, outdir=None) -> Iterator[SolveReport]:
-    """Continuation sweep over the schedule; yields one SolveReport per
-    problem size, in order.
+def sweep(sizes) -> Iterator[SolveReport]:
+    """Continuation sweep over `sizes`, a strictly increasing sequence of
+    problem sizes that starts at N=3; yields one SolveReport per size, in
+    order.
 
     N=3 is solved by bootstrap_smallest and every later size by continue_from
     the CONTINUATION_SOURCES most recent certificates (fewer at the start).
     Only their (N, d) pairs are kept, so a report the caller drops is freed.
-    When `outdir` is given, each certificate is persisted there (pepcert/1
-    files) before its report is yielded, so partial results survive an
-    aborted sweep.
+    A caller that writes each report before asking for the next keeps its
+    files through an aborted sweep.
 
-    Raises NonConvergence (annotated with the failing N) if any solve fails;
-    the continuation chain is broken at that point and the sweep stops.
+    Raises ValueError for a schedule that is empty, does not start at 3 or
+    does not increase, and NonConvergence (annotated with the failing N) if
+    any solve fails; the continuation chain is broken at that point and the
+    sweep stops.
     """
-    from .certfile import certificate_from_report, write_certificate
-
+    sizes = list(sizes)
+    if sizes[:1] != [3] or any(b <= a for a, b in zip(sizes, sizes[1:])):
+        raise ValueError("sizes must increase strictly from N=3")
     recent: deque = deque(maxlen=CONTINUATION_SOURCES)
-    for n in schedule.values():
+    for n in sizes:
         if not recent:
             report = bootstrap_smallest(solve_rate_params(n))
         else:
             report = continue_from(recent, n)
         recent.append((n, report.d))
-        if outdir is not None:
-            write_certificate(certificate_from_report(report), outdir=outdir)
         yield report

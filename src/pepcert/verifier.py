@@ -32,9 +32,7 @@ import numpy as np
 from .recursion import FullCertificate
 
 __all__ = [
-    "STAR",
     "LambdaMatrix",
-    "QuadraticAggregate",
     "assemble_lambda",
     "aggregate",
     "rhs_with_errors",
@@ -44,9 +42,6 @@ __all__ = [
     "slack_gram",
     "slack_psd_check",
 ]
-
-# sentinel index for the minimizer row/column; maps to matrix position 0
-STAR = -1
 
 # slack_psd_check: entrywise tolerance, and the Frobenius bound that implies
 # sigma_2 <= 1e-10 sigma_1, since tau / (1 - tau) = 1e-10
@@ -68,31 +63,6 @@ class LambdaMatrix:
             )
 
 
-@dataclass
-class QuadraticAggregate:
-    """Linear functional on objective values plus a symmetric bilinear form
-    over (h, g_0, ..., g_N)."""
-
-    fcoef: np.ndarray
-    gram: np.ndarray
-
-    def __post_init__(self):
-        n = self.fcoef.shape[0]
-        if self.gram.shape != (n, n):
-            raise ValueError("gram shape inconsistent with fcoef")
-        asym = np.max(np.abs(self.gram - self.gram.T))
-        scale = max(1.0, float(np.max(np.abs(self.gram))))
-        if asym > 1e-14 * scale:
-            raise ValueError(f"gram asymmetry {asym:.3e} exceeds 1e-14 of scale")
-        self.gram = 0.5 * (self.gram + self.gram.T)
-
-    def max_abs_diff(self, other: "QuadraticAggregate") -> float:
-        return max(
-            float(np.max(np.abs(self.fcoef - other.fcoef))),
-            float(np.max(np.abs(self.gram - other.gram))),
-        )
-
-
 def assemble_lambda(cert: FullCertificate) -> LambdaMatrix:
     """Multiplier matrix from certificate data.
 
@@ -111,7 +81,7 @@ def assemble_lambda(cert: FullCertificate) -> LambdaMatrix:
     return LambdaMatrix(N=N, entries=lam)
 
 
-def aggregate(lam: LambdaMatrix, N: int, alpha: float) -> QuadraticAggregate:
+def aggregate(lam: LambdaMatrix, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """Sum of lam[p, q] * Q_pq over all entries, in closed form.
 
     With w = lam.entries in matrix positions (star at 0), g_star = 0 and
@@ -123,10 +93,11 @@ def aggregate(lam: LambdaMatrix, N: int, alpha: float) -> QuadraticAggregate:
       down the columns of w;
     - the squared terms -1/2 sum w_pq ||g_p - g_q||^2 are
       -1/2 (diag(rows + cols) - w - w^T) restricted to the g block.
-    Diagonal entries cancel, as Q_pp = 0. One (N+2)^2 work array beside gram.
+    Diagonal entries cancel, as Q_pp = 0. Returns (fcoef, gram); gram is
+    exactly symmetric, as it is built as (half + half^T) / 2 less a diagonal.
+    One (N+2)^2 work array beside gram.
     """
-    if lam.N != N:
-        raise ValueError(f"lambda is for N={lam.N}, not {N}")
+    N = lam.N
     w = lam.entries
     rows, cols = w.sum(axis=1), w.sum(axis=0)
     # the gram is the symmetric part of `half`, less diag(rows + cols) / 2 on
@@ -141,17 +112,18 @@ def aggregate(lam: LambdaMatrix, N: int, alpha: float) -> QuadraticAggregate:
     del half
     gram.flat[N + 3 :: N + 3] -= (rows + cols)[1:]
     gram *= 0.5
-    return QuadraticAggregate(rows - cols, gram)
+    return rows - cols, gram
 
 
-def rhs_with_errors(cert: FullCertificate) -> QuadraticAggregate:
+def rhs_with_errors(cert: FullCertificate) -> tuple[np.ndarray, np.ndarray]:
     """Target expansion: f_star - f_N plus the rate term minus the rank-one
     slack, plus the residual error terms.
 
     The gram is the rate term r ||h||^2 less the slack,
     r e_h e_h^T - slack_gram(cert), so the oracle matches against the very
     matrix `slack_psd_check` checks. The error terms contribute eps_i on
-    f_i - f_star for i < N and eps_N / 2 on ||g_0||^2."""
+    f_i - f_star for i < N and eps_N / 2 on ||g_0||^2. Returns (fcoef, gram);
+    gram is exactly symmetric, as slack_gram is."""
     N, r = cert.params.N, cert.params.r
     eps = cert.eps
     fcoef = np.zeros(N + 2)
@@ -162,7 +134,7 @@ def rhs_with_errors(cert: FullCertificate) -> QuadraticAggregate:
     np.negative(gram, out=gram)
     gram[0, 0] += r
     gram[1, 1] += eps[N] / 2.0
-    return QuadraticAggregate(fcoef, gram)
+    return fcoef, gram
 
 
 def oracle_scale(cert: FullCertificate) -> float:
@@ -177,10 +149,15 @@ def oracle_check(cert: FullCertificate) -> float:
 
     The elimination identity makes this ~0 for every d and every admissible
     (alpha, r), certificate or not; a nonzero value localizes a transcription
-    error.
+    error. The deviation is taken in place in the aggregate's gram, so about
+    three (N+2)^2 arrays are live at the peak, inside `aggregate`.
     """
-    agg = aggregate(assemble_lambda(cert), cert.params.N, cert.params.alpha)
-    return agg.max_abs_diff(rhs_with_errors(cert))
+    fcoef, gram = aggregate(assemble_lambda(cert), cert.params.alpha)
+    target_f, target_gram = rhs_with_errors(cert)
+    gram -= target_gram
+    del target_gram
+    np.abs(gram, out=gram)
+    return max(float(np.max(np.abs(fcoef - target_f))), float(np.max(gram)))
 
 
 def check_delta_certificate(cert: FullCertificate):

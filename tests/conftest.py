@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from pepcert import SweepSchedule, solve_rate_params, sweep
+from pepcert import solve_rate_params, sweep
 
 
 @pytest.fixture(scope="session")
 def small_sweep():
     """Converged certificates for N = 3..20, shared across tests."""
-    reports = list(sweep(SweepSchedule.dense(20)))
+    reports = list(sweep(range(3, 21)))
     return {rep.params.N: rep for rep in reports}
 
 

@@ -8,6 +8,7 @@ from pepcert import (
     CertificateFile,
     CertificateFormatError,
     certificate_from_report,
+    default_path,
     parse_certificate,
     params_from_file,
     read_certificate,
@@ -38,7 +39,7 @@ class TestRoundTrip:
 
     def test_full_payload_roundtrip(self, small_sweep, tmp_path):
         cf = certificate_from_report(small_sweep[7])
-        path = write_certificate(cf, outdir=tmp_path)
+        path = write_certificate(cf, default_path(tmp_path, cf.N))
         back = read_certificate(path)
         for name in ("d", "a", "b", "c", "eps"):
             np.testing.assert_array_equal(getattr(back, name), getattr(cf, name))

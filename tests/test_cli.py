@@ -1,8 +1,5 @@
 import os
-import platform
 import shlex
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -162,6 +159,7 @@ class TestSweep:
         ("--segment", "5:10:1"),  # does not start at N=3
         ("--segment", "3:2:1"),  # ends below its start
         ("--segment", "3:10:0"),
+        ("--segment", "3:10:1", "--segment", "2:5:1"),  # not ordered by start
     ])
     def test_bad_schedule_is_usage_error(self, capsys, tmp_path, flags):
         code, _, err = run(capsys, "sweep", 10, *flags, "--outdir", tmp_path)
@@ -298,7 +296,7 @@ def test_n_below_3_is_corruption(capsys, tmp_path, n, command):
     code, _, err = run(capsys, *argv)
     assert code == 4
     assert err.startswith("corrupt certificate: ") and "N >= 3" in err
-    assert not list(tmp_path.glob("out/*"))
+    assert not out.exists()
 
 
 class TestPlotdata:
@@ -312,6 +310,26 @@ class TestPlotdata:
             assert data[:, 1].max() == 1.0
             assert np.all((0.0 <= data) & (data <= 1.0))
             assert data[0, 0] == 0.0 and data[-1, 0] == 1.0
+
+    def test_bad_file_after_good_writes_nothing(self, capsys, cert_dir, tmp_path):
+        # every file is read and checked before the output directory is made
+        good = cert_dir / "cert_N00010.txt"
+        out = tmp_path / "out"
+        code, _, err = run(capsys, "plotdata", good, small_n_file(tmp_path / "small.txt", 2),
+                           "--outdir", out)
+        assert code == 4 and err.startswith("corrupt certificate: ")
+        assert not out.exists()
+
+    def test_zero_vector_after_good_writes_nothing(self, capsys, cert_dir, tmp_path):
+        # d = 0 cannot be rescaled to a maximum of 1
+        good = cert_dir / "cert_N00010.txt"
+        cf = read_certificate(good)
+        zero = write_certificate(type(cf)(N=cf.N, alpha=cf.alpha, r=cf.r, delta=cf.delta,
+                                          d=np.zeros_like(cf.d)), tmp_path / "zero.txt")
+        out = tmp_path / "out"
+        code, _, err = run(capsys, "plotdata", good, zero, "--outdir", out)
+        assert code == 1 and "has max 0" in err
+        assert not out.exists()
 
     def test_no_files_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "plotdata")
@@ -403,43 +421,3 @@ class TestParser:
         finally:
             cli._parser.cache_clear()
         assert len(built) == 1
-
-
-# Frees two 16 MiB arrays, then reports how far the resident size falls when a
-# third is freed. glibc's dynamic mmap threshold would have put the third on
-# the heap, below its trim threshold, so the resident size would not fall.
-FREE_PROBE = """
-import os, sys
-import numpy as np
-from pepcert import cli
-if sys.argv[1] == "fixed":
-    cli._fix_mmap_threshold()
-def resident():
-    with open("/proc/self/statm") as fh:
-        return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
-for _ in range(2):
-    block = np.ones(2 << 20)
-    del block
-block = np.ones(2 << 20)
-before = resident()
-del block
-print(before - resident())
-"""
-
-
-@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc allocator only")
-class TestMmapThreshold:
-    def released(self, mode):
-        # allocator settings from the environment would hide the default
-        env = {key: value for key, value in os.environ.items()
-               if not key.startswith(("MALLOC_", "GLIBC_TUNABLES"))}
-        env["PYTHONPATH"] = os.path.join(ROOT, "src")
-        done = subprocess.run([sys.executable, "-c", FREE_PROBE, mode], env=env,
-                              capture_output=True, text=True, timeout=120, check=True)
-        return int(done.stdout)
-
-    def test_large_blocks_return_to_the_system(self):
-        assert self.released("fixed") >= 15 << 20
-
-    def test_probe_sees_the_dynamic_threshold(self):
-        assert self.released("dynamic") < 1 << 20

@@ -9,11 +9,11 @@ from scipy.linalg import LinAlgError, qr_multiply, solve_triangular
 import pepcert.solver as solver_mod
 from pepcert import (
     NonConvergence,
-    SweepSchedule,
     bootstrap_smallest,
     c_from_d,
     continue_from,
     derive_full,
+    doubling,
     extrapolate_init,
     gauss_newton,
     least_squares_step,
@@ -189,7 +189,7 @@ class TestLeastSquaresStep:
         # the steps Gauss-Newton takes at the end of a solve: small, from a
         # start close to a certificate
         params = solve_rate_params(n)
-        d_star = list(sweep(SweepSchedule.doubling(n)))[-1].d
+        d_star = list(sweep(doubling(n)))[-1].d
         for scale in (1e-2, 1e-6):
             d = d_star * (1.0 + scale * rng.standard_normal(n - 1))
             eps = residual(params, d)
@@ -242,7 +242,7 @@ class TestLeastSquaresStep:
         # one warm solve at N=5000 stays within 25 kB per index; the dense
         # Jacobian alone would take 200 MB there
         n = 5000
-        reports = list(sweep(SweepSchedule.doubling(2560)))
+        reports = list(sweep(doubling(2560)))
         d0 = extrapolate_init([(rep.params.N, rep.d) for rep in reports[-4:]], n)
         params = solve_rate_params(n)
         tracemalloc.start()
@@ -298,12 +298,11 @@ class TestGaussNewton:
         calls = [lambda **kw: gauss_newton(params, np.full(2, 0.05), **kw),
                  lambda **kw: bootstrap_smallest(params, **kw),
                  lambda **kw: continue_from([(3, np.full(2, 0.05))], 4, **kw),
-                 lambda **kw: list(sweep(SweepSchedule.dense(3), **kw))]
+                 lambda **kw: list(sweep([3], **kw))]
         for call in calls:
             for kwargs in ({"tol": 1e-13}, {"max_iter": 50}):
                 with pytest.raises(TypeError):
                     call(**kwargs)
-        assert not hasattr(SweepSchedule, "strided")
 
     def test_report_carries_its_certificate(self, small_sweep):
         report = small_sweep[8]
@@ -460,7 +459,7 @@ class TestContinueFrom:
 
 class TestSweep:
     def test_single_value_equals_bootstrap(self):
-        reports = list(sweep(SweepSchedule(((3, 3, 1),))))
+        reports = list(sweep([3]))
         boot = bootstrap_smallest(solve_rate_params(3))
         assert len(reports) == 1
         np.testing.assert_array_equal(reports[0].d, boot.d)
@@ -475,20 +474,16 @@ class TestSweep:
             assert cert.positive
 
     def test_strided_gaps(self):
-        reports = list(sweep(SweepSchedule(((3, 12, 1), (12, 30, 6)))))
+        reports = list(sweep([*range(3, 13), 18, 24, 30]))
         ns = [rep.params.N for rep in reports]
         assert ns == list(range(3, 13)) + [18, 24, 30]
         assert all(rep.cert.positive for rep in reports)
 
     def test_schedule_validation(self):
-        with pytest.raises(ValueError):
-            SweepSchedule(((2, 10, 1),))
-        with pytest.raises(ValueError):
-            SweepSchedule(((3, 2, 1),))
-        with pytest.raises(ValueError):
-            SweepSchedule(())
-        with pytest.raises(ValueError):
-            list(sweep(SweepSchedule(((5, 9, 1),))))  # must start at the bootstrap size
+        # an increasing list from the bootstrap size N=3, checked before any solve
+        for sizes in ([], [2, 3, 4], [5, 6, 7, 8, 9], [3, 5, 4], [3, 4, 4, 5]):
+            with pytest.raises(ValueError):
+                next(sweep(sizes))
 
     def test_abort_reports_failing_n(self, monkeypatch):
         real = solver_mod.gauss_newton
@@ -500,30 +495,33 @@ class TestSweep:
 
         monkeypatch.setattr(solver_mod, "gauss_newton", failing)
         with pytest.raises(NonConvergence) as err:
-            list(solver_mod.sweep(SweepSchedule.dense(9)))
+            list(solver_mod.sweep(range(3, 10)))
         assert err.value.N == 7
 
     def test_one_step_past_n100(self):
         # the cubic warm start in 1/N leaves each size past N=100 within one
         # Gauss-Newton step of the 1e-13 gate
-        late = [rep for rep in sweep(SweepSchedule.dense(150)) if rep.params.N >= 100]
+        late = [rep for rep in sweep(range(3, 151)) if rep.params.N >= 100]
         assert len(late) == 51
         assert [rep.iterations for rep in late] == [1] * 51
 
     def test_keeps_only_what_continuation_needs(self):
         # a report the caller drops is freed once the sweep has moved on
-        sizes = sweep(SweepSchedule.dense(12))
+        sizes = sweep(range(3, 13))
         ref = weakref.ref(next(sizes).cert)
         for _ in range(solver_mod.CONTINUATION_SOURCES + 1):
             next(sizes)
         gc.collect()
         assert ref() is None
 
-    def test_doubling_classmethod(self):
+    def test_doubling_chain(self):
         dense = list(range(3, 21))
-        assert SweepSchedule.doubling(3).values() == [3]
-        assert SweepSchedule.doubling(20).values() == dense
-        assert SweepSchedule.doubling(21).values() == dense + [21]
-        assert SweepSchedule.doubling(160).values() == dense + [40, 80, 160]
-        assert SweepSchedule.doubling(300).values() == dense + [40, 80, 160, 300]
-        assert SweepSchedule.doubling(1000).values() == dense + [40, 80, 160, 320, 640, 1000]
+        assert doubling(3) == [3]
+        assert doubling(12) == list(range(3, 13))
+        assert doubling(20) == dense
+        assert doubling(21) == dense + [21]
+        assert doubling(160) == dense + [40, 80, 160]
+        assert doubling(300) == dense + [40, 80, 160, 300]
+        assert doubling(1000) == dense + [40, 80, 160, 320, 640, 1000]
+        with pytest.raises(ValueError):
+            doubling(2)

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from pepcert import (
-    STAR,
     LambdaMatrix,
     RateParams,
     aggregate,
@@ -23,6 +23,7 @@ from pepcert import (
 )
 
 EXAMPLE = RateParams(N=3, alpha=1.5, r=0.125)
+STAR = -1  # the minimizer's index; matrix position 0
 
 
 def example_cert():
@@ -149,36 +150,36 @@ def one_hot_aggregate(i, j, N, alpha):
     multiplier matrix whose only nonzero entry is a 1 at (i, j); indices run
     over STAR and 0..N."""
     entries = np.zeros((N + 2, N + 2))
-    entries[1 + i, 1 + j] = 1.0  # STAR = -1 maps to position 0
-    return aggregate(LambdaMatrix(N=N, entries=entries), N, alpha)
+    entries[1 + i, 1 + j] = 1.0
+    return aggregate(LambdaMatrix(N=N, entries=entries), alpha)
 
 
 class TestQForm:
     def test_star_zero(self):
-        agg = one_hot_aggregate(STAR, 0, 4, alpha=1.7)
+        fcoef, gram = one_hot_aggregate(STAR, 0, 4, alpha=1.7)
         fc = np.zeros(6)
         fc[0], fc[1] = 1.0, -1.0
-        np.testing.assert_array_equal(agg.fcoef, fc)
+        np.testing.assert_array_equal(fcoef, fc)
         # +<g_0, h> and -1/2 ||g_0||^2
-        assert agg.gram[0, 1] + agg.gram[1, 0] == 1.0
-        assert agg.gram[1, 1] == -0.5
-        assert np.count_nonzero(agg.gram) == 3
+        assert gram[0, 1] + gram[1, 0] == 1.0
+        assert gram[1, 1] == -0.5
+        assert np.count_nonzero(gram) == 3
 
     def test_adjacent_pair(self):
         alpha = 1.7
-        agg = one_hot_aggregate(0, 1, 4, alpha)
+        _, gram = one_hot_aggregate(0, 1, 4, alpha)
         # x_0 - x_1 = alpha g_0, so the cross coefficient is 1 - alpha after
         # adding the +<g_0, g_1> piece of the squared difference
-        assert agg.gram[1, 2] + agg.gram[2, 1] == pytest.approx(1.0 - alpha, abs=1e-15)
-        assert agg.gram[1, 1] == -0.5
-        assert agg.gram[2, 2] == -0.5
+        assert gram[1, 2] + gram[2, 1] == pytest.approx(1.0 - alpha, abs=1e-15)
+        assert gram[1, 1] == -0.5
+        assert gram[2, 2] == -0.5
 
 
 class TestAggregate:
     def test_zero_lambda(self):
         lam = LambdaMatrix(N=4, entries=np.zeros((6, 6)))
-        agg = aggregate(lam, 4, 1.6)
-        assert np.all(agg.fcoef == 0.0) and np.all(agg.gram == 0.0)
+        fcoef, gram = aggregate(lam, 1.6)
+        assert np.all(fcoef == 0.0) and np.all(gram == 0.0)
 
     def test_matches_per_pair_reference(self, rng):
         # entries anywhere, star row, star column and diagonal included
@@ -187,46 +188,66 @@ class TestAggregate:
                 alpha = rng.uniform(1.0, 2.0)
                 entries = rng.normal(size=(N + 2, N + 2))
                 entries *= rng.random((N + 2, N + 2)) < rng.uniform(0.2, 1.0)
-                agg = aggregate(LambdaMatrix(N=N, entries=entries), N, alpha)
+                got_f, got_gram = aggregate(LambdaMatrix(N=N, entries=entries), alpha)
                 fcoef, gram = reference_aggregate(entries, N, alpha)
                 scale = max(1.0, np.abs(fcoef).max(), np.abs(gram).max())
-                assert np.abs(agg.fcoef - fcoef).max() <= 1e-13 * scale
-                assert np.abs(agg.gram - gram).max() <= 1e-13 * scale
+                assert np.abs(got_f - fcoef).max() <= 1e-13 * scale
+                assert np.abs(got_gram - gram).max() <= 1e-13 * scale
 
     def test_star_star_entry_is_zero(self):
         # Q(star, star) is identically zero, so it adds nothing
         entries = np.zeros((6, 6))
         entries[0, 0] = 0.7
-        agg = aggregate(LambdaMatrix(N=4, entries=entries), 4, 1.6)
-        assert np.all(agg.fcoef == 0.0) and np.all(agg.gram == 0.0)
+        fcoef, gram = aggregate(LambdaMatrix(N=4, entries=entries), 1.6)
+        assert np.all(fcoef == 0.0) and np.all(gram == 0.0)
 
     def test_fcoef_conservation_any_lambda(self, rng):
         entries = rng.uniform(0.0, 1.0, (8, 8)) * (rng.random((8, 8)) < 0.4)
         np.fill_diagonal(entries, 0.0)
-        agg = aggregate(LambdaMatrix(N=6, entries=entries), 6, 1.4)
-        assert abs(agg.fcoef.sum()) <= 1e-12 * max(1.0, np.abs(agg.fcoef).max())
+        fcoef, _ = aggregate(LambdaMatrix(N=6, entries=entries), 1.4)
+        assert abs(fcoef.sum()) <= 1e-12 * max(1.0, np.abs(fcoef).max())
+
+    def test_gram_exactly_symmetric(self, rng):
+        # entries anywhere, star row, star column and diagonal included
+        for N in (3, 4, 7, 12, 30):
+            for _ in range(5):
+                entries = rng.normal(size=(N + 2, N + 2))
+                entries *= rng.random((N + 2, N + 2)) < rng.uniform(0.2, 1.0)
+                entries[0] = rng.normal(size=N + 2)
+                entries[:, 0] = rng.normal(size=N + 2)
+                np.fill_diagonal(entries, rng.normal(size=N + 2))
+                _, gram = aggregate(LambdaMatrix(N=N, entries=entries),
+                                    rng.uniform(1.0, 2.0))
+                assert np.array_equal(gram, gram.T)
 
 
 class TestRhs:
     def test_f_part_zero_errors(self):
         cert = example_cert()
         clean = dataclasses.replace(cert, eps=np.zeros(4))
-        rhs = rhs_with_errors(clean)
+        fcoef, _ = rhs_with_errors(clean)
         fc = np.zeros(5)
         fc[0], fc[-1] = 1.0, -1.0
-        np.testing.assert_array_equal(rhs.fcoef, fc)
+        np.testing.assert_array_equal(fcoef, fc)
 
     def test_gram_blocks(self):
         cert = example_cert()
-        rhs = rhs_with_errors(cert)
+        _, gram = rhs_with_errors(cert)
         r, c = cert.params.r, cert.c
         # h-g_i cross coefficients equal c_i
         for i in range(4):
-            assert rhs.gram[0, 1 + i] + rhs.gram[1 + i, 0] == pytest.approx(c[i], abs=1e-15)
+            assert gram[0, 1 + i] + gram[1 + i, 0] == pytest.approx(c[i], abs=1e-15)
         # g-block is -(1/4r) c c^T, plus the eps_N/2 correction on g_0 g_0
-        block = rhs.gram[1:, 1:].copy()
+        block = gram[1:, 1:].copy()
         block[0, 0] -= cert.eps[-1] / 2.0
         np.testing.assert_allclose(block, -np.outer(c, c) / (4 * r), atol=1e-15)
+
+    def test_gram_exactly_symmetric(self, rng):
+        for _ in range(40):
+            n = int(rng.integers(3, 60))
+            params = RateParams(n, rng.uniform(1.01, 1.99), rng.uniform(0.01, 0.45))
+            _, gram = rhs_with_errors(derive_full(params, rng.uniform(1e-3, 2.0, n - 1)))
+            assert np.array_equal(gram, gram.T)
 
 
 class TestOracle:
@@ -252,6 +273,19 @@ class TestOracle:
                 params = RateParams(n, rng.uniform(1.01, 1.99), rng.uniform(0.01, 0.39))
             cert = derive_full(params, d)
             assert oracle_check(cert) <= 1e-10 * oracle_scale(cert)
+
+    def test_peak_memory(self, rng):
+        # the aggregate's work array and gram, beside the multiplier matrix;
+        # the deviation is taken in place, without further (N+2)^2 arrays
+        n = 600
+        cert = derive_full(solve_rate_params(n), rng.uniform(0.05, 1.5, n - 1))
+        tracemalloc.start()
+        try:
+            oracle_check(cert)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.25 * 8 * (n + 2) ** 2
 
     def test_perturbation_sensitivity(self, rng):
         params = solve_rate_params(8)
