@@ -14,7 +14,7 @@ import tempfile
 import numpy as np
 
 from pepcert import sweep
-from pepcert.certfile import (certificate_from_report, default_path, read_certificate,
+from pepcert.certfile import (certificate_file, default_path, read_certificate,
                               write_certificate)
 
 outdir = os.path.join(tempfile.gettempdir(), "pepcert_demo_sweep")
@@ -25,7 +25,7 @@ print(f"{'N':>4} {'iters':>5} {'sup|eps|':>10} {'delta':>10} {'r(N)':>12}")
 iters = []
 # the sweep only yields reports; each file is written as its report arrives
 for rep in sweep(range(3, n_max + 1)):
-    write_certificate(certificate_from_report(rep), default_path(outdir, rep.params.N))
+    write_certificate(certificate_file(rep.cert), default_path(outdir, rep.params.N))
     iters.append(rep.iterations)
     if rep.params.N % 6 == 0 or rep.params.N == 3:
         print(f"{rep.params.N:>4} {rep.iterations:>5} {rep.residual_sup:>10.2e} "

@@ -14,7 +14,6 @@ import numpy as np
 
 from pepcert import (
     assemble_lambda,
-    check_delta_certificate,
     derive_full,
     gauss_newton,
     oracle_check,
@@ -57,7 +56,6 @@ print(f"slack Gram singular values: {svals[0]:.3e}, {svals[1]:.3e}, ... "
       f"(ratio {svals[1] / svals[0]:.1e})")
 
 # and the bound this certificate proves
-is_cert, delta, bound = check_delta_certificate(cert)
-print(f"\ndelta-certificate: positive={is_cert}, delta={delta:.2e}")
-print(f"implied worst-case bound: r + delta/2 = {bound!r}")
+print(f"\ndelta-certificate: positive={cert.positive}, delta={cert.delta:.2e}")
+print(f"implied worst-case bound: r + delta/2 = {params.r + cert.delta / 2.0!r}")
 print(f"versus r(N)             : {params.r!r}")

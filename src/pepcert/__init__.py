@@ -5,13 +5,14 @@ The library is organized around five pieces:
 
 - `rates`: the stepsize/rate pair (alpha(N), r(N)), closed-form worst cases,
   exact 1-D simulations, and the lower-bound envelope.
-- `recursion`: derivation of the certificate data (a, b, c) and residuals eps
-  from the free vector d.
+- `recursion`: one pass from the free vector d to the certificate data
+  (a, b, c) and the residuals eps.
 - `solver`: damped Gauss-Newton on the overdetermined residual system, with
   warm-started continuation sweeps over a list of sizes.
 - `verifier`: the multiplier matrix, symbolic aggregation of the
   interpolation inequalities against the target rate expression (the oracle),
-  the rank-one slack check, and the delta-certificate rate bound.
+  and the rank-one slack check. A certificate's `positive` and `delta`
+  give the rate bound r + delta/2.
 - `certfile`/`cli`: the pepcert/1 file format and command-line front end.
 
 `pepcert verify` re-derives a file's vectors from d, checks the stored ones
@@ -25,7 +26,7 @@ from .certfile import (
     FORMAT_TAG,
     CertificateFile,
     CertificateFormatError,
-    certificate_from_report,
+    certificate_file,
     default_path,
     params_from_file,
     parse_certificate,
@@ -48,10 +49,8 @@ from .rates import (
 )
 from .recursion import (
     FullCertificate,
-    ab_from_cd,
     c_from_d,
     derive_full,
-    eps_from,
     residual,
 )
 from .solver import (
@@ -70,7 +69,6 @@ from .verifier import (
     LambdaMatrix,
     aggregate,
     assemble_lambda,
-    check_delta_certificate,
     oracle_check,
     oracle_scale,
     rhs_with_errors,

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rates import RateParams
-from .solver import SolveReport
+from .recursion import FullCertificate
 
 __all__ = [
     "FORMAT_TAG",
@@ -37,7 +37,7 @@ __all__ = [
     "parse_certificate",
     "write_certificate",
     "read_certificate",
-    "certificate_from_report",
+    "certificate_file",
     "default_path",
     "params_from_file",
 ]
@@ -84,9 +84,8 @@ class CertificateFile:
                 )
 
 
-def certificate_from_report(report: SolveReport) -> CertificateFile:
-    """File payload for a converged solve: stored d plus derived vectors."""
-    cert = report.cert
+def certificate_file(cert: FullCertificate) -> CertificateFile:
+    """File payload for a certificate: stored d plus derived vectors."""
     return CertificateFile(
         N=cert.params.N, alpha=cert.params.alpha, r=cert.params.r,
         delta=cert.delta, d=cert.d, a=cert.a, b=cert.b, c=cert.c, eps=cert.eps,

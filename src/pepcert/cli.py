@@ -3,7 +3,8 @@
 Subcommands: rates, solve, sweep, verify, plotdata, envelope.
 
 Exit codes: 0 verified/converged, 1 usage error, 2 non-convergence,
-3 verification failure, 4 file corruption. The default output directory is
+3 verification failure, 4 file corruption, 5 output could not be written (a
+sweep keeps the files it wrote before). The default output directory is
 taken from PEPCERT_OUTDIR (falling back to the working directory). The gates
 are fixed: a solve converges at max_i |eps_i| <= 1e-13, and verify certifies
 a file whose delta, recomputed and as stored, is at most 1e-11 and, with
@@ -14,6 +15,7 @@ scale. Identical invocations produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import os
 import sys
@@ -24,13 +26,14 @@ from . import certfile
 from .rates import huber_rate, lower_bound_envelope, quadratic_rate, solve_rate_params
 from .recursion import derive_full
 from .solver import NonConvergence, continue_from, doubling, sweep
-from .verifier import check_delta_certificate, oracle_check, oracle_scale
+from .verifier import oracle_check, oracle_scale
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NONCONVERGENCE = 2
 EXIT_VERIFY_FAIL = 3
 EXIT_CORRUPT = 4
+EXIT_WRITE = 5
 
 DELTA_TOL = 1e-11
 CROSS_TOL = 1e-12
@@ -40,6 +43,19 @@ MAX_GRID_POINTS = 10**6  # envelope --grid
 
 class _UsageError(Exception):
     pass
+
+
+class _WriteError(Exception):
+    pass
+
+
+@contextlib.contextmanager
+def _writing():
+    # an OSError from creating a directory or writing a file exits 5
+    try:
+        yield
+    except OSError as exc:
+        raise _WriteError(exc) from exc
 
 
 class _Parser(argparse.ArgumentParser):
@@ -84,9 +100,10 @@ def cmd_solve(args) -> int:
     if args.N < 3:
         raise _UsageError("solve requires N >= 3")
     report = _solve_one(args.N, args.warm)
-    cf = certfile.certificate_from_report(report)
+    cf = certfile.certificate_file(report.cert)
     path = args.out or certfile.default_path(_outdir(args), args.N)
-    certfile.write_certificate(cf, path)
+    with _writing():
+        certfile.write_certificate(cf, path)
     print(f"N {report.params.N}")
     print(f"alpha {report.params.alpha!r}")
     print(f"r {report.params.r!r}")
@@ -138,8 +155,9 @@ def cmd_sweep(args) -> int:
         # each file is written before its row is printed and the next size
         # solved, so the files of an aborted sweep survive it
         for report in sweep(sizes):
-            certfile.write_certificate(certfile.certificate_from_report(report),
-                                       certfile.default_path(outdir, report.params.N))
+            with _writing():
+                certfile.write_certificate(certfile.certificate_file(report.cert),
+                                           certfile.default_path(outdir, report.params.N))
             print(
                 f"{report.params.N:>6} {report.params.alpha:>20.16f} "
                 f"{report.params.r:>14.6e} {report.iterations:>5} "
@@ -168,11 +186,11 @@ def cmd_verify(args) -> int:
                 file=sys.stderr,
             )
             return EXIT_CORRUPT
-    is_cert, delta, bound = check_delta_certificate(cert)
+    is_cert, delta = cert.positive, cert.delta
     print(f"N {params.N}")
     print(f"delta {delta:.6e}")
     print(f"positive {is_cert}")
-    print(f"bound {params.r!r} + {delta / 2:.3e} = {bound!r}")
+    print(f"bound {params.r!r} + {delta / 2:.3e} = {params.r + delta / 2.0!r}")
     # the header's delta is gated too: a file may not claim a larger error
     # than the gate, even when its d shows a smaller one
     if cf.delta > DELTA_TOL:
@@ -201,14 +219,15 @@ def cmd_plotdata(args) -> int:
                 raise _UsageError(f"vector {name} in {path} has max 0; cannot rescale")
             curves.append((f"{stem}_{name}.dat", vec / top))
     outdir = _outdir(args)
-    os.makedirs(outdir, exist_ok=True)
-    for name, values in curves:
-        out = os.path.join(outdir, name)
-        with open(out, "w") as fh:
-            m = len(values)
-            for i, v in enumerate(values.tolist()):
-                fh.write(f"{i / (m - 1)!r} {v!r}\n")
-        print(f"wrote {out}")
+    with _writing():
+        os.makedirs(outdir, exist_ok=True)
+        for name, values in curves:
+            out = os.path.join(outdir, name)
+            with open(out, "w") as fh:
+                m = len(values)
+                for i, v in enumerate(values.tolist()):
+                    fh.write(f"{i / (m - 1)!r} {v!r}\n")
+            print(f"wrote {out}")
     return EXIT_OK
 
 
@@ -300,6 +319,9 @@ def main(argv=None) -> int:
     except NonConvergence as exc:
         print(f"non-convergence: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
+    except _WriteError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return EXIT_WRITE
 
 
 def entry():

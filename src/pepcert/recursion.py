@@ -11,10 +11,11 @@ Index conventions (0-based, matching the multiplier-matrix subscripts):
                                       d with eps identically zero and all of
                                       a, b, c, d positive
 
-Every derivation takes and returns 1-D vectors of these lengths, raises
-ValueError for any other shape, and requires N >= 3. The parameters need not
-be balanced: the elimination is an algebraic identity for any positive
-stepsize alpha and rate r.
+d alone fixes the rest: `residual` and `derive_full` run one pass from d,
+and `c_from_d` is the one formula for c. Each takes a 1-D d of length N-1,
+raises ValueError for any other shape, and requires N >= 3. The parameters
+need not be balanced: the elimination is an algebraic identity for any
+positive stepsize alpha and rate r.
 """
 
 from __future__ import annotations
@@ -29,29 +30,9 @@ from .rates import RateParams
 __all__ = [
     "FullCertificate",
     "c_from_d",
-    "ab_from_cd",
-    "eps_from",
     "residual",
     "derive_full",
 ]
-
-
-def _check_n(N: int):
-    if N < 3:
-        raise ValueError(f"certificate recursion requires N >= 3, got N={N}")
-
-
-def _check_shape(name: str, arr: np.ndarray, expect: int):
-    if arr.shape != (expect,):
-        raise ValueError(f"{name} must have shape ({expect},), got {arr.shape}")
-
-
-def _suffix_sums(c: np.ndarray) -> np.ndarray:
-    # suff[k] = sum_{j >= k} c_j, with one extra trailing zero so that empty
-    # suffixes index cleanly
-    suff = np.zeros(len(c) + 1)
-    suff[:-1] = np.cumsum(c[::-1])[::-1]
-    return suff
 
 
 def c_from_d(params: RateParams, d) -> np.ndarray:
@@ -61,9 +42,11 @@ def c_from_d(params: RateParams, d) -> np.ndarray:
     c_{N-1} = 2r (1 + sum d + (alpha-1)/sqrt(2r)), c_N = sqrt(2r).
     """
     N, alpha, r = params.N, params.alpha, params.r
-    _check_n(N)
+    if N < 3:
+        raise ValueError(f"certificate recursion requires N >= 3, got N={N}")
     d = np.asarray(d, dtype=float)
-    _check_shape("d", d, N - 1)
+    if d.shape != (N - 1,):
+        raise ValueError(f"d must have shape ({N - 1},), got {d.shape}")
     two_r = 2.0 * r
     sd = np.cumsum(d)
     c = np.empty(N + 1)
@@ -89,8 +72,8 @@ def _backward_scan(z: np.ndarray, rho: float) -> np.ndarray:
     return z
 
 
-def ab_from_cd(params: RateParams, c, d):
-    """The vectors a (length N) and b (length N-1) by backward recursion.
+def _derive(params: RateParams, d):
+    """(a, b, c, eps) from d in one pass; c comes from `c_from_d`.
 
     a_{N-1} comes from the unit-sum condition on the last multiplier column.
     Each (a_i, b_i), i = N-2 down to 0, is affine in the next pair through
@@ -111,29 +94,28 @@ def ab_from_cd(params: RateParams, c, d):
     backward scan, so the derivation is O(N) work in O(log N) array passes.
     """
     N, alpha, r = params.N, params.alpha, params.r
-    _check_n(N)
-    c = np.asarray(c, dtype=float)
     d = np.asarray(d, dtype=float)
-    _check_shape("c", c, N + 1)
-    _check_shape("d", d, N - 1)
+    c = c_from_d(params, d)
     two_r = 2.0 * r
-    suffc = _suffix_sums(c)
-    sd = np.cumsum(d)
-    # od[i] = 1 + sum_{j <= i-1} d_j for i = 0..N-2
-    od = np.empty(N - 1)
+    # suffc[k] = sum_{j >= k} c_j, with one extra trailing zero so that empty
+    # suffixes index cleanly
+    suffc = np.zeros(N + 2)
+    suffc[:-1] = np.cumsum(c[::-1])[::-1]
+    # od[i] = 1 + sum_{j <= i-1} d_j for i = 0..N-1
+    od = np.empty(N)
     od[0] = 1.0
-    od[1:] = 1.0 + sd[:-1]
+    od[1:] = 1.0 + np.cumsum(d)
     # terms of step i = 0..N-2; tail_{N-2} = 0 (no d_{N-1})
     csq = c[1:N] ** 2 / two_r
     cross = c[: N - 1] * c[1:N] / two_r
-    lin = c[1:N] * od
+    lin = c[1:N] * od[: N - 1]
     tail = np.zeros(N - 1)
     tail[: N - 2] = d[1:] * suffc[3 : N + 1]
     p = csq + cross - (1.0 + alpha) * lin - tail
     q = (alpha - 1.0) * (csq - tail) - cross + lin
 
     a = np.empty(N)
-    a[N - 1] = 1.0 - c[N] * (1.0 + sd[-1])
+    a[N - 1] = 1.0 - c[N] * od[N - 1]
     rho = 2.0 * alpha - 3.0
     h = np.empty(N)
     h[: N - 1] = rho * (csq - tail) - 2.0 * cross + 3.0 * lin
@@ -141,26 +123,6 @@ def ab_from_cd(params: RateParams, c, d):
     z_next = _backward_scan(h, rho)[1:]
     a[: N - 1] = (z_next + p) / alpha
     b = ((alpha - 1.0) * z_next + q) / alpha
-    return a, b
-
-
-def eps_from(params: RateParams, a, b, c, d) -> np.ndarray:
-    """The residual vector eps (length N+1) from derived (a, b, c) and d."""
-    N, alpha, r = params.N, params.alpha, params.r
-    _check_n(N)
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    c = np.asarray(c, dtype=float)
-    d = np.asarray(d, dtype=float)
-    _check_shape("a", a, N)
-    _check_shape("b", b, N - 1)
-    _check_shape("c", c, N + 1)
-    _check_shape("d", d, N - 1)
-    sd = np.cumsum(d)
-    suffc = _suffix_sums(c)
-    od = np.empty(N)
-    od[0] = 1.0
-    od[1:] = 1.0 + sd
 
     eps = np.empty(N + 1)
     eps[0] = a[0] + d[0] * suffc[2] - b[0] - c[0]
@@ -176,20 +138,18 @@ def eps_from(params: RateParams, a, b, c, d) -> np.ndarray:
     eps[N] = (
         -c[0] - a[0] - d[0] * suffc[2]
         + (2.0 * alpha - 1.0) * b[0]
-        + c[0] ** 2 / (2.0 * r)
+        + c[0] ** 2 / two_r
     )
-    return eps
+    return a, b, c, eps
 
 
 def residual(params: RateParams, d) -> np.ndarray:
-    """Residuals eps(d): the composition of the three derivations.
+    """Residuals eps(d), the last output of the derivation.
 
     Each component is an exactly quadratic polynomial in d; a zero of the map
     with positive derived data is a certificate.
     """
-    c = c_from_d(params, d)
-    a, b = ab_from_cd(params, c, d)
-    return eps_from(params, a, b, c, d)
+    return _derive(params, d)[3]
 
 
 @dataclass(frozen=True)
@@ -197,10 +157,7 @@ class FullCertificate:
     """Complete certificate data (a, b, c, d, eps) for one problem size.
 
     `params` holds the (N, alpha, r) the data was derived at, balanced or
-    not. N >= 3 and the lengths are enforced on construction. c[N] must equal
-    sqrt(2r) bit for bit; a[N-1] must match its unit-column expression
-    t = 1 - c[N] (1 + sum d) to within 1e-12 * max(1, |t|), and a NaN fails.
-    This makes file round-trips safely re-checkable.
+    not. `derive_full` builds it; the fields are not re-checked.
     """
 
     params: RateParams
@@ -209,24 +166,6 @@ class FullCertificate:
     c: np.ndarray
     d: np.ndarray
     eps: np.ndarray
-
-    def __post_init__(self):
-        N = self.params.N
-        _check_n(N)
-        for name, arr, expect in (
-            ("a", self.a, N),
-            ("b", self.b, N - 1),
-            ("c", self.c, N + 1),
-            ("d", self.d, N - 1),
-            ("eps", self.eps, N + 1),
-        ):
-            _check_shape(name, arr, expect)
-        if self.c[N] != math.sqrt(2.0 * self.params.r):
-            raise ValueError("c[N] != sqrt(2 r)")
-        tail = 1.0 - self.c[N] * (1.0 + np.cumsum(self.d)[-1])
-        # written so that a NaN fails the check
-        if not abs(self.a[N - 1] - tail) <= 1e-12 * max(1.0, abs(tail)):
-            raise ValueError("a[N-1] violates the unit-column condition")
 
     @property
     def positive(self) -> bool:
@@ -245,7 +184,5 @@ class FullCertificate:
 def derive_full(params: RateParams, d) -> FullCertificate:
     """Bundle the whole derivation for a single d into a FullCertificate."""
     d = np.asarray(d, dtype=float)
-    c = c_from_d(params, d)
-    a, b = ab_from_cd(params, c, d)
-    eps = eps_from(params, a, b, c, d)
+    a, b, c, eps = _derive(params, d)
     return FullCertificate(params=params, a=a, b=b, c=c, d=d.copy(), eps=eps)

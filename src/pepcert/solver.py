@@ -120,7 +120,7 @@ def _linearized_equations(params: RateParams, d: np.ndarray) -> dict:
     """Equations of the step, linear in the local unknowns s, S, T and Z.
 
     With the step s, S_i = sum_{l<=i} s_l, T_j = sum_{l>=j} dc_l (dc the
-    tangent of c_from_d) and Z the tangent of ab_from_cd's scan variable z,
+    tangent of c_from_d) and Z the tangent of the recursion's scan variable z,
     every tangent of the recursion reaches only indices i-2 .. i+3
     (kappa = (2 - alpha) / alpha, rho = 2 alpha - 3):
 
@@ -133,10 +133,10 @@ def _linearized_equations(params: RateParams, d: np.ndarray) -> dict:
         deps_N = Z_0 - dc_0 - dtl_0 + c_0 dc_0 / r,
 
     in the notation of the recursion (u_i = a_i - b_i, tl_i = d_i
-    suffc_{i+2}; `ab_from_cd` has the step terms csq, cross, lin and tail,
-    whose tangents are products of dc with the current c and od). S_{N-1} =
-    S_{N-2}, since s has no entry N-1. The auxiliaries are tied to s by the
-    constraints
+    suffc_{i+2}; `recursion._derive` has the step terms csq, cross, lin and
+    tail, whose tangents are products of dc with the current c and od).
+    S_{N-1} = S_{N-2}, since s has no entry N-1. The auxiliaries are tied to
+    s by the constraints
 
         S_i - S_{i-1} - s_i = 0,  T_j - T_{j+1} - dc_j = 0,
         Z_i - rho Z_{i+1} - dh_i = 0,
@@ -152,7 +152,7 @@ def _linearized_equations(params: RateParams, d: np.ndarray) -> dict:
     c = c_from_d(params, d)
     index = np.arange(N + 1)
     one = np.ones(N + 1)
-    inner = (index <= N - 2).astype(float)  # the steps of ab_from_cd
+    inner = (index <= N - 2).astype(float)  # the steps of the (a, b) recursion
     last = (index == N - 1).astype(float)
     dpad = np.zeros(N + 1)
     dpad[: N - 1] = d

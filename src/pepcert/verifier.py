@@ -38,7 +38,6 @@ __all__ = [
     "rhs_with_errors",
     "oracle_check",
     "oracle_scale",
-    "check_delta_certificate",
     "slack_gram",
     "slack_psd_check",
 ]
@@ -158,12 +157,6 @@ def oracle_check(cert: FullCertificate) -> float:
     del target_gram
     np.abs(gram, out=gram)
     return max(float(np.max(np.abs(fcoef - target_f))), float(np.max(gram)))
-
-
-def check_delta_certificate(cert: FullCertificate):
-    """(is_cert, delta, bound): positivity of (a, b, c, d), total positive
-    error delta, and the implied rate bound r + delta/2."""
-    return cert.positive, cert.delta, cert.params.r + cert.delta / 2.0
 
 
 def slack_gram(cert: FullCertificate) -> np.ndarray:

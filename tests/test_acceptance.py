@@ -14,7 +14,6 @@ from pepcert import (
     RateParams,
     aggregate,
     assemble_lambda,
-    check_delta_certificate,
     derive_full,
     huber,
     huber_rate,

@@ -7,7 +7,7 @@ import pytest
 from pepcert import (
     CertificateFile,
     CertificateFormatError,
-    certificate_from_report,
+    certificate_file,
     default_path,
     parse_certificate,
     params_from_file,
@@ -38,7 +38,7 @@ class TestRoundTrip:
         assert back.delta == cf.delta
 
     def test_full_payload_roundtrip(self, small_sweep, tmp_path):
-        cf = certificate_from_report(small_sweep[7])
+        cf = certificate_file(small_sweep[7].cert)
         path = write_certificate(cf, default_path(tmp_path, cf.N))
         back = read_certificate(path)
         for name in ("d", "a", "b", "c", "eps"):
@@ -47,7 +47,7 @@ class TestRoundTrip:
 
     def test_render_matches_per_element_form(self, small_sweep):
         # the reference rendering: one repr(float(x)) line per entry
-        cf = certificate_from_report(small_sweep[20])
+        cf = certificate_file(small_sweep[20].cert)
         lines = ["format pepcert/1", f"N {cf.N}"]
         lines += [f"{key} {getattr(cf, key)!r}" for key in ("alpha", "r", "delta")]
         for name in ("d", "a", "b", "c", "eps"):
@@ -57,7 +57,7 @@ class TestRoundTrip:
         assert render_certificate(cf).encode() == expect.encode()
 
     def test_derived_vectors_present(self, small_sweep):
-        cf = certificate_from_report(small_sweep[5])
+        cf = certificate_file(small_sweep[5].cert)
         assert cf.a is not None and cf.b is not None
         assert cf.c is not None and cf.eps is not None
         assert cf.d.shape == (4,)

@@ -14,7 +14,6 @@ from pepcert.certfile import (
 )
 from pepcert.rates import solve_rate_params
 from pepcert.recursion import derive_full
-from pepcert.verifier import check_delta_certificate
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -23,6 +22,12 @@ def run(capsys, *argv):
     code = cli.main([str(a) for a in argv])
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_write_error(code, err):
+    # exit 5 with one stderr line, not an interpreter traceback
+    assert code == 5
+    assert err.startswith("cannot write output: ") and err.count("\n") == 1
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +77,12 @@ class TestSolve:
         assert code == 1
         assert err.startswith("usage error: unrecognized arguments: " + flags[0])
         assert not list(tmp_path.iterdir())
+
+    def test_unwritable_out_exits_5(self, capsys, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code, _, err = run(capsys, "solve", 5, "--out", blocker / "c.txt")
+        assert_write_error(code, err)
 
     def test_warm_start(self, capsys, cert_dir, tmp_path):
         code, out, _ = run(
@@ -123,10 +134,9 @@ class TestSolve:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cert_N00100.txt"]
         cf = read_certificate(tmp_path / "cert_N00100.txt")
         cert = derive_full(params_from_file(cf), cf.d)
-        is_cert, delta, _ = check_delta_certificate(cert)
         assert np.max(np.abs(cert.eps)) <= 1e-13
-        assert delta <= 1e-11
-        assert is_cert and cert.positive
+        assert cert.delta <= 1e-11
+        assert cert.positive
 
 
 class TestSweep:
@@ -135,6 +145,21 @@ class TestSweep:
         assert code == 0
         assert (tmp_path / "cert_N00003.txt").exists()
         assert len(list(tmp_path.glob("cert_*.txt"))) == 1
+
+    def test_unwritable_outdir_exits_5(self, capsys, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code, _, err = run(capsys, "sweep", 3, "--outdir", blocker / "x")
+        assert_write_error(code, err)
+
+    def test_write_error_keeps_earlier_files(self, capsys, tmp_path):
+        # a directory where the N=5 file goes makes that write fail
+        (tmp_path / "cert_N00005.txt").mkdir()
+        code, _, err = run(capsys, "sweep", 6, "--outdir", tmp_path)
+        assert_write_error(code, err)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "cert_N00003.txt", "cert_N00004.txt", "cert_N00005.txt"]
+        assert read_certificate(tmp_path / "cert_N00004.txt").N == 4
 
     def test_deterministic_output(self, capsys, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -330,6 +355,13 @@ class TestPlotdata:
         code, _, err = run(capsys, "plotdata", good, zero, "--outdir", out)
         assert code == 1 and "has max 0" in err
         assert not out.exists()
+
+    def test_unwritable_outdir_exits_5(self, capsys, cert_dir, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code, _, err = run(capsys, "plotdata", cert_dir / "cert_N00010.txt",
+                           "--outdir", blocker)
+        assert_write_error(code, err)
 
     def test_no_files_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "plotdata")

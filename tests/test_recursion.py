@@ -6,10 +6,8 @@ import pytest
 from pepcert import (
     FullCertificate,
     RateParams,
-    ab_from_cd,
     c_from_d,
     derive_full,
-    eps_from,
     residual,
     solve_rate_params,
 )
@@ -25,8 +23,9 @@ EXAMPLE_B = np.array([0.0, 0.25])
 EXAMPLE_EPS = np.array([0.5, -0.0625, -1.75, -0.609375])
 
 
-def ab_from_cd_loop(params, c, d):
-    """Reference for ab_from_cd: the per-index backward recursion on (a_i, b_i)."""
+def ab_loop(params, c, d):
+    """Reference for derive_full's a and b: the per-index backward recursion
+    on (a_i, b_i)."""
     N, alpha, r = params.N, params.alpha, params.r
     two_r = 2.0 * r
     suffc = np.zeros(c.shape[:-1] + (N + 2,))
@@ -88,8 +87,8 @@ class TestCFromD:
 
 class TestAbFromCd:
     def test_example_values(self):
-        c = c_from_d(EXAMPLE, EXAMPLE_D)
-        a, b = ab_from_cd(EXAMPLE, c, EXAMPLE_D)
+        cert = derive_full(EXAMPLE, EXAMPLE_D)
+        a, b = cert.a, cert.b
         assert a[2] == 0.0  # 1 - c3 (1 + d0 + d1) = 1 - 0.5 * 2
         assert a[1] == 0.875
         np.testing.assert_array_equal(a, EXAMPLE_A)
@@ -98,11 +97,9 @@ class TestAbFromCd:
     def test_shapes(self, rng):
         for n in (3, 4, 7, 20):
             params = solve_rate_params(n)
-            d = rng.uniform(0.05, 1.5, n - 1)
-            c = c_from_d(params, d)
-            a, b = ab_from_cd(params, c, d)
-            assert a.shape == (n,)
-            assert b.shape == (n - 1,)
+            cert = derive_full(params, rng.uniform(0.05, 1.5, n - 1))
+            assert cert.a.shape == (n,)
+            assert cert.b.shape == (n - 1,)
 
     @pytest.mark.parametrize("n", [3, 4, 7, 20, 300, 2000])
     def test_matches_loop_reference(self, rng, n):
@@ -110,15 +107,15 @@ class TestAbFromCd:
         for _ in range(5):
             # unit-scale and 10/n-scale vectors (certificates span about 1/4n to 9)
             d = rng.uniform(0.05, 1.5, n - 1) * rng.choice([1.0, 10.0 / n])
-            c = c_from_d(params, d)
-            a, b = ab_from_cd(params, c, d)
-            a_ref, b_ref = ab_from_cd_loop(params, c, d)
+            cert = derive_full(params, d)
+            a, b = cert.a, cert.b
+            a_ref, b_ref = ab_loop(params, cert.c, d)
             scale = max(np.max(np.abs(a_ref)), np.max(np.abs(b_ref)))
             assert np.max(np.abs(a - a_ref)) <= 1e-13 * scale
             assert np.max(np.abs(b - b_ref)) <= 1e-13 * scale
 
     def test_loop_reference_example_values(self):
-        a, b = ab_from_cd_loop(EXAMPLE, EXAMPLE_C, EXAMPLE_D)
+        a, b = ab_loop(EXAMPLE, EXAMPLE_C, EXAMPLE_D)
         np.testing.assert_array_equal(a, EXAMPLE_A)
         np.testing.assert_array_equal(b, EXAMPLE_B)
 
@@ -161,6 +158,14 @@ class TestEpsAndResidual:
             scale = np.maximum(1.0, np.max(np.abs([r0, r1, r2, r3]), axis=0))
             assert np.max(np.abs(pred - r3) / scale) <= 1e-12
 
+    @pytest.mark.parametrize("n", [3, 4, 7, 300])
+    def test_residual_is_derive_full_eps(self, rng, n):
+        # residual and derive_full run the same pass, so their eps agree bit
+        # for bit, at balanced and at unbalanced (alpha, r)
+        for params in (solve_rate_params(n), RateParams(N=n, alpha=1.5, r=0.125)):
+            d = rng.uniform(0.05, 1.5, n - 1)
+            assert np.array_equal(residual(params, d), derive_full(params, d).eps)
+
     def test_rejects_2d_d(self, rng):
         params = solve_rate_params(9)
         for shape in ((6, 8), (1, 8), (8, 1)):
@@ -196,11 +201,3 @@ class TestDeriveFull:
     def test_rejects_batch(self):
         with pytest.raises(ValueError):
             derive_full(EXAMPLE, np.ones((2, 2)))
-
-    def test_nan_last_a_rejected(self):
-        cert = derive_full(EXAMPLE, EXAMPLE_D)
-        a = cert.a.copy()
-        a[-1] = np.nan
-        with pytest.raises(ValueError):
-            FullCertificate(params=cert.params, a=a, b=cert.b, c=cert.c,
-                            d=cert.d, eps=cert.eps)

@@ -28,13 +28,13 @@ def jacobian(params, d) -> np.ndarray:
     """Exact dense Jacobian J[i, k] = d eps_i / d d_k by forward-mode
     differentiation: the reference for least_squares_step, O(N^2) memory.
 
-    The tangents of c_from_d -> ab_from_cd -> eps_from are propagated for all
-    N-1 unit directions at once, by the product rule; the tangent of d itself
-    is the identity, so its products are diagonal updates. eps is exactly
-    quadratic in d, so J carries rounding error only.
+    The tangents of the derivation d -> c -> (a, b) -> eps are propagated for
+    all N-1 unit directions at once, by the product rule; the tangent of d
+    itself is the identity, so its products are diagonal updates. eps is
+    exactly quadratic in d, so J carries rounding error only.
 
     With u_i = a_i - b_i (u_{N-1} = a_{N-1}, u_{-1} = 0) and the scan
-    variable z_i = -a_i + (2 alpha - 1) b_i of ab_from_cd, eps_from reads
+    variable z_i = -a_i + (2 alpha - 1) b_i of the (a, b) recursion, eps reads
 
         eps_i = u_i - u_{i-1} + tl_i - c_i od_{i-1},   i = 0..N-1,
         eps_N = z_0 - c_0 - tl_0 + c_0^2 / 2r,
@@ -43,7 +43,7 @@ def jacobian(params, d) -> np.ndarray:
 
     with kappa = (2 - alpha) / alpha, od_i = 1 + sum_{j<i} d_j (od_{-1} = 1),
     suffc_j = sum_{l>=j} c_l, tl_i = d_i suffc_{i+2} (tl_{N-1} = 0) and the
-    step terms of ab_from_cd (tail_i = tl_{i+1}).
+    step terms of the (a, b) recursion (tail_i = tl_{i+1}).
 
     The tangents of g and of eps without its z terms have rows that are
     constant left of the diagonal, a multiple of d suffc_j / d d_k =
@@ -115,8 +115,8 @@ def jacobian(params, d) -> np.ndarray:
 
     tz = np.empty((N, m))
     fill(tz, th, -1, 3, -rho * dpad[1:])
-    # the backward scan of ab_from_cd, row by row: one pass over the array,
-    # where recursive doubling would make log2(N) passes
+    # the backward scan of the (a, b) recursion, row by row: one pass over
+    # the array, where recursive doubling would make log2(N) passes
     for i in range(N - 2, -1, -1):
         tz[i] += rho * tz[i + 1]
     J = np.empty((N + 1, m))

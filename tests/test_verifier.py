@@ -1,4 +1,6 @@
+import ast
 import dataclasses
+import pathlib
 import tracemalloc
 
 import numpy as np
@@ -7,12 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import pepcert
 from pepcert import (
     LambdaMatrix,
     RateParams,
     aggregate,
     assemble_lambda,
-    check_delta_certificate,
     derive_full,
     oracle_check,
     oracle_scale,
@@ -299,25 +301,21 @@ class TestOracle:
 class TestDeltaCertificate:
     def test_converged(self, small_sweep):
         cert = derive_full(small_sweep[20].params, small_sweep[20].d)
-        is_cert, delta, bound = check_delta_certificate(cert)
-        assert is_cert
-        assert delta <= 1e-11
-        assert bound <= cert.params.r + 5e-12
-        assert bound == cert.params.r + delta / 2.0
+        assert cert.positive
+        assert cert.delta <= 1e-11
+        assert cert.params.r + cert.delta / 2.0 <= cert.params.r + 5e-12
 
     def test_nonpositive_errors_give_zero_delta(self):
         cert = example_cert()
         clean = dataclasses.replace(cert, eps=-np.abs(cert.eps))
-        _, delta, _ = check_delta_certificate(clean)
-        assert delta == 0.0
+        assert clean.delta == 0.0
 
     def test_negative_c_fails_regardless(self):
         cert = example_cert()
         bad_c = cert.c.copy()
         bad_c[0] = -bad_c[0]
         mutant = dataclasses.replace(cert, c=bad_c, eps=np.zeros(4))
-        is_cert, _, _ = check_delta_certificate(mutant)
-        assert not is_cert
+        assert not mutant.positive
 
 
 class TestSlack:
@@ -381,3 +379,19 @@ class TestSlack:
         assert not svd_slack_criterion(cert, gram)
         assert not slack_psd_check(cert, gram=gram)
         assert slack_psd_check(cert)
+
+
+def test_verify_path_imports_neither_solver_nor_cli():
+    # verification stays independent of the solver: no module that `verify`
+    # runs imports it, nor the command line that does
+    src = pathlib.Path(pepcert.__file__).parent
+    for name in ("rates", "recursion", "verifier", "certfile"):
+        for node in ast.walk(ast.parse((src / f"{name}.py").read_text())):
+            if isinstance(node, ast.Import):
+                parts = {part for alias in node.names for part in alias.name.split(".")}
+            elif isinstance(node, ast.ImportFrom):
+                parts = set((node.module or "").split("."))
+                parts |= {alias.name for alias in node.names}
+            else:
+                continue
+            assert not parts & {"solver", "cli"}, f"{name}.py line {node.lineno}"
