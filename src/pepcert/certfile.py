@@ -1,7 +1,6 @@
 """Line-oriented certificate files (format tag pepcert/1).
 
-Header of `key value` lines (format, N, alpha, r, delta) followed by labeled
-vector blocks, one value per line:
+A file is exactly what `render_certificate` writes, one item per line:
 
     format pepcert/1
     N 5
@@ -9,14 +8,24 @@ vector blocks, one value per line:
     r 0.0...
     delta 0.0
     d:
-    ...
+    ...             N-1 values
     a:
-    ...
+    ...             N values
+    b:
+    ...             N-1 values
+    c:
+    ...             N+1 values
+    eps:
+    ...             N+1 values
 
-Numbers render as the shortest decimal that round-trips the 64-bit binary
-value (Python repr), so parse(render(x)) is bit-identical. The d block is
-required and is the single source of truth; a, b, c, eps are advisory and
-verification re-derives them. Every number must be finite.
+The five header lines come first and in this order; N >= 3. The d block is
+required and is the single source of truth; the a, b, c, eps blocks are
+advisory (verification re-derives them), and any of them may be left out,
+but those present keep this order. N fixes the length of every block. The
+final newline is optional. Blank lines, unknown or reordered keys and
+blocks, and text after the last block are rejected, and every number must
+be finite. Numbers render as the shortest decimal that round-trips the
+64-bit binary value (Python repr), so parse(render(x)) is bit-identical.
 """
 
 from __future__ import annotations
@@ -43,8 +52,9 @@ __all__ = [
 ]
 
 FORMAT_TAG = "pepcert/1"
-_HEADER_KEYS = ("N", "alpha", "r", "delta")
-_BLOCKS = ("d", "a", "b", "c", "eps")
+_HEADER_KEYS = ("format", "N", "alpha", "r", "delta")
+# block names in file order, each with its length minus N
+_BLOCKS = (("d", -1), ("a", 0), ("b", -1), ("c", 1), ("eps", 1))
 
 
 class CertificateFormatError(ValueError):
@@ -63,26 +73,6 @@ class CertificateFile:
     c: np.ndarray | None = None
     eps: np.ndarray | None = None
 
-    def __post_init__(self):
-        if self.N < 3:
-            raise CertificateFormatError(f"certificates need N >= 3, got N={self.N}")
-        self.d = np.asarray(self.d, dtype=float)
-        if self.d.shape != (self.N - 1,):
-            raise CertificateFormatError(
-                f"d must have length N-1={self.N - 1}, got {self.d.shape}"
-            )
-        for name, expect in (("a", self.N), ("b", self.N - 1),
-                             ("c", self.N + 1), ("eps", self.N + 1)):
-            arr = getattr(self, name)
-            if arr is None:
-                continue
-            arr = np.asarray(arr, dtype=float)
-            setattr(self, name, arr)
-            if arr.shape != (expect,):
-                raise CertificateFormatError(
-                    f"{name} must have length {expect}, got {arr.shape}"
-                )
-
 
 def certificate_file(cert: FullCertificate) -> CertificateFile:
     """File payload for a certificate: stored d plus derived vectors."""
@@ -97,7 +87,7 @@ def render_certificate(cf: CertificateFile) -> str:
     lines.append(f"N {cf.N}")
     for key in ("alpha", "r", "delta"):
         lines.append(f"{key} {getattr(cf, key)!r}")
-    for name in _BLOCKS:
+    for name, _ in _BLOCKS:
         vec = getattr(cf, name)
         if vec is None:
             continue
@@ -106,57 +96,53 @@ def render_certificate(cf: CertificateFile) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _finite(strings: list[str], what: str) -> np.ndarray:
+    try:
+        values = np.array(strings, dtype=float)
+    except ValueError as exc:
+        raise CertificateFormatError(f"bad number in {what}: {exc}") from exc
+    if not np.isfinite(values).all():
+        raise CertificateFormatError(f"non-finite value in {what}")
+    return values
+
+
 def parse_certificate(text: str) -> CertificateFile:
-    header: dict[str, str] = {}
-    blocks: dict[str, list[float]] = {}
-    current: list[float] | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.endswith(":"):
-            name = line[:-1]
-            if name not in _BLOCKS:
-                raise CertificateFormatError(f"line {lineno}: unknown block '{name}'")
-            if name in blocks:
-                raise CertificateFormatError(f"line {lineno}: duplicate block '{name}'")
-            current = blocks.setdefault(name, [])
-            continue
-        if current is not None:
-            try:
-                current.append(float(line))
-            except ValueError as exc:
-                raise CertificateFormatError(
-                    f"line {lineno}: bad numeric value {line!r}"
-                ) from exc
-            continue
-        key, _, value = line.partition(" ")
-        if not value:
-            raise CertificateFormatError(f"line {lineno}: malformed header line {raw!r}")
-        if key in header:
-            raise CertificateFormatError(f"line {lineno}: duplicate key '{key}'")
+    """Parse the layout of the module docstring; anything else raises
+    CertificateFormatError."""
+    lines = text.split("\n")
+    if lines[-1] == "":
+        del lines[-1]
+    header = {}
+    for lineno, (key, line) in enumerate(zip(_HEADER_KEYS, lines), start=1):
+        label, _, value = line.partition(" ")
         header[key] = value
-    if header.get("format") != FORMAT_TAG:
-        raise CertificateFormatError(
-            f"missing or unsupported format tag {header.get('format')!r}"
-        )
-    for key in _HEADER_KEYS:
-        if key not in header:
-            raise CertificateFormatError(f"missing header key '{key}'")
-    if "d" not in blocks:
-        raise CertificateFormatError("missing required block 'd'")
+        if label != key or not value:
+            raise CertificateFormatError(f"line {lineno}: expected '{key} VALUE', got {line!r}")
+    if len(header) < len(_HEADER_KEYS):
+        raise CertificateFormatError(f"missing header key '{_HEADER_KEYS[len(header)]}'")
+    if header["format"] != FORMAT_TAG:
+        raise CertificateFormatError(f"unsupported format tag {header['format']!r}")
     try:
         n = int(header["N"])
-        alpha = float(header["alpha"])
-        r = float(header["r"])
-        delta = float(header["delta"])
     except ValueError as exc:
         raise CertificateFormatError(f"bad header value: {exc}") from exc
-    kwargs = {name: np.array(vals) for name, vals in blocks.items()}
-    for name, vec in (("header", np.array([alpha, r, delta])), *kwargs.items()):
-        if not np.isfinite(vec).all():
-            raise CertificateFormatError(f"non-finite value in {name!r}")
-    return CertificateFile(N=n, alpha=alpha, r=r, delta=delta, **kwargs)
+    if n < 3:
+        raise CertificateFormatError(f"certificates need N >= 3, got N={n}")
+    alpha, r, delta = _finite([header["alpha"], header["r"], header["delta"]], "header").tolist()
+    blocks = {}
+    pos = len(_HEADER_KEYS)
+    for name, offset in _BLOCKS:
+        if lines[pos : pos + 1] == [f"{name}:"]:
+            end = pos + 1 + n + offset
+            if end > len(lines):
+                raise CertificateFormatError(f"block '{name}' ends before its {n + offset} values")
+            blocks[name] = _finite(lines[pos + 1 : end], f"block '{name}'")
+            pos = end
+        elif name == "d":
+            raise CertificateFormatError(f"line {pos + 1}: expected the required block 'd:'")
+    if pos < len(lines):
+        raise CertificateFormatError(f"line {pos + 1}: unexpected {lines[pos]!r}")
+    return CertificateFile(N=n, alpha=alpha, r=r, delta=delta, **blocks)
 
 
 def default_path(outdir, n: int) -> str:
@@ -183,7 +169,7 @@ def read_certificate(path) -> CertificateFile:
     try:
         with open(path) as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CertificateFormatError(f"cannot read {path}: {exc}") from exc
     return parse_certificate(text)
 

@@ -3,13 +3,14 @@
 Subcommands: rates, solve, sweep, verify, plotdata, envelope.
 
 Exit codes: 0 verified/converged, 1 usage error, 2 non-convergence,
-3 verification failure, 4 file corruption, 5 output could not be written (a
-sweep keeps the files it wrote before). The default output directory is
-taken from PEPCERT_OUTDIR (falling back to the working directory). The gates
-are fixed: a solve converges at max_i |eps_i| <= 1e-13, and verify certifies
-a file whose delta, recomputed and as stored, is at most 1e-11 and, with
---oracle, whose coefficient deviation is at most 1e-10 times the oracle
-scale. Identical invocations produce byte-identical files.
+3 verification failure, 4 file corruption, 5 output could not be written, a
+closed standard output too (a sweep keeps the files it wrote before). The
+default output directory is taken from PEPCERT_OUTDIR (falling back to the
+working directory). The gates are fixed: a solve converges at
+max_i |eps_i| <= 1e-13, and verify certifies a file whose delta, recomputed
+and as stored, is at most 1e-11 and, with --oracle, whose coefficient
+deviation is at most 1e-10 times the oracle scale. Identical invocations
+produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -208,10 +209,12 @@ def cmd_verify(args) -> int:
 def cmd_plotdata(args) -> int:
     # every file is read, derived and checked before anything is written
     curves = []
-    for path in args.files:
+    stems = [os.path.splitext(os.path.basename(path))[0] for path in args.files]
+    for path, stem in zip(args.files, stems):
+        if stems.count(stem) > 1:
+            raise _UsageError(f"{stem}_*.dat would be written for more than one input file")
         cf = certfile.read_certificate(path)
         cert = derive_full(certfile.params_from_file(cf), cf.d)
-        stem = os.path.splitext(os.path.basename(path))[0]
         for name in ("a", "b", "c", "d"):
             vec = getattr(cert, name)
             top = float(np.max(vec))
@@ -325,7 +328,16 @@ def main(argv=None) -> int:
 
 
 def entry():
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        # stdout's reader is gone: exit 5, and send what is still buffered
+        # to devnull so that the interpreter's flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        code = EXIT_WRITE
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -1,14 +1,20 @@
+import contextlib
+import io
 import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pepcert import (
     CertificateFile,
     CertificateFormatError,
     certificate_file,
+    cli,
     default_path,
+    derive_full,
     parse_certificate,
     params_from_file,
     read_certificate,
@@ -24,6 +30,11 @@ def tricky_file():
         N=4, alpha=params.alpha, r=params.r, delta=1e-300,
         d=np.array([math.pi, 1 / 3, 0.1 + 0.2]),
     )
+
+
+def full_text(small_sweep):
+    """A canonical file with every block, for N=5."""
+    return render_certificate(certificate_file(small_sweep[5].cert))
 
 
 class TestRoundTrip:
@@ -98,10 +109,59 @@ class TestParseErrors:
         with pytest.raises(CertificateFormatError):
             parse_certificate(text)
 
-    def test_wrong_vector_length(self):
-        cf = tricky_file()
+    def test_wrong_vector_length(self, small_sweep):
+        # N fixes every block's length: one value too few or too many in any
+        # block, required or advisory, is rejected
+        lines = full_text(small_sweep).splitlines()
+        for name in ("d", "a", "b", "c", "eps"):
+            first = lines.index(f"{name}:") + 1
+            short = lines[:first] + lines[first + 1 :]
+            long = lines[:first] + ["0.5"] + lines[first:]
+            for edited in (short, long):
+                with pytest.raises(CertificateFormatError):
+                    parse_certificate("\n".join(edited) + "\n")
+
+    def test_blocks_out_of_order(self, small_sweep):
+        text = full_text(small_sweep)
+        head, rest = text.split("a:\n")
+        a_block, b_rest = rest.split("b:\n")
+        b_block, tail = b_rest.split("c:\n")
+        swapped = f"{head}b:\n{b_block}a:\n{a_block}c:\n{tail}"
         with pytest.raises(CertificateFormatError):
-            CertificateFile(N=4, alpha=cf.alpha, r=cf.r, delta=0.0, d=np.ones(7))
+            parse_certificate(swapped)
+        # the required block first, too
+        d_block = head.split("d:\n")[1]
+        with pytest.raises(CertificateFormatError):
+            parse_certificate(head.split("d:\n")[0] + f"a:\n{a_block}d:\n{d_block}")
+
+    def test_blank_line_inside_block(self, small_sweep):
+        for name in ("d", "c"):
+            text = full_text(small_sweep).replace(f"{name}:\n", f"{name}:\n\n", 1)
+            with pytest.raises(CertificateFormatError):
+                parse_certificate(text)
+
+    @pytest.mark.parametrize("edit", [
+        lambda lines: lines[:2] + ["beta 1.5"] + lines[2:],
+        lambda lines: [lines[0], lines[2], lines[1]] + lines[3:],
+        lambda lines: lines[1:2] + lines[:1] + lines[2:],
+    ], ids=["unknown-key", "N-after-alpha", "format-not-first"])
+    def test_unknown_or_reordered_header_key(self, edit):
+        lines = render_certificate(tricky_file()).splitlines()
+        with pytest.raises(CertificateFormatError):
+            parse_certificate("\n".join(edit(lines)) + "\n")
+
+    @pytest.mark.parametrize("tail", ["\n", "# comment\n"], ids=["blank-line", "comment"])
+    def test_text_after_last_block(self, small_sweep, tail):
+        for text in (full_text(small_sweep), render_certificate(tricky_file())):
+            with pytest.raises(CertificateFormatError):
+                parse_certificate(text + tail)
+
+    def test_d_only_without_final_newline(self):
+        # the shape of a file cut down to its header and d block
+        cf = tricky_file()
+        back = parse_certificate(render_certificate(cf).rstrip("\n"))
+        np.testing.assert_array_equal(back.d, cf.d)
+        assert back.a is None and back.eps is None
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(CertificateFormatError):
@@ -174,3 +234,64 @@ class TestParamsFromFile:
             setattr(cf, field, value)
             with pytest.raises(CertificateFormatError):
                 params_from_file(cf)
+
+
+# One edit of a file's bytes: (kind, position, position or replacement line).
+# Positions are taken modulo the number of lines (bytes, for a truncation).
+EDITS = st.one_of(
+    st.tuples(st.sampled_from(["delete", "duplicate", "blank", "truncate"]),
+              st.integers(0, 10**4), st.none()),
+    st.tuples(st.just("swap"), st.integers(0, 10**4), st.integers(0, 10**4)),
+    st.tuples(st.just("replace"), st.integers(0, 10**4),
+              st.text(max_size=30).map(str.encode) | st.binary(max_size=30)),
+)
+
+
+def edit_bytes(data: bytes, edit) -> bytes:
+    kind, where, arg = edit
+    if kind == "truncate":
+        return data[: where % (len(data) + 1)]
+    lines = data.split(b"\n")
+    i = where % len(lines)
+    if kind == "delete":
+        del lines[i]
+    elif kind == "duplicate":
+        lines.insert(i, lines[i])
+    elif kind == "blank":
+        lines.insert(i, b"")
+    elif kind == "swap":
+        j = arg % len(lines)
+        lines[i], lines[j] = lines[j], lines[i]
+    else:
+        lines[i] = arg
+    return b"\n".join(lines)
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(small_sweep, tmp_path_factory):
+    """The canonical N=5 file with every block and with d only, and a
+    directory for the edited copies."""
+    cf = certificate_file(small_sweep[5].cert)
+    d_only = CertificateFile(N=cf.N, alpha=cf.alpha, r=cf.r, delta=cf.delta, d=cf.d)
+    texts = [render_certificate(f).encode() for f in (cf, d_only)]
+    return texts, tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 1), st.lists(EDITS, min_size=1, max_size=3))
+def test_verify_edited_file(fuzz_inputs, which, edits):
+    # whatever the edits, verify exits 0, 3 or 4, and exits 0 only for a
+    # positive d with a delta inside the gate
+    texts, directory = fuzz_inputs
+    data = texts[which]
+    for edit in edits:
+        data = edit_bytes(data, edit)
+    path = directory / "edited.txt"
+    path.write_bytes(data)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(["verify", str(path)])
+    assert code in (0, 3, 4)
+    if code == 0:
+        cf = read_certificate(path)
+        cert = derive_full(params_from_file(cf), cf.d)
+        assert cert.positive and cert.delta <= 1e-11

@@ -1,5 +1,7 @@
 import os
 import shlex
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -161,6 +163,27 @@ class TestSweep:
             "cert_N00003.txt", "cert_N00004.txt", "cert_N00005.txt"]
         assert read_certificate(tmp_path / "cert_N00004.txt").N == 4
 
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    def test_closed_stdout_exits_5(self, tmp_path, unbuffered):
+        # the reader of standard output is gone before the sweep prints: a
+        # buffered sweep fails at the final flush, after writing every file,
+        # an unbuffered one at its first line
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        path = os.pathsep.join(filter(None, [os.path.join(ROOT, "src"),
+                                             os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path, PYTHONUNBUFFERED=unbuffered)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "pepcert.cli", "sweep", "5", "--outdir", str(tmp_path)],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=300)
+        finally:
+            os.close(write_end)
+        assert_write_error(proc.returncode, proc.stderr.decode())
+        written = sorted(p.name for p in tmp_path.iterdir())
+        assert written == ([] if unbuffered else
+                           [f"cert_N{n:05d}.txt" for n in (3, 4, 5)])
+
     def test_deterministic_output(self, capsys, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         assert cli.main(["sweep", "6", "--outdir", str(a)]) == 0
@@ -268,6 +291,13 @@ class TestVerify:
         code, _, err = run(capsys, "verify", path)
         assert code == 4
 
+    def test_undecodable_file(self, capsys, tmp_path):
+        path = tmp_path / "random.txt"
+        path.write_bytes(bytes(np.random.default_rng(5).integers(0, 256, 300, dtype=np.uint8)))
+        code, _, err = run(capsys, "verify", path)
+        assert code == 4
+        assert err.startswith("corrupt certificate: ") and err.count("\n") == 1
+
     def test_tampered_stored_vector(self, capsys, cert_dir, tmp_path):
         text = (cert_dir / "cert_N00005.txt").read_text()
         lines = text.splitlines()
@@ -354,6 +384,18 @@ class TestPlotdata:
         out = tmp_path / "out"
         code, _, err = run(capsys, "plotdata", good, zero, "--outdir", out)
         assert code == 1 and "has max 0" in err
+        assert not out.exists()
+
+    def test_same_base_name_is_usage_error(self, capsys, cert_dir, tmp_path):
+        # a/cert_N00010.txt and b/cert_N00010.txt would both write
+        # cert_N00010_{a,b,c,d}.dat
+        copy = tmp_path / "b" / "cert_N00010.txt"
+        copy.parent.mkdir()
+        copy.write_bytes((cert_dir / "cert_N00010.txt").read_bytes())
+        out = tmp_path / "out"
+        code, _, err = run(capsys, "plotdata", cert_dir / "cert_N00010.txt", copy,
+                           "--outdir", out)
+        assert code == 1 and err.startswith("usage error: ")
         assert not out.exists()
 
     def test_unwritable_outdir_exits_5(self, capsys, cert_dir, tmp_path):
