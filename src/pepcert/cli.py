@@ -4,13 +4,12 @@ Subcommands: rates, solve, sweep, verify, plotdata, envelope.
 
 Exit codes: 0 verified/converged, 1 usage error, 2 non-convergence,
 3 verification failure, 4 file corruption, 5 output could not be written, a
-closed standard output too (a sweep keeps the files it wrote before). The
-default output directory is taken from PEPCERT_OUTDIR (falling back to the
-working directory). The gates are fixed: a solve converges at
-max_i |eps_i| <= 1e-13, and verify certifies a file whose delta, recomputed
-and as stored, is at most 1e-11 and, with --oracle, whose coefficient
-deviation is at most 1e-10 times the oracle scale. Identical invocations
-produce byte-identical files.
+closed standard output too (a sweep keeps the files it wrote before). Files
+go to --outdir, the working directory by default. The gates are fixed: a
+solve converges at max_i |eps_i| <= 1e-13, and verify certifies a file whose
+delta, recomputed and as stored, is at most 1e-11 and, with --oracle, whose
+coefficient deviation is at most 1e-10 times the oracle scale. Identical
+invocations produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -65,10 +64,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _outdir(args) -> str:
-    return getattr(args, "outdir", None) or os.environ.get("PEPCERT_OUTDIR", ".")
-
-
 def cmd_rates(args) -> int:
     if args.N < 1:
         raise _UsageError("N must be >= 1")
@@ -102,7 +97,7 @@ def cmd_solve(args) -> int:
         raise _UsageError("solve requires N >= 3")
     report = _solve_one(args.N, args.warm)
     cf = certfile.certificate_file(report.cert)
-    path = args.out or certfile.default_path(_outdir(args), args.N)
+    path = args.out or certfile.default_path(args.outdir, args.N)
     with _writing():
         certfile.write_certificate(cf, path)
     print(f"N {report.params.N}")
@@ -149,7 +144,7 @@ def cmd_sweep(args) -> int:
     if args.N_MAX < 3:
         raise _UsageError("sweep requires N_MAX >= 3")
     sizes = _sweep_sizes(args)
-    outdir = _outdir(args)
+    outdir = args.outdir
     print(f"{'N':>6} {'alpha':>20} {'r':>14} {'iters':>5} {'sup|eps|':>10} {'delta':>10}")
     written = 0
     try:
@@ -221,7 +216,7 @@ def cmd_plotdata(args) -> int:
             if top == 0.0:
                 raise _UsageError(f"vector {name} in {path} has max 0; cannot rescale")
             curves.append((f"{stem}_{name}.dat", vec / top))
-    outdir = _outdir(args)
+    outdir = args.outdir
     with _writing():
         os.makedirs(outdir, exist_ok=True)
         for name, values in curves:
@@ -273,7 +268,7 @@ def build_parser() -> _Parser:
                    help="one to four solved certificate files to extrapolate "
                         "from (a cubic in 1/N)")
     p.add_argument("--out", help="output file path")
-    p.add_argument("--outdir")
+    p.add_argument("--outdir", default=".")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("sweep", help="continuation sweep, one file per N")
@@ -281,7 +276,7 @@ def build_parser() -> _Parser:
     p.add_argument("--segment", action="append", metavar="START:STOP:STRIDE",
                    help="explicit schedule segment (repeatable, overrides "
                         "N_MAX); e.g. 3:2240:1 2240:8960:320")
-    p.add_argument("--outdir")
+    p.add_argument("--outdir", default=".")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("verify", help="re-derive and check a certificate file")
@@ -292,7 +287,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("plotdata", help="emit normalized a,b,c,d curves")
     p.add_argument("files", nargs="+")
-    p.add_argument("--outdir")
+    p.add_argument("--outdir", default=".")
     p.set_defaults(func=cmd_plotdata)
 
     p = sub.add_parser("envelope", help="lower-bound envelope over a stepsize grid")

@@ -48,14 +48,11 @@ CONTINUATION_SOURCES = 4
 
 class NonConvergence(RuntimeError):
     """Gauss-Newton failed: a failed step, stagnation, iteration budget, or a
-    sign-violating terminal certificate. Carries the problem size and last
-    residual sup."""
+    sign-violating terminal certificate. Carries the problem size N."""
 
-    def __init__(self, message: str, N: int | None = None,
-                 residual_sup: float | None = None):
+    def __init__(self, message: str, N: int | None = None):
         super().__init__(message)
         self.N = N
-        self.residual_sup = residual_sup
 
 
 @dataclass
@@ -186,29 +183,16 @@ def _linearized_equations(params: RateParams, d: np.ndarray) -> dict:
     }
 
 
-# Unknowns of the augmented system and the index each one sits at. w_i is the
-# residual of linearized eps_i and y the multipliers of the constraints. w_i
-# and S_i sit one index later, T_j one earlier: each equation then reaches at
-# most 13 places to either side, against 28 with every unknown at its own index.
-_UNKNOWNS = (("w", 1), ("T", -1), ("Z", 0), ("S", 1), ("wN", 0), ("s", 0),
-             ("yS", 0), ("yT", 0), ("yZ", 0))
-_KIND = {kind: k for k, (kind, _) in enumerate(_UNKNOWNS)}
-_PAD = 3  # the largest |offset| in a linearized equation
-
-
-def _layout(N: int) -> np.ndarray:
-    """Positions of the 8N unknowns of the augmented system, ordered by the
-    index they sit at, then by kind: table[kind, i + _PAD] for unknown i of
-    that kind, -1 where there is none."""
-    sizes = [1 if kind == "wN" else N - 1 if kind == "s" else N for kind, _ in _UNKNOWNS]
-    own = np.concatenate([np.arange(n) for n in sizes])
-    kind = np.repeat(np.arange(len(sizes)), sizes)
-    sits_at = own + np.repeat([at for _, at in _UNKNOWNS], sizes)
-    pos = np.empty(own.size, dtype=np.intp)
-    pos[np.lexsort((kind, sits_at))] = np.arange(own.size)
-    table = np.full((len(sizes), N + 2 * _PAD), -1, dtype=np.intp)
-    table[kind, own + _PAD] = pos
-    return table
+# The slots of the augmented system: every index j = -1 .. N has eight, one
+# per kind in the order below, and unknown i of a kind sits at index i + at,
+# in position 8 (i + at + 1) + rank. w_i is the residual of linearized eps_i
+# and y the multipliers of the constraints. w_i and S_i sit one index later,
+# T_j one earlier: each equation then reaches at most 13 places to either
+# side, against 28 with every unknown at its own index. S_i sits at i + 1, so
+# the S slot of index 0 is free and holds wN. The 16 slots at the two ends
+# that hold no unknown are identity rows.
+_SLOTS = {"w": (1, 0), "T": (-1, 1), "Z": (0, 2), "S": (1, 3), "wN": (0, 3),
+          "s": (0, 4), "yS": (0, 5), "yT": (0, 6), "yZ": (0, 7)}
 
 
 def least_squares_step(params: RateParams, d, eps: np.ndarray):
@@ -220,43 +204,47 @@ def least_squares_step(params: RateParams, d, eps: np.ndarray):
     constraints C x = 0 that tie the auxiliaries to s, so A restricted to
     C x = 0 is J. The step solves the augmented system
 
-        [[I, -A, 0], [A^T, 0, C^T], [0, C, 0]] (w, x, y) = (eps, 0, 0),
+        [[I, -A, 0], [A^T, 0, C^T], [0, C, 0]] (w, x, y) = (eps, 0, 0)
 
-    whose unknowns are ordered by index: every equation reaches only a few
-    neighbours, so one banded LU (LAPACK gbsv) solves it in O(N) time and
-    memory. `ok` is False when the factorization finds an exactly singular
-    pivot or s is not finite.
+    in the slots of _SLOTS: eight per index, so each (equation, unknown,
+    offset) term of the linearization is one constant diagonal of the band,
+    written as two strided slices (the -A or C entries and their mirror),
+    clipped to the indices where both the equation and the unknown exist.
+    Every equation reaches only a few neighbours, so one banded LU (LAPACK
+    gbsv) solves the system in O(N) time and memory. `ok` is False when the
+    factorization finds an exactly singular pivot or s is not finite.
     """
     N = params.N
-    table = _layout(N)
     forms = _linearized_equations(params, np.asarray(d, dtype=float))
-    # one row per (equation kind, unknown, offset), one column per index
-    eq, var, off = np.array([(_KIND[kind], _KIND[name], shift)
-                             for kind, form in forms.items() for name, shift in form]).T
-    coef = np.array([val[:N] for form in forms.values() for val in form.values()])
-    index = np.arange(N) + _PAD
-    row = table[eq[:, None], index]
-    col = table[var[:, None], index + off[:, None]]
-    keep = (row >= 0) & (col >= 0)
-    # the entry (equation, unknown) is -A or C, its mirror A^T or C^T
-    in_a = (eq == _KIND["w"]) | (eq == _KIND["wN"])
-    at_eq = np.where(in_a[:, None], -coef, coef)[keep]
-    row, col, coef = row[keep], col[keep], coef[keep]
-    diag = np.append(table[_KIND["w"], _PAD : N + _PAD], table[_KIND["wN"], _PAD])
-    rows = np.concatenate([diag, row, col])
-    cols = np.concatenate([diag, col, row])
-    band = rows - cols
-    lower, upper = int(band.max()), int(-band.min())
-    ab = np.zeros((lower + upper + 1, 8 * N))
-    ab[upper + band, cols] = np.concatenate([np.ones(N + 1), at_eq, coef])
-    rhs = np.zeros(8 * N)
-    rhs[diag] = eps
+    size = {"wN": 1, "s": N - 1}  # every other kind has N unknowns
+    first = {kind: 8 * (at + 1) + rank for kind, (at, rank) in _SLOTS.items()}
+    half = max(abs(first[eq] - first[name] - 8 * off)
+               for eq, form in forms.items() for name, off in form)
+    ab = np.zeros((2 * half + 1, 8 * (N + 2)))
+    # ones on the diagonal of w, wN and the empty slots, zeros on that of x, y
+    ab[half] = 1.0
+    for kind in ("T", "Z", "S", "s", "yS", "yT", "yZ"):
+        ab[half, first[kind] : first[kind] + 8 * size.get(kind, N) : 8] = 0.0
+    for eq, form in forms.items():
+        for (name, off), coef in form.items():
+            # the indices i at which equation i and unknown i + off both exist
+            lo, hi = max(0, -off), min(size.get(eq, N), size.get(name, N) - off)
+            if lo >= hi:
+                continue
+            row, col, coef = first[eq] + 8 * lo, first[name] + 8 * (lo + off), coef[lo:hi]
+            # the entry (equation, unknown) is -A or C, its mirror A^T or C^T
+            ab[half + row - col, col : col + 8 * len(coef) : 8] = (
+                -coef if eq in ("w", "wN") else coef)
+            ab[half + col - row, row : row + 8 * len(coef) : 8] = coef
+    rhs = np.zeros(8 * (N + 2))
+    rhs[first["w"] : first["w"] + 8 * N : 8] = eps[:N]
+    rhs[first["wN"]] = eps[N]
     try:
-        sol = solve_banded((lower, upper), ab, rhs, overwrite_ab=True,
+        sol = solve_banded((half, half), ab, rhs, overwrite_ab=True,
                            overwrite_b=True, check_finite=False)
     except LinAlgError:
         return None, False
-    s = sol[table[_KIND["s"], _PAD : N - 1 + _PAD]]
+    s = sol[first["s"] : first["s"] + 8 * (N - 1) : 8]
     return s, bool(np.isfinite(s).all())
 
 
@@ -296,7 +284,7 @@ def gauss_newton(params: RateParams, d0) -> SolveReport:
                 raise NonConvergence(
                     f"residual converged at N={params.N} but certificate data "
                     "is not strictly positive",
-                    N=params.N, residual_sup=sup,
+                    N=params.N,
                 )
             return SolveReport(cert=cert, iterations=it, res_norms=norms)
         if it == MAX_ITER:
@@ -306,7 +294,7 @@ def gauss_newton(params: RateParams, d0) -> SolveReport:
             raise NonConvergence(
                 f"Gauss-Newton step failed at N={params.N} (singular system or "
                 f"non-finite step) with residual sup {sup:.3e}",
-                N=params.N, residual_sup=sup,
+                N=params.N,
             )
         accepted = False
         t = 1.0
@@ -320,12 +308,12 @@ def gauss_newton(params: RateParams, d0) -> SolveReport:
         if not accepted:
             raise NonConvergence(
                 f"line search stagnated at N={params.N} with residual sup {sup:.3e}",
-                N=params.N, residual_sup=sup,
+                N=params.N,
             )
     raise NonConvergence(
         f"no convergence at N={params.N} within {MAX_ITER} iterations "
         f"(residual sup {sup:.3e})",
-        N=params.N, residual_sup=sup,
+        N=params.N,
     )
 
 

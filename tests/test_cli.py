@@ -86,6 +86,16 @@ class TestSolve:
         code, _, err = run(capsys, "solve", 5, "--out", blocker / "c.txt")
         assert_write_error(code, err)
 
+    def test_default_outdir_is_working_directory(self, capsys, tmp_path, monkeypatch):
+        # no environment variable moves the default output directory
+        elsewhere = tmp_path / "elsewhere"
+        monkeypatch.setenv("PEPCERT_OUTDIR", str(elsewhere))
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run(capsys, "solve", 5)
+        assert code == 0
+        assert "wrote ./cert_N00005.txt" in out
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cert_N00005.txt"]
+
     def test_warm_start(self, capsys, cert_dir, tmp_path):
         code, out, _ = run(
             capsys, "solve", 12,

@@ -172,6 +172,16 @@ class TestJacobian:
 STEP_SIZES = (3, 4, 5, 12, 40, 300)
 
 
+@pytest.fixture(scope="module")
+def warm_start_5000():
+    """(params, d0) at N=5000, d0 extrapolated from the last four
+    certificates of the doubling chain to 2560."""
+    n = 5000
+    reports = list(sweep(doubling(2560)))
+    d0 = extrapolate_init([(rep.params.N, rep.d) for rep in reports[-4:]], n)
+    return solve_rate_params(n), d0
+
+
 class TestLeastSquaresStep:
     @pytest.mark.parametrize("n", STEP_SIZES)
     def test_matches_qr_step_at_random_d(self, n, rng):
@@ -238,13 +248,10 @@ class TestLeastSquaresStep:
         assert err.value.N == 7
         assert "N=7" in str(err.value)
 
-    def test_memory_is_linear_in_n(self):
+    def test_memory_is_linear_in_n(self, warm_start_5000):
         # one warm solve at N=5000 stays within 25 kB per index; the dense
         # Jacobian alone would take 200 MB there
-        n = 5000
-        reports = list(sweep(doubling(2560)))
-        d0 = extrapolate_init([(rep.params.N, rep.d) for rep in reports[-4:]], n)
-        params = solve_rate_params(n)
+        params, d0 = warm_start_5000
         tracemalloc.start()
         try:
             report = gauss_newton(params, d0)
@@ -252,7 +259,21 @@ class TestLeastSquaresStep:
         finally:
             tracemalloc.stop()
         assert report.cert.positive
-        assert peak <= 25_000 * n
+        assert peak <= 25_000 * params.N
+
+    def test_step_memory_per_index(self, warm_start_5000):
+        # one step stays within 8 kB per index: the band matrix and
+        # solve_banded's two copies of it take about 6.9 kB of that
+        params, d0 = warm_start_5000
+        eps = residual(params, d0)
+        tracemalloc.start()
+        try:
+            _, ok = least_squares_step(params, d0, eps)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ok
+        assert peak <= 8_000 * params.N
 
 
 class TestGaussNewton:
