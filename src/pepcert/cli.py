@@ -67,7 +67,10 @@ class _Parser(argparse.ArgumentParser):
 def cmd_rates(args) -> int:
     if args.N < 1:
         raise _UsageError("N must be >= 1")
-    params = solve_rate_params(args.N)
+    try:
+        params = solve_rate_params(args.N)
+    except ValueError as exc:  # alpha(N) rounds to 2 in float64 for huge N
+        raise _UsageError(f"no float64 rate parameters for N={args.N}: {exc}")
     gap = abs(quadratic_rate(params.N, params.alpha) - huber_rate(params.N, params.alpha))
     print(f"N {params.N}")
     print(f"alpha {params.alpha!r}")
@@ -213,8 +216,8 @@ def cmd_plotdata(args) -> int:
         for name in ("a", "b", "c", "d"):
             vec = getattr(cert, name)
             top = float(np.max(vec))
-            if top == 0.0:
-                raise _UsageError(f"vector {name} in {path} has max 0; cannot rescale")
+            if not top > 0.0:
+                raise _UsageError(f"vector {name} in {path} has max {top!r}; cannot rescale")
             curves.append((f"{stem}_{name}.dat", vec / top))
     outdir = args.outdir
     with _writing():

@@ -114,33 +114,31 @@ def _shift(form: dict, k: int) -> dict:
 
 
 def _linearized_equations(params: RateParams, d: np.ndarray) -> dict:
-    """Equations of the step, linear in the local unknowns s, S, T and Z.
+    """Equations of the step, linear in the local unknowns S, T and Z.
 
-    With the step s, S_i = sum_{l<=i} s_l, T_j = sum_{l>=j} dc_l (dc the
-    tangent of c_from_d) and Z the tangent of the recursion's scan variable z,
-    every tangent of the recursion reaches only indices i-2 .. i+3
-    (kappa = (2 - alpha) / alpha, rho = 2 alpha - 3):
+    With the step s, S_i = sum_{l<=i} s_l (i <= N-2, so s_i = S_i - S_{i-1}),
+    T_j = sum_{l>=j} dc_l (dc the tangent of c_from_d) and Z the tangent of the
+    recursion's scan variable z, every tangent of the recursion reaches only
+    indices i-2 .. i+3 (kappa = (2 - alpha) / alpha, rho = 2 alpha - 3):
 
-        dc_i   = 2r (alpha S_i - s_i),  dc_{N-1} = 2r S_{N-1},  dc_N = 0,
-        dtl_i  = s_i suffc_{i+2} + d_i T_{i+2},
+        dc_i   = 2r ((alpha - 1) S_i + S_{i-1}),  dc_{N-1} = 2r S_{N-2},  dc_N = 0,
+        dtl_i  = (S_i - S_{i-1}) suffc_{i+2} + d_i T_{i+2},
         du_i   = kappa (Z_{i+1} + dcsq_i - dtail_i)
                  + (2 dcross_i - (2 + alpha) dlin_i) / alpha,   i < N-1,
-        du_{N-1} = -c_N S_{N-1},
+        du_{N-1} = -c_N S_{N-2},
         deps_i = du_i - du_{i-1} + dtl_i - od_{i-1} dc_i - c_i S_{i-2},
         deps_N = Z_0 - dc_0 - dtl_0 + c_0 dc_0 / r,
 
     in the notation of the recursion (u_i = a_i - b_i, tl_i = d_i
     suffc_{i+2}; `recursion._derive` has the step terms csq, cross, lin and
     tail, whose tangents are products of dc with the current c and od).
-    S_{N-1} = S_{N-2}, since s has no entry N-1. The auxiliaries are tied to
-    s by the constraints
+    The auxiliaries T and Z are tied to S by the constraints
 
-        S_i - S_{i-1} - s_i = 0,  T_j - T_{j+1} - dc_j = 0,
-        Z_i - rho Z_{i+1} - dh_i = 0,
+        T_j - T_{j+1} - dc_j = 0,  Z_i - rho Z_{i+1} - dh_i = 0,
 
-    where dh is the tangent of the scan's input h (dh_{N-1} = c_N S_{N-1}).
+    where dh is the tangent of the scan's input h (dh_{N-1} = c_N S_{N-2}).
     Returns the forms by equation: "w" holds deps_0 .. deps_{N-1}, "wN"
-    deps_N (its index-0 entry), and "yS", "yT", "yZ" the three constraints.
+    deps_N (its index-0 entry), and "yT", "yZ" the two constraints.
     """
     N, alpha, r = params.N, params.alpha, params.r
     two_r = 2.0 * r
@@ -161,13 +159,13 @@ def _linearized_equations(params: RateParams, d: np.ndarray) -> dict:
     od_prev = _shifted(od, -1)
     od_prev[0] = 1.0
 
-    dc = {("S", 0): two_r * (alpha * inner + last), ("s", 0): -two_r * one}
+    dc = {("S", 0): two_r * (alpha - 1.0) * inner, ("S", -1): two_r * (inner + last)}
     dc_next = _shift(dc, 1)
-    dtl = {("s", 0): suffc[2:], ("T", 2): dpad}
+    dtl = {("S", 0): suffc[2:], ("S", -1): -suffc[2:], ("T", 2): dpad}
     dcross = _combine((c_next / two_r, dc), (c / two_r, dc_next))
     dlin = _combine((od, dc_next), (c_next, {("S", -1): one}))
     dsq_tail = _combine((c_next / r, dc_next), (-1.0, _shift(dtl, 1)))
-    s_last = {("S", 0): c[N] * last}
+    s_last = {("S", -1): c[N] * last}
     dh = _combine((rho * inner, dsq_tail), (-2.0 * inner, dcross),
                   (3.0 * inner, dlin), (1.0, s_last))
     du = _combine((kappa * inner, {("Z", 1): one}), (kappa * inner, dsq_tail),
@@ -177,22 +175,21 @@ def _linearized_equations(params: RateParams, d: np.ndarray) -> dict:
         "w": _combine((1.0, du), (-1.0, _shift(du, -1)), (1.0, dtl),
                       (-od_prev, dc), (-c, {("S", -2): one})),
         "wN": _combine((1.0, {("Z", 0): one}), (c / r - 1.0, dc), (-1.0, dtl)),
-        "yS": {("S", 0): one, ("S", -1): -one, ("s", 0): -one},
         "yT": _combine((1.0, {("T", 0): one, ("T", 1): -one}), (-1.0, dc)),
         "yZ": _combine((1.0, {("Z", 0): one, ("Z", 1): -rho * one}), (-1.0, dh)),
     }
 
 
-# The slots of the augmented system: every index j = -1 .. N has eight, one
-# per kind in the order below, and unknown i of a kind sits at index i + at,
-# in position 8 (i + at + 1) + rank. w_i is the residual of linearized eps_i
-# and y the multipliers of the constraints. w_i and S_i sit one index later,
-# T_j one earlier: each equation then reaches at most 13 places to either
-# side, against 28 with every unknown at its own index. S_i sits at i + 1, so
-# the S slot of index 0 is free and holds wN. The 16 slots at the two ends
+# The slots of the augmented system: every index j = -1 .. N has _WIDTH of
+# them, and unknown i of a kind sits at index i + at, in position
+# _WIDTH (i + at + 1) + rank. w_i is the residual of linearized eps_i and y the
+# multipliers of the constraints. w_i, S_i and yZ_i sit one index later, T_j
+# one earlier: each equation then reaches at most 9 places to either side,
+# and the w slot of index 0 is free and holds wN. The slots at the two ends
 # that hold no unknown are identity rows.
-_SLOTS = {"w": (1, 0), "T": (-1, 1), "Z": (0, 2), "S": (1, 3), "wN": (0, 3),
-          "s": (0, 4), "yS": (0, 5), "yT": (0, 6), "yZ": (0, 7)}
+_SLOTS = {"w": (1, 0), "T": (-1, 1), "Z": (0, 2), "S": (1, 3), "yT": (0, 4),
+          "yZ": (1, 5), "wN": (0, 0)}
+_WIDTH = 6
 
 
 def least_squares_step(params: RateParams, d, eps: np.ndarray):
@@ -200,51 +197,53 @@ def least_squares_step(params: RateParams, d, eps: np.ndarray):
     returns (s, ok).
 
     J is never formed. The linearization is written in the local unknowns
-    x = (s, S, T, Z) of _linearized_equations, as A x + eps with the
-    constraints C x = 0 that tie the auxiliaries to s, so A restricted to
-    C x = 0 is J. The step solves the augmented system
+    x = (S, T, Z) of _linearized_equations (S the prefix sums of s), as A x + eps
+    with the constraints C x = 0 that tie T and Z to S, so A restricted to
+    C x = 0 is J in the coordinates S. The step solves the augmented system
 
         [[I, -A, 0], [A^T, 0, C^T], [0, C, 0]] (w, x, y) = (eps, 0, 0)
 
-    in the slots of _SLOTS: eight per index, so each (equation, unknown,
+    in the slots of _SLOTS: six per index, so each (equation, unknown,
     offset) term of the linearization is one constant diagonal of the band,
     written as two strided slices (the -A or C entries and their mirror),
     clipped to the indices where both the equation and the unknown exist.
-    Every equation reaches only a few neighbours, so one banded LU (LAPACK
-    gbsv) solves the system in O(N) time and memory. `ok` is False when the
-    factorization finds an exactly singular pivot or s is not finite.
+    Every equation reaches only a few neighbours (half-bandwidth 9), so one
+    banded LU (LAPACK gbsv) solves the system in O(N) time and memory, and s
+    is the first difference of S. `ok` is False when the factorization finds
+    an exactly singular pivot or s is not finite.
     """
     N = params.N
     forms = _linearized_equations(params, np.asarray(d, dtype=float))
-    size = {"wN": 1, "s": N - 1}  # every other kind has N unknowns
-    first = {kind: 8 * (at + 1) + rank for kind, (at, rank) in _SLOTS.items()}
-    half = max(abs(first[eq] - first[name] - 8 * off)
+    size = {"wN": 1, "S": N - 1}  # every other kind has N unknowns
+    first = {kind: _WIDTH * (at + 1) + rank for kind, (at, rank) in _SLOTS.items()}
+    half = max(abs(first[eq] - first[name] - _WIDTH * off)
                for eq, form in forms.items() for name, off in form)
-    ab = np.zeros((2 * half + 1, 8 * (N + 2)))
+    ab = np.zeros((2 * half + 1, _WIDTH * (N + 2)))
     # ones on the diagonal of w, wN and the empty slots, zeros on that of x, y
     ab[half] = 1.0
-    for kind in ("T", "Z", "S", "s", "yS", "yT", "yZ"):
-        ab[half, first[kind] : first[kind] + 8 * size.get(kind, N) : 8] = 0.0
+    for kind in ("T", "Z", "S", "yT", "yZ"):
+        ab[half, first[kind] : first[kind] + _WIDTH * size.get(kind, N) : _WIDTH] = 0.0
     for eq, form in forms.items():
         for (name, off), coef in form.items():
             # the indices i at which equation i and unknown i + off both exist
             lo, hi = max(0, -off), min(size.get(eq, N), size.get(name, N) - off)
             if lo >= hi:
                 continue
-            row, col, coef = first[eq] + 8 * lo, first[name] + 8 * (lo + off), coef[lo:hi]
+            row, col = first[eq] + _WIDTH * lo, first[name] + _WIDTH * (lo + off)
+            coef = coef[lo:hi]
             # the entry (equation, unknown) is -A or C, its mirror A^T or C^T
-            ab[half + row - col, col : col + 8 * len(coef) : 8] = (
+            ab[half + row - col, col : col + _WIDTH * len(coef) : _WIDTH] = (
                 -coef if eq in ("w", "wN") else coef)
-            ab[half + col - row, row : row + 8 * len(coef) : 8] = coef
-    rhs = np.zeros(8 * (N + 2))
-    rhs[first["w"] : first["w"] + 8 * N : 8] = eps[:N]
+            ab[half + col - row, row : row + _WIDTH * len(coef) : _WIDTH] = coef
+    rhs = np.zeros(_WIDTH * (N + 2))
+    rhs[first["w"] : first["w"] + _WIDTH * N : _WIDTH] = eps[:N]
     rhs[first["wN"]] = eps[N]
     try:
         sol = solve_banded((half, half), ab, rhs, overwrite_ab=True,
                            overwrite_b=True, check_finite=False)
     except LinAlgError:
         return None, False
-    s = sol[first["s"] : first["s"] + 8 * (N - 1) : 8]
+    s = np.diff(sol[first["S"] : first["S"] + _WIDTH * (N - 1) : _WIDTH], prepend=0.0)
     return s, bool(np.isfinite(s).all())
 
 

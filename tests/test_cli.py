@@ -59,6 +59,12 @@ class TestRates:
         line = next(l for l in out.splitlines() if l.startswith("balance_residual"))
         assert float(line.split()[1]) <= 1e-14
 
+    def test_alpha_rounding_to_two_is_usage_error(self, capsys):
+        # alpha(10**17) rounds to 2.0 in float64, outside (1, 2)
+        code, out, err = run(capsys, "rates", 10**17)
+        assert code == 1 and out == ""
+        assert err.startswith("usage error: ") and len(err.splitlines()) == 1
+
 
 class TestSolve:
     def test_writes_valid_file(self, cert_dir):
@@ -386,15 +392,18 @@ class TestPlotdata:
         assert not out.exists()
 
     def test_zero_vector_after_good_writes_nothing(self, capsys, cert_dir, tmp_path):
-        # d = 0 cannot be rescaled to a maximum of 1
+        # d = 0 and -d (whose maximum is negative) cannot be rescaled to a
+        # maximum of 1
         good = cert_dir / "cert_N00010.txt"
         cf = read_certificate(good)
-        zero = write_certificate(type(cf)(N=cf.N, alpha=cf.alpha, r=cf.r, delta=cf.delta,
-                                          d=np.zeros_like(cf.d)), tmp_path / "zero.txt")
-        out = tmp_path / "out"
-        code, _, err = run(capsys, "plotdata", good, zero, "--outdir", out)
-        assert code == 1 and "has max 0" in err
-        assert not out.exists()
+        for name, d in (("zero", np.zeros_like(cf.d)), ("negated", -cf.d)):
+            bad = write_certificate(type(cf)(N=cf.N, alpha=cf.alpha, r=cf.r,
+                                             delta=cf.delta, d=d), tmp_path / f"{name}.txt")
+            out = tmp_path / f"out_{name}"
+            code, _, err = run(capsys, "plotdata", good, bad, "--outdir", out)
+            assert code == 1 and err.startswith("usage error: vector ")
+            assert "; cannot rescale" in err
+            assert not out.exists()
 
     def test_same_base_name_is_usage_error(self, capsys, cert_dir, tmp_path):
         # a/cert_N00010.txt and b/cert_N00010.txt would both write
