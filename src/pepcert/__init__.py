@@ -8,7 +8,10 @@ The library is organized around five pieces:
 - `recursion`: one pass from the free vector d to the certificate data
   (a, b, c) and the residuals eps.
 - `solver`: damped Gauss-Newton on the overdetermined residual system, with
-  warm-started continuation sweeps over a list of sizes.
+  warm-started continuation sweeps over a list of sizes. It, and the
+  `scipy.linalg` it needs, load on first use of `pepcert.solver` or of one
+  of its names here (`pepcert.sweep`, `pepcert.NonConvergence`, ...), so a
+  process that only verifies never imports them.
 - `verifier`: the multiplier matrix, symbolic aggregation of the
   interpolation inequalities against the target rate expression (the oracle),
   and the rank-one slack check. A certificate's `positive` and `delta`
@@ -21,6 +24,8 @@ match. It runs no structural check: criterion 7 of the acceptance suite
 checks the sparsity pattern, unit column sum and row/column balance of the
 matrix `assemble_lambda` builds, and calls `slack_psd_check`.
 """
+
+import importlib
 
 from .certfile import (
     FORMAT_TAG,
@@ -53,18 +58,6 @@ from .recursion import (
     derive_full,
     residual,
 )
-from .solver import (
-    NonConvergence,
-    SolveReport,
-    bootstrap_smallest,
-    continue_from,
-    doubling,
-    extrapolate_init,
-    gauss_newton,
-    least_squares_step,
-    resample,
-    sweep,
-)
 from .verifier import (
     LambdaMatrix,
     aggregate,
@@ -77,3 +70,31 @@ from .verifier import (
 )
 
 __version__ = "0.1.0"
+
+# solver.__all__, resolved by __getattr__ on each lookup
+_SOLVER_NAMES = (
+    "NonConvergence",
+    "SolveReport",
+    "least_squares_step",
+    "gauss_newton",
+    "resample",
+    "extrapolate_init",
+    "continue_from",
+    "bootstrap_smallest",
+    "doubling",
+    "sweep",
+)
+
+
+def __getattr__(name):
+    # import_module, not `from . import solver`, which would call back in here
+    # through hasattr. Nothing is cached in globals(), so a name looked up
+    # later sees what pepcert.solver holds then, monkeypatches included.
+    if name == "solver" or name in _SOLVER_NAMES:
+        solver = importlib.import_module(".solver", __name__)
+        return solver if name == "solver" else getattr(solver, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), "solver", *_SOLVER_NAMES})

@@ -25,8 +25,10 @@ import numpy as np
 from . import certfile
 from .rates import huber_rate, lower_bound_envelope, quadratic_rate, solve_rate_params
 from .recursion import derive_full
-from .solver import NonConvergence, continue_from, doubling, sweep
 from .verifier import oracle_check, oracle_scale
+
+# `solve` and `sweep` import pepcert.solver, and scipy.linalg with it, when
+# they run, so the commands that do not solve never load it
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -80,9 +82,11 @@ def cmd_rates(args) -> int:
 
 
 def _solve_one(n, warm_paths):
+    from . import solver
+
     if not warm_paths:
         # cold start: the doubling chain from N=3, keeping only the last report
-        for report in sweep(doubling(n)):
+        for report in solver.sweep(solver.doubling(n)):
             pass
         return report
     sources = []
@@ -90,7 +94,7 @@ def _solve_one(n, warm_paths):
         cf = certfile.read_certificate(path)
         sources.append((cf.N, cf.d))
     try:
-        return continue_from(sources, n)
+        return solver.continue_from(sources, n)
     except ValueError as exc:
         raise _UsageError(f"bad warm start: {exc}")
 
@@ -98,7 +102,13 @@ def _solve_one(n, warm_paths):
 def cmd_solve(args) -> int:
     if args.N < 3:
         raise _UsageError("solve requires N >= 3")
-    report = _solve_one(args.N, args.warm)
+    from . import solver
+
+    try:
+        report = _solve_one(args.N, args.warm)
+    except solver.NonConvergence as exc:
+        print(f"non-convergence: {exc}", file=sys.stderr)
+        return EXIT_NONCONVERGENCE
     cf = certfile.certificate_file(report.cert)
     path = args.out or certfile.default_path(args.outdir, args.N)
     with _writing():
@@ -147,13 +157,15 @@ def cmd_sweep(args) -> int:
     if args.N_MAX < 3:
         raise _UsageError("sweep requires N_MAX >= 3")
     sizes = _sweep_sizes(args)
+    from . import solver
+
     outdir = args.outdir
     print(f"{'N':>6} {'alpha':>20} {'r':>14} {'iters':>5} {'sup|eps|':>10} {'delta':>10}")
     written = 0
     try:
         # each file is written before its row is printed and the next size
         # solved, so the files of an aborted sweep survive it
-        for report in sweep(sizes):
+        for report in solver.sweep(sizes):
             with _writing():
                 certfile.write_certificate(certfile.certificate_file(report.cert),
                                            certfile.default_path(outdir, report.params.N))
@@ -163,7 +175,7 @@ def cmd_sweep(args) -> int:
                 f"{report.residual_sup:>10.2e} {report.delta:>10.2e}"
             )
             written += 1
-    except NonConvergence as exc:
+    except solver.NonConvergence as exc:
         print(f"sweep aborted: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
     print(f"{written} certificates written to {outdir}")
@@ -239,6 +251,8 @@ def _parse_grid(spec: str) -> np.ndarray:
         raise _UsageError(f"bad grid spec {spec!r}, expected lo:hi:step")
     if not np.isfinite([lo, hi, step]).all() or step <= 0 or hi < lo:
         raise _UsageError(f"bad grid spec {spec!r}")
+    if lo < 0:  # huber_rate has a pole at alpha = -1/(2N)
+        raise _UsageError(f"grid spec {spec!r} starts below 0; stepsizes must be >= 0")
     n = np.floor((hi - lo) / step + 1e-9) + 1
     if not n <= MAX_GRID_POINTS:  # also catches an infinite count
         raise _UsageError(f"grid spec {spec!r} has more than {MAX_GRID_POINTS} points")
@@ -317,9 +331,6 @@ def main(argv=None) -> int:
     except certfile.CertificateFormatError as exc:
         print(f"corrupt certificate: {exc}", file=sys.stderr)
         return EXIT_CORRUPT
-    except NonConvergence as exc:
-        print(f"non-convergence: {exc}", file=sys.stderr)
-        return EXIT_NONCONVERGENCE
     except _WriteError as exc:
         print(f"cannot write output: {exc}", file=sys.stderr)
         return EXIT_WRITE

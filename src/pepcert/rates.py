@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import mpmath as mp
 import numpy as np
 
 __all__ = [
@@ -162,6 +161,8 @@ def solve_rate_params_mp(N: int, dps: int = 50):
     residual lands near 10**(5 - dps). Use for tolerance studies where float64
     quantization of alpha (relative defect ~ 2 N eps) is too coarse.
     """
+    import mpmath as mp  # here, not at the top: no other function needs it
+
     seed = solve_rate_params(N).alpha
     with mp.workdps(dps):
         a = mp.mpf(seed)

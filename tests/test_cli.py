@@ -2,10 +2,12 @@ import os
 import shlex
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
+import pepcert
 import pepcert.solver as solver_mod
 from pepcert import cli
 from pepcert.certfile import (
@@ -18,6 +20,13 @@ from pepcert.rates import solve_rate_params
 from pepcert.recursion import derive_full
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def src_env(**extra):
+    """The environment of a child interpreter that imports pepcert from src."""
+    path = os.pathsep.join(filter(None, [os.path.join(ROOT, "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **extra)
 
 
 def run(capsys, *argv):
@@ -156,6 +165,22 @@ class TestSolve:
         assert cert.delta <= 1e-11
         assert cert.positive
 
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_nonconvergence_exits_2(self, capsys, cert_dir, tmp_path, monkeypatch, warm):
+        def failing(params, d0):
+            raise solver_mod.NonConvergence("synthetic failure", N=params.N)
+
+        monkeypatch.setattr(solver_mod, "gauss_newton", failing)
+        argv = ["solve", 30, "--outdir", tmp_path / "out"]
+        if warm:
+            argv += ["--warm", cert_dir / "cert_N00011.txt"]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("non-convergence: ") and err.count("\n") == 1
+        assert "synthetic failure" in err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestSweep:
     def test_single(self, capsys, tmp_path):
@@ -186,13 +211,11 @@ class TestSweep:
         # an unbuffered one at its first line
         read_end, write_end = os.pipe()
         os.close(read_end)
-        path = os.pathsep.join(filter(None, [os.path.join(ROOT, "src"),
-                                             os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, PYTHONPATH=path, PYTHONUNBUFFERED=unbuffered)
         try:
             proc = subprocess.run(
                 [sys.executable, "-m", "pepcert.cli", "sweep", "5", "--outdir", str(tmp_path)],
-                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=300)
+                stdout=write_end, stderr=subprocess.PIPE,
+                env=src_env(PYTHONUNBUFFERED=unbuffered), timeout=300)
         finally:
             os.close(write_end)
         assert_write_error(proc.returncode, proc.stderr.decode())
@@ -469,6 +492,16 @@ class TestEnvelope:
         code, _, _ = run(capsys, "envelope", 0)
         assert code == 1
 
+    @pytest.mark.parametrize("n, grid", [(5, "-1:0:0.1"), (1, "-0.5:-0.5:1")])
+    def test_negative_stepsize_is_usage_error(self, capsys, n, grid):
+        # across the Huber rate's pole at alpha = -1/(2N), or at it for N=1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "envelope", n, f"--grid={grid}")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+
 
 def readme_commands():
     """Every `pepcert ...` line of README.md as an argument list, with
@@ -514,3 +547,51 @@ class TestParser:
         finally:
             cli._parser.cache_clear()
         assert len(built) == 1
+
+
+# the commands that do not solve, run in one interpreter; prints the exit
+# codes, then which of the solver's heavy imports are loaded
+NO_SOLVE_SCRIPT = """
+import sys
+from pepcert import cli
+cert, outdir = sys.argv[1:]
+codes = [cli.main(argv) for argv in (
+    ["verify", cert], ["verify", cert, "--oracle"], ["rates", "50"],
+    ["envelope", "10"], ["plotdata", cert, "--outdir", outdir])]
+print(codes, sorted({"scipy", "mpmath", "pepcert.solver"} & set(sys.modules)))
+"""
+
+
+class TestImports:
+    def test_commands_that_do_not_solve_load_no_solver(self, cert_dir, tmp_path):
+        # a fresh interpreter, since this one has imported the solver already
+        proc = subprocess.run(
+            [sys.executable, "-c", NO_SOLVE_SCRIPT,
+             str(cert_dir / "cert_N00010.txt"), str(tmp_path / "curves")],
+            capture_output=True, text=True, env=src_env(), timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0] []"
+
+    def test_solver_names_resolve_through_the_package(self):
+        assert pepcert._SOLVER_NAMES == tuple(solver_mod.__all__)
+        names = dir(pepcert)
+        assert "solver" in names
+        for name in pepcert._SOLVER_NAMES:
+            assert name in names
+            assert getattr(pepcert, name) is getattr(solver_mod, name)
+        assert pepcert.solver is solver_mod
+        assert pepcert.sweep is pepcert.solver.sweep
+        from pepcert import NonConvergence
+
+        assert NonConvergence is solver_mod.NonConvergence
+
+    def test_solver_names_are_looked_up_each_time(self, monkeypatch):
+        # a function replaced on pepcert.solver, as by a monkeypatch or a
+        # tracer, is what the package hands out afterwards
+        replacement = object()
+        monkeypatch.setattr(solver_mod, "sweep", replacement)
+        assert pepcert.sweep is replacement
+
+    def test_unknown_name(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            pepcert.no_such_name
