@@ -7,8 +7,9 @@ The library is organized around five pieces:
   exact 1-D simulations, and the lower-bound envelope.
 - `recursion`: one pass from the free vector d to the certificate data
   (a, b, c) and the residuals eps.
-- `solver`: damped Gauss-Newton on the overdetermined residual system, with
-  warm-started continuation sweeps over a list of sizes. It, and the
+- `solver`: damped Gauss-Newton on the overdetermined residual system. A
+  cold solve starts from a closed-form shape of the certificate, and a sweep
+  over a list of sizes warm-starts each size from the ones before. It, and the
   `scipy.linalg` it needs, load on first use of `pepcert.solver` or of one
   of its names here (`pepcert.sweep`, `pepcert.NonConvergence`, ...), so a
   process that only verifies never imports them.
@@ -78,10 +79,8 @@ _SOLVER_NAMES = (
     "least_squares_step",
     "gauss_newton",
     "resample",
+    "closed_form_start",
     "extrapolate_init",
-    "continue_from",
-    "bootstrap_smallest",
-    "doubling",
     "sweep",
 )
 

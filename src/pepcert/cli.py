@@ -66,13 +66,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _rate_params(n):
+    try:
+        return solve_rate_params(n)
+    except ValueError as exc:  # alpha(N) rounds to 2 in float64 for huge N
+        raise _UsageError(f"no float64 rate parameters for N={n}: {exc}")
+
+
 def cmd_rates(args) -> int:
     if args.N < 1:
         raise _UsageError("N must be >= 1")
-    try:
-        params = solve_rate_params(args.N)
-    except ValueError as exc:  # alpha(N) rounds to 2 in float64 for huge N
-        raise _UsageError(f"no float64 rate parameters for N={args.N}: {exc}")
+    params = _rate_params(args.N)
     gap = abs(quadratic_rate(params.N, params.alpha) - huber_rate(params.N, params.alpha))
     print(f"N {params.N}")
     print(f"alpha {params.alpha!r}")
@@ -81,31 +85,14 @@ def cmd_rates(args) -> int:
     return EXIT_OK
 
 
-def _solve_one(n, warm_paths):
-    from . import solver
-
-    if not warm_paths:
-        # cold start: the doubling chain from N=3, keeping only the last report
-        for report in solver.sweep(solver.doubling(n)):
-            pass
-        return report
-    sources = []
-    for path in warm_paths:
-        cf = certfile.read_certificate(path)
-        sources.append((cf.N, cf.d))
-    try:
-        return solver.continue_from(sources, n)
-    except ValueError as exc:
-        raise _UsageError(f"bad warm start: {exc}")
-
-
 def cmd_solve(args) -> int:
     if args.N < 3:
         raise _UsageError("solve requires N >= 3")
+    params = _rate_params(args.N)
     from . import solver
 
     try:
-        report = _solve_one(args.N, args.warm)
+        report = solver.gauss_newton(params, solver.closed_form_start(args.N))
     except solver.NonConvergence as exc:
         print(f"non-convergence: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
@@ -281,9 +268,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("solve", help="solve one certificate and write its file")
     p.add_argument("N", type=int)
-    p.add_argument("--warm", nargs="+", metavar="FILE",
-                   help="one to four solved certificate files to extrapolate "
-                        "from (a cubic in 1/N)")
     p.add_argument("--out", help="output file path")
     p.add_argument("--outdir", default=".")
     p.set_defaults(func=cmd_solve)

@@ -235,9 +235,12 @@ def lower_bound_envelope(N: int, alphas) -> np.ndarray:
     Every gradient method with constant stepsize alpha' performs at least this
     badly on one of the two objectives, so the grid minimum lower-bounds the
     best achievable worst case; the minimum over a grid containing alpha(N)
-    equals r(N).
+    equals r(N). Raises ValueError for a negative or NaN stepsize: huber_rate
+    has a pole at alpha = -1/(2N).
     """
     alphas = np.asarray(alphas, dtype=float)
+    if not np.all(alphas >= 0.0):
+        raise ValueError("stepsizes must be >= 0")
     with np.errstate(under="ignore"):
         q = quadratic_rate(N, alphas)
     return np.maximum(q, huber_rate(N, alphas))

@@ -6,12 +6,14 @@ quadratically near a zero-residual solution. The step is exact and never forms
 the Jacobian: the recursion is linearized in a few local unknowns per index
 (prefix and suffix sums, and the tangent of the backward scan), and the
 constrained least-squares problem is one banded augmented system, so a step
-takes O(N) time and memory. Every solve past N=3 goes through `continue_from`,
-warm-started from up to four recent certificate shapes: each is resampled
-onto the new grid by local cubic interpolation, and the shapes are
-extrapolated to the new size by a cubic in 1/N, which leaves most sizes one
-Gauss-Newton step from convergence. A sweep chains such solves over a list
-of sizes and yields each report; writing files is left to its caller.
+takes O(N) time and memory. A cold solve starts from the closed form
+d_i = sqrt(N) / (2 (N - i)^{3/2}) of closed_form_start, from which
+Gauss-Newton takes three steps at every size tested. A sweep solves its first
+size that way and warm-starts every later one from up to four recent
+certificate shapes: each is resampled onto the new grid by local cubic
+interpolation, and the shapes are extrapolated to the new size by a cubic in
+1/N, which leaves most sizes one Gauss-Newton step from convergence. It
+yields each report; writing files is left to its caller.
 """
 
 from __future__ import annotations
@@ -32,10 +34,8 @@ __all__ = [
     "least_squares_step",
     "gauss_newton",
     "resample",
+    "closed_form_start",
     "extrapolate_init",
-    "continue_from",
-    "bootstrap_smallest",
-    "doubling",
     "sweep",
 ]
 
@@ -316,6 +316,15 @@ def gauss_newton(params: RateParams, d0) -> SolveReport:
     )
 
 
+def closed_form_start(N: int) -> np.ndarray:
+    """The cold start d_i = sqrt(N) / (2 (N - i)^{3/2}), i = 0..N-2: the
+    leading-order shape of the certificate, from which Gauss-Newton needs
+    three steps at every N tested, 3..300 and up to 327680."""
+    if N < 3:
+        raise ValueError(f"the closed-form start needs N >= 3, got N={N}")
+    return np.sqrt(N) / (2.0 * np.arange(N, 1, -1, dtype=float) ** 1.5)
+
+
 def resample(d, n_target: int) -> np.ndarray:
     """Local cubic resampling of a certificate shape onto the grid of a
     different problem size (normalized index t_i = i/(N-2) on [0, 1]).
@@ -378,44 +387,14 @@ def extrapolate_init(sources, target: int) -> np.ndarray:
     return np.maximum(out, 1e-12)
 
 
-def continue_from(sources, n: int) -> SolveReport:
-    """Solve size n from one to CONTINUATION_SOURCES solved (N, d) pairs,
-    warm-started by extrapolate_init. Raises ValueError for unusable sources
-    and NonConvergence when the solve fails."""
-    d0 = extrapolate_init(sources, n)
-    return gauss_newton(solve_rate_params(n), d0)
-
-
-def bootstrap_smallest(params: RateParams) -> SolveReport:
-    """First certificate of a sweep (N = 3): Gauss-Newton from the single
-    documented start d0 = (0.05, 0.05).
-
-    Raises NonConvergence if that start fails; there is no fallback.
-    """
-    if params.N != 3:
-        raise ValueError(f"bootstrap_smallest requires N=3, got N={params.N}")
-    return gauss_newton(params, np.full(2, 0.05))
-
-
-def doubling(n_max: int) -> list[int]:
-    """The cold-solve chain: every N in 3..20, then 40, 80, 160, ... below
-    n_max, then n_max itself, so O(log N) solves. For n_max <= 20 it is the
-    dense chain 3..n_max."""
-    if n_max < 3:
-        raise ValueError(f"the chain needs n_max >= 3, got {n_max}")
-    sizes = list(range(3, min(n_max, 20) + 1))
-    while sizes[-1] < n_max:
-        sizes.append(min(2 * sizes[-1], n_max))
-    return sizes
-
-
 def sweep(sizes) -> Iterator[SolveReport]:
     """Continuation sweep over `sizes`, a strictly increasing sequence of
     problem sizes that starts at N=3; yields one SolveReport per size, in
     order.
 
-    N=3 is solved by bootstrap_smallest and every later size by continue_from
-    the CONTINUATION_SOURCES most recent certificates (fewer at the start).
+    N=3 is solved from closed_form_start and every later size by
+    gauss_newton from extrapolate_init of the CONTINUATION_SOURCES most
+    recent certificates (fewer at the start).
     Only their (N, d) pairs are kept, so a report the caller drops is freed.
     A caller that writes each report before asking for the next keeps its
     files through an aborted sweep.
@@ -430,9 +409,7 @@ def sweep(sizes) -> Iterator[SolveReport]:
         raise ValueError("sizes must increase strictly from N=3")
     recent: deque = deque(maxlen=CONTINUATION_SOURCES)
     for n in sizes:
-        if not recent:
-            report = bootstrap_smallest(solve_rate_params(n))
-        else:
-            report = continue_from(recent, n)
+        d0 = extrapolate_init(recent, n) if recent else closed_form_start(n)
+        report = gauss_newton(solve_rate_params(n), d0)
         recent.append((n, report.d))
         yield report

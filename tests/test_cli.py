@@ -68,11 +68,14 @@ class TestRates:
         line = next(l for l in out.splitlines() if l.startswith("balance_residual"))
         assert float(line.split()[1]) <= 1e-14
 
-    def test_alpha_rounding_to_two_is_usage_error(self, capsys):
-        # alpha(10**17) rounds to 2.0 in float64, outside (1, 2)
-        code, out, err = run(capsys, "rates", 10**17)
-        assert code == 1 and out == ""
-        assert err.startswith("usage error: ") and len(err.splitlines()) == 1
+    def test_alpha_rounding_to_two_is_usage_error(self, capsys, tmp_path):
+        # alpha(10**17) rounds to 2.0 in float64, outside (1, 2); solve
+        # refuses it before it allocates a start of 10**17 entries
+        for argv in (["rates", 10**17], ["solve", 10**17, "--outdir", tmp_path]):
+            code, out, err = run(capsys, *argv)
+            assert code == 1 and out == ""
+            assert err.startswith("usage error: ") and len(err.splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSolve:
@@ -111,53 +114,21 @@ class TestSolve:
         assert "wrote ./cert_N00005.txt" in out
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cert_N00005.txt"]
 
-    def test_warm_start(self, capsys, cert_dir, tmp_path):
-        code, out, _ = run(
-            capsys, "solve", 12,
-            "--warm", cert_dir / "cert_N00010.txt", cert_dir / "cert_N00011.txt",
-            "--out", tmp_path / "c12.txt",
-        )
-        assert code == 0
-        iters = int(next(l for l in out.splitlines() if l.startswith("iterations")).split()[1])
-        assert iters <= 15
-        assert (tmp_path / "c12.txt").exists()
+    def test_cold_solve_is_one_gauss_newton(self, capsys, tmp_path, monkeypatch):
+        # one solve from the closed-form start, with no continuation chain
+        starts = []
+        real = solver_mod.gauss_newton
 
-    def test_warm_start_matches_sweep(self, capsys, cert_dir, tmp_path):
-        # the sweep warms N=12 from N=8..11; the file order does not matter
-        warm = [cert_dir / f"cert_N{n:05d}.txt" for n in (11, 9, 8, 10)]
-        code, _, _ = run(capsys, "solve", 12, "--warm", *warm, "--out", tmp_path / "c12.txt")
-        assert code == 0
-        assert cli.main(["sweep", "12", "--outdir", str(tmp_path / "sweep")]) == 0
-        capsys.readouterr()
-        swept = (tmp_path / "sweep" / "cert_N00012.txt").read_bytes()
-        assert (tmp_path / "c12.txt").read_bytes() == swept
+        def recording(params, d0):
+            starts.append((params.N, d0))
+            return real(params, d0)
 
-    def test_warm_same_n_different_d_is_usage_error(self, capsys, cert_dir, tmp_path):
-        cf = read_certificate(cert_dir / "cert_N00010.txt")
-        other = type(cf)(N=cf.N, alpha=cf.alpha, r=cf.r, delta=cf.delta, d=cf.d * 1.01)
-        path = write_certificate(other, path=tmp_path / "other.txt")
-        code, _, err = run(capsys, "solve", 12,
-                           "--warm", cert_dir / "cert_N00010.txt", path,
-                           "--out", tmp_path / "c12.txt")
-        assert code == 1
-        assert "usage error" in err
-        assert not (tmp_path / "c12.txt").exists()
-        five = [cert_dir / f"cert_N{n:05d}.txt" for n in (5, 8, 9, 10, 11)]
-        assert cli.main(["solve", "12", "--warm", *map(str, five)]) == 1
-
-    def test_cold_solve_doubling_chain(self, capsys, tmp_path, monkeypatch):
-        solved = []
-        real = solver_mod.continue_from
-
-        def recording(sources, n, **kw):
-            solved.append(n)
-            return real(sources, n, **kw)
-
-        monkeypatch.setattr(solver_mod, "continue_from", recording)
+        monkeypatch.setattr(solver_mod, "gauss_newton", recording)
         code, out, _ = run(capsys, "solve", 100, "--outdir", tmp_path)
         assert code == 0
         assert "converged True" in out
-        assert [3] + solved == list(range(3, 21)) + [40, 80, 100]
+        assert len(starts) == 1 and starts[0][0] == 100
+        np.testing.assert_array_equal(starts[0][1], solver_mod.closed_form_start(100))
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cert_N00100.txt"]
         cf = read_certificate(tmp_path / "cert_N00100.txt")
         cert = derive_full(params_from_file(cf), cf.d)
@@ -165,16 +136,21 @@ class TestSolve:
         assert cert.delta <= 1e-11
         assert cert.positive
 
-    @pytest.mark.parametrize("warm", [False, True])
-    def test_nonconvergence_exits_2(self, capsys, cert_dir, tmp_path, monkeypatch, warm):
+    def test_cold_solve_matches_sweep(self, capsys, tmp_path):
+        # the cold start and the sweep's continuation find the same certificate
+        assert cli.main(["solve", "100", "--out", str(tmp_path / "c100.txt")]) == 0
+        assert cli.main(["sweep", "100", "--outdir", str(tmp_path / "sweep")]) == 0
+        capsys.readouterr()
+        cold = read_certificate(tmp_path / "c100.txt").d
+        swept = read_certificate(tmp_path / "sweep" / "cert_N00100.txt").d
+        assert np.max(np.abs(cold - swept)) <= 1e-12 * np.max(swept)
+
+    def test_nonconvergence_exits_2(self, capsys, tmp_path, monkeypatch):
         def failing(params, d0):
             raise solver_mod.NonConvergence("synthetic failure", N=params.N)
 
         monkeypatch.setattr(solver_mod, "gauss_newton", failing)
-        argv = ["solve", 30, "--outdir", tmp_path / "out"]
-        if warm:
-            argv += ["--warm", cert_dir / "cert_N00011.txt"]
-        code, out, err = run(capsys, *argv)
+        code, out, err = run(capsys, "solve", 30, "--outdir", tmp_path / "out")
         assert code == 2
         assert out == ""
         assert err.startswith("non-convergence: ") and err.count("\n") == 1
@@ -381,8 +357,7 @@ def small_n_file(path, n):
 
 
 @pytest.mark.parametrize("n", [1, 2])
-@pytest.mark.parametrize("command", ["verify FILE", "plotdata FILE --outdir OUT",
-                                     "solve 5 --warm FILE --outdir OUT"])
+@pytest.mark.parametrize("command", ["verify FILE", "plotdata FILE --outdir OUT"])
 def test_n_below_3_is_corruption(capsys, tmp_path, n, command):
     path = small_n_file(tmp_path / "small.txt", n)
     out = tmp_path / "out"

@@ -181,3 +181,10 @@ class TestEnvelope:
         assert np.all(vals >= params.r - 1e-12)
         spacing = grid[1] - grid[0]
         assert abs(grid[np.argmin(vals)] - params.alpha) <= spacing + 1e-12
+
+    def test_negative_or_nan_stepsize_rejected(self):
+        # huber_rate has a pole at alpha = -1/(2N), here -0.1
+        for alphas in ([-0.1, -0.5], [0.5, -1e-300], [0.5, np.nan], -0.5):
+            with pytest.raises(ValueError):
+                lower_bound_envelope(5, alphas)
+        assert lower_bound_envelope(5, [0.0]) == pytest.approx([0.5], abs=1e-15)

@@ -9,11 +9,9 @@ from scipy.linalg import LinAlgError, qr_multiply, solve_triangular
 import pepcert.solver as solver_mod
 from pepcert import (
     NonConvergence,
-    bootstrap_smallest,
     c_from_d,
-    continue_from,
+    closed_form_start,
     derive_full,
-    doubling,
     extrapolate_init,
     gauss_newton,
     least_squares_step,
@@ -173,13 +171,10 @@ STEP_SIZES = (3, 4, 5, 12, 40, 300)
 
 
 @pytest.fixture(scope="module")
-def warm_start_5000():
-    """(params, d0) at N=5000, d0 extrapolated from the last four
-    certificates of the doubling chain to 2560."""
+def start_5000():
+    """(params, d0) at N=5000, d0 the closed-form start."""
     n = 5000
-    reports = list(sweep(doubling(2560)))
-    d0 = extrapolate_init([(rep.params.N, rep.d) for rep in reports[-4:]], n)
-    return solve_rate_params(n), d0
+    return solve_rate_params(n), closed_form_start(n)
 
 
 class TestLeastSquaresStep:
@@ -201,7 +196,7 @@ class TestLeastSquaresStep:
         # the band solves for, are typically about 17 times its entries, so
         # their first differences must keep the step's accuracy
         params = solve_rate_params(n)
-        d_star = list(sweep(doubling(n)))[-1].d
+        d_star = gauss_newton(params, closed_form_start(n)).d
         for scale in (1e-2, 1e-6):
             d = d_star * (1.0 + scale * rng.standard_normal(n - 1))
             eps = residual(params, d)
@@ -250,10 +245,10 @@ class TestLeastSquaresStep:
         assert err.value.N == 7
         assert "N=7" in str(err.value)
 
-    def test_memory_is_linear_in_n(self, warm_start_5000):
-        # one warm solve at N=5000 stays within 25 kB per index; the dense
+    def test_memory_is_linear_in_n(self, start_5000):
+        # one cold solve at N=5000 stays within 25 kB per index; the dense
         # Jacobian alone would take 200 MB there
-        params, d0 = warm_start_5000
+        params, d0 = start_5000
         tracemalloc.start()
         try:
             report = gauss_newton(params, d0)
@@ -263,11 +258,11 @@ class TestLeastSquaresStep:
         assert report.cert.positive
         assert peak <= 25_000 * params.N
 
-    def test_step_memory_per_index(self, warm_start_5000):
+    def test_step_memory_per_index(self, start_5000):
         # one step stays within 4.5 kB per index: the band matrix (19 rows of
         # six slots per index) and solve_banded's two copies of it take about
         # 3.6 kB of that
-        params, d0 = warm_start_5000
+        params, d0 = start_5000
         eps = residual(params, d0)
         tracemalloc.start()
         try:
@@ -320,8 +315,6 @@ class TestGaussNewton:
         assert (solver_mod.RESIDUAL_TOL, solver_mod.MAX_ITER) == (1e-13, 50)
         params = solve_rate_params(3)
         calls = [lambda **kw: gauss_newton(params, np.full(2, 0.05), **kw),
-                 lambda **kw: bootstrap_smallest(params, **kw),
-                 lambda **kw: continue_from([(3, np.full(2, 0.05))], 4, **kw),
                  lambda **kw: list(sweep([3], **kw))]
         for call in calls:
             for kwargs in ({"tol": 1e-13}, {"max_iter": 50}):
@@ -434,59 +427,60 @@ class TestExtrapolateInit:
 
 
 class TestBootstrap:
+    # the cold start: a sweep's first size and every `pepcert solve`
     def test_converges_positive(self):
-        report = bootstrap_smallest(solve_rate_params(3))
+        report = gauss_newton(solve_rate_params(3), closed_form_start(3))
         assert report.cert.positive
         assert report.delta <= 1e-11
 
     def test_deterministic(self):
-        r1 = bootstrap_smallest(solve_rate_params(3))
-        r2 = bootstrap_smallest(solve_rate_params(3))
+        r1 = gauss_newton(solve_rate_params(40), closed_form_start(40))
+        r2 = gauss_newton(solve_rate_params(40), closed_form_start(40))
         np.testing.assert_array_equal(r1.d, r2.d)
         assert r1.iterations == r2.iterations
 
     def test_requires_n3(self):
         with pytest.raises(ValueError):
-            bootstrap_smallest(solve_rate_params(4))
+            closed_form_start(2)
 
     def test_single_start_failure_raises(self, monkeypatch):
         # the one start is not a certificate, its first step fails, and there
         # is no fallback start
         monkeypatch.setattr(solver_mod, "least_squares_step", lambda *args: (None, False))
         with pytest.raises(NonConvergence) as err:
-            bootstrap_smallest(solve_rate_params(3))
+            next(solver_mod.sweep([3]))
         assert err.value.N == 3
 
+    def test_formula(self):
+        # d_i = sqrt(N) / (2 (N - i)^{3/2}) for i = 0..N-2: smallest first
+        np.testing.assert_array_equal(closed_form_start(3),
+                                      [3**0.5 / (2 * 3**1.5), 3**0.5 / (2 * 2**1.5)])
+        assert closed_form_start(1000).shape == (999,)
 
-class TestContinueFrom:
-    def test_matches_sweep_step(self, small_sweep):
-        sources = [(n, small_sweep[n].d) for n in (11, 9, 10, 8)]
-        report = continue_from(sources, 12)
-        np.testing.assert_array_equal(report.d, small_sweep[12].d)
-        assert report.iterations == small_sweep[12].iterations
-
-    def test_one_source_resamples(self, small_sweep):
-        report = continue_from([(9, small_sweep[9].d)], 12)
-        d0 = np.maximum(resample(small_sweep[9].d, 12), 1e-12)
-        expect = gauss_newton(solve_rate_params(12), d0)
-        np.testing.assert_array_equal(report.d, expect.d)
-
-    def test_source_count(self, small_sweep):
-        with pytest.raises(ValueError):
-            continue_from([], 12)
-        three = [(n, small_sweep[n].d) for n in (9, 10, 11)]
-        assert continue_from(three, 12).cert.positive
-        five = [(n, small_sweep[n].d) for n in (7, 8, 9, 10, 11)]
-        with pytest.raises(ValueError):
-            continue_from(five, 12)
+    @pytest.mark.parametrize("n", [*range(3, 61), 100, 300, 1000, 5000, 20160])
+    def test_three_steps(self, n):
+        report = gauss_newton(solve_rate_params(n), closed_form_start(n))
+        assert report.iterations == 3
+        assert report.cert.positive
 
 
 class TestSweep:
     def test_single_value_equals_bootstrap(self):
         reports = list(sweep([3]))
-        boot = bootstrap_smallest(solve_rate_params(3))
+        boot = gauss_newton(solve_rate_params(3), closed_form_start(3))
         assert len(reports) == 1
         np.testing.assert_array_equal(reports[0].d, boot.d)
+
+    def test_step_is_gauss_newton_from_extrapolate_init(self, small_sweep):
+        sources = [(n, small_sweep[n].d) for n in (11, 9, 10, 8)]
+        report = gauss_newton(solve_rate_params(12), extrapolate_init(sources, 12))
+        np.testing.assert_array_equal(report.d, small_sweep[12].d)
+        assert report.iterations == small_sweep[12].iterations
+
+    def test_second_size_resamples_the_first(self, small_sweep):
+        d0 = np.maximum(resample(small_sweep[3].d, 4), 1e-12)
+        expect = gauss_newton(solve_rate_params(4), d0)
+        np.testing.assert_array_equal(small_sweep[4].d, expect.d)
 
     def test_dense_small(self, small_sweep):
         assert sorted(small_sweep) == list(range(3, 21))
@@ -537,15 +531,3 @@ class TestSweep:
             next(sizes)
         gc.collect()
         assert ref() is None
-
-    def test_doubling_chain(self):
-        dense = list(range(3, 21))
-        assert doubling(3) == [3]
-        assert doubling(12) == list(range(3, 13))
-        assert doubling(20) == dense
-        assert doubling(21) == dense + [21]
-        assert doubling(160) == dense + [40, 80, 160]
-        assert doubling(300) == dense + [40, 80, 160, 300]
-        assert doubling(1000) == dense + [40, 80, 160, 320, 640, 1000]
-        with pytest.raises(ValueError):
-            doubling(2)
