@@ -6,6 +6,10 @@ match it, coefficient by coefficient, against the target rate expression.
 The match must hold for ANY d (the residual terms absorb the mismatch), so
 this checks every equation of the elimination at once; perturbing any derived
 entry breaks it immediately.
+
+`oracle_check` takes the same maximum in O(N) from the pattern of the
+multiplier matrix; the dense reference below builds the matrix and both
+(N+2)^2 coefficient grams.
 """
 
 import dataclasses
@@ -13,11 +17,13 @@ import dataclasses
 import numpy as np
 
 from pepcert import (
+    aggregate,
     assemble_lambda,
     derive_full,
     gauss_newton,
     oracle_check,
     oracle_scale,
+    rhs_with_errors,
     slack_gram,
     solve_rate_params,
 )
@@ -29,26 +35,32 @@ cert = derive_full(params, report.d)
 
 # multiplier matrix: one dense row, two off-diagonals, a rank-one-ish block
 lam = assemble_lambda(cert)
-print(f"multiplier matrix for N={n}: shape {lam.entries.shape}, "
-      f"{np.count_nonzero(lam.entries)} nonzeros, "
-      f"min entry {lam.entries[lam.entries > 0].min():.3e}")
-print(f"last column sums to {lam.entries[:, -1].sum():.16f} (must be 1)\n")
+print(f"multiplier matrix for N={n}: shape {lam.shape}, "
+      f"{np.count_nonzero(lam)} nonzeros, "
+      f"min entry {lam[lam > 0].min():.3e}")
+print(f"last column sums to {lam[:, -1].sum():.16f} (must be 1)\n")
 
-# the coefficient match, certificate or not
-dev = oracle_check(cert)
-print(f"aggregation vs target, max coefficient deviation: {dev:.3e}")
-print(f"(scaled tolerance would be {1e-10 * oracle_scale(cert):.3e})\n")
 
+def dense_deviation(c):
+    fcoef, gram = aggregate(assemble_lambda(c), c.params.alpha)
+    target_f, target_gram = rhs_with_errors(c)
+    return max(np.abs(fcoef - target_f).max(), np.abs(gram - target_gram).max())
+
+
+# the coefficient match, certificate or not, from the dense reference and
+# from the O(N) oracle side by side
 arbitrary = derive_full(params, np.full(n - 1, 0.8))
-print(f"same match at a non-certificate d: {oracle_check(arbitrary):.3e}")
-print("the identity is structural; eps absorbs the failure to certify\n")
-
 # sensitivity: a one-part-in-a-thousand bump of one multiplier (a_2, at
 # matrix position (3, 4)) is loudly visible
 bumped = cert.a.copy()
 bumped[2] += 1e-3
-broken = oracle_check(dataclasses.replace(cert, a=bumped))
-print(f"after bumping one multiplier entry by 1e-3: deviation {broken:.3e}\n")
+broken = dataclasses.replace(cert, a=bumped)
+print(f"{'max coefficient deviation at':<30} {'dense':>10} {'O(N)':>10}")
+for label, c in (("the certificate", cert), ("a non-certificate d", arbitrary),
+                 ("a_2 bumped by 1e-3", broken)):
+    print(f"{label:<30} {dense_deviation(c):>10.3e} {oracle_check(c):>10.3e}")
+print(f"(scaled tolerance {1e-10 * oracle_scale(cert):.3e})")
+print("the identity is structural; eps absorbs the failure to certify\n")
 
 # the slack term is a perfect square: rank-one PSD Gram
 svals = np.linalg.svd(slack_gram(cert), compute_uv=False)

@@ -13,17 +13,19 @@ The library is organized around five pieces:
   `scipy.linalg` it needs, load on first use of `pepcert.solver` or of one
   of its names here (`pepcert.sweep`, `pepcert.NonConvergence`, ...), so a
   process that only verifies never imports them.
-- `verifier`: the multiplier matrix, symbolic aggregation of the
-  interpolation inequalities against the target rate expression (the oracle),
-  and the rank-one slack check. A certificate's `positive` and `delta`
-  give the rate bound r + delta/2.
+- `verifier`: symbolic aggregation of the interpolation inequalities against
+  the target rate expression: the O(N) oracle `oracle_check`, the dense
+  reference (`assemble_lambda`, `aggregate`, `rhs_with_errors`) that tests
+  and demos compare it with, and the rank-one slack check. A certificate's
+  `positive` and `delta` give the rate bound r + delta/2.
 - `certfile`/`cli`: the pepcert/1 file format and command-line front end.
 
 `pepcert verify` re-derives a file's vectors from d, checks the stored ones
 against them, and gates positivity and delta; `--oracle` adds the coefficient
-match. It runs no structural check: criterion 7 of the acceptance suite
-checks the sparsity pattern, unit column sum and row/column balance of the
-matrix `assemble_lambda` builds, and calls `slack_psd_check`.
+match, in O(N) memory. It builds no (N+2)^2 array and runs no structural
+check: criterion 7 of the acceptance suite checks the sparsity pattern, unit
+column sum and row/column balance of the matrix `assemble_lambda` builds, and
+calls `slack_psd_check`.
 """
 
 import importlib
@@ -60,7 +62,6 @@ from .recursion import (
     residual,
 )
 from .verifier import (
-    LambdaMatrix,
     aggregate,
     assemble_lambda,
     oracle_check,

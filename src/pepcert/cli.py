@@ -2,9 +2,10 @@
 
 Subcommands: rates, solve, sweep, verify, plotdata, envelope.
 
-Exit codes: 0 verified/converged, 1 usage error, 2 non-convergence,
-3 verification failure, 4 file corruption, 5 output could not be written, a
-closed standard output too (a sweep keeps the files it wrote before). Files
+Exit codes: 0 verified/converged, 1 usage error, a solve or sweep whose
+arrays cannot be allocated too, 2 non-convergence, 3 verification failure,
+4 file corruption, 5 output could not be written, a closed standard output
+too (a sweep keeps the files it wrote before). Files
 go to --outdir, the working directory by default. The gates are fixed: a
 solve converges at max_i |eps_i| <= 1e-13, and verify certifies a file whose
 delta, recomputed and as stored, is at most 1e-11 and, with --oracle, whose
@@ -60,6 +61,16 @@ def _writing():
         raise _WriteError(exc) from exc
 
 
+@contextlib.contextmanager
+def _in_memory(what):
+    # a size past the address space fails its first allocation at once, so
+    # it is reported as one usage line, not a traceback
+    try:
+        yield
+    except MemoryError as exc:
+        raise _UsageError(f"{what} does not fit in memory: {str(exc) or 'MemoryError'}")
+
+
 class _Parser(argparse.ArgumentParser):
     # usage problems must exit 1, not argparse's default 2
     def error(self, message):
@@ -92,7 +103,8 @@ def cmd_solve(args) -> int:
     from . import solver
 
     try:
-        report = solver.gauss_newton(params, solver.closed_form_start(args.N))
+        with _in_memory(f"N={args.N}"):
+            report = solver.gauss_newton(params, solver.closed_form_start(args.N))
     except solver.NonConvergence as exc:
         print(f"non-convergence: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
@@ -143,7 +155,8 @@ def _sweep_sizes(args) -> list[int]:
 def cmd_sweep(args) -> int:
     if args.N_MAX < 3:
         raise _UsageError("sweep requires N_MAX >= 3")
-    sizes = _sweep_sizes(args)
+    with _in_memory("the sweep"):
+        sizes = _sweep_sizes(args)
     from . import solver
 
     outdir = args.outdir
@@ -152,16 +165,17 @@ def cmd_sweep(args) -> int:
     try:
         # each file is written before its row is printed and the next size
         # solved, so the files of an aborted sweep survive it
-        for report in solver.sweep(sizes):
-            with _writing():
-                certfile.write_certificate(certfile.certificate_file(report.cert),
-                                           certfile.default_path(outdir, report.params.N))
-            print(
-                f"{report.params.N:>6} {report.params.alpha:>20.16f} "
-                f"{report.params.r:>14.6e} {report.iterations:>5} "
-                f"{report.residual_sup:>10.2e} {report.delta:>10.2e}"
-            )
-            written += 1
+        with _in_memory("the sweep"):
+            for report in solver.sweep(sizes):
+                with _writing():
+                    certfile.write_certificate(certfile.certificate_file(report.cert),
+                                               certfile.default_path(outdir, report.params.N))
+                print(
+                    f"{report.params.N:>6} {report.params.alpha:>20.16f} "
+                    f"{report.params.r:>14.6e} {report.iterations:>5} "
+                    f"{report.residual_sup:>10.2e} {report.delta:>10.2e}"
+                )
+                written += 1
     except solver.NonConvergence as exc:
         print(f"sweep aborted: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE

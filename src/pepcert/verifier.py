@@ -10,29 +10,30 @@ enters only through h (its gradient is zero). An aggregate holds
 where the f-index order is (star, 0, ..., N), v is the basis column, and gram
 is stored symmetric (a cross term <u, w> contributes (u w^T + w u^T)/2).
 
-`aggregate` sums lam_ij * Q_ij over a whole multiplier matrix in closed form,
-from the row and column sums of lam and one cumulative sum down its columns,
-in O(N^2) time.
-
 The decisive check: the multiplier matrix built from derived certificate data
 must aggregate to exactly the rate expression plus the residual error terms,
-coefficient by coefficient, for any admissible (alpha, r) and any d. The
-target's gram holds the rank-one slack r ||h - (1/2r) sum c_i g_i||^2 through
-`slack_gram`, its one expansion; `slack_psd_check` confirms that matrix is
-r v v^T of numerical rank one by a Weyl bound on ||G - r v v^T||_F, in O(N^2)
-time and without an SVD.
+coefficient by coefficient, for any admissible (alpha, r) and any d.
+`oracle_check` compares every coefficient in O(N) time and memory: the
+matrix's pattern (the star row c, the a and b bands, and the block d_i c_j)
+makes each entry class of both grams a closed form in prefix and suffix sums
+of (a, b, c, d), and the block's deviation factors through c. The dense
+reference stays beside it for tests and demos: `assemble_lambda` builds the
+(N+2) x (N+2) matrix, `aggregate` sums lam_ij * Q_ij over any such matrix
+from its row and column sums and one cumulative sum down its columns, in
+O(N^2), and `rhs_with_errors` expands the target, whose gram holds the
+rank-one slack r ||h - (1/2r) sum c_i g_i||^2 through `slack_gram`, its one
+expansion. `slack_psd_check` confirms that matrix is r v v^T of numerical
+rank one by a Weyl bound on ||G - r v v^T||_F, in O(N^2) time and without an
+SVD.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .recursion import FullCertificate
 
 __all__ = [
-    "LambdaMatrix",
     "assemble_lambda",
     "aggregate",
     "rhs_with_errors",
@@ -48,22 +49,9 @@ SLACK_ENTRY_TOL = 1e-12
 RANK_TAU = 1e-10 / (1.0 + 1e-10)
 
 
-@dataclass(frozen=True)
-class LambdaMatrix:
-    """Multiplier matrix, rows/columns indexed (star, 0, ..., N)."""
-
-    N: int
-    entries: np.ndarray
-
-    def __post_init__(self):
-        if self.entries.shape != (self.N + 2, self.N + 2):
-            raise ValueError(
-                f"entries must be ({self.N + 2}, {self.N + 2}), got {self.entries.shape}"
-            )
-
-
-def assemble_lambda(cert: FullCertificate) -> LambdaMatrix:
-    """Multiplier matrix from certificate data.
+def assemble_lambda(cert: FullCertificate) -> np.ndarray:
+    """Multiplier matrix from certificate data, (N+2) x (N+2) with rows and
+    columns indexed (star, 0, ..., N).
 
     Row star carries (0, c_0, ..., c_N); a_i sits one step right of the
     diagonal, b_i one step left; the block entry at (i, j) for j >= i+2 is
@@ -77,13 +65,14 @@ def assemble_lambda(cert: FullCertificate) -> LambdaMatrix:
     lam[1 + rows, 2 + rows] = cert.a
     rows = np.arange(N - 1)
     lam[2 + rows, 1 + rows] = cert.b
-    return LambdaMatrix(N=N, entries=lam)
+    return lam
 
 
-def aggregate(lam: LambdaMatrix, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """Sum of lam[p, q] * Q_pq over all entries, in closed form.
+def aggregate(entries: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Sum of w[p, q] * Q_pq over a whole (N+2) x (N+2) multiplier matrix w,
+    in closed form; N is read from the shape.
 
-    With w = lam.entries in matrix positions (star at 0), g_star = 0 and
+    With w in matrix positions (star at 0), g_star = 0 and
     x_p - x_star = h - alpha sum_{l<p-1} g_l for p >= 1:
     - fcoef = row sums - column sums of w;
     - the cross terms are -sum_q <g_q, sum_p w_pq (x_p - x_q)>, and for
@@ -96,20 +85,22 @@ def aggregate(lam: LambdaMatrix, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     exactly symmetric, as it is built as (half + half^T) / 2 less a diagonal.
     One (N+2)^2 work array beside gram.
     """
-    N = lam.N
-    w = lam.entries
+    w = np.asarray(entries, dtype=float)
+    if w.ndim != 2 or w.shape[0] != w.shape[1]:
+        raise ValueError(f"entries must be a square (N+2, N+2) array, got {w.shape}")
+    size = w.shape[0]
     rows, cols = w.sum(axis=1), w.sum(axis=0)
     # the gram is the symmetric part of `half`, less diag(rows + cols) / 2 on
     # the g block; first the cross terms below the h row
     half = np.cumsum(w, axis=0)
-    np.subtract(half, cols, out=half, where=np.tri(N + 2, dtype=bool))
+    np.subtract(half, cols, out=half, where=np.tri(size, dtype=bool))
     half *= -alpha
     half += w  # the <g_p, g_q> part of the squared terms
     half[0] = w[0]  # the cross terms on the h row
     half[:, 0] = 0.0  # g_star = 0
     gram = half + half.T
     del half
-    gram.flat[N + 3 :: N + 3] -= (rows + cols)[1:]
+    gram.flat[size + 1 :: size + 1] -= (rows + cols)[1:]
     gram *= 0.5
     return rows - cols, gram
 
@@ -119,10 +110,10 @@ def rhs_with_errors(cert: FullCertificate) -> tuple[np.ndarray, np.ndarray]:
     slack, plus the residual error terms.
 
     The gram is the rate term r ||h||^2 less the slack,
-    r e_h e_h^T - slack_gram(cert), so the oracle matches against the very
-    matrix `slack_psd_check` checks. The error terms contribute eps_i on
-    f_i - f_star for i < N and eps_N / 2 on ||g_0||^2. Returns (fcoef, gram);
-    gram is exactly symmetric, as slack_gram is."""
+    r e_h e_h^T - slack_gram(cert), so the dense reference matches against
+    the very matrix `slack_psd_check` checks. The error terms contribute eps_i
+    on f_i - f_star for i < N and eps_N / 2 on ||g_0||^2. Returns (fcoef,
+    gram); gram is exactly symmetric, as slack_gram is."""
     N, r = cert.params.N, cert.params.r
     eps = cert.eps
     fcoef = np.zeros(N + 2)
@@ -144,19 +135,63 @@ def oracle_scale(cert: FullCertificate) -> float:
 
 def oracle_check(cert: FullCertificate) -> float:
     """Max coefficient deviation between the aggregated multiplier expansion
-    and the target expansion.
+    and the target expansion, in O(N) time and memory.
 
     The elimination identity makes this ~0 for every d and every admissible
     (alpha, r), certificate or not; a nonzero value localizes a transcription
-    error. The deviation is taken in place in the aggregate's gram, so about
-    three (N+2)^2 arrays are live at the peak, inside `aggregate`.
+    error. It is the maximum that comparing `aggregate(assemble_lambda(cert),
+    alpha)` with `rhs_with_errors(cert)` entry by entry gives, taken from
+    (a, b, c, d, eps) alone, without the recursion. With od_k = 1 +
+    sum_{l<k} d_l, and rows_j, cols_j the sums of the multiplier matrix's
+    row and column of index j, the aggregate's gram is
+    - c_j / 2 on the h row and 0 at (h, h), as the target's is: these agree
+      identically and are not compared;
+    - alpha b_j - (rows_j + cols_j) / 2 on the diagonal, against
+      -c_j^2 / 4r, plus eps_N / 2 at g_0;
+    - ((1 - alpha) a_i - alpha c_{i+1} od_i + b_i) / 2 at (i, i+1), against
+      -c_i c_{i+1} / 4r;
+    - c_j (d_i - alpha od_{i+1}) / 2 at (i, j) for every j >= i+2, against
+      -c_i c_j / 4r, a deviation of |c_j| / 2 * |d_i - alpha od_{i+1} +
+      c_i / 2r|: its maximum over j takes one suffix maximum of |c|, so the
+      result is exact, not a bound.
+    The f-coefficients are rows - cols against the target's eps_i, with
+    1 - sum_{i<N} eps_i at star and -1 at N.
     """
-    fcoef, gram = aggregate(assemble_lambda(cert), cert.params.alpha)
-    target_f, target_gram = rhs_with_errors(cert)
-    gram -= target_gram
-    del target_gram
-    np.abs(gram, out=gram)
-    return max(float(np.max(np.abs(fcoef - target_f))), float(np.max(gram)))
+    N, alpha, r = cert.params.N, cert.params.alpha, cert.params.r
+    a, c, d, eps = cert.a, cert.c, cert.d, cert.eps
+    az = np.zeros(N + 1)
+    az[:N] = a
+    bz = np.zeros(N + 1)
+    bz[: N - 1] = cert.b
+    # column j of the matrix holds c_j * above[j] outside its band entries:
+    # above[j] = 1 + sum_{i <= j-2} d_i, which is od_{j-1}
+    above = np.ones(N + 1)
+    above[2:] += np.cumsum(d)
+    suffc = np.cumsum(c[::-1])[::-1]  # sum_{k >= j} c_k
+    rows = az.copy()
+    rows[1:] += bz[:N]
+    rows[: N - 1] += d * suffc[2:]
+    cols = c * above
+    cols[1:] += az[:N]
+    cols += bz
+    four_r = 4.0 * r
+    diag = alpha * bz - 0.5 * (rows + cols) + c * c / four_r
+    diag[0] -= eps[N] / 2.0
+    sup = (0.5 * ((1.0 - alpha) * a - alpha * c[1:] * above[1:] + bz[:N])
+           + c[:N] * c[1:] / four_r)
+    cmax = np.maximum.accumulate(np.abs(c[::-1]))[::-1]  # max_{k >= j} |c_k|
+    block = cmax[2:] * np.abs(d - alpha * above[2:] + c[: N - 1] / (2.0 * r))
+    deviations = [
+        # f-coefficients in the order (star, 0, ..., N): the star row sums
+        # to sum c, the star column is zero, and row N is zero
+        abs(np.sum(c) - (1.0 - np.sum(eps[:N]))),
+        np.max(np.abs(rows[:N] - cols[:N] - eps[:N])),
+        abs(1.0 - cols[N]),
+        np.max(np.abs(diag)),
+        np.max(np.abs(sup)),
+        0.5 * np.max(block),
+    ]
+    return float(np.max(deviations))  # np.max, unlike max, keeps a NaN
 
 
 def slack_gram(cert: FullCertificate) -> np.ndarray:

@@ -112,11 +112,11 @@ def test_criterion_3_elimination_oracle():
             positions = [(1 + i, 2 + i) for i in range(n)]
             positions += [(2 + i, 1 + i) for i in range(n - 1)]
             for pos in positions:
-                lam.entries[pos] += 1e-3
+                lam[pos] += 1e-3
                 fcoef, gram = aggregate(lam, params.alpha)
                 dev = max(np.abs(fcoef - target_f).max(), np.abs(gram - target_gram).max())
                 assert dev >= 1e-5, f"insensitive to bump at {pos} (N={n})"
-                lam.entries[pos] -= 1e-3
+                lam[pos] -= 1e-3
             trials += 1
 
 
@@ -176,7 +176,7 @@ def test_criterion_7_structural_lambda_checks(sweep300_dir):
             cf = read_certificate(path)
             n = cf.N
             cert = derive_full(params_from_file(cf), cf.d)
-            lam = assemble_lambda(cert).entries
+            lam = assemble_lambda(cert)
             assert abs(lam[:, -1].sum() - 1.0) <= 1e-12
             row = lam.sum(axis=1)
             col = lam.sum(axis=0)

@@ -145,6 +145,16 @@ class TestSolve:
         swept = read_certificate(tmp_path / "sweep" / "cert_N00100.txt").d
         assert np.max(np.abs(cold - swept)) <= 1e-12 * np.max(swept)
 
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    def test_size_past_memory_is_usage_error(self, capsys, tmp_path, command):
+        # the rate pair of N=10**15 exists in float64, but its first array
+        # would take petabytes, which numpy and the list refuse at once
+        code, out, err = run(capsys, command, 10**15, "--outdir", tmp_path)
+        assert code == 1 and out == ""
+        assert err.startswith("usage error: ") and len(err.splitlines()) == 1
+        assert "does not fit in memory" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_nonconvergence_exits_2(self, capsys, tmp_path, monkeypatch):
         def failing(params, d0):
             raise solver_mod.NonConvergence("synthetic failure", N=params.N)
@@ -164,6 +174,16 @@ class TestSweep:
         assert code == 0
         assert (tmp_path / "cert_N00003.txt").exists()
         assert len(list(tmp_path.glob("cert_*.txt"))) == 1
+
+    def test_size_past_memory_mid_sweep_is_usage_error(self, capsys, tmp_path):
+        # the file of the size before it stays
+        huge = f"{10**15}:{10**15}:1"
+        code, _, err = run(capsys, "sweep", 3, "--segment", "3:3:1", "--segment", huge,
+                           "--outdir", tmp_path)
+        assert code == 1
+        assert err.startswith("usage error: the sweep does not fit in memory")
+        assert len(err.splitlines()) == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["cert_N00003.txt"]
 
     def test_unwritable_outdir_exits_5(self, capsys, tmp_path):
         blocker = tmp_path / "file"

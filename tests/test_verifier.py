@@ -11,17 +11,20 @@ from hypothesis.extra import numpy as hnp
 
 import pepcert
 from pepcert import (
-    LambdaMatrix,
+    FullCertificate,
     RateParams,
     aggregate,
     assemble_lambda,
+    closed_form_start,
     derive_full,
+    gauss_newton,
     oracle_check,
     oracle_scale,
     rhs_with_errors,
     slack_gram,
     slack_psd_check,
     solve_rate_params,
+    sweep,
 )
 
 EXAMPLE = RateParams(N=3, alpha=1.5, r=0.125)
@@ -79,6 +82,20 @@ def reference_aggregate(entries, N, alpha):
     return fcoef, gram
 
 
+def dense_deviation(cert):
+    """The oracle's deviation through the dense reference: the aggregate of
+    the whole multiplier matrix against the target, entry by entry."""
+    fcoef, gram = aggregate(assemble_lambda(cert), cert.params.alpha)
+    target_f, target_gram = rhs_with_errors(cert)
+    return max(float(np.abs(fcoef - target_f).max()),
+               float(np.abs(gram - target_gram).max()))
+
+
+def assert_matches_dense(cert):
+    dense = dense_deviation(cert)
+    assert abs(oracle_check(cert) - dense) <= 1e-14 * max(oracle_scale(cert), dense)
+
+
 def svd_slack_criterion(cert, gram):
     """The slack rank test as it stood with an SVD, kept as the reference:
     every entry within 1e-12 of r v v^T, and sigma_2 <= 1e-10 sigma_1."""
@@ -95,7 +112,7 @@ def svd_slack_criterion(cert, gram):
 class TestAssembleLambda:
     def test_pattern_readoffs(self):
         cert = example_cert()
-        lam = assemble_lambda(cert).entries
+        lam = assemble_lambda(cert)
         np.testing.assert_array_equal(lam[0, 1:], cert.c)
         assert lam[0, 0] == 0.0
         assert lam[1, 2] == cert.a[0]
@@ -108,7 +125,7 @@ class TestAssembleLambda:
     def test_exact_zeros_outside_pattern(self, small_sweep):
         for n in (3, 9, 17):
             cert = derive_full(small_sweep[n].params, small_sweep[n].d)
-            lam = assemble_lambda(cert).entries
+            lam = assemble_lambda(cert)
             outside = lam[~pattern_mask(n)]
             assert np.all(outside == 0.0)
             # star column and last row identically zero
@@ -117,18 +134,18 @@ class TestAssembleLambda:
 
     def test_unit_column_sum(self, small_sweep):
         cert = derive_full(small_sweep[10].params, small_sweep[10].d)
-        lam = assemble_lambda(cert).entries
+        lam = assemble_lambda(cert)
         assert abs(lam[:, -1].sum() - 1.0) <= 1e-12
 
     def test_nonnegative_at_certificate(self, small_sweep):
         cert = derive_full(small_sweep[14].params, small_sweep[14].d)
-        assert np.all(assemble_lambda(cert).entries >= 0.0)
+        assert np.all(assemble_lambda(cert) >= 0.0)
 
     def test_row_minus_column_gives_eps(self, rng):
         # holds for any d, not only certificates
         params = solve_rate_params(9)
         cert = derive_full(params, rng.uniform(0.05, 1.5, 8))
-        lam = assemble_lambda(cert).entries
+        lam = assemble_lambda(cert)
         for i in range(9):
             gap = lam[1 + i, :].sum() - lam[:, 1 + i].sum()
             assert abs(gap - cert.eps[i]) <= 1e-12
@@ -140,7 +157,7 @@ class TestAssembleLambda:
         # the recursion identity, for any positive d and size
         n = d.shape[0] + 1
         cert = derive_full(solve_rate_params(n), d)
-        lam = assemble_lambda(cert).entries
+        lam = assemble_lambda(cert)
         gap = lam[1 : n + 1, :].sum(axis=1) - lam[:, 1 : n + 1].sum(axis=0)
         size = np.abs(lam)
         scale = size[1 : n + 1, :].sum(axis=1) + size[:, 1 : n + 1].sum(axis=0)
@@ -153,7 +170,7 @@ def one_hot_aggregate(i, j, N, alpha):
     over STAR and 0..N."""
     entries = np.zeros((N + 2, N + 2))
     entries[1 + i, 1 + j] = 1.0
-    return aggregate(LambdaMatrix(N=N, entries=entries), alpha)
+    return aggregate(entries, alpha)
 
 
 class TestQForm:
@@ -179,8 +196,7 @@ class TestQForm:
 
 class TestAggregate:
     def test_zero_lambda(self):
-        lam = LambdaMatrix(N=4, entries=np.zeros((6, 6)))
-        fcoef, gram = aggregate(lam, 1.6)
+        fcoef, gram = aggregate(np.zeros((6, 6)), 1.6)
         assert np.all(fcoef == 0.0) and np.all(gram == 0.0)
 
     def test_matches_per_pair_reference(self, rng):
@@ -190,23 +206,27 @@ class TestAggregate:
                 alpha = rng.uniform(1.0, 2.0)
                 entries = rng.normal(size=(N + 2, N + 2))
                 entries *= rng.random((N + 2, N + 2)) < rng.uniform(0.2, 1.0)
-                got_f, got_gram = aggregate(LambdaMatrix(N=N, entries=entries), alpha)
+                got_f, got_gram = aggregate(entries, alpha)
                 fcoef, gram = reference_aggregate(entries, N, alpha)
                 scale = max(1.0, np.abs(fcoef).max(), np.abs(gram).max())
                 assert np.abs(got_f - fcoef).max() <= 1e-13 * scale
                 assert np.abs(got_gram - gram).max() <= 1e-13 * scale
 
+    def test_non_square_entries_rejected(self):
+        with pytest.raises(ValueError, match="square"):
+            aggregate(np.zeros((5, 6)), 1.6)
+
     def test_star_star_entry_is_zero(self):
         # Q(star, star) is identically zero, so it adds nothing
         entries = np.zeros((6, 6))
         entries[0, 0] = 0.7
-        fcoef, gram = aggregate(LambdaMatrix(N=4, entries=entries), 1.6)
+        fcoef, gram = aggregate(entries, 1.6)
         assert np.all(fcoef == 0.0) and np.all(gram == 0.0)
 
     def test_fcoef_conservation_any_lambda(self, rng):
         entries = rng.uniform(0.0, 1.0, (8, 8)) * (rng.random((8, 8)) < 0.4)
         np.fill_diagonal(entries, 0.0)
-        fcoef, _ = aggregate(LambdaMatrix(N=6, entries=entries), 1.4)
+        fcoef, _ = aggregate(entries, 1.4)
         assert abs(fcoef.sum()) <= 1e-12 * max(1.0, np.abs(fcoef).max())
 
     def test_gram_exactly_symmetric(self, rng):
@@ -218,8 +238,7 @@ class TestAggregate:
                 entries[0] = rng.normal(size=N + 2)
                 entries[:, 0] = rng.normal(size=N + 2)
                 np.fill_diagonal(entries, rng.normal(size=N + 2))
-                _, gram = aggregate(LambdaMatrix(N=N, entries=entries),
-                                    rng.uniform(1.0, 2.0))
+                _, gram = aggregate(entries, rng.uniform(1.0, 2.0))
                 assert np.array_equal(gram, gram.T)
 
 
@@ -276,10 +295,24 @@ class TestOracle:
             cert = derive_full(params, d)
             assert oracle_check(cert) <= 1e-10 * oracle_scale(cert)
 
-    def test_peak_memory(self, rng):
+    def test_dense_reference_peak_memory(self, rng):
         # the aggregate's work array and gram, beside the multiplier matrix;
-        # the deviation is taken in place, without further (N+2)^2 arrays
+        # then the target's gram beside the aggregate's
         n = 600
+        cert = derive_full(solve_rate_params(n), rng.uniform(0.05, 1.5, n - 1))
+        tracemalloc.start()
+        try:
+            aggregate(assemble_lambda(cert), cert.params.alpha)
+            rhs_with_errors(cert)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.25 * 8 * (n + 2) ** 2
+
+    def test_peak_memory_per_index(self, rng):
+        # about twelve length-N arrays (96 bytes per index, measured at
+        # N = 1000..81920); the dense reference would need ~10 GB here
+        n = 20000
         cert = derive_full(solve_rate_params(n), rng.uniform(0.05, 1.5, n - 1))
         tracemalloc.start()
         try:
@@ -287,7 +320,67 @@ class TestOracle:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 3.25 * 8 * (n + 2) ** 2
+        assert peak <= 128 * n
+
+    def test_matches_dense_on_benchmark_certificates(self):
+        # every size of `sweep 300`, a cold solve at N=300, and the N=400
+        # certificate of a doubling schedule
+        certs = [rep.cert for rep in sweep(range(3, 301))]
+        certs.append(gauss_newton(solve_rate_params(300), closed_form_start(300)).cert)
+        certs.append(list(sweep([*range(3, 21), 40, 80, 160, 320, 400]))[-1].cert)
+        assert certs[-1].params.N == 400
+        for cert in certs:
+            assert_matches_dense(cert)
+
+    def test_matches_dense_at_random_d(self, rng):
+        for n in (*range(3, 30), 100, 517, 2000):
+            params = solve_rate_params(n)
+            if n % 2:
+                params = RateParams(n, rng.uniform(1.01, 1.99), rng.uniform(0.01, 0.45))
+            assert_matches_dense(derive_full(params, rng.uniform(1e-3, 2.0, n - 1)))
+
+    def test_matches_dense_on_arbitrary_data(self, rng):
+        # (a, b, c, d, eps) that no recursion ties together, so that every
+        # entry class of the pattern carries its own deviation
+        for n in (*range(3, 40), 300):
+            params = RateParams(n, rng.uniform(0.5, 1.99), rng.uniform(0.01, 0.45))
+            cert = FullCertificate(
+                params, a=rng.uniform(1e-3, 3.0, n), b=rng.uniform(1e-3, 3.0, n - 1),
+                c=rng.uniform(1e-3, 3.0, n + 1), d=rng.uniform(1e-3, 3.0, n - 1),
+                eps=rng.uniform(-1.0, 1.0, n + 1))
+            assert_matches_dense(cert)
+
+    def test_star_coefficient_compared(self, small_sweep):
+        # a shift of every eps_i, i < N, moves the star's f-coefficient N
+        # times as far as any other coefficient
+        cert = derive_full(small_sweep[20].params, small_sweep[20].d)
+        shifted = cert.eps.copy()
+        shifted[:20] += 1e-6
+        mutant = dataclasses.replace(cert, eps=shifted)
+        assert oracle_check(mutant) == pytest.approx(20e-6, rel=1e-6)
+        assert_matches_dense(mutant)
+
+    def test_nan_anywhere_gives_nan(self):
+        cert = example_cert()
+        for name in ("a", "b", "c", "d", "eps"):
+            for k in range(len(getattr(cert, name))):
+                poisoned = getattr(cert, name).copy()
+                poisoned[k] = np.nan
+                assert np.isnan(oracle_check(dataclasses.replace(cert, **{name: poisoned})))
+
+    def test_single_entry_mutations_as_dense(self, rng):
+        # a bump of any one entry of a, b, c or d that the dense reference
+        # rejects is rejected too
+        for n in range(3, 13):
+            cert = derive_full(solve_rate_params(n), rng.uniform(0.05, 2.0, n - 1))
+            for name in "abcd":
+                for k in range(len(getattr(cert, name))):
+                    bumped = getattr(cert, name).copy()
+                    bumped[k] += 1e-3
+                    mutant = dataclasses.replace(cert, **{name: bumped})
+                    if dense_deviation(mutant) >= 1e-5:
+                        assert oracle_check(mutant) >= 1e-5, (n, name, k)
+                    assert_matches_dense(mutant)
 
     def test_perturbation_sensitivity(self, rng):
         params = solve_rate_params(8)
