@@ -79,7 +79,6 @@ _SOLVER_NAMES = (
     "SolveReport",
     "least_squares_step",
     "gauss_newton",
-    "resample",
     "closed_form_start",
     "extrapolate_init",
     "sweep",

@@ -49,8 +49,12 @@ def huber_rate(N, alpha):
     """Final objective gap on the Huber objective with breakpoint
     1/(2 N alpha + 1) from x0 = 1: 1 / (2 (2 N alpha + 1)).
 
-    Requires alpha >= 0 (the trajectory stays in the linear region).
+    Requires alpha >= 0 (the trajectory stays in the linear region; the
+    formula has a pole at alpha = -1/(2N)): raises ValueError for a negative
+    or NaN alpha, scalar or array.
     """
+    if not np.all(np.asarray(alpha) >= 0.0):
+        raise ValueError("the stepsize must be >= 0")
     return 1.0 / (2.0 * (2 * N * alpha + 1.0))
 
 
@@ -235,12 +239,10 @@ def lower_bound_envelope(N: int, alphas) -> np.ndarray:
     Every gradient method with constant stepsize alpha' performs at least this
     badly on one of the two objectives, so the grid minimum lower-bounds the
     best achievable worst case; the minimum over a grid containing alpha(N)
-    equals r(N). Raises ValueError for a negative or NaN stepsize: huber_rate
-    has a pole at alpha = -1/(2N).
+    equals r(N). Raises ValueError for a negative or NaN stepsize, through
+    huber_rate.
     """
     alphas = np.asarray(alphas, dtype=float)
-    if not np.all(alphas >= 0.0):
-        raise ValueError("stepsizes must be >= 0")
     with np.errstate(under="ignore"):
         q = quadratic_rate(N, alphas)
     return np.maximum(q, huber_rate(N, alphas))

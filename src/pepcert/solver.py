@@ -5,15 +5,17 @@ exactly quadratic, so damped Gauss-Newton with least-squares steps converges
 quadratically near a zero-residual solution. The step is exact and never forms
 the Jacobian: the recursion is linearized in a few local unknowns per index
 (prefix and suffix sums, and the tangent of the backward scan), and the
-constrained least-squares problem is one banded augmented system, so a step
-takes O(N) time and memory. A cold solve starts from the closed form
+constrained least-squares problem is one banded augmented system, built in
+LAPACK's band layout and factored in place, so a step takes O(N) time and
+memory. A cold solve starts from the closed form
 d_i = sqrt(N) / (2 (N - i)^{3/2}) of closed_form_start, from which
 Gauss-Newton takes three steps at every size tested. A sweep solves its first
 size that way and warm-starts every later one from up to four recent
-certificate shapes: each is resampled onto the new grid by local cubic
-interpolation, and the shapes are extrapolated to the new size by a cubic in
-1/N, which leaves most sizes one Gauss-Newton step from convergence. It
-yields each report; writing files is left to its caller.
+certificates: each one's ratio to the closed form, aligned at the last index
+(where the certificate's boundary layer depends only on the distance from
+the end), is extrapolated to the new size by a cubic in 1/N, which leaves
+most sizes one Gauss-Newton step from convergence. It yields each report;
+writing files is left to its caller.
 """
 
 from __future__ import annotations
@@ -23,17 +25,16 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError, solve_banded
+from scipy.linalg import lapack
 
 from .rates import RateParams, solve_rate_params
-from .recursion import FullCertificate, c_from_d, derive_full, residual
+from .recursion import FullCertificate, c_from_d, derive_full
 
 __all__ = [
     "NonConvergence",
     "SolveReport",
     "least_squares_step",
     "gauss_newton",
-    "resample",
     "closed_form_start",
     "extrapolate_init",
     "sweep",
@@ -208,9 +209,12 @@ def least_squares_step(params: RateParams, d, eps: np.ndarray):
     written as two strided slices (the -A or C entries and their mirror),
     clipped to the indices where both the equation and the unknown exist.
     Every equation reaches only a few neighbours (half-bandwidth 9), so one
-    banded LU (LAPACK gbsv) solves the system in O(N) time and memory, and s
-    is the first difference of S. `ok` is False when the factorization finds
-    an exactly singular pivot or s is not finite.
+    banded LU solves the system in O(N) time and memory, and s is the first
+    difference of S. The band is allocated in LAPACK's own layout (3 half + 1
+    rows in Fortran order, the diagonal at row 2 half), and dgbsv factors it
+    and solves in place, with no copy. `ok` is False when the factorization
+    finds an exactly zero pivot (dgbsv's info > 0) or s is not finite; an
+    invalid argument (info < 0) raises ValueError.
     """
     N = params.N
     forms = _linearized_equations(params, np.asarray(d, dtype=float))
@@ -218,11 +222,14 @@ def least_squares_step(params: RateParams, d, eps: np.ndarray):
     first = {kind: _WIDTH * (at + 1) + rank for kind, (at, rank) in _SLOTS.items()}
     half = max(abs(first[eq] - first[name] - _WIDTH * off)
                for eq, form in forms.items() for name, off in form)
-    ab = np.zeros((2 * half + 1, _WIDTH * (N + 2)))
+    # LAPACK's own band layout: entry (i, j) at ab[2 half + i - j, j], with
+    # the top `half` rows free for the fill-in of the factorization, in
+    # Fortran order, so that gbsv factors it in place without a copy
+    ab = np.zeros((3 * half + 1, _WIDTH * (N + 2)), order="F")
     # ones on the diagonal of w, wN and the empty slots, zeros on that of x, y
-    ab[half] = 1.0
+    ab[2 * half] = 1.0
     for kind in ("T", "Z", "S", "yT", "yZ"):
-        ab[half, first[kind] : first[kind] + _WIDTH * size.get(kind, N) : _WIDTH] = 0.0
+        ab[2 * half, first[kind] : first[kind] + _WIDTH * size.get(kind, N) : _WIDTH] = 0.0
     for eq, form in forms.items():
         for (name, off), coef in form.items():
             # the indices i at which equation i and unknown i + off both exist
@@ -232,16 +239,16 @@ def least_squares_step(params: RateParams, d, eps: np.ndarray):
             row, col = first[eq] + _WIDTH * lo, first[name] + _WIDTH * (lo + off)
             coef = coef[lo:hi]
             # the entry (equation, unknown) is -A or C, its mirror A^T or C^T
-            ab[half + row - col, col : col + _WIDTH * len(coef) : _WIDTH] = (
+            ab[2 * half + row - col, col : col + _WIDTH * len(coef) : _WIDTH] = (
                 -coef if eq in ("w", "wN") else coef)
-            ab[half + col - row, row : row + _WIDTH * len(coef) : _WIDTH] = coef
+            ab[2 * half + col - row, row : row + _WIDTH * len(coef) : _WIDTH] = coef
     rhs = np.zeros(_WIDTH * (N + 2))
     rhs[first["w"] : first["w"] + _WIDTH * N : _WIDTH] = eps[:N]
     rhs[first["wN"]] = eps[N]
-    try:
-        sol = solve_banded((half, half), ab, rhs, overwrite_ab=True,
-                           overwrite_b=True, check_finite=False)
-    except LinAlgError:
+    _, _, sol, info = lapack.dgbsv(half, half, ab, rhs, overwrite_ab=1, overwrite_b=1)
+    if info < 0:
+        raise ValueError(f"dgbsv: argument {-info} is invalid")
+    if info > 0:  # an exactly zero pivot
         return None, False
     s = np.diff(sol[first["S"] : first["S"] + _WIDTH * (N - 1) : _WIDTH], prepend=0.0)
     return s, bool(np.isfinite(s).all())
@@ -253,8 +260,11 @@ def gauss_newton(params: RateParams, d0) -> SolveReport:
     Each iteration takes the banded least-squares step s of
     least_squares_step and accepts the largest damping t in
     {1, 1/2, ..., 2**-20} that strictly decreases ||eps||_2.
-    Stops as soon as max_i |eps_i| <= RESIDUAL_TOL. Positivity of the derived
-    (a, b, c, d) is checked only at termination.
+    Stops as soon as max_i |eps_i| <= RESIDUAL_TOL. Every trial is derived
+    once, with derive_full, and the accepted trial's FullCertificate is kept:
+    its eps opens the next iteration, and the last one is the report's
+    certificate. Positivity of the derived (a, b, c, d) is checked only at
+    termination.
 
     Returns
     -------
@@ -269,16 +279,15 @@ def gauss_newton(params: RateParams, d0) -> SolveReport:
         certificate is not strictly positive. A sign-violating result is
         never reported as converged.
     """
-    d = np.array(d0, dtype=float)
-    if d.shape != (params.N - 1,):
-        raise ValueError(f"d0 must have shape ({params.N - 1},), got {d.shape}")
+    d0 = np.asarray(d0, dtype=float)
+    if d0.shape != (params.N - 1,):
+        raise ValueError(f"d0 must have shape ({params.N - 1},), got {d0.shape}")
+    cert = derive_full(params, d0)
     norms: list[float] = []
     for it in range(MAX_ITER + 1):
-        eps = residual(params, d)
-        sup = float(np.max(np.abs(eps)))
-        norms.append(float(np.linalg.norm(eps)))
+        sup = float(np.max(np.abs(cert.eps)))
+        norms.append(float(np.linalg.norm(cert.eps)))
         if sup <= RESIDUAL_TOL:
-            cert = derive_full(params, d)
             if not cert.positive:
                 raise NonConvergence(
                     f"residual converged at N={params.N} but certificate data "
@@ -288,23 +297,21 @@ def gauss_newton(params: RateParams, d0) -> SolveReport:
             return SolveReport(cert=cert, iterations=it, res_norms=norms)
         if it == MAX_ITER:
             break
-        s, ok = least_squares_step(params, d, eps)
+        s, ok = least_squares_step(params, cert.d, cert.eps)
         if not ok:
             raise NonConvergence(
                 f"Gauss-Newton step failed at N={params.N} (singular system or "
                 f"non-finite step) with residual sup {sup:.3e}",
                 N=params.N,
             )
-        accepted = False
         t = 1.0
         while t >= 2.0**-20:
-            trial = d + t * s
-            if np.linalg.norm(residual(params, trial)) < norms[-1]:
-                d = trial
-                accepted = True
+            trial = derive_full(params, cert.d + t * s)
+            if np.linalg.norm(trial.eps) < norms[-1]:
+                cert = trial
                 break
             t *= 0.5
-        if not accepted:
+        else:
             raise NonConvergence(
                 f"line search stagnated at N={params.N} with residual sup {sup:.3e}",
                 N=params.N,
@@ -325,39 +332,18 @@ def closed_form_start(N: int) -> np.ndarray:
     return np.sqrt(N) / (2.0 * np.arange(N, 1, -1, dtype=float) ** 1.5)
 
 
-def resample(d, n_target: int) -> np.ndarray:
-    """Local cubic resampling of a certificate shape onto the grid of a
-    different problem size (normalized index t_i = i/(N-2) on [0, 1]).
-
-    Each target point is the 4-point Lagrange interpolant through the source
-    points nearest to it, so cubic polynomials are reproduced exactly; with
-    fewer than four source points it is linear interpolation. Target points
-    that fall on a source point take its value exactly.
-    """
-    d = np.asarray(d, dtype=float)
-    if n_target < 3:
-        raise ValueError("target N must be >= 3")
-    m = d.shape[-1]
-    if m < 4:
-        return np.interp(np.linspace(0.0, 1.0, n_target - 1), np.linspace(0.0, 1.0, m), d)
-    # target i sits at source position i (m-1) / (n_target-2) = k + rem / (n_target-2)
-    num = np.arange(n_target - 1) * (m - 1)
-    k, rem = np.divmod(num, n_target - 2)
-    base = np.clip(k - 1, 0, m - 4)
-    x = (k - base) + rem / (n_target - 2)  # in [0, 3], relative to the stencil
-    x1, x2, x3 = x - 1.0, x - 2.0, x - 3.0
-    return (-x1 * x2 * x3 / 6.0 * d[base] + x * x2 * x3 / 2.0 * d[base + 1]
-            - x * x1 * x3 / 2.0 * d[base + 2] + x * x1 * x2 / 6.0 * d[base + 3])
-
-
 def extrapolate_init(sources, target: int) -> np.ndarray:
     """Warm start for size `target` from up to CONTINUATION_SOURCES solved
-    (N, d) pairs: each d is resampled onto the target grid, and the results
-    are extrapolated to the target by Lagrange interpolation in x = 1/N.
+    (N, d) pairs, continued as ratios to the closed form.
 
-    One source gives its resample. Sources of equal N must have identical d
-    and count once. Entries are clamped below at 1e-12 to keep the start
-    positive.
+    Each source's ratio d / closed_form_start(n) is aligned at the last
+    index: entry i of size n sits at k = n - i, the distance from the end,
+    where the certificate's boundary layer depends on k alone. New leading
+    entries take the source's first ratio, and entries past the target's
+    start are dropped. The aligned ratios are extrapolated to the target by
+    Lagrange interpolation in x = 1/N, multiplied by
+    closed_form_start(target), and clamped below at 1e-12 to keep the start
+    positive. Sources of equal N must have identical d and count once.
     """
     if not 1 <= len(sources) <= CONTINUATION_SOURCES:
         raise ValueError(f"need 1 to {CONTINUATION_SOURCES} continuation sources, "
@@ -373,7 +359,7 @@ def extrapolate_init(sources, target: int) -> np.ndarray:
         if n in shapes and not np.array_equal(shapes[n], d):
             raise ValueError("equal source sizes require identical vectors")
         shapes[n] = d
-    out = np.zeros(target - 1)
+    ratio = np.zeros(target - 1)
     for n, d in shapes.items():
         # the Lagrange weight of node 1/n at 1/target, the product over the
         # other nodes j of (1/target - 1/j) / (1/n - 1/j); in integers, so the
@@ -383,8 +369,12 @@ def extrapolate_init(sources, target: int) -> np.ndarray:
             if j != n:
                 num *= n * (j - target)
                 den *= target * (j - n)
-        out += num / den * resample(d, target)
-    return np.maximum(out, 1e-12)
+        source = d / closed_form_start(n)
+        aligned = np.full(target - 1, source[0])
+        tail = min(n, target) - 1
+        aligned[-tail:] = source[-tail:]
+        ratio += num / den * aligned
+    return np.maximum(ratio * closed_form_start(target), 1e-12)
 
 
 def sweep(sizes) -> Iterator[SolveReport]:

@@ -105,6 +105,15 @@ class TestClosedForms:
         assert huber_rate(7, 0.0) == 0.5
         assert huber_rate(1, 1.5) == 0.125
 
+    def test_huber_rejects_negative_or_nan_stepsize(self):
+        # the formula has a pole at alpha = -1/(2N), here -0.1
+        for alpha in (-0.1, -1e-300, np.nan, np.array([0.5, -0.5]),
+                      np.array([0.5, np.nan])):
+            with pytest.raises(ValueError):
+                huber_rate(5, alpha)
+        assert huber_rate(5, 0.0) == 0.5
+        np.testing.assert_array_equal(huber_rate(5, np.array([0.0, 0.5])), [0.5, 1 / 12])
+
     def test_balance_relative_mp_and_absolute_f64(self):
         # relative 1e-14 agreement needs the mp root (float64 quantization of
         # alpha floors the relative defect near 2 N eps); the float64 pair

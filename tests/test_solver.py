@@ -4,7 +4,7 @@ import weakref
 
 import numpy as np
 import pytest
-from scipy.linalg import LinAlgError, qr_multiply, solve_triangular
+from scipy.linalg import lapack, qr_multiply, solve_triangular
 
 import pepcert.solver as solver_mod
 from pepcert import (
@@ -15,7 +15,6 @@ from pepcert import (
     extrapolate_init,
     gauss_newton,
     least_squares_step,
-    resample,
     residual,
     solve_rate_params,
     sweep,
@@ -222,7 +221,7 @@ class TestLeastSquaresStep:
         rep = small_sweep[15]
         eps = residual(rep.params, rep.d)
         expect, _ = least_squares_step(rep.params, rep.d, eps)
-        monkeypatch.setattr(solver_mod, "residual", forbidden)
+        monkeypatch.setattr(solver_mod, "derive_full", forbidden)
         s, _ = solver_mod.least_squares_step(rep.params, rep.d, eps)
         np.testing.assert_array_equal(s, expect)
 
@@ -234,16 +233,26 @@ class TestLeastSquaresStep:
         assert not ok
 
     def test_singular_factor_raises_nonconvergence(self, monkeypatch):
-        def singular(*args, **kwargs):
-            raise LinAlgError("singular matrix")
+        def singular(kl, ku, ab, b, **kwargs):
+            # what dgbsv reports for an exactly zero pivot U(3, 3)
+            return ab, np.zeros(b.shape[0], dtype=np.int32), b, 3
 
-        monkeypatch.setattr(solver_mod, "solve_banded", singular)
+        monkeypatch.setattr(lapack, "dgbsv", singular)
         assert solver_mod.least_squares_step(
             solve_rate_params(7), np.full(6, 0.3), np.ones(8)) == (None, False)
         with pytest.raises(NonConvergence) as err:
             solver_mod.gauss_newton(solve_rate_params(7), np.full(6, 0.3))
         assert err.value.N == 7
         assert "N=7" in str(err.value)
+
+    def test_invalid_band_argument_raises(self, monkeypatch):
+        def invalid(kl, ku, ab, b, **kwargs):
+            # what dgbsv reports when its third argument (kl) is invalid
+            return ab, np.zeros(b.shape[0], dtype=np.int32), b, -3
+
+        monkeypatch.setattr(lapack, "dgbsv", invalid)
+        with pytest.raises(ValueError, match="argument 3"):
+            least_squares_step(solve_rate_params(7), np.full(6, 0.3), np.ones(8))
 
     def test_memory_is_linear_in_n(self, start_5000):
         # one cold solve at N=5000 stays within 25 kB per index; the dense
@@ -259,9 +268,10 @@ class TestLeastSquaresStep:
         assert peak <= 25_000 * params.N
 
     def test_step_memory_per_index(self, start_5000):
-        # one step stays within 4.5 kB per index: the band matrix (19 rows of
-        # six slots per index) and solve_banded's two copies of it take about
-        # 3.6 kB of that
+        # one step stays within 2.0 kB per index (about 1.6 kB measured): the
+        # band matrix in LAPACK's layout (28 rows of six slots per index,
+        # 1.34 kB), which dgbsv factors in place, and the linearization's
+        # coefficient arrays
         params, d0 = start_5000
         eps = residual(params, d0)
         tracemalloc.start()
@@ -271,7 +281,7 @@ class TestLeastSquaresStep:
         finally:
             tracemalloc.stop()
         assert ok
-        assert peak <= 4_500 * params.N
+        assert peak <= 2_000 * params.N
 
 
 class TestGaussNewton:
@@ -288,10 +298,11 @@ class TestGaussNewton:
         assert again.iterations <= 1
         assert np.max(np.abs(again.d - rep.d)) <= 1e-14
 
-    def test_descent_and_delta_bound(self, small_sweep):
-        d0 = resample(small_sweep[12].d, 13)
-        report = gauss_newton(solve_rate_params(13), d0)
+    def test_descent_and_delta_bound(self):
+        # the cold start takes three steps, so there are four norms
+        report = gauss_newton(solve_rate_params(13), closed_form_start(13))
         norms = report.res_norms
+        assert len(norms) == 4
         assert all(b < a for a, b in zip(norms, norms[1:]))
         n = report.params.N
         assert report.delta <= (n + 1) * report.residual_sup
@@ -329,35 +340,33 @@ class TestGaussNewton:
             np.testing.assert_array_equal(getattr(report.cert, name), getattr(again, name))
 
 
-def cubic(t):
-    return 0.3 + 0.8 * t - 1.1 * t**2 + 0.45 * t**3
-
-
-class TestResample:
-    @pytest.mark.parametrize("m, n", [(4, 3), (4, 9), (5, 4), (12, 40), (40, 12),
-                                      (299, 301), (300, 1000)])
-    def test_cubic_polynomial_exact(self, m, n):
-        out = resample(cubic(np.linspace(0.0, 1.0, m)), n)
-        np.testing.assert_allclose(out, cubic(np.linspace(0.0, 1.0, n - 1)),
-                                   rtol=0, atol=1e-14)
-
-    def test_linear_below_four_points(self):
-        d = np.array([0.2, 0.9, 0.4])
-        np.testing.assert_array_equal(resample(d, 9), np.interp(
-            np.linspace(0.0, 1.0, 8), np.linspace(0.0, 1.0, 3), d))
-
-    def test_same_grid_and_nodes_exact(self, small_sweep):
-        d = small_sweep[15].d
-        np.testing.assert_array_equal(resample(d, 15), d)
-        # every other target point of N=28 falls on a source point of N=15
-        np.testing.assert_array_equal(resample(d, 28)[::2], d)
+def ratio_start(sizes, ratio):
+    """Sources (n, d) whose ratio to the closed form is ratio(n, k), k = n - i
+    the distance from the end."""
+    return [(n, ratio(n, np.arange(n, 1, -1)) * closed_form_start(n)) for n in sizes]
 
 
 class TestExtrapolateInit:
-    def test_one_source_is_the_resample(self, small_sweep):
-        d = small_sweep[6].d
-        out = extrapolate_init([(6, d)], 9)
-        np.testing.assert_array_equal(out, np.maximum(resample(d, 9), 1e-12))
+    def test_one_source_same_size_is_d(self, small_sweep):
+        d = small_sweep[9].d
+        np.testing.assert_allclose(extrapolate_init([(9, d)], 9), d, rtol=3e-16, atol=0)
+
+    def test_one_source_one_size_up(self, small_sweep):
+        # aligned at the last index: entry i of size 8 continues entry i + 1
+        # of size 9, and the new first entry takes the first ratio
+        d = small_sweep[8].d
+        out = extrapolate_init([(8, d)], 9)
+        ratio = d / closed_form_start(8)
+        np.testing.assert_allclose(out[1:], closed_form_start(9)[1:] * ratio,
+                                   rtol=3e-16, atol=0)
+        np.testing.assert_allclose(out[0], closed_form_start(9)[0] * ratio[0],
+                                   rtol=3e-16, atol=0)
+
+    def test_smaller_target_drops_leading_entries(self, small_sweep):
+        d = small_sweep[12].d
+        out = extrapolate_init([(12, d)], 9)
+        np.testing.assert_allclose(out, closed_form_start(9) * (d / closed_form_start(12))[3:],
+                                   rtol=3e-16, atol=0)
 
     def test_degenerate_equal_sources(self, small_sweep):
         # sources of equal N count once
@@ -383,28 +392,33 @@ class TestExtrapolateInit:
             extrapolate_init([(2, np.full(1, 0.3)), (6, np.full(5, 0.3))], 9)
 
     def test_constant_preserved(self):
-        out = extrapolate_init([(10, np.full(9, 0.7)), (11, np.full(10, 0.7))], 14)
-        np.testing.assert_allclose(out, 0.7, rtol=0, atol=1e-15)
+        # a constant ratio to the closed form is continued exactly
+        def const(n, k):
+            return np.full(len(k), 0.7)
+
+        out = extrapolate_init(ratio_start((10, 11), const), 14)
+        np.testing.assert_allclose(out, 0.7 * closed_form_start(14), rtol=1e-15, atol=0)
         # four sources: the weights of a cubic extrapolation have magnitudes
         # summing to about 15, so the rounding of the sum reaches a few ulp
-        sources = [(n, np.full(n - 1, 0.7)) for n in (10, 11, 12, 13)]
-        out = extrapolate_init(sources, 14)
-        np.testing.assert_allclose(out, 0.7, rtol=0, atol=1e-14)
+        out = extrapolate_init(ratio_start((10, 11, 12, 13), const), 14)
+        np.testing.assert_allclose(out, 0.7 * closed_form_start(14), rtol=1e-14, atol=0)
 
     def test_cubic_in_inverse_n_exact(self):
-        # d_i(N) = cubic(t_i) * (1 + 2/N - 3/N^2 + 5/N^3) on each grid: cubic
-        # in t, so the resample is exact, and cubic in 1/N, so is the
-        # extrapolation
-        def shape(n):
+        # a ratio with a boundary layer in k = N - i that ends at k = 6, times
+        # a cubic in 1/N: the alignment at the last index keeps the layer
+        # (every source is longer than it), and the extrapolation in 1/N is
+        # exact for a cubic
+        def ratio(n, k):
             x = 1.0 / n
-            return cubic(np.linspace(0.0, 1.0, n - 1)) * (1 + 2 * x - 3 * x**2 + 5 * x**3)
+            return (1.0 + 0.05 * np.maximum(6 - k, 0)) * (1 + 2 * x - 3 * x**2 + 5 * x**3)
 
         # NumPy integer sizes too: the weights' integer products exceed 64 bits
         big = tuple(np.int64(n) for n in (5000, 10000, 15000, 20000))
         for ns, target in (((20, 24, 28, 32), 40), ((8, 9, 10, 11), 12),
                            ((300, 1000, 1500, 2000), 2500), (big, np.int64(20160))):
-            out = extrapolate_init([(n, shape(n)) for n in ns], target)
-            np.testing.assert_allclose(out, shape(target), rtol=1e-13, atol=0)
+            out = extrapolate_init(ratio_start(ns, ratio), target)
+            (_, expect), = ratio_start([int(target)], ratio)
+            np.testing.assert_allclose(out, expect, rtol=1e-13, atol=0)
 
     def test_pipeline_10_11_to_12(self, small_sweep):
         d0 = extrapolate_init([(10, small_sweep[10].d), (11, small_sweep[11].d)], 12)
@@ -422,7 +436,7 @@ class TestExtrapolateInit:
 
         sources = [(n, small_sweep[n].d) for n in (10, 11, 12, 13)]
         expect = extrapolate_init(sources, 14)
-        monkeypatch.setattr(solver_mod, "residual", forbidden)
+        monkeypatch.setattr(solver_mod, "derive_full", forbidden)
         np.testing.assert_array_equal(solver_mod.extrapolate_init(sources, 14), expect)
 
 
@@ -477,8 +491,11 @@ class TestSweep:
         np.testing.assert_array_equal(report.d, small_sweep[12].d)
         assert report.iterations == small_sweep[12].iterations
 
-    def test_second_size_resamples_the_first(self, small_sweep):
-        d0 = np.maximum(resample(small_sweep[3].d, 4), 1e-12)
+    def test_second_size_continues_the_first(self, small_sweep):
+        # the ratio to the closed form at N=3, aligned at the last index, and
+        # its first entry again in front
+        ratio = small_sweep[3].d / closed_form_start(3)
+        d0 = np.maximum(np.append(ratio[0], ratio) * closed_form_start(4), 1e-12)
         expect = gauss_newton(solve_rate_params(4), d0)
         np.testing.assert_array_equal(small_sweep[4].d, expect.d)
 
@@ -522,6 +539,18 @@ class TestSweep:
         late = [rep for rep in sweep(range(3, 151)) if rep.params.N >= 100]
         assert len(late) == 51
         assert [rep.iterations for rep in late] == [1] * 51
+
+    def test_segmented_schedule_steps(self):
+        # the benchmark's segments-2000 schedule (70 sizes): 108 steps in all,
+        # and at most two at every strided size
+        sizes = sorted({*range(3, 61), *range(60, 1001, 94), *range(1000, 2001, 500)})
+        steps = {rep.params.N: rep.iterations for rep in sweep(sizes)}
+        assert sum(steps.values()) <= 115
+        assert max(steps[n] for n in sizes if n > 60) <= 2
+
+    def test_dense_sweep_steps(self):
+        # 328 steps over 3..300
+        assert sum(rep.iterations for rep in sweep(range(3, 301))) <= 340
 
     def test_keeps_only_what_continuation_needs(self):
         # a report the caller drops is freed once the sweep has moved on
