@@ -491,9 +491,10 @@ class TestSweep:
         np.testing.assert_array_equal(report.d, small_sweep[12].d)
         assert report.iterations == small_sweep[12].iterations
 
-    def test_second_size_continues_the_first(self, small_sweep):
-        # the ratio to the closed form at N=3, aligned at the last index, and
-        # its first entry again in front
+    def test_second_size_resamples_the_first(self, small_sweep):
+        # N=4 starts from N=3's solution carried to its grid: the ratio to the
+        # closed form at N=3, aligned at the last index, and its first entry
+        # again in front
         ratio = small_sweep[3].d / closed_form_start(3)
         d0 = np.maximum(np.append(ratio[0], ratio) * closed_form_start(4), 1e-12)
         expect = gauss_newton(solve_rate_params(4), d0)
