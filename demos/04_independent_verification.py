@@ -25,7 +25,9 @@ from pepcert import (
     oracle_scale,
     rhs_with_errors,
     slack_gram,
+    slack_psd_check,
     solve_rate_params,
+    verifier,
 )
 
 n = 12
@@ -62,10 +64,18 @@ for label, c in (("the certificate", cert), ("a non-certificate d", arbitrary),
 print(f"(scaled tolerance {1e-10 * oracle_scale(cert):.3e})")
 print("the identity is structural; eps absorbs the failure to certify\n")
 
-# the slack term is a perfect square: rank-one PSD Gram
+# the slack term is a perfect square: rank-one PSD Gram. The dense SVD of
+# its gram beside the O(N) check's bounds on E = G - r v v^T, which it
+# takes from the slack's factors without forming G
 svals = np.linalg.svd(slack_gram(cert), compute_uv=False)
 print(f"slack Gram singular values: {svals[0]:.3e}, {svals[1]:.3e}, ... "
       f"(ratio {svals[1] / svals[0]:.1e})")
+entry, frob = verifier._slack_bounds(cert)
+v = np.concatenate(([1.0], -cert.c / (2.0 * params.r)))
+print(f"O(N) bounds: max|E| <= {entry:.1e} (tolerance "
+      f"{verifier.SLACK_ENTRY_TOL * max(1.0, params.r * np.max(np.abs(v)) ** 2):.1e}), "
+      f"||E||_F <= {frob:.1e} (tolerance {verifier.RANK_TAU * params.r * (v @ v):.1e}); "
+      f"slack_psd_check {slack_psd_check(cert)}")
 
 # and the bound this certificate proves
 print(f"\ndelta-certificate: positive={cert.positive}, delta={cert.delta:.2e}")

@@ -16,7 +16,8 @@ The library is organized around five pieces:
 - `verifier`: symbolic aggregation of the interpolation inequalities against
   the target rate expression: the O(N) oracle `oracle_check`, the dense
   reference (`assemble_lambda`, `aggregate`, `rhs_with_errors`) that tests
-  and demos compare it with, and the rank-one slack check. A certificate's
+  and demos compare it with, and the rank-one slack check, O(N) through
+  the slack's factors (dense only for a gram passed in). A certificate's
   `positive` and `delta` give the rate bound r + delta/2.
 - `certfile`/`cli`: the pepcert/1 file format and command-line front end.
 

@@ -23,8 +23,10 @@ from its row and column sums and one cumulative sum down its columns, in
 O(N^2), and `rhs_with_errors` expands the target, whose gram holds the
 rank-one slack r ||h - (1/2r) sum c_i g_i||^2 through `slack_gram`, its one
 expansion. `slack_psd_check` confirms that matrix is r v v^T of numerical
-rank one by a Weyl bound on ||G - r v v^T||_F, in O(N^2) time and without an
-SVD.
+rank one by a Weyl bound on ||G - r v v^T||_F, without an SVD. It checks
+the slack through the factors `_slack_factors` returns, from which
+`slack_gram` builds the dense matrix, in O(N) time and memory; only a gram
+passed in explicitly is checked densely, in O(N^2).
 """
 
 from __future__ import annotations
@@ -194,40 +196,89 @@ def oracle_check(cert: FullCertificate) -> float:
     return float(np.max(deviations))  # np.max, unlike max, keeps a NaN
 
 
+def _slack_factors(cert: FullCertificate) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """The slack term r ||h - (1/2r) sum c_i g_i||^2 as factors (hh, w, x, y):
+    hh = r on h h, w = -c / 2 on the h row and the g block x y^T, with
+    x = c / 4r and y = c. The one assembly of the slack: `slack_gram`
+    expands it densely and `slack_psd_check` checks it as it stands."""
+    r, c = cert.params.r, cert.c
+    return r, -0.5 * c, c / (4.0 * r), c
+
+
 def slack_gram(cert: FullCertificate) -> np.ndarray:
-    """Gram matrix of the slack term r ||h - (1/2r) sum c_i g_i||^2, written
-    term by term from its expansion into one array: r on h h, -c_i / 2 on
-    h g_i and c_i c_j / 4r on g_i g_j."""
-    N, r = cert.params.N, cert.params.r
-    cg = np.zeros(N + 2)
-    cg[1:] = cert.c
-    gram = np.outer(cg, cg)
-    gram /= 4.0 * r
-    gram[0, 1:] = -0.5 * cert.c
-    gram[1:, 0] = gram[0, 1:]
-    gram[0, 0] = r
+    """Gram matrix of the slack term, the dense expansion of its factors:
+    r on h h, w_i on h g_i and the g block x y^T, stored symmetric as
+    (x y^T + y x^T) / 2, so the gram is exactly symmetric."""
+    hh, w, x, y = _slack_factors(cert)
+    gram = np.empty((len(w) + 1,) * 2)
+    block = gram[1:, 1:]
+    np.outer(x, y, out=block)
+    block += block.T  # numpy buffers the overlapping operand
+    block *= 0.5
+    gram[0, 1:] = w
+    gram[1:, 0] = w
+    gram[0, 0] = hh
     return gram
+
+
+def _slack_bounds(cert: FullCertificate) -> tuple[float, float]:
+    """Upper bounds on max |E| and ||E||_F for E = G - r v v^T, with G the
+    slack's factors and v = (1, u), u = -c / 2r, in O(N) time and memory.
+
+    The h row of E is w - r u, as the dense route computes it, and its g
+    block is x y^T - r u u^T = x p^T - q u^T with p = y + 2 r u and
+    q = 2 r x + r u. So the block's entries are at most
+    max|x| max|p| + max|q| max|u| and its Frobenius norm at most
+    ||x|| ||p|| + ||q|| ||u||; E holds the h row twice and hh - r once.
+    Each bound is at least the deviation of the matrices the computed
+    factors span, up to the rounding of the N^2 products x_i y_j."""
+    r = cert.params.r
+    hh, w, x, y = _slack_factors(cert)
+    u = -cert.c / (2.0 * r)
+    ru = r * u
+    row = np.abs(w - ru)
+    p = y + 2.0 * ru
+    q = 2.0 * r * x + ru
+    entry = np.max([abs(hh - r), np.max(row),
+                    np.max(np.abs(x)) * np.max(np.abs(p))
+                    + np.max(np.abs(q)) * np.max(np.abs(u))])
+    norm = np.linalg.norm
+    block = norm(x) * norm(p) + norm(q) * norm(u)
+    # hypot, not the root of a sum of squares, which overflows from c^2 / r ~ 1e170
+    return float(entry), float(np.hypot(block, np.hypot(np.sqrt(2.0) * norm(row), hh - r)))
 
 
 def slack_psd_check(cert: FullCertificate, gram: np.ndarray | None = None) -> bool:
     """Confirm the slack Gram G is the rank-one PSD matrix r v v^T for the
     coefficient vector v of the linear form h - (1/2r) sum c_i g_i.
 
-    A perfect square by construction; the check guards assembly bugs (pass a
-    corrupted `gram` to see it fail). Every entry of E = G - r v v^T must be
-    within 1e-12 of max(1, max |r v v^T|), and ||E||_F <= RANK_TAU r ||v||^2.
-    By Weyl's inequality the latter gives sigma_2(G) <= ||E||_F and
-    sigma_1(G) >= r ||v||^2 - ||E||_F > 0, so sigma_2 <= 1e-10 sigma_1: the
-    numerical rank is one, in O(N^2) time without an SVD.
+    A perfect square by construction; the check guards assembly bugs. Every
+    entry of E = G - r v v^T must be within 1e-12 of max(1, max |r v v^T|),
+    and ||E||_F <= RANK_TAU r ||v||^2. By Weyl's inequality the latter gives
+    sigma_2(G) <= ||E||_F and sigma_1(G) >= r ||v||^2 - ||E||_F > 0, so
+    sigma_2 <= 1e-10 sigma_1: the numerical rank is one, without an SVD.
+
+    By default G is the slack's factors, and both quantities are bounded in
+    O(N) time and memory by `_slack_bounds`, with no (N+2)^2 array. An
+    explicit (N+2) x (N+2) `gram` is checked densely, in O(N^2): the only
+    way to check an arbitrary matrix (pass a corrupted one to see it fail).
+    Non-finite or overflowing data gives False; no comparison passes a NaN.
     """
     N, r = cert.params.N, cert.params.r
-    if gram is None:
-        gram = slack_gram(cert)
-    v = np.zeros(N + 2)
-    v[0] = 1.0
-    v[1:] = -cert.c / (2.0 * r)
-    dev = gram - r * np.outer(v, v)
-    scale = max(1.0, r * float(np.max(np.abs(v))) ** 2)
-    if float(np.max(np.abs(dev))) > SLACK_ENTRY_TOL * scale:
-        return False
-    return bool(np.linalg.norm(dev) <= RANK_TAU * r * float(v @ v))
+    if gram is not None:
+        gram = np.asarray(gram, dtype=float)
+        if gram.shape != (N + 2, N + 2):
+            raise ValueError(f"gram must have shape {(N + 2, N + 2)}, got {gram.shape}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = -cert.c / (2.0 * r)
+        size = r * (1.0 + u @ u)  # r ||v||^2
+        if not np.isfinite(size):
+            return False
+        scale = max(1.0, r * np.max(np.abs(u), initial=1.0) ** 2)
+        if gram is None:
+            entry, frob = _slack_bounds(cert)
+        else:
+            v = np.concatenate(([1.0], u))
+            dev = gram - r * np.outer(v, v)
+            entry, frob = np.max(np.abs(dev)), np.linalg.norm(dev)
+    return bool(entry <= SLACK_ENTRY_TOL * scale and frob <= RANK_TAU * size)

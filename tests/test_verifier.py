@@ -25,6 +25,7 @@ from pepcert import (
     slack_psd_check,
     solve_rate_params,
     sweep,
+    verifier,
 )
 
 EXAMPLE = RateParams(N=3, alpha=1.5, r=0.125)
@@ -107,6 +108,17 @@ def svd_slack_criterion(cert, gram):
         return False
     svals = np.linalg.svd(gram, compute_uv=False)
     return bool(svals[0] > 0.0 and svals[1] <= 1e-10 * svals[0])
+
+
+@pytest.fixture(scope="module")
+def benchmark_certs():
+    """Every size of `sweep 300`, a cold solve at N=300, and the N=400
+    certificate of a doubling schedule."""
+    certs = [rep.cert for rep in sweep(range(3, 301))]
+    certs.append(gauss_newton(solve_rate_params(300), closed_form_start(300)).cert)
+    certs.append(list(sweep([*range(3, 21), 40, 80, 160, 320, 400]))[-1].cert)
+    assert certs[-1].params.N == 400
+    return certs
 
 
 class TestAssembleLambda:
@@ -322,14 +334,8 @@ class TestOracle:
             tracemalloc.stop()
         assert peak <= 128 * n
 
-    def test_matches_dense_on_benchmark_certificates(self):
-        # every size of `sweep 300`, a cold solve at N=300, and the N=400
-        # certificate of a doubling schedule
-        certs = [rep.cert for rep in sweep(range(3, 301))]
-        certs.append(gauss_newton(solve_rate_params(300), closed_form_start(300)).cert)
-        certs.append(list(sweep([*range(3, 21), 40, 80, 160, 320, 400]))[-1].cert)
-        assert certs[-1].params.N == 400
-        for cert in certs:
+    def test_matches_dense_on_benchmark_certificates(self, benchmark_certs):
+        for cert in benchmark_certs:
             assert_matches_dense(cert)
 
     def test_matches_dense_at_random_d(self, rng):
@@ -472,6 +478,102 @@ class TestSlack:
         assert not svd_slack_criterion(cert, gram)
         assert not slack_psd_check(cert, gram=gram)
         assert slack_psd_check(cert)
+
+    @staticmethod
+    def dense_verdict(cert):
+        with np.errstate(all="ignore"):
+            gram = slack_gram(cert)
+        return slack_psd_check(cert, gram=gram)
+
+    def test_factor_route_matches_dense(self, benchmark_certs, rng):
+        certs = list(benchmark_certs)
+        for n in (*range(3, 30), 100, 517, 2000):
+            params = solve_rate_params(n)
+            if n % 2:
+                params = RateParams(n, rng.uniform(1.01, 1.99), rng.uniform(0.01, 0.45))
+            certs.append(derive_full(params, rng.uniform(1e-3, 2.0, n - 1)))
+        for cert in certs:
+            assert (slack_psd_check(cert), self.dense_verdict(cert)) == (True, True)
+
+    def test_factor_route_matches_dense_on_arbitrary_data(self, rng):
+        # positive (c, r) that no recursion ties together, c at scales
+        # from 1e-60 to 1e60
+        for _ in range(200):
+            n = int(rng.integers(3, 80))
+            params = RateParams(n, 1.5, 10.0 ** rng.uniform(-3.0, 3.0))
+            c = rng.uniform(1e-3, 1.0, n + 1) * 10.0 ** rng.uniform(-60.0, 60.0)
+            cert = FullCertificate(params, a=np.ones(n), b=np.ones(n - 1), c=c,
+                                   d=np.ones(n - 1), eps=np.zeros(n + 1))
+            assert (slack_psd_check(cert), self.dense_verdict(cert)) == (True, True)
+
+    def test_non_finite_or_overflowing_c_rejected(self):
+        cert = example_cert()
+        mutants = [dataclasses.replace(cert, c=np.full(4, 1e200))]
+        for value in (np.nan, np.inf, -np.inf):
+            for k in range(4):
+                poisoned = cert.c.copy()
+                poisoned[k] = value
+                mutants.append(dataclasses.replace(cert, c=poisoned))
+        for mutant in mutants:
+            assert slack_psd_check(mutant) is False
+            assert self.dense_verdict(mutant) is False
+
+    def test_bumped_factor_rejected(self, monkeypatch, small_sweep):
+        # one factor of the slack off by 1e-6 relative at one index
+        factors = verifier._slack_factors
+        for cert in (example_cert(), derive_full(small_sweep[20].params, small_sweep[20].d)):
+            n = cert.params.N
+            for which, k in [(0, 0), *((i, k) for i in (1, 2, 3) for k in range(n + 1))]:
+                def bumped(cert, which=which, k=k):
+                    parts = list(factors(cert))
+                    parts[which] = np.array(parts[which], dtype=float)  # a copy
+                    parts[which].flat[k] *= 1.0 + 1e-6
+                    return tuple(parts)
+                monkeypatch.setattr(verifier, "_slack_factors", bumped)
+                assert not slack_psd_check(cert), (n, which, k)
+                assert not slack_psd_check(cert, gram=slack_gram(cert)), (n, which, k)
+
+    def test_bounds_dominate_factor_deviation(self, rng):
+        # the O(N) bounds against E = G - r v v^T formed densely from
+        # factors perturbed far above rounding, one factor at a time and
+        # all together, G's block left as the unsymmetrized x y^T
+        groups = ((0,), (1,), (2,), (3,), (0, 1, 2, 3))
+        for trial in range(60):
+            n = int(rng.integers(3, 40))
+            cert = derive_full(solve_rate_params(n), rng.uniform(0.05, 1.5, n - 1))
+            r, u = cert.params.r, -cert.c / (2.0 * cert.params.r)
+            parts = list(verifier._slack_factors(cert))
+            for which in groups[trial % 5]:
+                parts[which] = parts[which] * (1.0 + 1e-8 * rng.normal(size=np.shape(parts[which])))
+            hh, w, x, y = parts
+            E = np.empty((n + 2, n + 2))
+            E[0, 0] = hh - r
+            E[0, 1:] = E[1:, 0] = w - r * u
+            E[1:, 1:] = np.outer(x, y) - r * np.outer(u, u)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(verifier, "_slack_factors", lambda _: tuple(parts))
+                entry, frob = verifier._slack_bounds(cert)
+            assert entry >= (1.0 - 1e-6) * np.max(np.abs(E)) > 0.0
+            assert frob >= (1.0 - 1e-6) * np.linalg.norm(E)
+
+    def test_gram_shape_checked(self):
+        cert = example_cert()
+        for shape in ((4, 4), (5, 6), (6, 6), (25,), (1, 5, 5)):
+            with pytest.raises(ValueError, match="shape"):
+                slack_psd_check(cert, gram=np.zeros(shape))
+
+    def test_slack_peak_memory_per_index(self, rng):
+        # a few length-N arrays (72 bytes per index, measured at
+        # N = 300..81920); the dense route would need ~10 GB here
+        n = 20000
+        cert = derive_full(solve_rate_params(n), rng.uniform(0.05, 1.5, n - 1))
+        tracemalloc.start()
+        try:
+            assert slack_psd_check(cert)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 128 * n
 
 
 def test_verify_path_imports_neither_solver_nor_cli():
