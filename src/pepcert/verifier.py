@@ -196,7 +196,9 @@ def oracle_check(cert: FullCertificate) -> float:
     return float(np.max(deviations))  # np.max, unlike max, keeps a NaN
 
 
-def _slack_factors(cert: FullCertificate) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+def _slack_factors(
+    cert: FullCertificate,
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     """The slack term r ||h - (1/2r) sum c_i g_i||^2 as factors (hh, w, x, y):
     hh = r on h h, w = -c / 2 on the h row and the g block x y^T, with
     x = c / 4r and y = c. The one assembly of the slack: `slack_gram`
@@ -244,8 +246,10 @@ def _slack_bounds(cert: FullCertificate) -> tuple[float, float]:
                     + np.max(np.abs(q)) * np.max(np.abs(u))])
     norm = np.linalg.norm
     block = norm(x) * norm(p) + norm(q) * norm(u)
-    # hypot, not the root of a sum of squares, which overflows from c^2 / r ~ 1e170
-    return float(entry), float(np.hypot(block, np.hypot(np.sqrt(2.0) * norm(row), hh - r)))
+    # hypot, not the root of a sum of squares, which overflows from
+    # c^2 / r ~ 1e170
+    frob = np.hypot(block, np.hypot(np.sqrt(2.0) * norm(row), hh - r))
+    return float(entry), float(frob)
 
 
 def slack_psd_check(cert: FullCertificate, gram: np.ndarray | None = None) -> bool:

@@ -521,7 +521,8 @@ class TestSlack:
     def test_bumped_factor_rejected(self, monkeypatch, small_sweep):
         # one factor of the slack off by 1e-6 relative at one index
         factors = verifier._slack_factors
-        for cert in (example_cert(), derive_full(small_sweep[20].params, small_sweep[20].d)):
+        twenty = derive_full(small_sweep[20].params, small_sweep[20].d)
+        for cert in (example_cert(), twenty):
             n = cert.params.N
             for which, k in [(0, 0), *((i, k) for i in (1, 2, 3) for k in range(n + 1))]:
                 def bumped(cert, which=which, k=k):
@@ -544,7 +545,8 @@ class TestSlack:
             r, u = cert.params.r, -cert.c / (2.0 * cert.params.r)
             parts = list(verifier._slack_factors(cert))
             for which in groups[trial % 5]:
-                parts[which] = parts[which] * (1.0 + 1e-8 * rng.normal(size=np.shape(parts[which])))
+                noise = rng.normal(size=np.shape(parts[which]))
+                parts[which] = parts[which] * (1.0 + 1e-8 * noise)
             hh, w, x, y = parts
             E = np.empty((n + 2, n + 2))
             E[0, 0] = hh - r
