@@ -16,6 +16,7 @@ invocations produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import functools
 import os
@@ -152,34 +153,95 @@ def _sweep_sizes(args) -> list[int]:
                    for n in range(start, stop + 1, stride)})
 
 
+def _write_files(conn, parent_end) -> None:
+    """The body of `sweep`'s writer process: write each (CertificateFile,
+    path) that arrives on `conn` and answer None, or answer the exception of
+    the first failed write and exit."""
+    import signal
+
+    # the sweep ends at EOF, also when it dies; Ctrl-C interrupts the sweep,
+    # which then waits for the files in flight
+    parent_end.close()
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    try:
+        while True:
+            cf, path = conn.recv()
+            try:
+                certfile.write_certificate(cf, path)
+                failure = None
+            except Exception as exc:
+                failure = exc
+            # a sweep that stopped listening still gets every file it sent
+            with contextlib.suppress(OSError):
+                conn.send(failure)
+            if failure is not None:
+                return
+    except (EOFError, OSError):
+        pass
+
+
+def _settle(conn, rows) -> None:
+    """Wait for the oldest file in flight and print its row once it is on disk."""
+    try:
+        failure = conn.recv()
+    except EOFError:
+        failure = ChildProcessError("the file writer exited")
+    row = rows.popleft()  # only now, so that an interrupted wait keeps it
+    if failure is not None:
+        rows.clear()  # the writer has exited
+        with _writing():
+            raise failure
+    print(row)
+
+
 def cmd_sweep(args) -> int:
     if args.N_MAX < 3:
         raise _UsageError("sweep requires N_MAX >= 3")
     with _in_memory("the sweep"):
         sizes = _sweep_sizes(args)
+    import multiprocessing
+
     from . import solver
 
+    # One forked process renders and writes the files while this one solves
+    # the next size. A row is printed only once its file is on disk, so the
+    # rows lag the solver by up to two sizes (at most two files are in
+    # flight), and every exit first waits for the files of the sizes already
+    # solved: an aborted sweep keeps its files. The writer starts before the
+    # header, because the fork flushes standard output first.
+    ctx = multiprocessing.get_context("fork")
+    conn, child_end = ctx.Pipe()
+    writer = ctx.Process(target=_write_files, args=(child_end, conn))
+    with _writing():
+        writer.start()
+    child_end.close()
     outdir = args.outdir
-    print(f"{'N':>6} {'alpha':>20} {'r':>14} {'iters':>5} {'sup|eps|':>10} {'delta':>10}")
-    written = 0
+    rows = collections.deque()
     try:
-        # each file is written before its row is printed and the next size
-        # solved, so the files of an aborted sweep survive it
+        print(f"{'N':>6} {'alpha':>20} {'r':>14} {'iters':>5} {'sup|eps|':>10} {'delta':>10}")
         with _in_memory("the sweep"):
-            for report in solver.sweep(sizes):
-                with _writing():
-                    certfile.write_certificate(certfile.certificate_file(report.cert),
-                                               certfile.default_path(outdir, report.params.N))
-                print(
-                    f"{report.params.N:>6} {report.params.alpha:>20.16f} "
-                    f"{report.params.r:>14.6e} {report.iterations:>5} "
-                    f"{report.residual_sup:>10.2e} {report.delta:>10.2e}"
-                )
-                written += 1
+            try:
+                for report in solver.sweep(sizes):
+                    while rows and (len(rows) == 2 or conn.poll()):
+                        _settle(conn, rows)
+                    with _writing():  # the writer may have died
+                        conn.send((certfile.certificate_file(report.cert),
+                                   certfile.default_path(outdir, report.params.N)))
+                    rows.append(
+                        f"{report.params.N:>6} {report.params.alpha:>20.16f} "
+                        f"{report.params.r:>14.6e} {report.iterations:>5} "
+                        f"{report.residual_sup:>10.2e} {report.delta:>10.2e}"
+                    )
+            finally:
+                while rows:
+                    _settle(conn, rows)
     except solver.NonConvergence as exc:
         print(f"sweep aborted: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
-    print(f"{written} certificates written to {outdir}")
+    finally:
+        conn.close()
+        writer.join()
+    print(f"{len(sizes)} certificates written to {outdir}")
     return EXIT_OK
 
 

@@ -1,7 +1,12 @@
+import contextlib
+import io
+import multiprocessing
 import os
 import shlex
+import signal
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -11,6 +16,8 @@ import pepcert
 import pepcert.solver as solver_mod
 from pepcert import cli
 from pepcert.certfile import (
+    certificate_file,
+    default_path,
     params_from_file,
     parse_certificate,
     read_certificate,
@@ -168,6 +175,78 @@ class TestSolve:
         assert list(tmp_path.iterdir()) == []
 
 
+SWEEP_MAX = 8
+SWEEP_SIZES = list(range(3, SWEEP_MAX + 1))
+
+
+@pytest.fixture(scope="module")
+def sweep_reference(tmp_path_factory):
+    """`sweep 8` done in full: its stdout lines from the command line, and
+    its files as the library writes them, each before the next size is
+    solved (the sequential reference)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["sweep", str(SWEEP_MAX), "--outdir",
+                         str(tmp_path_factory.mktemp("cli"))]) == 0
+    files = {}
+    outdir = tmp_path_factory.mktemp("library")
+    for report in solver_mod.sweep(SWEEP_SIZES):
+        path = write_certificate(certificate_file(report.cert),
+                                 default_path(outdir, report.params.N))
+        with open(path, "rb") as fh:
+            files[report.params.N] = fh.read()
+    lines = out.getvalue().splitlines()
+    return {"header": lines[0], "rows": lines[1:-1], "files": files}
+
+
+def assert_sweep_output(out, reference, sizes, summary=False):
+    lines = out.splitlines()
+    rows = lines[1:-1] if summary else lines[1:]
+    assert lines[0] == reference["header"]
+    assert rows == reference["rows"][:len(sizes)]
+    assert [int(row.split()[0]) for row in rows] == sizes
+
+
+def assert_sweep_files(outdir, reference, sizes):
+    assert sorted(p.name for p in outdir.iterdir()) == [f"cert_N{n:05d}.txt" for n in sizes]
+    for n in sizes:
+        assert (outdir / f"cert_N{n:05d}.txt").read_bytes() == reference["files"][n]
+
+
+def fail_solve_at(monkeypatch, fail_at, exc_type):
+    real = solver_mod.gauss_newton
+
+    def failing(params, d0):
+        if params.N == fail_at:
+            raise exc_type(f"injected at N={fail_at}")
+        return real(params, d0)
+
+    monkeypatch.setattr(solver_mod, "gauss_newton", failing)
+
+
+def fail_write_at(monkeypatch, fail_at):
+    # the writer process is forked from this one, so it runs the patch too;
+    # the write fails late, once the next file is in flight
+    real = cli.certfile.write_certificate
+
+    def failing(cf, path):
+        if cf.N == fail_at:
+            time.sleep(0.1)
+            raise OSError(f"injected at N={fail_at}")
+        return real(cf, path)
+
+    monkeypatch.setattr(cli.certfile, "write_certificate", failing)
+
+
+def process_alive(pid):
+    """Whether `pid` runs (a zombie has exited)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
 class TestSweep:
     def test_single(self, capsys, tmp_path):
         code, out, _ = run(capsys, "sweep", 3, "--outdir", tmp_path)
@@ -256,6 +335,229 @@ class TestSweep:
         assert code == 0
         names = sorted(p.name for p in tmp_path.glob("cert_*.txt"))
         assert names == [f"cert_N{n:05d}.txt" for n in list(range(3, 11)) + [20, 30]]
+
+    # Every exit of a sweep whose files are written by its writer process
+    # matches a sweep that writes each file before it solves the next size:
+    # the rows and files of the sizes before the failing one, then one line.
+    @pytest.mark.parametrize("fail_at", [3, 6, SWEEP_MAX])
+    @pytest.mark.parametrize("failure", ["nonconvergence", "memory", "write"])
+    def test_exit_matches_sequential_reference(self, capsys, tmp_path, monkeypatch,
+                                               sweep_reference, failure, fail_at):
+        expected_code, expected_err = {
+            "nonconvergence": (2, f"sweep aborted: injected at N={fail_at}\n"),
+            "memory": (1, "usage error: the sweep does not fit in memory: "
+                          f"injected at N={fail_at}\n"),
+            "write": (5, f"cannot write output: injected at N={fail_at}\n"),
+        }[failure]
+        if failure == "write":
+            fail_write_at(monkeypatch, fail_at)
+        else:
+            fail_solve_at(monkeypatch, fail_at,
+                          MemoryError if failure == "memory" else solver_mod.NonConvergence)
+        code, out, err = run(capsys, "sweep", SWEEP_MAX, "--outdir", tmp_path)
+        assert (code, err) == (expected_code, expected_err)
+        assert_sweep_output(out, sweep_reference, [n for n in SWEEP_SIZES if n < fail_at])
+        assert_sweep_files(tmp_path, sweep_reference, [n for n in SWEEP_SIZES if n < fail_at])
+        assert multiprocessing.active_children() == []
+
+    def test_complete_sweep_matches_sequential_reference(self, capsys, tmp_path,
+                                                         sweep_reference):
+        code, out, err = run(capsys, "sweep", SWEEP_MAX, "--outdir", tmp_path)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1] == f"{len(SWEEP_SIZES)} certificates written to {tmp_path}"
+        assert_sweep_output(out, sweep_reference, SWEEP_SIZES, summary=True)
+        assert_sweep_files(tmp_path, sweep_reference, SWEEP_SIZES)
+        assert multiprocessing.active_children() == []
+
+    def test_write_failure_before_a_solve_failure_exits_5(self, capsys, tmp_path,
+                                                          monkeypatch, sweep_reference):
+        # the write of N=5 fails while N=6 is solved: exit 5, as if the
+        # failed write had stopped the sweep, and no file after it
+        fail_write_at(monkeypatch, 5)
+        fail_solve_at(monkeypatch, 6, solver_mod.NonConvergence)
+        code, out, err = run(capsys, "sweep", SWEEP_MAX, "--outdir", tmp_path)
+        assert (code, err) == (5, "cannot write output: injected at N=5\n")
+        assert_sweep_output(out, sweep_reference, [3, 4])
+        assert_sweep_files(tmp_path, sweep_reference, [3, 4])
+        assert multiprocessing.active_children() == []
+
+    def test_row_printed_after_its_file(self, tmp_path, monkeypatch):
+        real = cli.certfile.write_certificate
+
+        def slow_write(cf, path):
+            time.sleep(0.02)
+            return real(cf, path)
+
+        missing = []
+
+        class Out(io.StringIO):
+            def write(self, text):
+                fields = text.split()
+                if len(fields) == 6 and fields[0].isdigit():
+                    n = int(fields[0])
+                    if not (tmp_path / f"cert_N{n:05d}.txt").exists():
+                        missing.append(n)
+                return super().write(text)
+
+        monkeypatch.setattr(cli.certfile, "write_certificate", slow_write)
+        out = Out()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["sweep", str(SWEEP_MAX), "--outdir", str(tmp_path)]) == 0
+        assert len(out.getvalue().splitlines()) == len(SWEEP_SIZES) + 2
+        assert missing == []
+
+    def test_writer_death_exits_5(self, capsys, tmp_path, monkeypatch, sweep_reference):
+        # a writer that dies (say, at the hands of the OOM killer) is a
+        # failed write of the file it held
+        real = cli.certfile.write_certificate
+
+        def dying(cf, path):
+            if cf.N == 5:
+                os._exit(9)
+            return real(cf, path)
+
+        monkeypatch.setattr(cli.certfile, "write_certificate", dying)
+        code, out, err = run(capsys, "sweep", SWEEP_MAX, "--outdir", tmp_path)
+        assert (code, err) == (5, "cannot write output: the file writer exited\n")
+        assert_sweep_output(out, sweep_reference, [3, 4])
+        assert_sweep_files(tmp_path, sweep_reference, [3, 4])
+        assert multiprocessing.active_children() == []
+
+    def test_idle_writer_death_exits_5(self, capsys, tmp_path, monkeypatch, sweep_reference):
+        # the writer is killed after it has answered for N=5, while N=6 is
+        # solved: sending N=6 fails, and the files and rows before it stay
+        real = solver_mod.gauss_newton
+
+        def killing(params, d0):
+            if params.N == 6:
+                while not (tmp_path / "cert_N00005.txt").exists():
+                    time.sleep(0.01)
+                time.sleep(0.2)  # time for the writer to answer
+                writer, = multiprocessing.active_children()
+                writer.kill()
+                writer.join()
+            return real(params, d0)
+
+        monkeypatch.setattr(solver_mod, "gauss_newton", killing)
+        code, out, err = run(capsys, "sweep", SWEEP_MAX, "--outdir", tmp_path)
+        assert_write_error(code, err)
+        assert_sweep_output(out, sweep_reference, [3, 4, 5])
+        assert_sweep_files(tmp_path, sweep_reference, [3, 4, 5])
+        assert multiprocessing.active_children() == []
+
+    def test_at_most_two_files_in_flight(self, capsys, tmp_path, monkeypatch):
+        # with a slow writer, the solve of the k-th size waits until the
+        # files of all sizes but the last two before it are on disk
+        real_write, real_solve = cli.certfile.write_certificate, solver_mod.gauss_newton
+        on_disk = []
+
+        def slow_write(cf, path):
+            time.sleep(0.05)
+            return real_write(cf, path)
+
+        def counting_solve(params, d0):
+            on_disk.append(len(list(tmp_path.iterdir())))
+            return real_solve(params, d0)
+
+        monkeypatch.setattr(cli.certfile, "write_certificate", slow_write)
+        monkeypatch.setattr(solver_mod, "gauss_newton", counting_solve)
+        code, _, _ = run(capsys, "sweep", SWEEP_MAX, "--outdir", tmp_path)
+        assert code == 0
+        assert all(count >= k - 2 for k, count in enumerate(on_disk))
+
+    @pytest.mark.parametrize("escaping", [KeyboardInterrupt, BrokenPipeError])
+    def test_escaping_exception_keeps_solved_files(self, capsys, tmp_path, monkeypatch,
+                                                   sweep_reference, escaping):
+        fail_solve_at(monkeypatch, 7, escaping)
+        with pytest.raises(escaping):
+            cli.main(["sweep", str(SWEEP_MAX), "--outdir", str(tmp_path)])
+        assert_sweep_output(capsys.readouterr().out, sweep_reference, [3, 4, 5, 6])
+        assert_sweep_files(tmp_path, sweep_reference, [3, 4, 5, 6])
+        assert multiprocessing.active_children() == []
+
+    def test_interrupted_wait_still_writes_files_in_flight(self, capsys, tmp_path,
+                                                           monkeypatch, sweep_reference):
+        # the sweep is interrupted while it waits for the writer, before any
+        # answer is read: the writer still writes both files in flight
+        real = cli.certfile.write_certificate
+
+        def slow_write(cf, path):
+            time.sleep(0.1)
+            return real(cf, path)
+
+        def interrupted(conn, rows):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli.certfile, "write_certificate", slow_write)
+        monkeypatch.setattr(cli, "_settle", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            cli.main(["sweep", str(SWEEP_MAX), "--outdir", str(tmp_path)])
+        assert_sweep_files(tmp_path, sweep_reference, [3, 4])
+        assert multiprocessing.active_children() == []
+
+    def test_redirected_output_has_each_row_once(self, tmp_path):
+        # a buffered standard output is forked with the writer: no line may
+        # be written twice
+        out = tmp_path / "sweep.out"
+        with open(out, "w") as fh:
+            proc = subprocess.run(
+                [sys.executable, "-m", "pepcert.cli", "sweep", "40",
+                 "--outdir", str(tmp_path / "certs")],
+                stdout=fh, stderr=subprocess.PIPE, env=src_env(PYTHONUNBUFFERED=""),
+                timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        lines = out.read_text().splitlines()
+        assert sum(line.split()[:1] == ["N"] for line in lines) == 1
+        assert [int(line.split()[0]) for line in lines[1:-1]] == list(range(3, 41))
+        assert lines[-1].startswith("38 certificates written")
+
+    def test_ctrl_c_keeps_solved_files(self, tmp_path):
+        # Ctrl-C reaches the whole process group; the writer ignores it and
+        # writes the files in flight, the sweep stops at KeyboardInterrupt
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "pepcert.cli", "sweep", "400", "--outdir", str(tmp_path)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=src_env(),
+            start_new_session=True)
+        try:
+            deadline = time.monotonic() + 120
+            while not (tmp_path / "cert_N00020.txt").exists():
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.01)
+            os.killpg(proc.pid, signal.SIGINT)
+            out, err = proc.communicate(timeout=120)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert proc.returncode == -signal.SIGINT, err
+        assert err.rstrip().endswith("KeyboardInterrupt") and "ForkProcess" not in err
+        files = sorted(int(p.name[6:11]) for p in tmp_path.iterdir())
+        assert files == list(range(3, files[-1] + 1)) and files[-1] < 400
+        rows = [int(line.split()[0]) for line in out.splitlines()[1:]]
+        assert set(rows) <= set(files)
+        for n in files:
+            assert read_certificate(tmp_path / f"cert_N{n:05d}.txt").N == n
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+    def test_killed_sweep_leaves_no_writer(self, tmp_path):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "pepcert.cli", "sweep", "400", "--outdir", str(tmp_path)],
+            stdout=subprocess.DEVNULL, env=src_env())
+        try:
+            deadline = time.monotonic() + 120
+            while not (tmp_path / "cert_N00020.txt").exists():
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.01)
+            with open(f"/proc/{proc.pid}/task/{proc.pid}/children") as fh:
+                writers = [int(pid) for pid in fh.read().split()]
+            assert len(writers) == 1
+        finally:
+            proc.send_signal(signal.SIGKILL)
+            proc.wait()
+        assert not list(tmp_path.glob("cert_N00400.txt"))  # killed mid-run
+        deadline = time.monotonic() + 5
+        while process_alive(writers[0]) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not process_alive(writers[0])
 
 
 class TestVerify:
@@ -553,7 +855,8 @@ cert, outdir = sys.argv[1:]
 codes = [cli.main(argv) for argv in (
     ["verify", cert], ["verify", cert, "--oracle"], ["rates", "50"],
     ["envelope", "10"], ["plotdata", cert, "--outdir", outdir])]
-print(codes, sorted({"scipy", "mpmath", "pepcert.solver"} & set(sys.modules)))
+print(codes, sorted({"scipy", "mpmath", "pepcert.solver", "multiprocessing"}
+                    & set(sys.modules)))
 """
 
 
