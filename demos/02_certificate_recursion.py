@@ -10,7 +10,7 @@ everything stays positive.
 
 import numpy as np
 
-from pepcert import derive_full, gauss_newton, residual, solve_rate_params
+from pepcert import derive_full, gauss_newton, solve_rate_params
 
 n = 6
 params = solve_rate_params(n)
@@ -30,7 +30,7 @@ print(f"  sup |eps| = {np.max(np.abs(cert.eps)):.3e}  (far from zero)\n")
 # t = 0, 1, 2 along any line predict t = 3 with no truncation error
 rng = np.random.default_rng(7)
 direction = rng.standard_normal(n - 1)
-r0, r1, r2, r3 = (residual(params, guess + t * direction) for t in range(4))
+r0, r1, r2, r3 = (derive_full(params, guess + t * direction).eps for t in range(4))
 pred = r0 - 3 * r1 + 3 * r2
 print("quadratic structure along a random line (predicted vs actual at t=3):")
 print("  predicted:", np.array2string(pred, precision=8))

@@ -24,13 +24,14 @@ import sys
 
 import numpy as np
 
-from . import certfile
+from . import certfile, solver
 from .rates import huber_rate, lower_bound_envelope, quadratic_rate, solve_rate_params
 from .recursion import derive_full
 from .verifier import oracle_check, oracle_scale
 
-# `solve` and `sweep` import pepcert.solver, and scipy.linalg with it, when
-# they run, so the commands that do not solve never load it
+# solver.gauss_newton and solver.sweep are looked up on the module at each
+# call, so a replacement there (a monkeypatch, a tracer) takes effect; scipy
+# loads only when a solve takes its first step
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -101,8 +102,6 @@ def cmd_solve(args) -> int:
     if args.N < 3:
         raise _UsageError("solve requires N >= 3")
     params = _rate_params(args.N)
-    from . import solver
-
     try:
         with _in_memory(f"N={args.N}"):
             report = solver.gauss_newton(params, solver.closed_form_start(args.N))
@@ -200,8 +199,6 @@ def cmd_sweep(args) -> int:
     with _in_memory("the sweep"):
         sizes = _sweep_sizes(args)
     import multiprocessing
-
-    from . import solver
 
     # One forked process renders and writes the files while this one solves
     # the next size. A row is printed only once its file is on disk, so the

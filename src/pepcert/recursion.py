@@ -11,11 +11,11 @@ Index conventions (0-based, matching the multiplier-matrix subscripts):
                                       d with eps identically zero and all of
                                       a, b, c, d positive
 
-d alone fixes the rest: `residual` and `derive_full` run one pass from d,
-and `c_from_d` is the one formula for c. Each takes a 1-D d of length N-1,
-raises ValueError for any other shape, and requires N >= 3. The parameters
-need not be balanced: the elimination is an algebraic identity for any
-positive stepsize alpha and rate r.
+d alone fixes the rest: `derive_full` runs one pass from d, and `c_from_d`
+is the one formula for c. Each takes a 1-D d of length N-1, raises
+ValueError for any other shape, and requires N >= 3. The parameters need not
+be balanced: the elimination is an algebraic identity for any positive
+stepsize alpha and rate r.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .rates import RateParams
 __all__ = [
     "FullCertificate",
     "c_from_d",
-    "residual",
     "derive_full",
 ]
 
@@ -72,8 +71,9 @@ def _backward_scan(z: np.ndarray, rho: float) -> np.ndarray:
     return z
 
 
-def _derive(params: RateParams, d):
-    """(a, b, c, eps) from d in one pass; c comes from `c_from_d`.
+def derive_full(params: RateParams, d) -> FullCertificate:
+    """The whole certificate (a, b, c, d, eps) of one vector d, derived in one
+    pass; c comes from `c_from_d`.
 
     a_{N-1} comes from the unit-sum condition on the last multiplier column.
     Each (a_i, b_i), i = N-2 down to 0, is affine in the next pair through
@@ -140,16 +140,7 @@ def _derive(params: RateParams, d):
         + (2.0 * alpha - 1.0) * b[0]
         + c[0] ** 2 / two_r
     )
-    return a, b, c, eps
-
-
-def residual(params: RateParams, d) -> np.ndarray:
-    """Residuals eps(d), the last output of the derivation.
-
-    Each component is an exactly quadratic polynomial in d; a zero of the map
-    with positive derived data is a certificate.
-    """
-    return _derive(params, d)[3]
+    return FullCertificate(params=params, a=a, b=b, c=c, d=d.copy(), eps=eps)
 
 
 @dataclass(frozen=True)
@@ -179,10 +170,3 @@ class FullCertificate:
     def delta(self) -> float:
         """Total positive error, the sum of max(eps_i, 0)."""
         return float(np.sum(np.maximum(self.eps, 0.0)))
-
-
-def derive_full(params: RateParams, d) -> FullCertificate:
-    """Bundle the whole derivation for a single d into a FullCertificate."""
-    d = np.asarray(d, dtype=float)
-    a, b, c, eps = _derive(params, d)
-    return FullCertificate(params=params, a=a, b=b, c=c, d=d.copy(), eps=eps)

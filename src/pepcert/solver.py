@@ -25,7 +25,6 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .rates import RateParams, solve_rate_params
 from .recursion import FullCertificate, c_from_d, derive_full
@@ -131,7 +130,7 @@ def _linearized_equations(params: RateParams, d: np.ndarray) -> dict:
         deps_N = Z_0 - dc_0 - dtl_0 + c_0 dc_0 / r,
 
     in the notation of the recursion (u_i = a_i - b_i, tl_i = d_i
-    suffc_{i+2}; `recursion._derive` has the step terms csq, cross, lin and
+    suffc_{i+2}; `recursion.derive_full` has the step terms csq, cross, lin and
     tail, whose tangents are products of dc with the current c and od).
     The auxiliaries T and Z are tied to S by the constraints
 
@@ -216,6 +215,10 @@ def least_squares_step(params: RateParams, d, eps: np.ndarray):
     finds an exactly zero pivot (dgbsv's info > 0) or s is not finite; an
     invalid argument (info < 0) raises ValueError.
     """
+    # the package's one scipy use, imported here so that a process that only
+    # verifies never loads scipy
+    import scipy.linalg.lapack
+
     N = params.N
     forms = _linearized_equations(params, np.asarray(d, dtype=float))
     size = {"wN": 1, "S": N - 1}  # every other kind has N unknowns
@@ -245,7 +248,8 @@ def least_squares_step(params: RateParams, d, eps: np.ndarray):
     rhs = np.zeros(_WIDTH * (N + 2))
     rhs[first["w"] : first["w"] + _WIDTH * N : _WIDTH] = eps[:N]
     rhs[first["wN"]] = eps[N]
-    _, _, sol, info = lapack.dgbsv(half, half, ab, rhs, overwrite_ab=1, overwrite_b=1)
+    _, _, sol, info = scipy.linalg.lapack.dgbsv(half, half, ab, rhs,
+                                                overwrite_ab=1, overwrite_b=1)
     if info < 0:
         raise ValueError(f"dgbsv: argument {-info} is invalid")
     if info > 0:  # an exactly zero pivot

@@ -855,40 +855,23 @@ cert, outdir = sys.argv[1:]
 codes = [cli.main(argv) for argv in (
     ["verify", cert], ["verify", cert, "--oracle"], ["rates", "50"],
     ["envelope", "10"], ["plotdata", cert, "--outdir", outdir])]
-print(codes, sorted({"scipy", "mpmath", "pepcert.solver", "multiprocessing"}
-                    & set(sys.modules)))
+loaded = sorted({"scipy", "mpmath", "multiprocessing"} & set(sys.modules))
+# scipy loads with the first Gauss-Newton step, not before
+code = cli.main(["solve", "5", "--outdir", outdir])
+print(codes, loaded, code, "scipy.linalg" in sys.modules)
 """
 
 
 class TestImports:
     def test_commands_that_do_not_solve_load_no_solver(self, cert_dir, tmp_path):
-        # a fresh interpreter, since this one has imported the solver already
+        # a fresh interpreter, since this one has imported scipy already
         proc = subprocess.run(
             [sys.executable, "-c", NO_SOLVE_SCRIPT,
              str(cert_dir / "cert_N00010.txt"), str(tmp_path / "curves")],
             capture_output=True, text=True, env=src_env(), timeout=300)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0] []"
-
-    def test_solver_names_resolve_through_the_package(self):
-        assert pepcert._SOLVER_NAMES == tuple(solver_mod.__all__)
-        names = dir(pepcert)
-        assert "solver" in names
-        for name in pepcert._SOLVER_NAMES:
-            assert name in names
-            assert getattr(pepcert, name) is getattr(solver_mod, name)
-        assert pepcert.solver is solver_mod
-        assert pepcert.sweep is pepcert.solver.sweep
-        from pepcert import NonConvergence
-
-        assert NonConvergence is solver_mod.NonConvergence
-
-    def test_solver_names_are_looked_up_each_time(self, monkeypatch):
-        # a function replaced on pepcert.solver, as by a monkeypatch or a
-        # tracer, is what the package hands out afterwards
-        replacement = object()
-        monkeypatch.setattr(solver_mod, "sweep", replacement)
-        assert pepcert.sweep is replacement
+        assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0] [] 0 True"
+        assert (tmp_path / "curves" / "cert_N00005.txt").is_file()
 
     def test_unknown_name(self):
         with pytest.raises(AttributeError, match="no_such_name"):

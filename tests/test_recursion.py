@@ -8,7 +8,6 @@ from pepcert import (
     RateParams,
     c_from_d,
     derive_full,
-    residual,
     solve_rate_params,
 )
 
@@ -126,26 +125,26 @@ class TestAbFromCd:
 
 class TestEpsAndResidual:
     def test_example_eps(self):
-        eps = residual(EXAMPLE, EXAMPLE_D)
+        eps = derive_full(EXAMPLE, EXAMPLE_D).eps
         np.testing.assert_array_equal(eps, EXAMPLE_EPS)
         assert np.max(np.abs(eps)) > 0.1  # arbitrary d is not a certificate
 
     def test_shapes(self):
         for n in (3, 5, 11):
             params = solve_rate_params(n)
-            eps = residual(params, np.full(n - 1, 0.3))
+            eps = derive_full(params, np.full(n - 1, 0.3)).eps
             assert eps.shape == (n + 1,)
 
     def test_converged_residual_small(self, small_sweep):
         rep = small_sweep[10]
-        eps = residual(rep.params, rep.d)
+        eps = derive_full(rep.params, rep.d).eps
         assert np.max(np.abs(eps)) <= 1e-13
         assert np.sum(np.maximum(eps, 0.0)) <= 1e-11
 
     def test_deterministic(self, rng):
         params = solve_rate_params(8)
         d = rng.uniform(0.1, 1.0, 7)
-        np.testing.assert_array_equal(residual(params, d), residual(params, d))
+        np.testing.assert_array_equal(derive_full(params, d).eps, derive_full(params, d).eps)
 
     def test_exactly_quadratic_along_lines(self, rng):
         # three-point interpolation through t = 0, 1, 2 must reproduce t = 3
@@ -153,24 +152,16 @@ class TestEpsAndResidual:
         for _ in range(10):
             d = rng.uniform(0.05, 1.5, 11)
             p = rng.standard_normal(11)
-            r0, r1, r2, r3 = (residual(params, d + t * p) for t in range(4))
+            r0, r1, r2, r3 = (derive_full(params, d + t * p).eps for t in range(4))
             pred = r0 - 3.0 * r1 + 3.0 * r2
             scale = np.maximum(1.0, np.max(np.abs([r0, r1, r2, r3]), axis=0))
             assert np.max(np.abs(pred - r3) / scale) <= 1e-12
-
-    @pytest.mark.parametrize("n", [3, 4, 7, 300])
-    def test_residual_is_derive_full_eps(self, rng, n):
-        # residual and derive_full run the same pass, so their eps agree bit
-        # for bit, at balanced and at unbalanced (alpha, r)
-        for params in (solve_rate_params(n), RateParams(N=n, alpha=1.5, r=0.125)):
-            d = rng.uniform(0.05, 1.5, n - 1)
-            assert np.array_equal(residual(params, d), derive_full(params, d).eps)
 
     def test_rejects_2d_d(self, rng):
         params = solve_rate_params(9)
         for shape in ((6, 8), (1, 8), (8, 1)):
             with pytest.raises(ValueError, match="shape"):
-                residual(params, rng.uniform(0.05, 1.5, shape))
+                derive_full(params, rng.uniform(0.05, 1.5, shape))
 
 
 class TestDeriveFull:
