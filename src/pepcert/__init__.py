@@ -10,8 +10,9 @@ The library is organized around five pieces:
 - `solver`: damped Gauss-Newton on the overdetermined residual system. A
   cold solve starts from a closed-form shape of the certificate, and a sweep
   over a list of sizes warm-starts each size from the ones before. Its step,
-  `least_squares_step`, imports `scipy.linalg` when it first runs, so a
-  process that only verifies never loads scipy.
+  `least_squares_step`, loads scipy's compiled LAPACK module (not the
+  `scipy.linalg` package) when it first runs, so a process that only
+  verifies never loads scipy.
 - `verifier`: symbolic aggregation of the interpolation inequalities against
   the target rate expression: the O(N) oracle `oracle_check`, the dense
   reference (`assemble_lambda`, `aggregate`, `rhs_with_errors`) that tests

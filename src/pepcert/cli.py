@@ -31,6 +31,7 @@ from .verifier import oracle_check, oracle_scale
 
 # solver.gauss_newton and solver.sweep are looked up on the module at each
 # call, so a replacement there (a monkeypatch, a tracer) takes effect; scipy
+# (its top-level package and compiled LAPACK module, never scipy.linalg)
 # loads only when a solve takes its first step
 
 EXIT_OK = 0

@@ -20,9 +20,13 @@ writing files is left to its caller.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -192,6 +196,31 @@ _SLOTS = {"w": (1, 0), "T": (-1, 1), "Z": (0, 2), "S": (1, 3), "yT": (0, 4),
 _WIDTH = 6
 
 
+@cache
+def _lapack():
+    """scipy's compiled LAPACK wrappers, `scipy.linalg._flapack`, the module
+    `scipy.linalg.lapack` re-exports, loaded from its file on first use.
+
+    Importing `scipy.linalg` would run the whole package (about 0.25 s and
+    27 MB, most of it in array-API and numpy submodules the step never uses);
+    this runs only `import scipy`, for its platform set-up, and the extension
+    itself, so its `dgbsv` is the same binary either way.
+    """
+    import scipy
+
+    where = os.path.join(scipy.__path__[0], "linalg")
+    finder = importlib.machinery.FileFinder(
+        where, (importlib.machinery.ExtensionFileLoader,
+                importlib.machinery.EXTENSION_SUFFIXES))
+    spec = finder.find_spec("scipy.linalg._flapack")
+    if spec is None:
+        raise ImportError(f"scipy {scipy.__version__} has no compiled module "
+                          f"_flapack in {where}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def least_squares_step(params: RateParams, d, eps: np.ndarray):
     """The Gauss-Newton step s = argmin ||J s + eps||_2 at d, with J = d eps / d d;
     returns (s, ok).
@@ -215,10 +244,6 @@ def least_squares_step(params: RateParams, d, eps: np.ndarray):
     finds an exactly zero pivot (dgbsv's info > 0) or s is not finite; an
     invalid argument (info < 0) raises ValueError.
     """
-    # the package's one scipy use, imported here so that a process that only
-    # verifies never loads scipy
-    import scipy.linalg.lapack
-
     N = params.N
     forms = _linearized_equations(params, np.asarray(d, dtype=float))
     size = {"wN": 1, "S": N - 1}  # every other kind has N unknowns
@@ -248,8 +273,9 @@ def least_squares_step(params: RateParams, d, eps: np.ndarray):
     rhs = np.zeros(_WIDTH * (N + 2))
     rhs[first["w"] : first["w"] + _WIDTH * N : _WIDTH] = eps[:N]
     rhs[first["wN"]] = eps[N]
-    _, _, sol, info = scipy.linalg.lapack.dgbsv(half, half, ab, rhs,
-                                                overwrite_ab=1, overwrite_b=1)
+    # the package's one scipy use, loaded on the first step, so that a
+    # process that only verifies never loads scipy
+    _, _, sol, info = _lapack().dgbsv(half, half, ab, rhs, overwrite_ab=1, overwrite_b=1)
     if info < 0:
         raise ValueError(f"dgbsv: argument {-info} is invalid")
     if info > 0:  # an exactly zero pivot

@@ -1,9 +1,11 @@
 import gc
+import importlib.machinery
 import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
+import scipy
 from scipy.linalg import lapack, qr_multiply, solve_triangular
 
 import pepcert.solver as solver_mod
@@ -237,7 +239,7 @@ class TestLeastSquaresStep:
             # what dgbsv reports for an exactly zero pivot U(3, 3)
             return ab, np.zeros(b.shape[0], dtype=np.int32), b, 3
 
-        monkeypatch.setattr(lapack, "dgbsv", singular)
+        monkeypatch.setattr(solver_mod._lapack(), "dgbsv", singular)
         assert solver_mod.least_squares_step(
             solve_rate_params(7), np.full(6, 0.3), np.ones(8)) == (None, False)
         with pytest.raises(NonConvergence) as err:
@@ -250,9 +252,36 @@ class TestLeastSquaresStep:
             # what dgbsv reports when its third argument (kl) is invalid
             return ab, np.zeros(b.shape[0], dtype=np.int32), b, -3
 
-        monkeypatch.setattr(lapack, "dgbsv", invalid)
+        monkeypatch.setattr(solver_mod._lapack(), "dgbsv", invalid)
         with pytest.raises(ValueError, match="argument 3"):
             least_squares_step(solve_rate_params(7), np.full(6, 0.3), np.ones(8))
+
+    def test_loaded_dgbsv_is_scipy_linalg_lapack_dgbsv(self, rng):
+        # the same binary: one random band system with kl = ku = 9, which
+        # partial pivoting reorders, gives bit-identical outputs either way
+        kl = ku = 9
+        n = 200
+        ab = np.zeros((2 * kl + ku + 1, n), order="F")
+        ab[kl:] = rng.standard_normal((kl + ku + 1, n))
+        b = rng.standard_normal(n)
+        ours = solver_mod._lapack().dgbsv(kl, ku, ab, b)
+        theirs = lapack.dgbsv(kl, ku, ab, b)
+        assert ours[3] == theirs[3] == 0
+        assert np.any(ours[1] != np.arange(1, n + 1))  # rows were swapped
+        for mine, ref in zip(ours, theirs):
+            np.testing.assert_array_equal(mine, ref)
+
+    def test_missing_extension_raises_import_error(self, monkeypatch):
+        class FindsNothing(importlib.machinery.FileFinder):
+            def find_spec(self, fullname, target=None):
+                return None
+
+        monkeypatch.setattr(importlib.machinery, "FileFinder", FindsNothing)
+        where = f"{scipy.__path__[0]}/linalg"
+        with pytest.raises(ImportError) as err:
+            solver_mod._lapack.__wrapped__()  # the loader, past its cache
+        assert str(err.value) == (
+            f"scipy {scipy.__version__} has no compiled module _flapack in {where}")
 
     def test_memory_is_linear_in_n(self, start_5000):
         # one cold solve at N=5000 stays within 25 kB per index; the dense
