@@ -7,14 +7,17 @@ the Jacobian: the recursion is linearized in a few local unknowns per index
 (prefix and suffix sums, and the tangent of the backward scan), and the
 constrained least-squares problem is one banded augmented system, built in
 LAPACK's band layout and factored in place, so a step takes O(N) time and
-memory. A cold solve starts from the closed form
-d_i = sqrt(N) / (2 (N - i)^{3/2}) of closed_form_start, from which
-Gauss-Newton takes three steps at every size tested. A sweep solves its first
-size that way and warm-starts every later one from up to four recent
-certificates: each one's ratio to the closed form, aligned at the last index
-(where the certificate's boundary layer depends only on the distance from
-the end), is extrapolated to the new size by a cubic in 1/N, which leaves
-most sizes one Gauss-Newton step from convergence. It yields each report;
+memory. Each factorization is kept for chord steps, which solve with it at
+the new residual while each one shrinks ||eps||_2 at least twentyfold. A cold
+solve starts from the closed form d_i = sqrt(N) / (2 (N - i)^{3/2}) of
+closed_form_start, from which Gauss-Newton takes one factored step and four
+or five chord steps at every size tested. A sweep solves its first size that
+way and warm-starts every later one from up to four recent certificates:
+each one's ratio to the closed form, aligned at the last index (where the
+certificate's boundary layer depends only on the distance from the end), is
+extrapolated to the new size by a cubic in 1/N, which leaves most sizes one
+Gauss-Newton step from convergence; a size whose warm start fails is solved
+again from the closed form. It yields each report;
 writing files is left to its caller.
 """
 
@@ -43,9 +46,14 @@ __all__ = [
     "sweep",
 ]
 
-# the convergence gate on max_i |eps_i|, and the Gauss-Newton step budget
+# the convergence gate on max_i |eps_i|, and the Gauss-Newton step budget:
+# factored and chord steps together
 RESIDUAL_TOL = 1e-13
 MAX_ITER = 50
+# a chord step is accepted if it shrinks ||eps||_2 to at most this fraction:
+# cold and warm starts' chord steps reach 1e-2 or less, while slower ones
+# (about 0.3 from a far start) converge faster by refactoring
+CHORD_CONTRACTION = 0.05
 # certificates a warm start extrapolates from: a cubic in 1/N
 CONTINUATION_SOURCES = 4
 
@@ -63,11 +71,14 @@ class NonConvergence(RuntimeError):
 class SolveReport:
     """Record of one converged Gauss-Newton run and its strictly positive
     certificate; gauss_newton raises NonConvergence rather than return any
-    other outcome. `params`, `d`, `residual_sup` and `delta` are read from
-    `cert`."""
+    other outcome. `iterations` counts the band factorizations and
+    `chord_steps` the steps that reused one; `res_norms` holds ||eps||_2 of
+    every accepted iterate, the start included. `params`, `d`,
+    `residual_sup` and `delta` are read from `cert`."""
 
     cert: FullCertificate
     iterations: int
+    chord_steps: int
     res_norms: list[float] = field(default_factory=list)
 
     @property
@@ -85,36 +96,6 @@ class SolveReport:
     @property
     def delta(self) -> float:
         return self.cert.delta
-
-
-def _shifted(v: np.ndarray, k: int) -> np.ndarray:
-    """v[i + k] at every i, zero where i + k leaves the array."""
-    out = np.zeros_like(v)
-    if k >= 0:
-        out[: len(v) - k] = v[k:]
-    else:
-        out[-k:] = v[:k]
-    return out
-
-
-# A linear form is one linearized equation per index i, as a dict that maps
-# (unknown, offset) to the coefficient array of that unknown at index
-# i + offset. Unknowns outside their index range are zero and are dropped
-# when the system is assembled.
-
-def _combine(*terms) -> dict:
-    """The form sum(coef * form) over (coef, form) pairs; coef is a scalar or
-    an array over the equation index."""
-    out: dict = {}
-    for coef, form in terms:
-        for key, val in form.items():
-            out[key] = out[key] + coef * val if key in out else coef * val
-    return out
-
-
-def _shift(form: dict, k: int) -> dict:
-    """The form of equation i + k, written at equation i."""
-    return {(name, off + k): _shifted(val, k) for (name, off), val in form.items()}
 
 
 def _linearized_equations(params: RateParams, d: np.ndarray) -> dict:
@@ -141,46 +122,65 @@ def _linearized_equations(params: RateParams, d: np.ndarray) -> dict:
         T_j - T_{j+1} - dc_j = 0,  Z_i - rho Z_{i+1} - dh_i = 0,
 
     where dh is the tangent of the scan's input h (dh_{N-1} = c_N S_{N-2}).
+
+    Expanded, each equation is a sum of coefficient * unknown terms, and each
+    term is one diagonal of the band. The coefficients below are written out
+    in c_i, c_{i+1}, od_i, od_{i-1}, suffc_{i+2}, suffc_{i+3}, d_i and d_{i+1};
+    the terms of du_{i-1} in deps_i are those of du shifted by one index, and
+    its S_{i-2} term cancels -c_i S_{i-2}. Unknowns outside their index range
+    are zero (the assembly clips each diagonal), which makes the index masks
+    of the recursion implicit: du's S_{i+1} term, say, only meets i <= N-3.
     Returns the forms by equation: "w" holds deps_0 .. deps_{N-1}, "wN"
-    deps_N (its index-0 entry), and "yT", "yZ" the two constraints.
+    deps_N, and "yT", "yZ" the two constraints; each form maps
+    (unknown, offset) to the coefficient of that unknown at index i + offset
+    in equation i, an array over i = 0..N or a scalar.
     """
     N, alpha, r = params.N, params.alpha, params.r
     two_r = 2.0 * r
     rho = 2.0 * alpha - 3.0
     kappa = (2.0 - alpha) / alpha
     c = c_from_d(params, d)
-    index = np.arange(N + 1)
-    one = np.ones(N + 1)
-    inner = (index <= N - 2).astype(float)  # the steps of the (a, b) recursion
-    last = (index == N - 1).astype(float)
-    dpad = np.zeros(N + 1)
-    dpad[: N - 1] = d
+    c_next = np.zeros(N + 1)
+    c_next[:N] = c[1:]
+    d_here = np.zeros(N + 1)
+    d_here[: N - 1] = d
+    d_next = d_here[1:]
     od = np.ones(N + 1)  # od_i = 1 + sum_{j<i} d_j
-    od[1:] += np.cumsum(dpad[:-1])
-    suffc = np.zeros(N + 3)
-    suffc[: N + 1] = np.cumsum(c[::-1])[::-1]
-    c_next = _shifted(c, 1)
-    od_prev = _shifted(od, -1)
-    od_prev[0] = 1.0
+    od[1:] += np.cumsum(d_here[:-1])
+    od_prev = np.ones(N + 1)
+    od_prev[1:] = od[:N]
+    suffc = np.zeros(N + 4)  # suffc_j = sum_{l>=j} c_l
+    np.cumsum(c[::-1], out=suffc[N::-1])
+    suffc2, suffc3 = suffc[2 : N + 3], suffc[3 : N + 4]
 
-    dc = {("S", 0): two_r * (alpha - 1.0) * inner, ("S", -1): two_r * (inner + last)}
-    dc_next = _shift(dc, 1)
-    dtl = {("S", 0): suffc[2:], ("S", -1): -suffc[2:], ("T", 2): dpad}
-    dcross = _combine((c_next / two_r, dc), (c / two_r, dc_next))
-    dlin = _combine((od, dc_next), (c_next, {("S", -1): one}))
-    dsq_tail = _combine((c_next / r, dc_next), (-1.0, _shift(dtl, 1)))
-    s_last = {("S", -1): c[N] * last}
-    dh = _combine((rho * inner, dsq_tail), (-2.0 * inner, dcross),
-                  (3.0 * inner, dlin), (1.0, s_last))
-    du = _combine((kappa * inner, {("Z", 1): one}), (kappa * inner, dsq_tail),
-                  (2.0 / alpha * inner, dcross),
-                  (-(2.0 + alpha) / alpha * inner, dlin), (-1.0, s_last))
+    # du_i, i <= N-2, by unknown; du_{N-1} = -c_N S_{N-2} is the S_{i-1}
+    # term at i = N-1
+    lin = two_r * (2.0 + alpha) / alpha * od
+    du_s1 = (alpha - 1.0) * (2.0 * kappa * c_next + 2.0 / alpha * c - lin) - kappa * suffc3
+    du_s0 = (kappa * (2.0 * c_next + suffc3)
+             + 2.0 / alpha * ((alpha - 1.0) * c_next + c) - lin)
+    # deps_i: du_i - du_{i-1} + dtl_i - od_{i-1} dc_i
+    w_s0 = du_s0 + suffc2 - two_r * (alpha - 1.0) * od_prev
+    w_s0[1:] -= du_s1[:-1]
+    w_sm1 = -(c_next + suffc2 + two_r * od_prev)
+    w_sm1[1:] -= du_s0[:-1]
+    w_t2 = (1.0 + kappa) * d_here
+    w_t2[0] = d[0]
+    w_z0 = np.full(N + 1, -kappa)
+    w_z0[0] = 0.0
+    # dh_i: rho (dcsq_i - dtail_i) - 2 dcross_i + 3 dlin_i, and dh_{N-1}
+    h_s1 = (alpha - 1.0) * (2.0 * rho * c_next - 2.0 * c + 3.0 * two_r * od) - rho * suffc3
+    h_s0 = (rho * (2.0 * c_next + suffc3)
+            - 2.0 * ((alpha - 1.0) * c_next + c) + 3.0 * two_r * od)
     return {
-        "w": _combine((1.0, du), (-1.0, _shift(du, -1)), (1.0, dtl),
-                      (-od_prev, dc), (-c, {("S", -2): one})),
-        "wN": _combine((1.0, {("Z", 0): one}), (c / r - 1.0, dc), (-1.0, dtl)),
-        "yT": _combine((1.0, {("T", 0): one, ("T", 1): -one}), (-1.0, dc)),
-        "yZ": _combine((1.0, {("Z", 0): one, ("Z", 1): -rho * one}), (-1.0, dh)),
+        "w": {("Z", 1): kappa, ("Z", 0): w_z0, ("S", 1): du_s1, ("S", 0): w_s0,
+              ("S", -1): w_sm1, ("T", 3): -kappa * d_next, ("T", 2): w_t2},
+        "wN": {("Z", 0): 1.0, ("T", 2): -d[0],
+               ("S", 0): two_r * (alpha - 1.0) * (c[0] / r - 1.0) - suffc[2]},
+        "yT": {("T", 0): 1.0, ("T", 1): -1.0, ("S", 0): two_r * (1.0 - alpha),
+               ("S", -1): -two_r},
+        "yZ": {("Z", 0): 1.0, ("Z", 1): -rho, ("S", 1): -h_s1, ("S", 0): -h_s0,
+               ("S", -1): -c_next, ("T", 3): rho * d_next},
     }
 
 
@@ -194,6 +194,8 @@ def _linearized_equations(params: RateParams, d: np.ndarray) -> dict:
 _SLOTS = {"w": (1, 0), "T": (-1, 1), "Z": (0, 2), "S": (1, 3), "yT": (0, 4),
           "yZ": (1, 5), "wN": (0, 0)}
 _WIDTH = 6
+# the position of each kind's unknown 0
+_FIRST = {kind: _WIDTH * (at + 1) + rank for kind, (at, rank) in _SLOTS.items()}
 
 
 @cache
@@ -221,9 +223,23 @@ def _lapack():
     return module
 
 
+def _band_rhs(eps: np.ndarray) -> np.ndarray:
+    """The right-hand side (eps, 0, 0) of the augmented system, in its slots."""
+    N = len(eps) - 1
+    rhs = np.zeros(_WIDTH * (N + 2))
+    rhs[_FIRST["w"] : _FIRST["w"] + _WIDTH * N : _WIDTH] = eps[:N]
+    rhs[_FIRST["wN"]] = eps[N]
+    return rhs
+
+
+def _step_of(sol: np.ndarray, N: int) -> np.ndarray:
+    """The step s, the first difference of the S slots of a solution."""
+    return np.diff(sol[_FIRST["S"] : _FIRST["S"] + _WIDTH * (N - 1) : _WIDTH], prepend=0.0)
+
+
 def least_squares_step(params: RateParams, d, eps: np.ndarray):
     """The Gauss-Newton step s = argmin ||J s + eps||_2 at d, with J = d eps / d d;
-    returns (s, ok).
+    returns (s, ok, lu), lu the band's factorization for _chord_step.
 
     J is never formed. The linearization is written in the local unknowns
     x = (S, T, Z) of _linearized_equations (S the prefix sums of s), as A x + eps
@@ -240,15 +256,15 @@ def least_squares_step(params: RateParams, d, eps: np.ndarray):
     banded LU solves the system in O(N) time and memory, and s is the first
     difference of S. The band is allocated in LAPACK's own layout (3 half + 1
     rows in Fortran order, the diagonal at row 2 half), and dgbsv factors it
-    and solves in place, with no copy. `ok` is False when the factorization
-    finds an exactly zero pivot (dgbsv's info > 0) or s is not finite; an
-    invalid argument (info < 0) raises ValueError.
+    and solves in place, with no copy. `ok` is False, and `s` and `lu` are
+    None, when the factorization finds an exactly zero pivot (dgbsv's
+    info > 0); `ok` is False when s is not finite, and then `lu` is None
+    too. An invalid argument (info < 0) raises ValueError.
     """
     N = params.N
     forms = _linearized_equations(params, np.asarray(d, dtype=float))
     size = {"wN": 1, "S": N - 1}  # every other kind has N unknowns
-    first = {kind: _WIDTH * (at + 1) + rank for kind, (at, rank) in _SLOTS.items()}
-    half = max(abs(first[eq] - first[name] - _WIDTH * off)
+    half = max(abs(_FIRST[eq] - _FIRST[name] - _WIDTH * off)
                for eq, form in forms.items() for name, off in form)
     # LAPACK's own band layout: entry (i, j) at ab[2 half + i - j, j], with
     # the top `half` rows free for the fill-in of the factorization, in
@@ -257,39 +273,60 @@ def least_squares_step(params: RateParams, d, eps: np.ndarray):
     # ones on the diagonal of w, wN and the empty slots, zeros on that of x, y
     ab[2 * half] = 1.0
     for kind in ("T", "Z", "S", "yT", "yZ"):
-        ab[2 * half, first[kind] : first[kind] + _WIDTH * size.get(kind, N) : _WIDTH] = 0.0
+        ab[2 * half, _FIRST[kind] : _FIRST[kind] + _WIDTH * size.get(kind, N) : _WIDTH] = 0.0
     for eq, form in forms.items():
         for (name, off), coef in form.items():
             # the indices i at which equation i and unknown i + off both exist
             lo, hi = max(0, -off), min(size.get(eq, N), size.get(name, N) - off)
             if lo >= hi:
                 continue
-            row, col = first[eq] + _WIDTH * lo, first[name] + _WIDTH * (lo + off)
-            coef = coef[lo:hi]
+            row, col = _FIRST[eq] + _WIDTH * lo, _FIRST[name] + _WIDTH * (lo + off)
+            if np.ndim(coef):
+                coef = coef[lo:hi]
             # the entry (equation, unknown) is -A or C, its mirror A^T or C^T
-            ab[2 * half + row - col, col : col + _WIDTH * len(coef) : _WIDTH] = (
+            ab[2 * half + row - col, col : col + _WIDTH * (hi - lo) : _WIDTH] = (
                 -coef if eq in ("w", "wN") else coef)
-            ab[2 * half + col - row, row : row + _WIDTH * len(coef) : _WIDTH] = coef
-    rhs = np.zeros(_WIDTH * (N + 2))
-    rhs[first["w"] : first["w"] + _WIDTH * N : _WIDTH] = eps[:N]
-    rhs[first["wN"]] = eps[N]
+            ab[2 * half + col - row, row : row + _WIDTH * (hi - lo) : _WIDTH] = coef
     # the package's one scipy use, loaded on the first step, so that a
     # process that only verifies never loads scipy
-    _, _, sol, info = _lapack().dgbsv(half, half, ab, rhs, overwrite_ab=1, overwrite_b=1)
+    lub, piv, sol, info = _lapack().dgbsv(half, half, ab, _band_rhs(eps),
+                                          overwrite_ab=1, overwrite_b=1)
     if info < 0:
         raise ValueError(f"dgbsv: argument {-info} is invalid")
     if info > 0:  # an exactly zero pivot
-        return None, False
-    s = np.diff(sol[first["S"] : first["S"] + _WIDTH * (N - 1) : _WIDTH], prepend=0.0)
-    return s, bool(np.isfinite(s).all())
+        return None, False, None
+    s = _step_of(sol, N)
+    ok = bool(np.isfinite(s).all())
+    return s, ok, (half, lub, piv) if ok else None
+
+
+def _chord_step(lu, eps: np.ndarray):
+    """The step for the residual eps through the factorization `lu` of an
+    earlier least_squares_step, solved by dgbtrs: a chord step, whose
+    Jacobian is that of the earlier iterate. None if dgbtrs reports an error
+    (info != 0)."""
+    half, lub, piv = lu
+    sol, info = _lapack().dgbtrs(lub, half, half, _band_rhs(eps), piv, overwrite_b=1)
+    return _step_of(sol, len(eps) - 1) if info == 0 else None
 
 
 def gauss_newton(params: RateParams, d0) -> SolveReport:
-    """Damped Gauss-Newton on the residual system from the start d0.
+    """Damped Gauss-Newton on the residual system from the start d0, with
+    chord steps that reuse each factorization.
 
-    Each iteration takes the banded least-squares step s of
+    Each factored iteration takes the banded least-squares step s of
     least_squares_step and accepts the largest damping t in
-    {1, 1/2, ..., 2**-20} that strictly decreases ||eps||_2.
+    {1, 1/2, ..., 2**-20} that strictly decreases ||eps||_2. Its band's LU
+    factorization is then kept, and the next iterations are chord steps
+    (Kelley, Iterative Methods for Linear and Nonlinear Equations, SIAM
+    1995, sec. 5.4): _chord_step solves with the kept LU at the new eps, and
+    the full step is accepted while it shrinks ||eps||_2 to at most
+    CHORD_CONTRACTION times its norm. eps is exactly quadratic in d, so near
+    a zero these steps converge fast, and a cold solve factors once; far
+    from one they contract too slowly to pass, and a far start goes on with
+    factored steps. The first chord step that falls short is discarded, the
+    LU is released, and a new factored step is taken from the same iterate.
+    The LU is released before the next band is built and when the solve ends.
     Stops as soon as max_i |eps_i| <= RESIDUAL_TOL. Every trial is derived
     once, with derive_full, and the accepted trial's FullCertificate is kept:
     its eps opens the next iteration, and the last one is the report's
@@ -299,13 +336,15 @@ def gauss_newton(params: RateParams, d0) -> SolveReport:
     Returns
     -------
     SolveReport of the converged, positive certificate; `iterations` counts
-    accepted steps, at most MAX_ITER.
+    the factored steps and `chord_steps` the accepted chord steps, at most
+    MAX_ITER together, and `res_norms` has ||eps||_2 of every accepted
+    iterate, the start included.
 
     Raises
     ------
     NonConvergence
-        if a step fails (singular system or non-finite step), the line search
-        stagnates, the iteration budget is exhausted, or the terminal
+        if a factored step fails (singular system or non-finite step), the
+        line search stagnates, the step budget is exhausted, or the terminal
         certificate is not strictly positive. A sign-violating result is
         never reported as converged.
     """
@@ -314,6 +353,8 @@ def gauss_newton(params: RateParams, d0) -> SolveReport:
         raise ValueError(f"d0 must have shape ({params.N - 1},), got {d0.shape}")
     cert = derive_full(params, d0)
     norms: list[float] = []
+    factored = chords = 0
+    lu = None
     for it in range(MAX_ITER + 1):
         sup = float(np.max(np.abs(cert.eps)))
         norms.append(float(np.linalg.norm(cert.eps)))
@@ -324,10 +365,23 @@ def gauss_newton(params: RateParams, d0) -> SolveReport:
                     "is not strictly positive",
                     N=params.N,
                 )
-            return SolveReport(cert=cert, iterations=it, res_norms=norms)
+            return SolveReport(cert=cert, iterations=factored, chord_steps=chords,
+                               res_norms=norms)
         if it == MAX_ITER:
             break
-        s, ok = least_squares_step(params, cert.d, cert.eps)
+        if lu is not None:
+            s = _chord_step(lu, cert.eps)
+            trial = None if s is None else derive_full(params, cert.d + s)
+            # a NaN norm fails the test too
+            if (trial is not None
+                    and np.linalg.norm(trial.eps) <= CHORD_CONTRACTION * norms[-1]):
+                cert = trial
+                chords += 1
+                continue
+            # released before the next band is built
+            trial = lu = None
+        s, ok, lu = least_squares_step(params, cert.d, cert.eps)
+        factored += 1
         if not ok:
             raise NonConvergence(
                 f"Gauss-Newton step failed at N={params.N} (singular system or "
@@ -347,7 +401,7 @@ def gauss_newton(params: RateParams, d0) -> SolveReport:
                 N=params.N,
             )
     raise NonConvergence(
-        f"no convergence at N={params.N} within {MAX_ITER} iterations "
+        f"no convergence at N={params.N} within {MAX_ITER} steps "
         f"(residual sup {sup:.3e})",
         N=params.N,
     )
@@ -356,7 +410,8 @@ def gauss_newton(params: RateParams, d0) -> SolveReport:
 def closed_form_start(N: int) -> np.ndarray:
     """The cold start d_i = sqrt(N) / (2 (N - i)^{3/2}), i = 0..N-2: the
     leading-order shape of the certificate, from which Gauss-Newton needs
-    three steps at every N tested, 3..300 and up to 327680."""
+    one factored step and four or five chord steps at every N tested, 3..300
+    and up to 327680."""
     if N < 3:
         raise ValueError(f"the closed-form start needs N >= 3, got N={N}")
     return np.sqrt(N) / (2.0 * np.arange(N, 1, -1, dtype=float) ** 1.5)
@@ -414,22 +469,33 @@ def sweep(sizes) -> Iterator[SolveReport]:
 
     N=3 is solved from closed_form_start and every later size by
     gauss_newton from extrapolate_init of the CONTINUATION_SOURCES most
-    recent certificates (fewer at the start).
+    recent certificates (fewer at the start). If that warm-started solve
+    raises NonConvergence, the size is solved once more from
+    closed_form_start, and the continuation goes on from its certificate.
     Only their (N, d) pairs are kept, so a report the caller drops is freed.
     A caller that writes each report before asking for the next keeps its
     files through an aborted sweep.
 
     Raises ValueError for a schedule that is empty, does not start at 3 or
     does not increase, and NonConvergence (annotated with the failing N) if
-    any solve fails; the continuation chain is broken at that point and the
-    sweep stops.
+    a size fails from the closed form too; the continuation chain is broken
+    at that point and the sweep stops.
     """
     sizes = list(sizes)
     if sizes[:1] != [3] or any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError("sizes must increase strictly from N=3")
     recent: deque = deque(maxlen=CONTINUATION_SOURCES)
     for n in sizes:
-        d0 = extrapolate_init(recent, n) if recent else closed_form_start(n)
-        report = gauss_newton(solve_rate_params(n), d0)
+        params = solve_rate_params(n)
+        report = None
+        if recent:
+            try:
+                report = gauss_newton(params, extrapolate_init(recent, n))
+            except NonConvergence:
+                pass
+        # the retry runs outside the handler, so that the failed solve's
+        # frame, which the exception's traceback holds, is freed first
+        if report is None:
+            report = gauss_newton(params, closed_form_start(n))
         recent.append((n, report.d))
         yield report

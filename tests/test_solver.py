@@ -185,7 +185,7 @@ class TestLeastSquaresStep:
         for _ in range(3):
             d = rng.uniform(0.1, 1.5, n - 1)
             eps = derive_full(params, d).eps
-            s, ok = least_squares_step(params, d, eps)
+            s, ok, _ = least_squares_step(params, d, eps)
             assert ok
             ref = qr_step(jacobian(params, d), eps)
             assert np.linalg.norm(s - ref) <= 1e-12 * np.linalg.norm(ref)
@@ -201,7 +201,7 @@ class TestLeastSquaresStep:
         for scale in (1e-2, 1e-6):
             d = d_star * (1.0 + scale * rng.standard_normal(n - 1))
             eps = derive_full(params, d).eps
-            s, ok = least_squares_step(params, d, eps)
+            s, ok, _ = least_squares_step(params, d, eps)
             assert ok
             ref = qr_step(jacobian(params, d), eps)
             assert np.linalg.norm(s - ref) <= 1e-12 * np.linalg.norm(ref)
@@ -211,7 +211,7 @@ class TestLeastSquaresStep:
         d = rng.uniform(0.1, 1.2, 11)
         J = jacobian(params, d)
         eps = derive_full(params, d).eps
-        s, ok = least_squares_step(params, d, eps)
+        s, ok, _ = least_squares_step(params, d, eps)
         assert ok
         lhs = np.linalg.norm(J.T @ (J @ s + eps))
         assert lhs <= 1e-8 * np.linalg.norm(J.T) * np.linalg.norm(eps)
@@ -222,17 +222,18 @@ class TestLeastSquaresStep:
 
         rep = small_sweep[15]
         eps = derive_full(rep.params, rep.d).eps
-        expect, _ = least_squares_step(rep.params, rep.d, eps)
+        expect, _, _ = least_squares_step(rep.params, rep.d, eps)
         monkeypatch.setattr(solver_mod, "derive_full", forbidden)
-        s, _ = solver_mod.least_squares_step(rep.params, rep.d, eps)
+        s, _, _ = solver_mod.least_squares_step(rep.params, rep.d, eps)
         np.testing.assert_array_equal(s, expect)
 
     def test_non_finite_step_is_not_ok(self):
         params = solve_rate_params(12)
         d = np.full(11, 0.3)
         d[4] = np.nan
-        s, ok = least_squares_step(params, d, derive_full(params, d).eps)
+        s, ok, lu = least_squares_step(params, d, derive_full(params, d).eps)
         assert not ok
+        assert lu is None
 
     def test_singular_factor_raises_nonconvergence(self, monkeypatch):
         def singular(kl, ku, ab, b, **kwargs):
@@ -241,7 +242,7 @@ class TestLeastSquaresStep:
 
         monkeypatch.setattr(solver_mod._lapack(), "dgbsv", singular)
         assert solver_mod.least_squares_step(
-            solve_rate_params(7), np.full(6, 0.3), np.ones(8)) == (None, False)
+            solve_rate_params(7), np.full(6, 0.3), np.ones(8)) == (None, False, None)
         with pytest.raises(NonConvergence) as err:
             solver_mod.gauss_newton(solve_rate_params(7), np.full(6, 0.3))
         assert err.value.N == 7
@@ -305,7 +306,7 @@ class TestLeastSquaresStep:
         eps = derive_full(params, d0).eps
         tracemalloc.start()
         try:
-            _, ok = least_squares_step(params, d0, eps)
+            _, ok, _ = least_squares_step(params, d0, eps)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -319,22 +320,36 @@ class TestGaussNewton:
         report = gauss_newton(solve_rate_params(5), d0)
         assert report.cert.positive
         assert report.residual_sup <= 1e-13
-        assert report.iterations <= 20
+        # one factored and three chord steps
+        assert report.iterations + report.chord_steps <= 20
 
     def test_fixed_point(self, small_sweep):
         rep = small_sweep[10]
         again = gauss_newton(rep.params, rep.d)
-        assert again.iterations <= 1
+        assert again.iterations + again.chord_steps <= 1
         assert np.max(np.abs(again.d - rep.d)) <= 1e-14
 
     def test_descent_and_delta_bound(self):
-        # the cold start takes three steps, so there are four norms
+        # the cold start takes one factored step and four chord steps, so
+        # there are six norms
         report = gauss_newton(solve_rate_params(13), closed_form_start(13))
         norms = report.res_norms
-        assert len(norms) == 4
+        assert (report.iterations, report.chord_steps) == (1, 4)
+        assert len(norms) == 6
         assert all(b < a for a, b in zip(norms, norms[1:]))
         n = report.params.N
         assert report.delta <= (n + 1) * report.residual_sup
+
+    @pytest.mark.parametrize("n, value, factored", [(6, 0.4, 3), (40, 0.3, 5)])
+    def test_far_start(self, n, value, factored):
+        # the constant starts of demo 02 and README's quick start, from which
+        # plain Gauss-Newton took 5 and 7 steps: chord steps that contract
+        # by only about 0.3 there are refused, and the solve factors instead
+        report = gauss_newton(solve_rate_params(n), np.full(n - 1, value))
+        assert report.iterations == factored
+        assert report.chord_steps <= 3
+        assert report.cert.positive
+        assert report.residual_sup <= solver_mod.RESIDUAL_TOL
 
     def test_bad_start_contract(self):
         # far start with a negative entry: either a positive certificate or
@@ -367,6 +382,114 @@ class TestGaussNewton:
         assert report.cert.positive
         for name in ("a", "b", "c", "d", "eps"):
             np.testing.assert_array_equal(getattr(report.cert, name), getattr(again, name))
+
+
+def counting(monkeypatch, owner, name, wrap=None):
+    """Replace owner.name with a wrapper that records each call's arguments
+    in the returned list; `wrap(real, *args, **kwargs)` computes the result,
+    the real function by default."""
+    real = getattr(owner, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return wrap(real, *args, **kwargs) if wrap else real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestChordSteps:
+    # after each factored step the band's LU is kept, and further steps
+    # solve with it while each one shrinks ||eps||_2 to at most
+    # CHORD_CONTRACTION times its norm
+
+    def test_weak_chord_step_leads_to_refactorization(self, monkeypatch):
+        # the second chord step is cut to a tenth, so it cannot shrink
+        # ||eps|| twentyfold: it is discarded, and a new factored step is
+        # taken from the same iterate, after which chord steps resume
+        def weak_second(real, *args, **kwargs):
+            x, info = real(*args, **kwargs)
+            return (0.1 * x if len(chords) == 2 else x), info
+
+        chords = counting(monkeypatch, solver_mod._lapack(), "dgbtrs", weak_second)
+        steps = counting(monkeypatch, solver_mod, "least_squares_step")
+        params = solve_rate_params(13)
+        report = solver_mod.gauss_newton(params, closed_form_start(13))
+        assert report.iterations == len(steps) == 2
+        # the discarded chord step is not counted, and the next factored
+        # step starts where the first chord step ended
+        assert report.chord_steps == len(chords) - 1
+        first_chord = gauss_newton(params, closed_form_start(13)).res_norms[2]
+        assert np.linalg.norm(derive_full(params, steps[1][1]).eps) == first_chord
+        assert report.cert.positive
+        assert report.residual_sup <= solver_mod.RESIDUAL_TOL
+
+    def test_failed_dgbtrs_leads_to_refactorization(self, monkeypatch):
+        # dgbtrs reports an invalid argument on every call: each chord step
+        # is dropped, and every step is factored, as in plain Gauss-Newton
+        def invalid(real, ab, kl, ku, b, ipiv, **kwargs):
+            return b, -2
+
+        chords = counting(monkeypatch, solver_mod._lapack(), "dgbtrs", invalid)
+        report = solver_mod.gauss_newton(solve_rate_params(13), closed_form_start(13))
+        assert (report.iterations, report.chord_steps) == (3, 0)
+        assert len(chords) == 2  # one after each factored step but the last
+        assert report.cert.positive
+        assert report.residual_sup <= solver_mod.RESIDUAL_TOL
+
+    def test_budget_counts_chord_steps(self, monkeypatch):
+        # the cold start at N=13 takes one factored and four chord steps:
+        # a budget of five suffices, one of four is exhausted by chord steps
+        params, d0 = solve_rate_params(13), closed_form_start(13)
+        monkeypatch.setattr(solver_mod, "MAX_ITER", 5)
+        report = solver_mod.gauss_newton(params, d0)
+        assert report.iterations + report.chord_steps == 5
+        monkeypatch.setattr(solver_mod, "MAX_ITER", 4)
+        steps = counting(monkeypatch, solver_mod, "least_squares_step")
+        with pytest.raises(NonConvergence, match="within 4 steps") as err:
+            solver_mod.gauss_newton(params, d0)
+        assert err.value.N == 13
+        assert len(steps) == 1
+
+    def test_norm_decreases_at_every_accepted_iterate(self):
+        reports = [gauss_newton(solve_rate_params(n), closed_form_start(n))
+                   for n in (3, 4, 13, 100, 2000)]
+        reports += sweep([*range(3, 41), 60, 90, 130])
+        for report in reports:
+            norms = report.res_norms
+            assert len(norms) == report.iterations + report.chord_steps + 1
+            assert all(b < a for a, b in zip(norms, norms[1:]))
+
+    def test_factorization_freed_before_the_next_band(self, monkeypatch):
+        # every chord step is cut to a tenth, so each iteration factors anew:
+        # each earlier LU must be gone before the next band is built, and
+        # the last one once the solve returns
+        # (these wrappers keep no reference to their arguments)
+        lapack_mod = solver_mod._lapack()
+        real_dgbtrs, real_dgbsv = lapack_mod.dgbtrs, lapack_mod.dgbsv
+        real_step = solver_mod.least_squares_step
+        factors = []
+
+        def weak(*args, **kwargs):
+            x, info = real_dgbtrs(*args, **kwargs)
+            return 0.1 * x, info
+
+        def tracked(*args, **kwargs):
+            out = real_dgbsv(*args, **kwargs)
+            factors.append(weakref.ref(out[0]))
+            return out
+
+        def before_band(*args, **kwargs):
+            assert all(ref() is None for ref in factors)
+            return real_step(*args, **kwargs)
+
+        monkeypatch.setattr(lapack_mod, "dgbtrs", weak)
+        monkeypatch.setattr(lapack_mod, "dgbsv", tracked)
+        monkeypatch.setattr(solver_mod, "least_squares_step", before_band)
+        report = solver_mod.gauss_newton(solve_rate_params(13), closed_form_start(13))
+        assert report.iterations == len(factors) == 3
+        assert all(ref() is None for ref in factors)
 
 
 def ratio_start(sizes, ratio):
@@ -453,7 +576,8 @@ class TestExtrapolateInit:
         d0 = extrapolate_init([(10, small_sweep[10].d), (11, small_sweep[11].d)], 12)
         report = gauss_newton(solve_rate_params(12), d0)
         assert report.cert.positive
-        assert report.iterations <= 10
+        # one factored and two chord steps
+        assert report.iterations + report.chord_steps <= 10
 
     def test_clamped_positive(self):
         out = extrapolate_init([(5, np.full(4, 1e-13)), (6, np.full(5, 1e-14))], 8)
@@ -489,7 +613,7 @@ class TestBootstrap:
     def test_single_start_failure_raises(self, monkeypatch):
         # the one start is not a certificate, its first step fails, and there
         # is no fallback start
-        monkeypatch.setattr(solver_mod, "least_squares_step", lambda *args: (None, False))
+        monkeypatch.setattr(solver_mod, "least_squares_step", lambda *args: (None, False, None))
         with pytest.raises(NonConvergence) as err:
             next(solver_mod.sweep([3]))
         assert err.value.N == 3
@@ -502,8 +626,12 @@ class TestBootstrap:
 
     @pytest.mark.parametrize("n", [*range(3, 61), 100, 300, 1000, 5000, 20160])
     def test_three_steps(self, n):
+        # named for the three factored steps the cold start took before chord
+        # steps: now it takes one, then four chord steps at N = 6..60 and
+        # five at the other sizes listed
         report = gauss_newton(solve_rate_params(n), closed_form_start(n))
-        assert report.iterations == 3
+        assert report.iterations == 1
+        assert report.chord_steps == (4 if 6 <= n <= 60 else 5)
         assert report.cert.positive
 
 
@@ -534,7 +662,7 @@ class TestSweep:
         for rep in small_sweep.values():
             assert rep.cert.positive
             assert rep.residual_sup <= 1e-13
-            assert rep.iterations <= 15
+            assert rep.iterations + rep.chord_steps <= 15
             cert = derive_full(rep.params, rep.d)
             assert cert.positive
 
@@ -563,24 +691,52 @@ class TestSweep:
             list(solver_mod.sweep(range(3, 10)))
         assert err.value.N == 7
 
+    def test_failed_warm_start_is_solved_from_the_closed_form(self, monkeypatch):
+        # the warm start of N=7 is not finite, so its solve fails; the sweep
+        # solves N=7 once more from the closed form and goes on from there
+        real = solver_mod.extrapolate_init
+
+        def broken_at_7(sources, target):
+            d0 = real(sources, target)
+            return np.full_like(d0, np.nan) if target == 7 else d0
+
+        monkeypatch.setattr(solver_mod, "extrapolate_init", broken_at_7)
+        solves = counting(monkeypatch, solver_mod, "gauss_newton")
+        reports = list(solver_mod.sweep(range(3, 13)))
+        assert [rep.params.N for rep in reports] == list(range(3, 13))
+        assert [params.N for params, _ in solves] == [3, 4, 5, 6, 7, 7, *range(8, 13)]
+        cold = gauss_newton(solve_rate_params(7), closed_form_start(7))
+        np.testing.assert_array_equal(reports[4].d, cold.d)
+        for rep in reports:
+            assert rep.cert.positive
+            assert rep.residual_sup <= solver_mod.RESIDUAL_TOL
+
     def test_one_step_past_n100(self):
         # the cubic warm start in 1/N leaves each size past N=100 within one
-        # Gauss-Newton step of the 1e-13 gate
+        # Gauss-Newton step of the 1e-13 gate: one factored step and no
+        # chord step (chord steps stop after N=30)
         late = [rep for rep in sweep(range(3, 151)) if rep.params.N >= 100]
         assert len(late) == 51
-        assert [rep.iterations for rep in late] == [1] * 51
+        assert [(rep.iterations, rep.chord_steps) for rep in late] == [(1, 0)] * 51
 
     def test_segmented_schedule_steps(self):
-        # the benchmark's segments-2000 schedule (70 sizes): 108 steps in all,
-        # and at most two at every strided size
+        # the benchmark's segments-2000 schedule (70 sizes): one factored
+        # step at every size, and 51 chord steps in all, 41 of them at
+        # N = 3..30 and at most two at any strided size
         sizes = sorted({*range(3, 61), *range(60, 1001, 94), *range(1000, 2001, 500)})
-        steps = {rep.params.N: rep.iterations for rep in sweep(sizes)}
-        assert sum(steps.values()) <= 115
-        assert max(steps[n] for n in sizes if n > 60) <= 2
+        steps = {rep.params.N: (rep.iterations, rep.chord_steps) for rep in sweep(sizes)}
+        assert sum(f for f, _ in steps.values()) <= 115
+        assert max(steps[n][0] for n in sizes if n > 60) <= 2
+        assert sum(c for _, c in steps.values()) <= 55
+        assert max(steps[n][1] for n in sizes if n > 60) <= 2
 
     def test_dense_sweep_steps(self):
-        # 328 steps over 3..300
-        assert sum(rep.iterations for rep in sweep(range(3, 301))) <= 340
+        # one factored step at each of the 298 sizes of 3..300, and 41
+        # chord steps in all, every one at N <= 30
+        reports = list(sweep(range(3, 301)))
+        assert sum(rep.iterations for rep in reports) <= 340
+        assert sum(rep.chord_steps for rep in reports) <= 45
+        assert all(rep.chord_steps == 0 for rep in reports if rep.params.N > 30)
 
     def test_keeps_only_what_continuation_needs(self):
         # a report the caller drops is freed once the sweep has moved on
