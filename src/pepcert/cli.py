@@ -7,10 +7,10 @@ arrays cannot be allocated too, 2 non-convergence, 3 verification failure,
 4 file corruption, 5 output could not be written, a closed standard output
 too (a sweep keeps the files it wrote before). Files
 go to --outdir, the working directory by default. The gates are fixed: a
-solve converges at max_i |eps_i| <= 1e-13, and verify certifies a file whose
-delta, recomputed and as stored, is at most 1e-11 and, with --oracle, whose
-coefficient deviation is at most 1e-10 times the oracle scale. Identical
-invocations produce byte-identical files.
+solve converges at max_i |eps_i| <= 1e-13 and delta <= 1e-11, and verify
+certifies a file whose delta, recomputed and as stored, is at most 1e-11 and,
+with --oracle, whose coefficient deviation is at most 1e-10 times the oracle
+scale. Identical invocations produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 
 from . import certfile, solver
 from .rates import huber_rate, lower_bound_envelope, quadratic_rate, solve_rate_params
-from .recursion import derive_full
+from .recursion import DELTA_TOL, derive_full
 from .verifier import oracle_check, oracle_scale
 
 # solver.gauss_newton and solver.sweep are looked up on the module at each
@@ -41,7 +41,6 @@ EXIT_VERIFY_FAIL = 3
 EXIT_CORRUPT = 4
 EXIT_WRITE = 5
 
-DELTA_TOL = 1e-11
 CROSS_TOL = 1e-12
 ORACLE_TOL = 1e-10
 MAX_GRID_POINTS = 10**6  # envelope --grid
@@ -215,11 +214,12 @@ def cmd_sweep(args) -> int:
     child_end.close()
     outdir = args.outdir
     rows = collections.deque()
+    solved = 0
     try:
         print(f"{'N':>6} {'alpha':>20} {'r':>14} {'iters':>5} {'sup|eps|':>10} {'delta':>10}")
         with _in_memory("the sweep"):
             try:
-                for report in solver.sweep(sizes):
+                for solved, report in enumerate(solver.sweep(sizes), 1):
                     while rows and (len(rows) == 2 or conn.poll()):
                         _settle(conn, rows)
                     with _writing():  # the writer may have died
@@ -236,6 +236,9 @@ def cmd_sweep(args) -> int:
     except solver.NonConvergence as exc:
         print(f"sweep aborted: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
+    except ValueError:  # solve_rate_params', for the size after the last one solved
+        _rate_params(sizes[solved])
+        raise
     finally:
         conn.close()
         writer.join()
@@ -243,22 +246,25 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args) -> int:
-    cf = certfile.read_certificate(args.file)
-    params = certfile.params_from_file(cf)
-    cert = derive_full(params, cf.d)
+def _read_checked(path):
+    """The file at `path` and the certificate derived from its d, once each
+    stored vector matches it to CROSS_TOL; else CertificateFormatError (exit 4)."""
+    cf = certfile.read_certificate(path)
+    cert = derive_full(certfile.params_from_file(cf), cf.d)
     for name in ("a", "b", "c", "eps"):
         stored = getattr(cf, name)
         if stored is None:
             continue
         gap = float(np.max(np.abs(stored - getattr(cert, name))))
         if not gap <= CROSS_TOL:  # a NaN gap is corruption too
-            print(
-                f"corruption: stored {name} deviates from recomputed by {gap:.3e}",
-                file=sys.stderr,
-            )
-            return EXIT_CORRUPT
-    is_cert, delta = cert.positive, cert.delta
+            raise certfile.CertificateFormatError(
+                f"stored {name} in {path} deviates from recomputed by {gap:.3e}")
+    return cf, cert
+
+
+def cmd_verify(args) -> int:
+    cf, cert = _read_checked(args.file)
+    params, is_cert, delta = cert.params, cert.positive, cert.delta
     print(f"N {params.N}")
     print(f"delta {delta:.6e}")
     print(f"positive {is_cert}")
@@ -284,8 +290,7 @@ def cmd_plotdata(args) -> int:
     for path, stem in zip(args.files, stems):
         if stems.count(stem) > 1:
             raise _UsageError(f"{stem}_*.dat would be written for more than one input file")
-        cf = certfile.read_certificate(path)
-        cert = derive_full(certfile.params_from_file(cf), cf.d)
+        _, cert = _read_checked(path)
         for name in ("a", "b", "c", "d"):
             vec = getattr(cert, name)
             top = float(np.max(vec))

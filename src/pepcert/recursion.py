@@ -33,6 +33,8 @@ __all__ = [
     "derive_full",
 ]
 
+DELTA_TOL = 1e-11  # the gate on FullCertificate.delta, of every solve and verify
+
 
 def c_from_d(params: RateParams, d) -> np.ndarray:
     """The vector c (length N+1), affine in d.

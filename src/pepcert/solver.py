@@ -34,7 +34,7 @@ from functools import cache
 import numpy as np
 
 from .rates import RateParams, solve_rate_params
-from .recursion import FullCertificate, c_from_d, derive_full
+from .recursion import DELTA_TOL, FullCertificate, derive_full
 
 __all__ = [
     "NonConvergence",
@@ -46,8 +46,8 @@ __all__ = [
     "sweep",
 ]
 
-# the convergence gate on max_i |eps_i|, and the Gauss-Newton step budget:
-# factored and chord steps together
+# the convergence gate on max_i |eps_i| (with delta <= DELTA_TOL, verify's),
+# and the Gauss-Newton step budget: factored and chord steps together
 RESIDUAL_TOL = 1e-13
 MAX_ITER = 50
 # a chord step is accepted if it shrinks ||eps||_2 to at most this fraction:
@@ -98,8 +98,8 @@ class SolveReport:
         return self.cert.delta
 
 
-def _linearized_equations(params: RateParams, d: np.ndarray) -> dict:
-    """Equations of the step, linear in the local unknowns S, T and Z.
+def _linearized_equations(cert: FullCertificate) -> dict:
+    """Equations of the step at cert.d, linear in the local unknowns S, T, Z.
 
     With the step s, S_i = sum_{l<=i} s_l (i <= N-2, so s_i = S_i - S_{i-1}),
     T_j = sum_{l>=j} dc_l (dc the tangent of c_from_d) and Z the tangent of the
@@ -135,11 +135,11 @@ def _linearized_equations(params: RateParams, d: np.ndarray) -> dict:
     (unknown, offset) to the coefficient of that unknown at index i + offset
     in equation i, an array over i = 0..N or a scalar.
     """
-    N, alpha, r = params.N, params.alpha, params.r
+    N, alpha, r = cert.params.N, cert.params.alpha, cert.params.r
     two_r = 2.0 * r
     rho = 2.0 * alpha - 3.0
     kappa = (2.0 - alpha) / alpha
-    c = c_from_d(params, d)
+    c, d = cert.c, cert.d
     c_next = np.zeros(N + 1)
     c_next[:N] = c[1:]
     d_here = np.zeros(N + 1)
@@ -237,9 +237,9 @@ def _step_of(sol: np.ndarray, N: int) -> np.ndarray:
     return np.diff(sol[_FIRST["S"] : _FIRST["S"] + _WIDTH * (N - 1) : _WIDTH], prepend=0.0)
 
 
-def least_squares_step(params: RateParams, d, eps: np.ndarray):
-    """The Gauss-Newton step s = argmin ||J s + eps||_2 at d, with J = d eps / d d;
-    returns (s, ok, lu), lu the band's factorization for _chord_step.
+def least_squares_step(cert: FullCertificate):
+    """The Gauss-Newton step s = argmin ||J s + eps||_2 at cert.d, with
+    J = d eps / d d; returns (s, ok, lu), lu the band's LU for _chord_step.
 
     J is never formed. The linearization is written in the local unknowns
     x = (S, T, Z) of _linearized_equations (S the prefix sums of s), as A x + eps
@@ -261,8 +261,8 @@ def least_squares_step(params: RateParams, d, eps: np.ndarray):
     info > 0); `ok` is False when s is not finite, and then `lu` is None
     too. An invalid argument (info < 0) raises ValueError.
     """
-    N = params.N
-    forms = _linearized_equations(params, np.asarray(d, dtype=float))
+    N = cert.params.N
+    forms = _linearized_equations(cert)
     size = {"wN": 1, "S": N - 1}  # every other kind has N unknowns
     half = max(abs(_FIRST[eq] - _FIRST[name] - _WIDTH * off)
                for eq, form in forms.items() for name, off in form)
@@ -289,7 +289,7 @@ def least_squares_step(params: RateParams, d, eps: np.ndarray):
             ab[2 * half + col - row, row : row + _WIDTH * (hi - lo) : _WIDTH] = coef
     # the package's one scipy use, loaded on the first step, so that a
     # process that only verifies never loads scipy
-    lub, piv, sol, info = _lapack().dgbsv(half, half, ab, _band_rhs(eps),
+    lub, piv, sol, info = _lapack().dgbsv(half, half, ab, _band_rhs(cert.eps),
                                           overwrite_ab=1, overwrite_b=1)
     if info < 0:
         raise ValueError(f"dgbsv: argument {-info} is invalid")
@@ -327,11 +327,11 @@ def gauss_newton(params: RateParams, d0) -> SolveReport:
     factored steps. The first chord step that falls short is discarded, the
     LU is released, and a new factored step is taken from the same iterate.
     The LU is released before the next band is built and when the solve ends.
-    Stops as soon as max_i |eps_i| <= RESIDUAL_TOL. Every trial is derived
-    once, with derive_full, and the accepted trial's FullCertificate is kept:
-    its eps opens the next iteration, and the last one is the report's
-    certificate. Positivity of the derived (a, b, c, d) is checked only at
-    termination.
+    Stops as soon as max_i |eps_i| <= RESIDUAL_TOL and delta <= DELTA_TOL
+    (verify's gate). Every trial is derived once, with derive_full, and the
+    accepted trial's FullCertificate is kept: its eps opens the next
+    iteration, and the last one is the report's certificate. Positivity of
+    the derived (a, b, c, d) is checked only at termination.
 
     Returns
     -------
@@ -348,9 +348,6 @@ def gauss_newton(params: RateParams, d0) -> SolveReport:
         certificate is not strictly positive. A sign-violating result is
         never reported as converged.
     """
-    d0 = np.asarray(d0, dtype=float)
-    if d0.shape != (params.N - 1,):
-        raise ValueError(f"d0 must have shape ({params.N - 1},), got {d0.shape}")
     cert = derive_full(params, d0)
     norms: list[float] = []
     factored = chords = 0
@@ -358,7 +355,7 @@ def gauss_newton(params: RateParams, d0) -> SolveReport:
     for it in range(MAX_ITER + 1):
         sup = float(np.max(np.abs(cert.eps)))
         norms.append(float(np.linalg.norm(cert.eps)))
-        if sup <= RESIDUAL_TOL:
+        if sup <= RESIDUAL_TOL and cert.delta <= DELTA_TOL:
             if not cert.positive:
                 raise NonConvergence(
                     f"residual converged at N={params.N} but certificate data "
@@ -380,7 +377,7 @@ def gauss_newton(params: RateParams, d0) -> SolveReport:
                 continue
             # released before the next band is built
             trial = lu = None
-        s, ok, lu = least_squares_step(params, cert.d, cert.eps)
+        s, ok, lu = least_squares_step(cert)
         factored += 1
         if not ok:
             raise NonConvergence(
@@ -428,29 +425,24 @@ def extrapolate_init(sources, target: int) -> np.ndarray:
     start are dropped. The aligned ratios are extrapolated to the target by
     Lagrange interpolation in x = 1/N, multiplied by
     closed_form_start(target), and clamped below at 1e-12 to keep the start
-    positive. Sources of equal N must have identical d and count once.
+    positive. Source sizes must differ; closed_form_start rejects one below 3.
     """
     if not 1 <= len(sources) <= CONTINUATION_SOURCES:
         raise ValueError(f"need 1 to {CONTINUATION_SOURCES} continuation sources, "
                          f"got {len(sources)}")
     # Python ints throughout: the products in the weights exceed 64 bits
     target = int(target)
-    shapes: dict[int, np.ndarray] = {}
-    for n, d in sorted(sources, key=lambda pair: pair[0]):
-        n = int(n)
-        if n < 3:
-            raise ValueError("source sizes must be >= 3")
-        d = np.asarray(d, dtype=float)
-        if n in shapes and not np.array_equal(shapes[n], d):
-            raise ValueError("equal source sizes require identical vectors")
-        shapes[n] = d
+    sources = sorted(((int(n), d) for n, d in sources), key=lambda pair: pair[0])
+    sizes = [n for n, _ in sources]
+    if len(set(sizes)) < len(sizes):
+        raise ValueError(f"continuation source sizes must differ, got {sizes}")
     ratio = np.zeros(target - 1)
-    for n, d in shapes.items():
+    for n, d in sources:
         # the Lagrange weight of node 1/n at 1/target, the product over the
         # other nodes j of (1/target - 1/j) / (1/n - 1/j); in integers, so the
         # one division rounds it once
         num = den = 1
-        for j in shapes:
+        for j in sizes:
             if j != n:
                 num *= n * (j - target)
                 den *= target * (j - n)

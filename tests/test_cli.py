@@ -264,6 +264,31 @@ class TestSweep:
         assert len(err.splitlines()) == 1
         assert [p.name for p in tmp_path.iterdir()] == ["cert_N00003.txt"]
 
+    def test_size_without_rate_params_mid_sweep_is_usage_error(self, capsys, tmp_path):
+        # alpha(N) rounds to 2 in float64: one usage line, as for `solve`,
+        # and the file of the size before it stays
+        huge = 10**17
+        code, out, err = run(capsys, "sweep", 3, "--segment", "3:3:1",
+                             "--segment", f"{huge}:{huge}:1", "--outdir", tmp_path)
+        assert code == 1
+        assert err.startswith(f"usage error: no float64 rate parameters for N={huge}: ")
+        assert len(err.splitlines()) == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["cert_N00003.txt"]
+        assert len(out.splitlines()) == 2  # the header and the row of N=3
+
+    def test_every_solved_size_passes_the_verify_gate(self, capsys, tmp_path):
+        # on this strided schedule the warm start of N=12064 reached
+        # sup|eps| <= 1e-13 with delta 1.2e-11, which verify fails; a solve
+        # now stops only once delta passes verify's gate too
+        sizes = [*range(3, 61), 3061, 6062, 9063, 12064]
+        reports = list(solver_mod.sweep(sizes))
+        assert [rep.params.N for rep in reports] == sizes
+        assert max(rep.delta for rep in reports) <= 1e-11
+        path = write_certificate(certificate_file(reports[-1].cert),
+                                 default_path(tmp_path, 12064))
+        code, out, _ = run(capsys, "verify", path)
+        assert code == 0 and "verdict CERTIFIED" in out
+
     def test_unwritable_outdir_exits_5(self, capsys, tmp_path):
         blocker = tmp_path / "file"
         blocker.write_text("")
@@ -606,7 +631,7 @@ class TestVerify:
         bad.write_text("\n".join(lines) + "\n")
         code, _, err = run(capsys, "verify", bad)
         assert code == 4
-        assert "corruption" in err
+        assert err.startswith("corrupt certificate: stored ") and err.count("\n") == 1
 
     def test_negated_d_without_stored_vectors_fails_positivity(
         self, capsys, cert_dir, tmp_path
@@ -666,7 +691,8 @@ class TestVerify:
         monkeypatch.setattr(cli.certfile, "read_certificate", lambda path: cf)
         code, out, err = run(capsys, "verify", "any.txt")
         assert code == 4
-        assert "corruption" in err and "CERTIFIED" not in out
+        assert err.startswith("corrupt certificate: stored a ") and err.count("\n") == 1
+        assert "CERTIFIED" not in out
 
 
 def small_n_file(path, n):
@@ -709,6 +735,21 @@ class TestPlotdata:
         code, _, err = run(capsys, "plotdata", good, small_n_file(tmp_path / "small.txt", 2),
                            "--outdir", out)
         assert code == 4 and err.startswith("corrupt certificate: ")
+        assert not out.exists()
+
+    def test_tampered_stored_vector_writes_nothing(self, capsys, cert_dir, tmp_path):
+        # the stored-block cross-check of verify: an edited stored a is
+        # corruption, and nothing is written
+        lines = (cert_dir / "cert_N00005.txt").read_text().splitlines()
+        idx = lines.index("a:") + 1
+        lines[idx] = repr(float(lines[idx]) + 1e-6)
+        bad = tmp_path / "tampered.txt"
+        bad.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        code, _, err = run(capsys, "plotdata", cert_dir / "cert_N00010.txt", bad,
+                           "--outdir", out)
+        assert code == 4
+        assert err.startswith("corrupt certificate: stored a ") and err.count("\n") == 1
         assert not out.exists()
 
     def test_zero_vector_after_good_writes_nothing(self, capsys, cert_dir, tmp_path):
