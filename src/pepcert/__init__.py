@@ -14,19 +14,19 @@ The library is organized around five pieces:
   `scipy.linalg` package) when it first runs, so a process that only
   verifies never loads scipy.
 - `verifier`: symbolic aggregation of the interpolation inequalities against
-  the target rate expression: the O(N) oracle `oracle_check`, the dense
-  reference (`assemble_lambda`, `aggregate`, `rhs_with_errors`) that tests
-  and demos compare it with, and the rank-one slack check, O(N) through
-  the slack's factors (dense only for a gram passed in). A certificate's
-  `positive` and `delta` give the rate bound r + delta/2.
+  the target rate expression, in O(N) time and memory: the oracle
+  `oracle_check` and the rank-one slack check `slack_psd_check`, through
+  the slack's factors. A certificate's `positive` and `delta` give the rate
+  bound r + delta/2.
 - `certfile`/`cli`: the pepcert/1 file format and command-line front end.
 
 `pepcert verify` re-derives a file's vectors from d, checks the stored ones
 against them, and gates positivity and delta; `--oracle` adds the coefficient
-match, in O(N) memory. It builds no (N+2)^2 array and runs no structural
-check: criterion 7 of the acceptance suite checks the sparsity pattern, unit
-column sum and row/column balance of the matrix `assemble_lambda` builds, and
-calls `slack_psd_check`.
+match, in O(N) memory. No part of the package builds an (N+2)^2 array, and
+`verify` runs no structural check: criterion 7 of the acceptance suite checks
+the sparsity pattern, unit column sum and row/column balance of the
+multiplier matrix through the tests' dense reference, and calls
+`slack_psd_check`.
 """
 
 from .certfile import (
@@ -68,14 +68,6 @@ from .solver import (
     least_squares_step,
     sweep,
 )
-from .verifier import (
-    aggregate,
-    assemble_lambda,
-    oracle_check,
-    oracle_scale,
-    rhs_with_errors,
-    slack_gram,
-    slack_psd_check,
-)
+from .verifier import oracle_check, oracle_scale, slack_psd_check
 
 __version__ = "0.1.0"

@@ -23,8 +23,9 @@ required and is the single source of truth; the a, b, c, eps blocks are
 advisory (verification re-derives them), and any of them may be left out,
 but those present keep this order. N fixes the length of every block. The
 final newline is optional. Blank lines, unknown or reordered keys and
-blocks, and text after the last block are rejected, and every number must
-be finite. Numbers render as the shortest decimal that round-trips the
+blocks, and text after the last block are rejected, every number must be
+finite, and delta, a sum of positive parts of residuals, must not be
+negative. Numbers render as the shortest decimal that round-trips the
 64-bit binary value (Python repr), so parse(render(x)) is bit-identical.
 """
 
@@ -129,6 +130,8 @@ def parse_certificate(text: str) -> CertificateFile:
     if n < 3:
         raise CertificateFormatError(f"certificates need N >= 3, got N={n}")
     alpha, r, delta = _finite([header["alpha"], header["r"], header["delta"]], "header").tolist()
+    if delta < 0:  # -0.0 is valid
+        raise CertificateFormatError(f"header delta {delta!r} is negative")
     blocks = {}
     pos = len(_HEADER_KEYS)
     for name, offset in _BLOCKS:

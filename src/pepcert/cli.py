@@ -248,9 +248,12 @@ def cmd_sweep(args) -> int:
 
 def _read_checked(path):
     """The file at `path` and the certificate derived from its d, once each
-    stored vector matches it to CROSS_TOL; else CertificateFormatError (exit 4)."""
+    stored vector matches it to CROSS_TOL; else CertificateFormatError (exit 4).
+    A finite d whose derivation overflows gives NaN vectors, which the gates
+    reject, and no numpy warning."""
     cf = certfile.read_certificate(path)
-    cert = derive_full(certfile.params_from_file(cf), cf.d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cert = derive_full(certfile.params_from_file(cf), cf.d)
     for name in ("a", "b", "c", "eps"):
         stored = getattr(cf, name)
         if stored is None:
@@ -275,8 +278,9 @@ def cmd_verify(args) -> int:
         print(f"header delta {cf.delta:.3e} exceeds {DELTA_TOL:.0e}", file=sys.stderr)
     ok = is_cert and max(delta, cf.delta) <= DELTA_TOL
     if args.oracle:
-        dev = oracle_check(cert)
-        tol = ORACLE_TOL * oracle_scale(cert)
+        with np.errstate(over="ignore", invalid="ignore"):  # NaN data fails the gate
+            dev = oracle_check(cert)
+            tol = ORACLE_TOL * oracle_scale(cert)
         print(f"oracle_deviation {dev:.3e} (tolerance {tol:.3e})")
         ok = ok and dev <= tol
     print("verdict " + ("CERTIFIED" if ok else "FAILED"))

@@ -10,10 +10,9 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from dense_reference import aggregate, assemble_lambda, pattern_mask, rhs_with_errors, slack_gram
 from pepcert import (
     RateParams,
-    aggregate,
-    assemble_lambda,
     derive_full,
     huber,
     huber_rate,
@@ -22,9 +21,7 @@ from pepcert import (
     oracle_scale,
     quadratic,
     quadratic_rate,
-    rhs_with_errors,
     simulate,
-    slack_gram,
     slack_psd_check,
     solve_rate_params,
     solve_rate_params_mp,
@@ -182,15 +179,7 @@ def test_criterion_7_structural_lambda_checks(sweep300_dir):
             col = lam.sum(axis=0)
             gaps = row[1 : 1 + n] - col[1 : 1 + n]
             assert np.max(np.abs(gaps - cert.eps[:n])) <= 1e-12
-            mask = np.zeros((n + 2, n + 2), dtype=bool)
-            mask[0, 1:] = True
-            idx = np.arange(n)
-            mask[1 + idx, 2 + idx] = True
-            idx = np.arange(n - 1)
-            mask[2 + idx, 1 + idx] = True
-            for i in range(n - 1):
-                mask[1 + i, 3 + i :] = True
-            assert np.all(lam[~mask] == 0.0)
+            assert np.all(lam[~pattern_mask(n)] == 0.0)
             assert slack_psd_check(cert)
             svals = np.linalg.svd(slack_gram(cert), compute_uv=False)
             assert svals[1] <= 1e-10 * svals[0]

@@ -180,6 +180,14 @@ class TestParseErrors:
         with pytest.raises(CertificateFormatError):
             parse_certificate("\n".join(lines) + "\n")
 
+    def test_negative_delta(self):
+        # delta sums positive parts; -0.0 is still a zero
+        text = render_certificate(tricky_file())
+        for value in ("-1e-300", "-1.0"):
+            with pytest.raises(CertificateFormatError, match="negative"):
+                parse_certificate(text.replace("\ndelta 1e-300\n", f"\ndelta {value}\n"))
+        assert parse_certificate(text.replace("\ndelta 1e-300\n", "\ndelta -0.0\n")).delta == 0
+
 
 class TestAtomicWrite:
     def test_failed_render_keeps_old_file(self, tmp_path, monkeypatch):

@@ -621,6 +621,33 @@ class TestVerify:
         assert "positive True" in out and "verdict FAILED" in out
         assert "header delta 2.500e-01" in err
 
+    def test_negative_header_delta_is_corruption(self, capsys, cert_dir, tmp_path):
+        # delta sums positive parts, so no writer makes it negative
+        cf = read_certificate(cert_dir / "cert_N00005.txt")
+        cf.delta = -1.0
+        code, out, err = run(capsys, "verify", write_certificate(cf, tmp_path / "neg.txt"))
+        assert (code, out) == (4, "")
+        assert err == "corrupt certificate: header delta -1.0 is negative\n"
+
+    @pytest.mark.parametrize("command, code, lines", [
+        ("verify", 3, ["delta nan", "verdict FAILED"]),
+        ("verify --oracle", 3, ["oracle_deviation nan (tolerance inf)", "verdict FAILED"]),
+        ("plotdata --outdir OUT", 1, []),
+    ], ids=["verify", "verify-oracle", "plotdata"])
+    def test_overflowing_d_warns_nothing(self, capsys, cert_dir, tmp_path, command, code,
+                                         lines):
+        # a finite d whose derivation overflows fails its gates without a
+        # numpy RuntimeWarning; plotdata prints one usage line
+        cf = read_certificate(cert_dir / "cert_N00005.txt")
+        cf.a = cf.b = cf.c = cf.eps = None
+        cf.d = np.full(4, 1e200)
+        name, *flags = command.replace("OUT", str(tmp_path / "out")).split()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got, out, err = run(capsys, name, write_certificate(cf, tmp_path / "big.txt"), *flags)
+        assert got == code and set(lines) <= set(out.splitlines())
+        assert err.count("\n") == (code == 1)
+
     def test_negated_d_with_stored_vectors_is_corruption(self, capsys, cert_dir, tmp_path):
         text = (cert_dir / "cert_N00005.txt").read_text()
         cf = parse_certificate(text)
