@@ -7,12 +7,12 @@ The library is organized around five pieces:
   exact 1-D simulations, and the lower-bound envelope.
 - `recursion`: `derive_full`, one pass from the free vector d to the
   certificate data (a, b, c) and the residuals eps.
-- `solver`: damped Gauss-Newton on the overdetermined residual system. A
-  cold solve starts from a closed-form shape of the certificate, and a sweep
-  over a list of sizes warm-starts each size from the ones before. Its step,
-  `least_squares_step`, loads scipy's compiled LAPACK module (not the
-  `scipy.linalg` package) when it first runs, so a process that only
-  verifies never loads scipy.
+- `solver`: damped Newton on N-1 of the N+1 residual equations, whose zero
+  is exact, with all N+1 gated. A cold solve starts from a closed-form shape
+  of the certificate, and a sweep over a list of sizes warm-starts each size
+  from the ones before. Its step, `newton_step`, loads scipy's compiled
+  LAPACK module (not the `scipy.linalg` package) when it first runs, so a
+  process that only verifies never loads scipy.
 - `verifier`: symbolic aggregation of the interpolation inequalities against
   the target rate expression, in O(N) time and memory: the oracle
   `oracle_check` and the rank-one slack check `slack_psd_check`, through
@@ -65,7 +65,7 @@ from .solver import (
     closed_form_start,
     extrapolate_init,
     gauss_newton,
-    least_squares_step,
+    newton_step,
     sweep,
 )
 from .verifier import oracle_check, oracle_scale, slack_psd_check

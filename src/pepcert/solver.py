@@ -1,24 +1,25 @@
-"""Gauss-Newton certificate solver with continuation in the problem size.
+"""Newton certificate solver with continuation in the problem size.
 
-The residual map eps(d) is overdetermined (N+1 equations, N-1 unknowns) and
-exactly quadratic, so damped Gauss-Newton with least-squares steps converges
-quadratically near a zero-residual solution. The step is exact and never forms
-the Jacobian: the recursion is linearized in a few local unknowns per index
-(prefix and suffix sums, and the tangent of the backward scan), and the
-constrained least-squares problem is one banded augmented system, built in
-LAPACK's band layout and factored in place, so a step takes O(N) time and
-memory. Each factorization is kept for chord steps, which solve with it at
-the new residual while each one shrinks ||eps||_2 at least twentyfold. A cold
-solve starts from the closed form d_i = sqrt(N) / (2 (N - i)^{3/2}) of
-closed_form_start, from which Gauss-Newton takes one factored step and four
-or five chord steps at every size tested. A sweep solves its first size that
-way and warm-starts every later one from up to four recent certificates:
-each one's ratio to the closed form, aligned at the last index (where the
-certificate's boundary layer depends only on the distance from the end), is
-extrapolated to the new size by a cubic in 1/N, which leaves most sizes one
-Gauss-Newton step from convergence; a size whose warm start fails is solved
-again from the closed form. It yields each report;
-writing files is left to its caller.
+The residual map eps(d) has N+1 equations in N-1 unknowns, but its zero is
+exact, so no least squares is needed: Newton on the N-1 equations eps_1 ..
+eps_{N-1} lands on the same d, and the gate judges all N+1 at every iterate.
+eps is exactly quadratic, so the damped Newton step converges quadratically
+near the zero. The step is exact and never forms the Jacobian: the recursion
+is linearized in three local unknowns per index (prefix and suffix sums, and
+the tangent of the backward scan), which with the constraints that define
+them make one square banded system, built in LAPACK's band layout and
+factored in place, so a step takes O(N) time and memory. Each factorization
+is kept for chord steps, which solve with it at the new residual while each
+one shrinks ||eps||_2 at least twentyfold. A cold solve starts from the
+closed form d_i = sqrt(N) / (2 (N - i)^{3/2}) of closed_form_start, from
+which it takes one factored step and four or five chord steps at every size
+tested. A sweep solves its first size that way and warm-starts every later
+one from up to four recent certificates: each one's ratio to the closed
+form, aligned at the last index (where the certificate's boundary layer
+depends only on the distance from the end), is extrapolated to the new size
+by a cubic in 1/N, which leaves most sizes one Newton step from convergence;
+a size whose warm start fails is solved again from the closed form. It
+yields each report; writing files is left to its caller.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .recursion import DELTA_TOL, FullCertificate, derive_full
 __all__ = [
     "NonConvergence",
     "SolveReport",
-    "least_squares_step",
+    "newton_step",
     "gauss_newton",
     "closed_form_start",
     "extrapolate_init",
@@ -111,8 +112,7 @@ def _linearized_equations(cert: FullCertificate) -> dict:
         du_i   = kappa (Z_{i+1} + dcsq_i - dtail_i)
                  + (2 dcross_i - (2 + alpha) dlin_i) / alpha,   i < N-1,
         du_{N-1} = -c_N S_{N-2},
-        deps_i = du_i - du_{i-1} + dtl_i - od_{i-1} dc_i - c_i S_{i-2},
-        deps_N = Z_0 - dc_0 - dtl_0 + c_0 dc_0 / r,
+        deps_i = du_i - du_{i-1} + dtl_i - od_{i-1} dc_i - c_i S_{i-2},   1 <= i <= N-1,
 
     in the notation of the recursion (u_i = a_i - b_i, tl_i = d_i
     suffc_{i+2}; `recursion.derive_full` has the step terms csq, cross, lin and
@@ -130,10 +130,10 @@ def _linearized_equations(cert: FullCertificate) -> dict:
     its S_{i-2} term cancels -c_i S_{i-2}. Unknowns outside their index range
     are zero (the assembly clips each diagonal), which makes the index masks
     of the recursion implicit: du's S_{i+1} term, say, only meets i <= N-3.
-    Returns the forms by equation: "w" holds deps_0 .. deps_{N-1}, "wN"
-    deps_N, and "yT", "yZ" the two constraints; each form maps
-    (unknown, offset) to the coefficient of that unknown at index i + offset
-    in equation i, an array over i = 0..N or a scalar.
+    Returns the forms by equation: "eps" holds deps_1 .. deps_{N-1}, "T" and
+    "Z" the constraints that define T and Z; each form maps (unknown, offset)
+    to the coefficient of that unknown at index i + offset in equation i, an
+    array over i = 0..N (of which "eps" uses 1..N-1) or a scalar.
     """
     N, alpha, r = cert.params.N, cert.params.alpha, cert.params.r
     two_r = 2.0 * r
@@ -160,42 +160,35 @@ def _linearized_equations(cert: FullCertificate) -> dict:
     du_s0 = (kappa * (2.0 * c_next + suffc3)
              + 2.0 / alpha * ((alpha - 1.0) * c_next + c) - lin)
     # deps_i: du_i - du_{i-1} + dtl_i - od_{i-1} dc_i
-    w_s0 = du_s0 + suffc2 - two_r * (alpha - 1.0) * od_prev
-    w_s0[1:] -= du_s1[:-1]
-    w_sm1 = -(c_next + suffc2 + two_r * od_prev)
-    w_sm1[1:] -= du_s0[:-1]
-    w_t2 = (1.0 + kappa) * d_here
-    w_t2[0] = d[0]
-    w_z0 = np.full(N + 1, -kappa)
-    w_z0[0] = 0.0
+    eps_s0 = du_s0 + suffc2 - two_r * (alpha - 1.0) * od_prev
+    eps_s0[1:] -= du_s1[:-1]
+    eps_sm1 = -(c_next + suffc2 + two_r * od_prev)
+    eps_sm1[1:] -= du_s0[:-1]
     # dh_i: rho (dcsq_i - dtail_i) - 2 dcross_i + 3 dlin_i, and dh_{N-1}
     h_s1 = (alpha - 1.0) * (2.0 * rho * c_next - 2.0 * c + 3.0 * two_r * od) - rho * suffc3
     h_s0 = (rho * (2.0 * c_next + suffc3)
             - 2.0 * ((alpha - 1.0) * c_next + c) + 3.0 * two_r * od)
     return {
-        "w": {("Z", 1): kappa, ("Z", 0): w_z0, ("S", 1): du_s1, ("S", 0): w_s0,
-              ("S", -1): w_sm1, ("T", 3): -kappa * d_next, ("T", 2): w_t2},
-        "wN": {("Z", 0): 1.0, ("T", 2): -d[0],
-               ("S", 0): two_r * (alpha - 1.0) * (c[0] / r - 1.0) - suffc[2]},
-        "yT": {("T", 0): 1.0, ("T", 1): -1.0, ("S", 0): two_r * (1.0 - alpha),
-               ("S", -1): -two_r},
-        "yZ": {("Z", 0): 1.0, ("Z", 1): -rho, ("S", 1): -h_s1, ("S", 0): -h_s0,
-               ("S", -1): -c_next, ("T", 3): rho * d_next},
+        "eps": {("Z", 1): kappa, ("Z", 0): -kappa, ("S", 1): du_s1, ("S", 0): eps_s0,
+                ("S", -1): eps_sm1, ("T", 3): -kappa * d_next,
+                ("T", 2): (1.0 + kappa) * d_here},
+        "T": {("T", 0): 1.0, ("T", 1): -1.0, ("S", 0): two_r * (1.0 - alpha),
+              ("S", -1): -two_r},
+        "Z": {("Z", 0): 1.0, ("Z", 1): -rho, ("S", 1): -h_s1, ("S", 0): -h_s0,
+              ("S", -1): -c_next, ("T", 3): rho * d_next},
     }
 
 
-# The slots of the augmented system: every index j = -1 .. N has _WIDTH of
-# them, and unknown i of a kind sits at index i + at, in position
-# _WIDTH (i + at + 1) + rank. w_i is the residual of linearized eps_i and y the
-# multipliers of the constraints. w_i, S_i and yZ_i sit one index later, T_j
-# one earlier: each equation then reaches at most 9 places to either side,
-# and the w slot of index 0 is free and holds wN. The slots at the two ends
+# The slots of the square system: three per index j = -2 .. N-1, and unknown
+# i of a kind in position _POS[kind] + 3 i, so S_i sits at index i + 1, Z_i
+# at index i and T_j at index j - 2. Each equation shares the slot of one
+# unknown, named in _ROW: linearized eps_i (i = 1 .. N-1) that of S_{i-1},
+# and each constraint that of its own T_j or Z_i. Every equation then
+# reaches _KL places back and _KU ahead. The seven slots at the two ends
 # that hold no unknown are identity rows.
-_SLOTS = {"w": (1, 0), "T": (-1, 1), "Z": (0, 2), "S": (1, 3), "yT": (0, 4),
-          "yZ": (1, 5), "wN": (0, 0)}
-_WIDTH = 6
-# the position of each kind's unknown 0
-_FIRST = {kind: _WIDTH * (at + 1) + rank for kind, (at, rank) in _SLOTS.items()}
+_POS = {"S": 9, "Z": 7, "T": 2}
+_ROW = {"eps": ("S", -1), "T": ("T", 0), "Z": ("Z", 0)}
+_KL, _KU = 1, 7
 
 
 @cache
@@ -224,72 +217,68 @@ def _lapack():
 
 
 def _band_rhs(eps: np.ndarray) -> np.ndarray:
-    """The right-hand side (eps, 0, 0) of the augmented system, in its slots."""
+    """The right-hand side -eps_1 .. -eps_{N-1} of the square system, in its
+    slots."""
     N = len(eps) - 1
-    rhs = np.zeros(_WIDTH * (N + 2))
-    rhs[_FIRST["w"] : _FIRST["w"] + _WIDTH * N : _WIDTH] = eps[:N]
-    rhs[_FIRST["wN"]] = eps[N]
+    rhs = np.zeros(3 * (N + 2))
+    rhs[_POS["S"] : _POS["S"] + 3 * (N - 1) : 3] = -eps[1:N]
     return rhs
 
 
 def _step_of(sol: np.ndarray, N: int) -> np.ndarray:
     """The step s, the first difference of the S slots of a solution."""
-    return np.diff(sol[_FIRST["S"] : _FIRST["S"] + _WIDTH * (N - 1) : _WIDTH], prepend=0.0)
+    return np.diff(sol[_POS["S"] : _POS["S"] + 3 * (N - 1) : 3], prepend=0.0)
 
 
-def least_squares_step(cert: FullCertificate):
-    """The Gauss-Newton step s = argmin ||J s + eps||_2 at cert.d, with
-    J = d eps / d d; returns (s, ok, lu), lu the band's LU for _chord_step.
+def newton_step(cert: FullCertificate):
+    """The Newton step s of the square system eps_1 .. eps_{N-1} at cert.d,
+    J' s = -eps', J' = d (eps_1 .. eps_{N-1}) / d d; returns (s, ok, lu), lu
+    the band's LU for _chord_step.
 
-    J is never formed. The linearization is written in the local unknowns
-    x = (S, T, Z) of _linearized_equations (S the prefix sums of s), as A x + eps
-    with the constraints C x = 0 that tie T and Z to S, so A restricted to
-    C x = 0 is J in the coordinates S. The step solves the augmented system
-
-        [[I, -A, 0], [A^T, 0, C^T], [0, C, 0]] (w, x, y) = (eps, 0, 0)
-
-    in the slots of _SLOTS: six per index, so each (equation, unknown,
-    offset) term of the linearization is one constant diagonal of the band,
-    written as two strided slices (the -A or C entries and their mirror),
-    clipped to the indices where both the equation and the unknown exist.
-    Every equation reaches only a few neighbours (half-bandwidth 9), so one
-    banded LU solves the system in O(N) time and memory, and s is the first
-    difference of S. The band is allocated in LAPACK's own layout (3 half + 1
-    rows in Fortran order, the diagonal at row 2 half), and dgbsv factors it
-    and solves in place, with no copy. `ok` is False, and `s` and `lu` are
-    None, when the factorization finds an exactly zero pivot (dgbsv's
-    info > 0); `ok` is False when s is not finite, and then `lu` is None
-    too. An invalid argument (info < 0) raises ValueError.
+    eps(d) = 0 has N+1 equations in N-1 unknowns, but its zero is exact, so
+    Newton on the N-1 equations without eps_0 and eps_N lands on the same d;
+    gauss_newton's gate judges all N+1. J' is never formed. The linearization
+    is written in the local unknowns x = (S, T, Z) of _linearized_equations
+    (S the prefix sums of s): its N-1 equations and the 2N constraints that
+    tie T and Z to S are 3N-1 equations in the 3N-1 unknowns, in the slots of
+    _POS, so each (equation, unknown, offset) term is one constant diagonal
+    of the band, written as one strided slice, clipped to the indices where
+    both the equation and the unknown exist. One banded LU with partial
+    pivoting (dgbsv; it swaps rows) solves the system in O(N) time and
+    memory, and s is the first difference of S. The band is allocated in
+    LAPACK's own layout (2 _KL + _KU + 1 rows in Fortran order, the diagonal
+    at row _KL + _KU), and dgbsv factors it and solves in place, with no
+    copy. `ok` is False, and `s` and `lu` are None, when the factorization
+    finds an exactly zero pivot (dgbsv's info > 0); `ok` is False when s is
+    not finite, and then `lu` is None too. An invalid argument (info < 0)
+    raises ValueError.
     """
     N = cert.params.N
-    forms = _linearized_equations(cert)
-    size = {"wN": 1, "S": N - 1}  # every other kind has N unknowns
-    half = max(abs(_FIRST[eq] - _FIRST[name] - _WIDTH * off)
-               for eq, form in forms.items() for name, off in form)
-    # LAPACK's own band layout: entry (i, j) at ab[2 half + i - j, j], with
-    # the top `half` rows free for the fill-in of the factorization, in
-    # Fortran order, so that gbsv factors it in place without a copy
-    ab = np.zeros((3 * half + 1, _WIDTH * (N + 2)), order="F")
-    # ones on the diagonal of w, wN and the empty slots, zeros on that of x, y
-    ab[2 * half] = 1.0
-    for kind in ("T", "Z", "S", "yT", "yZ"):
-        ab[2 * half, _FIRST[kind] : _FIRST[kind] + _WIDTH * size.get(kind, N) : _WIDTH] = 0.0
-    for eq, form in forms.items():
+    size = {"S": N - 1, "T": N, "Z": N}
+    diag = _KL + _KU
+    # LAPACK's own band layout: entry (i, j) at ab[_KL + _KU + i - j, j], with
+    # the top _KL rows free for the fill-in of the factorization, in Fortran
+    # order, so that gbsv factors it in place without a copy
+    ab = np.zeros((2 * _KL + _KU + 1, 3 * (N + 2)), order="F")
+    # ones on the diagonal of the slots that hold no unknown
+    ab[diag] = 1.0
+    for kind, first in _POS.items():
+        ab[diag, first : first + 3 * size[kind] : 3] = 0.0
+    for eq, form in _linearized_equations(cert).items():
+        kind, shift = _ROW[eq]
         for (name, off), coef in form.items():
-            # the indices i at which equation i and unknown i + off both exist
-            lo, hi = max(0, -off), min(size.get(eq, N), size.get(name, N) - off)
+            # the indices i at which the slot of equation i (that of unknown
+            # i + shift) and unknown i + off both exist
+            lo, hi = max(-shift, -off), min(size[kind] - shift, size[name] - off)
             if lo >= hi:
                 continue
-            row, col = _FIRST[eq] + _WIDTH * lo, _FIRST[name] + _WIDTH * (lo + off)
+            row, col = _POS[kind] + 3 * (lo + shift), _POS[name] + 3 * (lo + off)
             if np.ndim(coef):
                 coef = coef[lo:hi]
-            # the entry (equation, unknown) is -A or C, its mirror A^T or C^T
-            ab[2 * half + row - col, col : col + _WIDTH * (hi - lo) : _WIDTH] = (
-                -coef if eq in ("w", "wN") else coef)
-            ab[2 * half + col - row, row : row + _WIDTH * (hi - lo) : _WIDTH] = coef
+            ab[diag + row - col, col : col + 3 * (hi - lo) : 3] = coef
     # the package's one scipy use, loaded on the first step, so that a
     # process that only verifies never loads scipy
-    lub, piv, sol, info = _lapack().dgbsv(half, half, ab, _band_rhs(cert.eps),
+    lub, piv, sol, info = _lapack().dgbsv(_KL, _KU, ab, _band_rhs(cert.eps),
                                           overwrite_ab=1, overwrite_b=1)
     if info < 0:
         raise ValueError(f"dgbsv: argument {-info} is invalid")
@@ -297,39 +286,42 @@ def least_squares_step(cert: FullCertificate):
         return None, False, None
     s = _step_of(sol, N)
     ok = bool(np.isfinite(s).all())
-    return s, ok, (half, lub, piv) if ok else None
+    return s, ok, (lub, piv) if ok else None
 
 
 def _chord_step(lu, eps: np.ndarray):
     """The step for the residual eps through the factorization `lu` of an
-    earlier least_squares_step, solved by dgbtrs: a chord step, whose
-    Jacobian is that of the earlier iterate. None if dgbtrs reports an error
+    earlier newton_step, solved by dgbtrs: a chord step, whose Jacobian is
+    that of the earlier iterate. None if dgbtrs reports an error
     (info != 0)."""
-    half, lub, piv = lu
-    sol, info = _lapack().dgbtrs(lub, half, half, _band_rhs(eps), piv, overwrite_b=1)
+    lub, piv = lu
+    sol, info = _lapack().dgbtrs(lub, _KL, _KU, _band_rhs(eps), piv, overwrite_b=1)
     return _step_of(sol, len(eps) - 1) if info == 0 else None
 
 
 def gauss_newton(params: RateParams, d0) -> SolveReport:
-    """Damped Gauss-Newton on the residual system from the start d0, with
-    chord steps that reuse each factorization.
+    """Damped Newton on the residual system from the start d0, with chord
+    steps that reuse each factorization.
 
-    Each factored iteration takes the banded least-squares step s of
-    least_squares_step and accepts the largest damping t in
-    {1, 1/2, ..., 2**-20} that strictly decreases ||eps||_2. Its band's LU
-    factorization is then kept, and the next iterations are chord steps
-    (Kelley, Iterative Methods for Linear and Nonlinear Equations, SIAM
-    1995, sec. 5.4): _chord_step solves with the kept LU at the new eps, and
-    the full step is accepted while it shrinks ||eps||_2 to at most
-    CHORD_CONTRACTION times its norm. eps is exactly quadratic in d, so near
-    a zero these steps converge fast, and a cold solve factors once; far
-    from one they contract too slowly to pass, and a far start goes on with
-    factored steps. The first chord step that falls short is discarded, the
-    LU is released, and a new factored step is taken from the same iterate.
-    The LU is released before the next band is built and when the solve ends.
-    Stops as soon as max_i |eps_i| <= RESIDUAL_TOL and delta <= DELTA_TOL
-    (verify's gate). Every trial is derived once, with derive_full, and the
-    accepted trial's FullCertificate is kept: its eps opens the next
+    Each factored iteration takes the banded Newton step s of newton_step,
+    on the N-1 equations eps_1 .. eps_{N-1}, and accepts the largest damping
+    t in {1, 1/2, ..., 2**-20} that strictly decreases ||eps||_2 over all
+    N+1 equations. Its band's LU factorization is then kept, and the next
+    iterations are chord steps (Kelley, Iterative Methods for Linear and
+    Nonlinear Equations, SIAM 1995, sec. 5.4): _chord_step solves with the
+    kept LU at the new eps, and the full step is accepted while it shrinks
+    ||eps||_2 to at most CHORD_CONTRACTION times its norm. eps is exactly
+    quadratic in d, so near a zero these steps converge fast, and a cold
+    solve factors once; far from one they contract too slowly to pass, and a
+    far start goes on with factored steps. The first chord step that falls
+    short is discarded, the LU is released, and a new factored step is taken
+    from the same iterate. The LU is released before the next band is built
+    and when the solve ends. Stops as soon as max_i |eps_i| <= RESIDUAL_TOL
+    and delta <= DELTA_TOL (verify's gate), over all N+1 equations: eps_0
+    and eps_N, which the step does not solve, are checked at every iterate,
+    so parameters off the balancing pair, at which only the square system
+    has a zero, never pass. Every trial is derived once, with derive_full,
+    and the accepted trial's FullCertificate is kept: its eps opens the next
     iteration, and the last one is the report's certificate. Positivity of
     the derived (a, b, c, d) is checked only at termination.
 
@@ -377,7 +369,7 @@ def gauss_newton(params: RateParams, d0) -> SolveReport:
                 continue
             # released before the next band is built
             trial = lu = None
-        s, ok, lu = least_squares_step(cert)
+        s, ok, lu = newton_step(cert)
         factored += 1
         if not ok:
             raise NonConvergence(
@@ -406,7 +398,7 @@ def gauss_newton(params: RateParams, d0) -> SolveReport:
 
 def closed_form_start(N: int) -> np.ndarray:
     """The cold start d_i = sqrt(N) / (2 (N - i)^{3/2}), i = 0..N-2: the
-    leading-order shape of the certificate, from which Gauss-Newton needs
+    leading-order shape of the certificate, from which gauss_newton needs
     one factored step and four or five chord steps at every N tested, 3..300
     and up to 327680."""
     if N < 3:

@@ -11,12 +11,13 @@ from scipy.linalg import lapack, qr_multiply, solve_triangular
 import pepcert.solver as solver_mod
 from pepcert import (
     NonConvergence,
+    RateParams,
     c_from_d,
     closed_form_start,
     derive_full,
     extrapolate_init,
     gauss_newton,
-    least_squares_step,
+    newton_step,
     solve_rate_params,
     sweep,
 )
@@ -24,7 +25,7 @@ from pepcert import (
 
 def jacobian(params, d) -> np.ndarray:
     """Exact dense Jacobian J[i, k] = d eps_i / d d_k by forward-mode
-    differentiation: the reference for least_squares_step, O(N^2) memory.
+    differentiation: the reference for newton_step, O(N^2) memory.
 
     The tangents of the derivation d -> c -> (a, b) -> eps are propagated for
     all N-1 unit directions at once, by the product rule; the tangent of d
@@ -129,8 +130,10 @@ def jacobian(params, d) -> np.ndarray:
 
 
 def qr_step(J, eps):
-    """The dense reference step: min_s ||J s + eps||_2 by Householder QR."""
-    qt_eps, rmat = qr_multiply(J, eps)
+    """The dense reference step: min_s ||J' s + eps'||_2 by Householder QR,
+    for J' and eps' the rows of eps_1 .. eps_{N-1}. J' is square, so this is
+    the Newton step J' s = -eps' of newton_step."""
+    qt_eps, rmat = qr_multiply(J[1:-1], eps[1:-1])
     return solve_triangular(rmat, -qt_eps)
 
 
@@ -179,13 +182,16 @@ def start_5000():
 
 
 class TestLeastSquaresStep:
+    # newton_step: the least-squares step of the square system eps_1 ..
+    # eps_{N-1}, which it solves exactly
+
     @pytest.mark.parametrize("n", STEP_SIZES)
     def test_matches_qr_step_at_random_d(self, n, rng):
         params = solve_rate_params(n)
         for _ in range(3):
             d = rng.uniform(0.1, 1.5, n - 1)
             cert = derive_full(params, d)
-            s, ok, _ = least_squares_step(cert)
+            s, ok, _ = newton_step(cert)
             assert ok
             ref = qr_step(jacobian(params, d), cert.eps)
             assert np.linalg.norm(s - ref) <= 1e-12 * np.linalg.norm(ref)
@@ -201,37 +207,41 @@ class TestLeastSquaresStep:
         for scale in (1e-2, 1e-6):
             d = d_star * (1.0 + scale * rng.standard_normal(n - 1))
             cert = derive_full(params, d)
-            s, ok, _ = least_squares_step(cert)
+            s, ok, _ = newton_step(cert)
             assert ok
             ref = qr_step(jacobian(params, d), cert.eps)
             assert np.linalg.norm(s - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_normal_equation_residual(self, rng):
+        # the banded solve is backward stable: the linearized residual of the
+        # N-1 equations it solves, and so that of their normal equations, is
+        # rounding-sized against ||J'|| ||s||
         params = solve_rate_params(12)
         d = rng.uniform(0.1, 1.2, 11)
-        J = jacobian(params, d)
+        square = jacobian(params, d)[1:-1]
         cert = derive_full(params, d)
-        eps = cert.eps
-        s, ok, _ = least_squares_step(cert)
+        s, ok, _ = newton_step(cert)
         assert ok
-        lhs = np.linalg.norm(J.T @ (J @ s + eps))
-        assert lhs <= 1e-8 * np.linalg.norm(J.T) * np.linalg.norm(eps)
+        residual = square @ s + cert.eps[1:-1]
+        scale = np.linalg.norm(square) * np.linalg.norm(s)
+        assert np.linalg.norm(residual) <= 1e-14 * scale
+        assert np.linalg.norm(square.T @ residual) <= 1e-14 * np.linalg.norm(square) * scale
 
     def test_evaluates_no_residuals(self, monkeypatch, small_sweep):
         def forbidden(*args, **kwargs):
             raise AssertionError("the step must not evaluate perturbed residuals")
 
         cert = small_sweep[15].cert
-        expect, _, _ = least_squares_step(cert)
+        expect, _, _ = newton_step(cert)
         monkeypatch.setattr(solver_mod, "derive_full", forbidden)
-        s, _, _ = solver_mod.least_squares_step(cert)
+        s, _, _ = solver_mod.newton_step(cert)
         np.testing.assert_array_equal(s, expect)
 
     def test_non_finite_step_is_not_ok(self):
         params = solve_rate_params(12)
         d = np.full(11, 0.3)
         d[4] = np.nan
-        s, ok, lu = least_squares_step(derive_full(params, d))
+        s, ok, lu = newton_step(derive_full(params, d))
         assert not ok
         assert lu is None
 
@@ -241,7 +251,7 @@ class TestLeastSquaresStep:
             return ab, np.zeros(b.shape[0], dtype=np.int32), b, 3
 
         monkeypatch.setattr(solver_mod._lapack(), "dgbsv", singular)
-        assert solver_mod.least_squares_step(
+        assert solver_mod.newton_step(
             derive_full(solve_rate_params(7), np.full(6, 0.3))) == (None, False, None)
         with pytest.raises(NonConvergence) as err:
             solver_mod.gauss_newton(solve_rate_params(7), np.full(6, 0.3))
@@ -255,12 +265,12 @@ class TestLeastSquaresStep:
 
         monkeypatch.setattr(solver_mod._lapack(), "dgbsv", invalid)
         with pytest.raises(ValueError, match="argument 3"):
-            least_squares_step(derive_full(solve_rate_params(7), np.full(6, 0.3)))
+            newton_step(derive_full(solve_rate_params(7), np.full(6, 0.3)))
 
     def test_loaded_dgbsv_is_scipy_linalg_lapack_dgbsv(self, rng):
-        # the same binary: one random band system with kl = ku = 9, which
+        # the same binary: one random band system of the step's widths, which
         # partial pivoting reorders, gives bit-identical outputs either way
-        kl = ku = 9
+        kl, ku = solver_mod._KL, solver_mod._KU
         n = 200
         ab = np.zeros((2 * kl + ku + 1, n), order="F")
         ab[kl:] = rng.standard_normal((kl + ku + 1, n))
@@ -285,8 +295,8 @@ class TestLeastSquaresStep:
             f"scipy {scipy.__version__} has no compiled module _flapack in {where}")
 
     def test_memory_is_linear_in_n(self, start_5000):
-        # one cold solve at N=5000 stays within 25 kB per index; the dense
-        # Jacobian alone would take 200 MB there
+        # one cold solve at N=5000 stays within 1 kB per index (about 440 B
+        # measured); the dense Jacobian alone would take 200 MB there
         params, d0 = start_5000
         tracemalloc.start()
         try:
@@ -295,23 +305,23 @@ class TestLeastSquaresStep:
         finally:
             tracemalloc.stop()
         assert report.cert.positive
-        assert peak <= 25_000 * params.N
+        assert peak <= 1_000 * params.N
 
     def test_step_memory_per_index(self, start_5000):
-        # one step stays within 2.0 kB per index (about 1.6 kB measured): the
-        # band matrix in LAPACK's layout (28 rows of six slots per index,
-        # 1.34 kB), which dgbsv factors in place, and the linearization's
+        # one step stays within 500 B per index (about 385 B measured): the
+        # band matrix in LAPACK's layout (10 rows of three slots per index,
+        # 240 B), which dgbsv factors in place, and the linearization's
         # coefficient arrays
         params, d0 = start_5000
         cert = derive_full(params, d0)
         tracemalloc.start()
         try:
-            _, ok, _ = least_squares_step(cert)
+            _, ok, _ = newton_step(cert)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert ok
-        assert peak <= 2_000 * params.N
+        assert peak <= 500 * params.N
 
 
 class TestGaussNewton:
@@ -340,16 +350,27 @@ class TestGaussNewton:
         n = report.params.N
         assert report.delta <= (n + 1) * report.residual_sup
 
-    @pytest.mark.parametrize("n, value, factored", [(6, 0.4, 3), (40, 0.3, 5)])
-    def test_far_start(self, n, value, factored):
-        # the constant starts of demo 02 and README's quick start, from which
-        # plain Gauss-Newton took 5 and 7 steps: chord steps that contract
-        # by only about 0.3 there are refused, and the solve factors instead
+    @pytest.mark.parametrize("n, value, factored, chords", [(6, 0.4, 2, 8), (40, 0.3, 4, 7)])
+    def test_far_start(self, n, value, factored, chords):
+        # the constant starts of demo 02 and README's quick start: chord steps
+        # that contract by only about 0.3 there are refused, and the solve
+        # factors instead
         report = gauss_newton(solve_rate_params(n), np.full(n - 1, value))
-        assert report.iterations == factored
-        assert report.chord_steps <= 3
+        assert (report.iterations, report.chord_steps) == (factored, chords)
         assert report.cert.positive
         assert report.residual_sup <= solver_mod.RESIDUAL_TOL
+
+    @pytest.mark.parametrize("n", [20, 100])
+    @pytest.mark.parametrize("shift", [-1e-3, 1e-6, 1e-3])
+    def test_off_balance_parameters_never_converge(self, n, shift):
+        # off the balancing pair, eps_1 .. eps_{N-1} = 0 still has a zero, the
+        # one the Newton step heads for, but eps_0 and eps_N do not vanish
+        # there: the gate judges all N+1 equations, so the solve fails
+        balanced = solve_rate_params(n)
+        params = RateParams(n, balanced.alpha + shift, balanced.r)
+        with pytest.raises(NonConvergence) as err:
+            gauss_newton(params, closed_form_start(n))
+        assert err.value.N == n
 
     def test_bad_start_contract(self):
         # far start with a negative entry: either a positive certificate or
@@ -413,7 +434,7 @@ class TestChordSteps:
             return (0.1 * x if len(chords) == 2 else x), info
 
         chords = counting(monkeypatch, solver_mod._lapack(), "dgbtrs", weak_second)
-        steps = counting(monkeypatch, solver_mod, "least_squares_step")
+        steps = counting(monkeypatch, solver_mod, "newton_step")
         params = solve_rate_params(13)
         report = solver_mod.gauss_newton(params, closed_form_start(13))
         assert report.iterations == len(steps) == 2
@@ -446,7 +467,7 @@ class TestChordSteps:
         report = solver_mod.gauss_newton(params, d0)
         assert report.iterations + report.chord_steps == 5
         monkeypatch.setattr(solver_mod, "MAX_ITER", 4)
-        steps = counting(monkeypatch, solver_mod, "least_squares_step")
+        steps = counting(monkeypatch, solver_mod, "newton_step")
         with pytest.raises(NonConvergence, match="within 4 steps") as err:
             solver_mod.gauss_newton(params, d0)
         assert err.value.N == 13
@@ -468,7 +489,7 @@ class TestChordSteps:
         # (these wrappers keep no reference to their arguments)
         lapack_mod = solver_mod._lapack()
         real_dgbtrs, real_dgbsv = lapack_mod.dgbtrs, lapack_mod.dgbsv
-        real_step = solver_mod.least_squares_step
+        real_step = solver_mod.newton_step
         factors = []
 
         def weak(*args, **kwargs):
@@ -486,7 +507,7 @@ class TestChordSteps:
 
         monkeypatch.setattr(lapack_mod, "dgbtrs", weak)
         monkeypatch.setattr(lapack_mod, "dgbsv", tracked)
-        monkeypatch.setattr(solver_mod, "least_squares_step", before_band)
+        monkeypatch.setattr(solver_mod, "newton_step", before_band)
         report = solver_mod.gauss_newton(solve_rate_params(13), closed_form_start(13))
         assert report.iterations == len(factors) == 3
         assert all(ref() is None for ref in factors)
@@ -612,7 +633,7 @@ class TestBootstrap:
     def test_single_start_failure_raises(self, monkeypatch):
         # the one start is not a certificate, its first step fails, and there
         # is no fallback start
-        monkeypatch.setattr(solver_mod, "least_squares_step", lambda *args: (None, False, None))
+        monkeypatch.setattr(solver_mod, "newton_step", lambda *args: (None, False, None))
         with pytest.raises(NonConvergence) as err:
             next(solver_mod.sweep([3]))
         assert err.value.N == 3
@@ -626,11 +647,11 @@ class TestBootstrap:
     @pytest.mark.parametrize("n", [*range(3, 61), 100, 300, 1000, 5000, 20160])
     def test_three_steps(self, n):
         # named for the three factored steps the cold start took before chord
-        # steps: now it takes one, then four chord steps at N = 6..60 and
+        # steps: now it takes one, then four chord steps at N = 5..60 and
         # five at the other sizes listed
         report = gauss_newton(solve_rate_params(n), closed_form_start(n))
         assert report.iterations == 1
-        assert report.chord_steps == (4 if 6 <= n <= 60 else 5)
+        assert report.chord_steps == (4 if 5 <= n <= 60 else 5)
         assert report.cert.positive
 
 
