@@ -1,20 +1,22 @@
 """The paper's headline evidence: a certificate at every size of the README's
-`--segment` schedule up to N=20160, each checked by the verifier.
+`--segment` schedule up to N=20160, each checked by the verifier as it is
+solved.
 
     PYTHONPATH=src python evidence/paper_schedule.py [--out FILE]
 
 The schedule is the README's `pepcert sweep 20160 --segment 3:2240:1
 --segment 2240:8960:320 --segment 8960:20160:1600`: 2266 sizes, every N up
-to 2240, then strides of 320 and 1600, as in the paper. `solver.sweep`
-solves them, and each certificate file is written to a temporary directory,
-as `pepcert sweep` writes it. Every file is then read back and checked in
-this one process, as `pepcert verify --oracle` checks it: the parse, the
-balanced rate parameters, `derive_full` and the stored-block cross-check,
-positivity of (a, b, c, d), the delta gate, `oracle_check` against its
-tolerance, and `slack_psd_check`. One more check ties the stepsize to the
-lower bound: the envelope of the quadratic and Huber rates, on the grid
-0.1, 0.101, ..., 1.99 with alpha(N) added, takes its minimum r(N) there, to
-the balance tolerance `rates.BALANCE_TOL`.
+to 2240, then strides of 320 and 1600, as in the paper. One pass over
+`solver.sweep` solves them, and each certificate is checked in this process
+as it arrives, with the checks `pepcert verify --oracle` applies to a file:
+positivity of (a, b, c, d), the `sup|eps|` and delta gates, `oracle_check`
+against its tolerance, and `slack_psd_check`. One more check ties the
+stepsize to the lower bound: the envelope of the quadratic and Huber rates,
+on the grid 0.1, 0.101, ..., 1.99 with alpha(N) added, takes its minimum
+r(N) there, to the balance tolerance `rates.BALANCE_TOL`. No certificate
+file is written: `pepcert sweep` writes the same certificates, and
+`tests/test_paper_schedule.py` checks that a certificate written to a file
+and read back gives the same row.
 
 The summary (default `evidence/paper_schedule.csv`) has one row per N:
 `alpha` and `r` as stored, `sup_eps` and `delta` of the derived eps, the
@@ -31,15 +33,14 @@ import argparse
 import os
 import platform
 import sys
-import tempfile
 import time
 
 import numpy as np
 import scipy
 
-from pepcert import (BALANCE_TOL, certificate_file, default_path, lower_bound_envelope,
-                     oracle_check, oracle_scale, slack_psd_check, sweep, write_certificate)
-from pepcert.cli import ORACLE_TOL, _parser, _read_checked, _sweep_sizes
+from pepcert import (BALANCE_TOL, lower_bound_envelope, oracle_check, oracle_scale,
+                     slack_psd_check, sweep)
+from pepcert.cli import ORACLE_TOL, _parser, _sweep_sizes
 from pepcert.recursion import DELTA_TOL
 from pepcert.solver import RESIDUAL_TOL
 
@@ -53,24 +54,11 @@ COLUMNS = ("N", "alpha", "r", "sup_eps", "delta",
 DEFAULT_OUT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "paper_schedule.csv")
 
 
-def solve_all(outdir):
-    """Solve the schedule and write each file; returns {N: (factored, chord, seconds)}."""
-    steps = {}
+def summary_row(cert, factored, chord, solve_s):
+    """Check `cert`; returns its summary row, a list of fields in COLUMNS
+    order with the solve's steps and seconds, and the names of the checks it
+    fails."""
     start = time.perf_counter()
-    for report in sweep(SIZES):
-        seconds = time.perf_counter() - start
-        n = report.params.N
-        steps[n] = (report.iterations, report.chord_steps, seconds)
-        write_certificate(certificate_file(report.cert), default_path(outdir, n))
-        start = time.perf_counter()
-    return steps
-
-
-def check_file(path, factored, chord, solve_s):
-    """Check the file at `path`; returns its summary row, with the solve's
-    steps and seconds, and the names of the checks it fails."""
-    start = time.perf_counter()
-    cf, cert = _read_checked(path)
     ratio = oracle_check(cert) / (ORACLE_TOL * oracle_scale(cert))
     slack = slack_psd_check(cert)
     check_s = time.perf_counter() - start
@@ -79,13 +67,13 @@ def check_file(path, factored, chord, solve_s):
     gap = float(np.min(lower_bound_envelope(params.N, np.append(GRID, params.alpha)))) - params.r
     failed = [name for name, ok in (
         ("positive", cert.positive), ("sup_eps", sup <= RESIDUAL_TOL),
-        ("delta", max(cert.delta, cf.delta) <= DELTA_TOL), ("oracle", ratio <= 1.0),
+        ("delta", cert.delta <= DELTA_TOL), ("oracle", ratio <= 1.0),
         ("slack", slack is True), ("envelope", abs(gap) <= BALANCE_TOL)) if not ok]
     extremes = [f(getattr(cert, name)) for name in "abcd" for f in (np.min, np.max)]
     row = [str(params.N), repr(params.alpha), repr(params.r), f"{sup:.3e}", f"{cert.delta:.3e}",
            *(f"{x:.3e}" for x in extremes), str(factored), str(chord), f"{solve_s:.4f}",
            f"{check_s:.4f}", f"{ratio:.3e}", str(slack), f"{gap:.2e}"]
-    return ",".join(row), failed
+    return row, failed
 
 
 def main(argv=None):
@@ -94,21 +82,22 @@ def main(argv=None):
     args = parser.parse_args(argv)
     failures = []
     rows = []
-    with tempfile.TemporaryDirectory() as outdir:
-        steps = solve_all(outdir)
-        solve_total = sum(seconds for _, _, seconds in steps.values())
-        begin = time.perf_counter()
-        for n in SIZES:
-            row, failed = check_file(default_path(outdir, n), *steps[n])
-            rows.append(row)
-            failures += [f"N={n}: {name}" for name in failed]
-        check_total = time.perf_counter() - begin
+    solve_total = 0.0
+    begin = clock = time.perf_counter()
+    for report in sweep(SIZES):
+        solve_s = time.perf_counter() - clock
+        row, failed = summary_row(report.cert, report.iterations, report.chord_steps, solve_s)
+        rows.append(",".join(row))
+        failures += [f"N={report.params.N}: {name}" for name in failed]
+        solve_total += solve_s
+        clock = time.perf_counter()
+    check_total = clock - begin - solve_total
     header = [
         "# pepcert certificates for the README --segment schedule to N=20160, each checked",
-        "# in-process as `pepcert verify --oracle` checks it; written by evidence/paper_schedule.py",
-        f"# {len(SIZES)} sizes: solves {solve_total:.1f} s (writing the files excluded), "
-        f"checks {check_total:.1f} s; {os.cpu_count()} CPUs, {platform.machine()}, "
-        f"Python {platform.python_version()}, numpy {np.__version__}, scipy {scipy.__version__}",
+        "# in-process as it is solved, with no file written; by evidence/paper_schedule.py",
+        f"# {len(SIZES)} sizes: solves {solve_total:.1f} s, checks {check_total:.1f} s; "
+        f"{os.cpu_count()} CPUs, {platform.machine()}, Python {platform.python_version()}, "
+        f"numpy {np.__version__}, scipy {scipy.__version__}",
         ",".join(COLUMNS),
     ]
     with open(args.out, "w") as fh:

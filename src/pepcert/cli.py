@@ -129,6 +129,8 @@ def _parse_segment(spec: str):
         start, stop, stride = (int(part) for part in spec.split(":"))
     except ValueError:
         raise _UsageError(f"bad segment {spec!r}, expected START:STOP:STRIDE")
+    if start < 3:
+        raise _UsageError(f"segment start {start} below N=3")
     if stop < start:
         raise _UsageError(f"segment stop {stop} below start {start}")
     if stride < 1:
@@ -137,18 +139,11 @@ def _parse_segment(spec: str):
 
 
 def _sweep_sizes(args) -> list[int]:
-    """The sizes a sweep covers: 3..N_MAX, or the merged values of the
-    --segment specs (stops inclusive), which must start at N=3 and be
-    ordered by start."""
+    """The sizes a sweep covers: 3..N_MAX, or the merged and sorted values
+    of the --segment specs (stops inclusive), given in any order."""
     if not args.segment:
         return list(range(3, args.N_MAX + 1))
-    segments = [_parse_segment(spec) for spec in args.segment]
-    if segments[0][0] != 3:
-        raise _UsageError(f"schedules must start at N=3, got {segments[0][0]}")
-    starts = [start for start, _, _ in segments]
-    if starts != sorted(starts):
-        raise _UsageError("segments must be ordered by start")
-    return sorted({n for start, stop, stride in segments
+    return sorted({n for start, stop, stride in map(_parse_segment, args.segment)
                    for n in range(start, stop + 1, stride)})
 
 

@@ -448,10 +448,9 @@ def extrapolate_init(sources, target: int) -> np.ndarray:
 
 def sweep(sizes) -> Iterator[SolveReport]:
     """Continuation sweep over `sizes`, a strictly increasing sequence of
-    problem sizes that starts at N=3; yields one SolveReport per size, in
-    order.
+    problem sizes N >= 3; yields one SolveReport per size, in order.
 
-    N=3 is solved from closed_form_start and every later size by
+    The first size is solved from closed_form_start and every later size by
     gauss_newton from extrapolate_init of the CONTINUATION_SOURCES most
     recent certificates (fewer at the start). If that warm-started solve
     raises NonConvergence, the size is solved once more from
@@ -460,14 +459,14 @@ def sweep(sizes) -> Iterator[SolveReport]:
     A caller that writes each report before asking for the next keeps its
     files through an aborted sweep.
 
-    Raises ValueError for a schedule that is empty, does not start at 3 or
+    Raises ValueError for a schedule that is empty, has a size below 3 or
     does not increase, and NonConvergence (annotated with the failing N) if
     a size fails from the closed form too; the continuation chain is broken
     at that point and the sweep stops.
     """
     sizes = list(sizes)
-    if sizes[:1] != [3] or any(b <= a for a, b in zip(sizes, sizes[1:])):
-        raise ValueError("sizes must increase strictly from N=3")
+    if not sizes or sizes[0] < 3 or any(b <= a for a, b in zip(sizes, sizes[1:])):
+        raise ValueError("sizes must increase strictly from N >= 3")
     recent: deque = deque(maxlen=CONTINUATION_SOURCES)
     for n in sizes:
         params = solve_rate_params(n)

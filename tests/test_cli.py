@@ -343,10 +343,10 @@ class TestSweep:
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("flags", [
-        ("--segment", "5:10:1"),  # does not start at N=3
+        ("--segment", "2:10:1"),  # starts below N=3
         ("--segment", "3:2:1"),  # ends below its start
         ("--segment", "3:10:0"),
-        ("--segment", "3:10:1", "--segment", "2:5:1"),  # not ordered by start
+        ("--segment", "3:10:1", "--segment", "2:5:1"),  # a later segment below N=3
     ])
     def test_bad_schedule_is_usage_error(self, capsys, tmp_path, flags):
         code, _, err = run(capsys, "sweep", 10, *flags, "--outdir", tmp_path)
@@ -360,6 +360,22 @@ class TestSweep:
         assert code == 0
         names = sorted(p.name for p in tmp_path.glob("cert_*.txt"))
         assert names == [f"cert_N{n:05d}.txt" for n in list(range(3, 11)) + [20, 30]]
+
+    def test_schedule_starts_at_any_size_in_any_segment_order(self, capsys, tmp_path):
+        # the first size is solved from the closed form, and the merged sizes
+        # are sorted, so neither N=3 nor the order of the segments matters
+        for outdir, specs in (("ordered", ["300:400:50"]), ("reversed", ["400:400:1", "300:350:50"])):
+            flags = [flag for spec in specs for flag in ("--segment", spec)]
+            code, _, _ = run(capsys, "sweep", 400, *flags, "--outdir", tmp_path / outdir)
+            assert code == 0
+        names = [f"cert_N{n:05d}.txt" for n in (300, 350, 400)]
+        assert sorted(p.name for p in (tmp_path / "ordered").iterdir()) == names
+        for name in names:
+            path = tmp_path / "ordered" / name
+            assert path.read_bytes() == (tmp_path / "reversed" / name).read_bytes()
+            code, out, _ = run(capsys, "verify", path)
+            assert code == 0
+            assert out.endswith("verdict CERTIFIED\n")
 
     # Every exit of a sweep whose files are written by its writer process
     # matches a sweep that writes each file before it solves the next size:

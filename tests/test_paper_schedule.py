@@ -1,18 +1,22 @@
 """The committed summary of the paper's schedule, `evidence/paper_schedule.csv`:
 one row for every size of the README's --segment schedule, each passing
-every gate with a positive certificate."""
+every gate with a positive certificate; and the evidence script's rows,
+built from certificates in memory, equal those built from their files."""
 
 import csv
+import importlib.util
 import pathlib
 
 import pytest
 
-from pepcert import BALANCE_TOL, solve_rate_params
-from pepcert.cli import _parser, _sweep_sizes
+from pepcert import (BALANCE_TOL, certificate_file, default_path, solve_rate_params, sweep,
+                     write_certificate)
+from pepcert.cli import _parser, _read_checked, _sweep_sizes
 from pepcert.recursion import DELTA_TOL
 from pepcert.solver import RESIDUAL_TOL
 
-SUMMARY = pathlib.Path(__file__).resolve().parent.parent / "evidence" / "paper_schedule.csv"
+EVIDENCE = pathlib.Path(__file__).resolve().parent.parent / "evidence"
+SUMMARY = EVIDENCE / "paper_schedule.csv"
 README_SCHEDULE = ["sweep", "20160", "--segment", "3:2240:1", "--segment", "2240:8960:320",
                    "--segment", "8960:20160:1600"]
 
@@ -48,3 +52,26 @@ def test_rate_parameters_are_the_balancing_pair(rows):
     for row in rows:
         params = solve_rate_params(int(row["N"]))
         assert (float(row["alpha"]), float(row["r"])) == (params.alpha, params.r)
+
+
+def test_row_from_memory_equals_row_from_the_file(tmp_path):
+    # the script checks each certificate as it is solved and writes no file;
+    # a certificate written by `write_certificate` and read back as `verify`
+    # reads it gives the same row, timings aside
+    spec = importlib.util.spec_from_file_location("paper_schedule", EVIDENCE / "paper_schedule.py")
+    evidence = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(evidence)
+    timing = {evidence.COLUMNS.index("solve_s"), evidence.COLUMNS.index("check_s")}
+
+    def untimed(row):
+        return [field for i, field in enumerate(row) if i not in timing]
+
+    for report in sweep([*range(3, 41), 60, 120]):
+        steps = (report.iterations, report.chord_steps)
+        row, failed = evidence.summary_row(report.cert, *steps, 0.0)
+        path = default_path(tmp_path, report.params.N)
+        write_certificate(certificate_file(report.cert), path)
+        _, cert = _read_checked(path)
+        again, failed_again = evidence.summary_row(cert, *steps, 0.0)
+        assert untimed(again) == untimed(row)
+        assert failed == failed_again == []

@@ -182,8 +182,9 @@ def start_5000():
 
 
 class TestLeastSquaresStep:
-    # newton_step: the least-squares step of the square system eps_1 ..
-    # eps_{N-1}, which it solves exactly
+    # newton_step: the Newton step J' s = -eps' of the square system
+    # eps_1 .. eps_{N-1}, solved by a banded LU (the class name is kept so
+    # that its test ids stay stable)
 
     @pytest.mark.parametrize("n", STEP_SIZES)
     def test_matches_qr_step_at_random_d(self, n, rng):
@@ -614,7 +615,8 @@ class TestExtrapolateInit:
 
 
 class TestBootstrap:
-    # the cold start: a sweep's first size and every `pepcert solve`
+    # the cold start: a sweep's first size and every `pepcert solve` (the
+    # class name is kept so that its test ids stay stable)
     def test_converges_positive(self):
         report = gauss_newton(solve_rate_params(3), closed_form_start(3))
         assert report.cert.positive
@@ -646,9 +648,9 @@ class TestBootstrap:
 
     @pytest.mark.parametrize("n", [*range(3, 61), 100, 300, 1000, 5000, 20160])
     def test_three_steps(self, n):
-        # named for the three factored steps the cold start took before chord
-        # steps: now it takes one, then four chord steps at N = 5..60 and
-        # five at the other sizes listed
+        # one factored step, then four chord steps at N = 5..60 and five at
+        # the other sizes listed (the name is kept so that the test ids stay
+        # stable)
         report = gauss_newton(solve_rate_params(n), closed_form_start(n))
         assert report.iterations == 1
         assert report.chord_steps == (4 if 5 <= n <= 60 else 5)
@@ -693,8 +695,8 @@ class TestSweep:
         assert all(rep.cert.positive for rep in reports)
 
     def test_schedule_validation(self):
-        # an increasing list from the bootstrap size N=3, checked before any solve
-        for sizes in ([], [2, 3, 4], [5, 6, 7, 8, 9], [3, 5, 4], [3, 4, 4, 5]):
+        # a strictly increasing list of sizes >= 3, checked before any solve
+        for sizes in ([], [2, 3, 4], [3, 5, 4], [3, 4, 4, 5]):
             with pytest.raises(ValueError):
                 next(sweep(sizes))
 
