@@ -10,9 +10,9 @@ The library is organized around five pieces:
 - `solver`: damped Newton on N-1 of the N+1 residual equations, whose zero
   is exact, with all N+1 gated. A cold solve starts from a closed-form shape
   of the certificate, and a sweep over a list of sizes warm-starts each size
-  from the ones before. Its step, `newton_step`, loads scipy's compiled
-  LAPACK module (not the `scipy.linalg` package) when it first runs, so a
-  process that only verifies never loads scipy.
+  from the ones before. Its first band factorization loads scipy's
+  compiled LAPACK module (not the `scipy.linalg` package), so a process
+  that only verifies never loads scipy.
 - `verifier`: symbolic aggregation of the interpolation inequalities against
   the target rate expression, in O(N) time and memory: the oracle
   `oracle_check` and the rank-one slack check `slack_psd_check`, through
@@ -65,7 +65,6 @@ from .solver import (
     closed_form_start,
     extrapolate_init,
     gauss_newton,
-    newton_step,
     sweep,
 )
 from .verifier import oracle_check, oracle_scale, slack_psd_check

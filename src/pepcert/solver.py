@@ -8,9 +8,10 @@ near the zero. The step is exact and never forms the Jacobian: the recursion
 is linearized in three local unknowns per index (prefix and suffix sums, and
 the tangent of the backward scan), which with the constraints that define
 them make one square banded system, built in LAPACK's band layout and
-factored in place, so a step takes O(N) time and memory. Each factorization
-is kept for chord steps, which solve with it at the new residual while each
-one shrinks ||eps||_2 at least twentyfold. A cold solve starts from the
+factored in place, so a step takes O(N) time and memory. Every step is one
+solve with a factorization: the Newton step with the one just made, and
+chord steps with it at later residuals, kept while each one shrinks
+||eps||_2 at least twentyfold. A cold solve starts from the
 closed form d_i = sqrt(N) / (2 (N - i)^{3/2}) of closed_form_start, from
 which it takes one factored step and four or five chord steps at every size
 tested. A sweep solves its first size that way and warm-starts every later
@@ -40,7 +41,6 @@ from .recursion import DELTA_TOL, FullCertificate, derive_full
 __all__ = [
     "NonConvergence",
     "SolveReport",
-    "newton_step",
     "gauss_newton",
     "closed_form_start",
     "extrapolate_init",
@@ -199,7 +199,7 @@ def _lapack():
     Importing `scipy.linalg` would run the whole package (about 0.25 s and
     27 MB, most of it in array-API and numpy submodules the step never uses);
     this runs only `import scipy`, for its platform set-up, and the extension
-    itself, so its `dgbsv` is the same binary either way.
+    itself, so its `dgbtrf` and `dgbtrs` are the same binaries either way.
     """
     import scipy
 
@@ -216,24 +216,11 @@ def _lapack():
     return module
 
 
-def _band_rhs(eps: np.ndarray) -> np.ndarray:
-    """The right-hand side -eps_1 .. -eps_{N-1} of the square system, in its
-    slots."""
-    N = len(eps) - 1
-    rhs = np.zeros(3 * (N + 2))
-    rhs[_POS["S"] : _POS["S"] + 3 * (N - 1) : 3] = -eps[1:N]
-    return rhs
-
-
-def _step_of(sol: np.ndarray, N: int) -> np.ndarray:
-    """The step s, the first difference of the S slots of a solution."""
-    return np.diff(sol[_POS["S"] : _POS["S"] + 3 * (N - 1) : 3], prepend=0.0)
-
-
-def newton_step(cert: FullCertificate):
-    """The Newton step s of the square system eps_1 .. eps_{N-1} at cert.d,
-    J' s = -eps', J' = d (eps_1 .. eps_{N-1}) / d d; returns (s, ok, lu), lu
-    the band's LU for _chord_step.
+def _factor(cert: FullCertificate):
+    """The banded LU of the square system eps_1 .. eps_{N-1} at cert.d,
+    J' s = -eps', J' = d (eps_1 .. eps_{N-1}) / d d: (lub, piv) for _solve,
+    or None if the factorization meets an exactly zero pivot (dgbtrf's
+    info > 0).
 
     eps(d) = 0 has N+1 equations in N-1 unknowns, but its zero is exact, so
     Newton on the N-1 equations without eps_0 and eps_N lands on the same d;
@@ -244,21 +231,18 @@ def newton_step(cert: FullCertificate):
     _POS, so each (equation, unknown, offset) term is one constant diagonal
     of the band, written as one strided slice, clipped to the indices where
     both the equation and the unknown exist. One banded LU with partial
-    pivoting (dgbsv; it swaps rows) solves the system in O(N) time and
-    memory, and s is the first difference of S. The band is allocated in
-    LAPACK's own layout (2 _KL + _KU + 1 rows in Fortran order, the diagonal
-    at row _KL + _KU), and dgbsv factors it and solves in place, with no
-    copy. `ok` is False, and `s` and `lu` are None, when the factorization
-    finds an exactly zero pivot (dgbsv's info > 0); `ok` is False when s is
-    not finite, and then `lu` is None too. An invalid argument (info < 0)
-    raises ValueError.
+    pivoting (dgbtrf; it swaps rows) factors the system in O(N) time and
+    memory. The band is allocated in LAPACK's own layout (2 _KL + _KU + 1
+    rows in Fortran order, the diagonal at row _KL + _KU), and dgbtrf
+    factors it in place, with no copy. An invalid argument (info < 0) raises
+    ValueError.
     """
     N = cert.params.N
     size = {"S": N - 1, "T": N, "Z": N}
     diag = _KL + _KU
     # LAPACK's own band layout: entry (i, j) at ab[_KL + _KU + i - j, j], with
     # the top _KL rows free for the fill-in of the factorization, in Fortran
-    # order, so that gbsv factors it in place without a copy
+    # order, so that gbtrf factors it in place without a copy
     ab = np.zeros((2 * _KL + _KU + 1, 3 * (N + 2)), order="F")
     # ones on the diagonal of the slots that hold no unknown
     ab[diag] = 1.0
@@ -276,44 +260,48 @@ def newton_step(cert: FullCertificate):
             if np.ndim(coef):
                 coef = coef[lo:hi]
             ab[diag + row - col, col : col + 3 * (hi - lo) : 3] = coef
-    # the package's one scipy use, loaded on the first step, so that a
-    # process that only verifies never loads scipy
-    lub, piv, sol, info = _lapack().dgbsv(_KL, _KU, ab, _band_rhs(cert.eps),
-                                          overwrite_ab=1, overwrite_b=1)
+    # the package's one scipy use, loaded on the first factorization, so that
+    # a process that only verifies never loads scipy
+    lub, piv, info = _lapack().dgbtrf(ab, _KL, _KU, overwrite_ab=1)
     if info < 0:
-        raise ValueError(f"dgbsv: argument {-info} is invalid")
-    if info > 0:  # an exactly zero pivot
-        return None, False, None
-    s = _step_of(sol, N)
-    ok = bool(np.isfinite(s).all())
-    return s, ok, (lub, piv) if ok else None
+        raise ValueError(f"dgbtrf: argument {-info} is invalid")
+    return (lub, piv) if info == 0 else None
 
 
-def _chord_step(lu, eps: np.ndarray):
-    """The step for the residual eps through the factorization `lu` of an
-    earlier newton_step, solved by dgbtrs: a chord step, whose Jacobian is
-    that of the earlier iterate. None if dgbtrs reports an error
-    (info != 0)."""
+def _solve(lu, eps: np.ndarray):
+    """The step s for the residual eps through the factorization `lu` of
+    _factor, solved by dgbtrs: the Newton step at the iterate that was
+    factored, a chord step at a later one. s is the first difference of the
+    S slots of the solution. None if dgbtrs reports an error (info != 0) or
+    s is not finite."""
     lub, piv = lu
-    sol, info = _lapack().dgbtrs(lub, _KL, _KU, _band_rhs(eps), piv, overwrite_b=1)
-    return _step_of(sol, len(eps) - 1) if info == 0 else None
+    N = len(eps) - 1
+    S = slice(_POS["S"], _POS["S"] + 3 * (N - 1), 3)
+    rhs = np.zeros(3 * (N + 2))
+    rhs[S] = -eps[1:N]
+    sol, info = _lapack().dgbtrs(lub, _KL, _KU, rhs, piv, overwrite_b=1)
+    if info != 0:
+        return None
+    s = np.diff(sol[S], prepend=0.0)
+    return s if np.isfinite(s).all() else None
 
 
 def gauss_newton(params: RateParams, d0) -> SolveReport:
     """Damped Newton on the residual system from the start d0, with chord
     steps that reuse each factorization.
 
-    Each factored iteration takes the banded Newton step s of newton_step,
-    on the N-1 equations eps_1 .. eps_{N-1}, and accepts the largest damping
-    t in {1, 1/2, ..., 2**-20} that strictly decreases ||eps||_2 over all
-    N+1 equations. Its band's LU factorization is then kept, and the next
-    iterations are chord steps (Kelley, Iterative Methods for Linear and
-    Nonlinear Equations, SIAM 1995, sec. 5.4): _chord_step solves with the
-    kept LU at the new eps, and the full step is accepted while it shrinks
-    ||eps||_2 to at most CHORD_CONTRACTION times its norm. eps is exactly
-    quadratic in d, so near a zero these steps converge fast, and a cold
-    solve factors once; far from one they contract too slowly to pass, and a
-    far start goes on with factored steps. The first chord step that falls
+    Each factored iteration factors the band of the N-1 equations
+    eps_1 .. eps_{N-1} with _factor, takes the Newton step s that _solve
+    gets from it, and accepts the largest damping t in
+    {1, 1/2, ..., 2**-20} that strictly decreases ||eps||_2 over all N+1
+    equations. The LU is then kept, and the next iterations are chord steps
+    (Kelley, Iterative Methods for Linear and Nonlinear Equations, SIAM
+    1995, sec. 5.4): _solve with the kept LU at the new eps, whose full step
+    is accepted while it shrinks ||eps||_2 to at most CHORD_CONTRACTION
+    times its norm. eps is exactly quadratic in d, so near a zero these
+    steps converge fast, and a cold solve factors once; far from one they
+    contract too slowly to pass, and a far start goes on with factored
+    steps. The first chord step that falls
     short is discarded, the LU is released, and a new factored step is taken
     from the same iterate. The LU is released before the next band is built
     and when the solve ends. Stops as soon as max_i |eps_i| <= RESIDUAL_TOL
@@ -359,7 +347,7 @@ def gauss_newton(params: RateParams, d0) -> SolveReport:
         if it == MAX_ITER:
             break
         if lu is not None:
-            s = _chord_step(lu, cert.eps)
+            s = _solve(lu, cert.eps)
             trial = None if s is None else derive_full(params, cert.d + s)
             # a NaN norm fails the test too
             if (trial is not None
@@ -369,9 +357,10 @@ def gauss_newton(params: RateParams, d0) -> SolveReport:
                 continue
             # released before the next band is built
             trial = lu = None
-        s, ok, lu = newton_step(cert)
+        lu = _factor(cert)
         factored += 1
-        if not ok:
+        s = None if lu is None else _solve(lu, cert.eps)
+        if s is None:
             raise NonConvergence(
                 f"Gauss-Newton step failed at N={params.N} (singular system or "
                 f"non-finite step) with residual sup {sup:.3e}",

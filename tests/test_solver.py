@@ -17,7 +17,6 @@ from pepcert import (
     derive_full,
     extrapolate_init,
     gauss_newton,
-    newton_step,
     solve_rate_params,
     sweep,
 )
@@ -25,7 +24,7 @@ from pepcert import (
 
 def jacobian(params, d) -> np.ndarray:
     """Exact dense Jacobian J[i, k] = d eps_i / d d_k by forward-mode
-    differentiation: the reference for newton_step, O(N^2) memory.
+    differentiation: the reference for the Newton step, O(N^2) memory.
 
     The tangents of the derivation d -> c -> (a, b) -> eps are propagated for
     all N-1 unit directions at once, by the product rule; the tangent of d
@@ -181,9 +180,16 @@ def start_5000():
     return solve_rate_params(n), closed_form_start(n)
 
 
+def newton_step(cert):
+    """The Newton step at cert, one _factor and one _solve; None if either
+    fails."""
+    lu = solver_mod._factor(cert)
+    return None if lu is None else solver_mod._solve(lu, cert.eps)
+
+
 class TestLeastSquaresStep:
-    # newton_step: the Newton step J' s = -eps' of the square system
-    # eps_1 .. eps_{N-1}, solved by a banded LU (the class name is kept so
+    # the Newton step J' s = -eps' of the square system eps_1 .. eps_{N-1}:
+    # the band's LU from _factor, solved by _solve (the class name is kept so
     # that its test ids stay stable)
 
     @pytest.mark.parametrize("n", STEP_SIZES)
@@ -192,8 +198,7 @@ class TestLeastSquaresStep:
         for _ in range(3):
             d = rng.uniform(0.1, 1.5, n - 1)
             cert = derive_full(params, d)
-            s, ok, _ = newton_step(cert)
-            assert ok
+            s = newton_step(cert)
             ref = qr_step(jacobian(params, d), cert.eps)
             assert np.linalg.norm(s - ref) <= 1e-12 * np.linalg.norm(ref)
 
@@ -208,8 +213,7 @@ class TestLeastSquaresStep:
         for scale in (1e-2, 1e-6):
             d = d_star * (1.0 + scale * rng.standard_normal(n - 1))
             cert = derive_full(params, d)
-            s, ok, _ = newton_step(cert)
-            assert ok
+            s = newton_step(cert)
             ref = qr_step(jacobian(params, d), cert.eps)
             assert np.linalg.norm(s - ref) <= 1e-12 * np.linalg.norm(ref)
 
@@ -221,8 +225,7 @@ class TestLeastSquaresStep:
         d = rng.uniform(0.1, 1.2, 11)
         square = jacobian(params, d)[1:-1]
         cert = derive_full(params, d)
-        s, ok, _ = newton_step(cert)
-        assert ok
+        s = newton_step(cert)
         residual = square @ s + cert.eps[1:-1]
         scale = np.linalg.norm(square) * np.linalg.norm(s)
         assert np.linalg.norm(residual) <= 1e-14 * scale
@@ -233,54 +236,59 @@ class TestLeastSquaresStep:
             raise AssertionError("the step must not evaluate perturbed residuals")
 
         cert = small_sweep[15].cert
-        expect, _, _ = newton_step(cert)
+        expect = newton_step(cert)
         monkeypatch.setattr(solver_mod, "derive_full", forbidden)
-        s, _, _ = solver_mod.newton_step(cert)
-        np.testing.assert_array_equal(s, expect)
+        np.testing.assert_array_equal(newton_step(cert), expect)
 
     def test_non_finite_step_is_not_ok(self):
         params = solve_rate_params(12)
         d = np.full(11, 0.3)
         d[4] = np.nan
-        s, ok, lu = newton_step(derive_full(params, d))
-        assert not ok
-        assert lu is None
+        assert newton_step(derive_full(params, d)) is None
 
     def test_singular_factor_raises_nonconvergence(self, monkeypatch):
-        def singular(kl, ku, ab, b, **kwargs):
-            # what dgbsv reports for an exactly zero pivot U(3, 3)
-            return ab, np.zeros(b.shape[0], dtype=np.int32), b, 3
+        def singular(ab, kl, ku, **kwargs):
+            # what dgbtrf reports for an exactly zero pivot U(3, 3)
+            return ab, np.zeros(ab.shape[1], dtype=np.int32), 3
 
-        monkeypatch.setattr(solver_mod._lapack(), "dgbsv", singular)
-        assert solver_mod.newton_step(
-            derive_full(solve_rate_params(7), np.full(6, 0.3))) == (None, False, None)
+        monkeypatch.setattr(solver_mod._lapack(), "dgbtrf", singular)
+        assert solver_mod._factor(derive_full(solve_rate_params(7), np.full(6, 0.3))) is None
         with pytest.raises(NonConvergence) as err:
             solver_mod.gauss_newton(solve_rate_params(7), np.full(6, 0.3))
         assert err.value.N == 7
         assert "N=7" in str(err.value)
 
     def test_invalid_band_argument_raises(self, monkeypatch):
-        def invalid(kl, ku, ab, b, **kwargs):
-            # what dgbsv reports when its third argument (kl) is invalid
-            return ab, np.zeros(b.shape[0], dtype=np.int32), b, -3
+        def invalid(ab, kl, ku, **kwargs):
+            # what dgbtrf reports when its third argument (kl) is invalid
+            return ab, np.zeros(ab.shape[1], dtype=np.int32), -3
 
-        monkeypatch.setattr(solver_mod._lapack(), "dgbsv", invalid)
-        with pytest.raises(ValueError, match="argument 3"):
-            newton_step(derive_full(solve_rate_params(7), np.full(6, 0.3)))
+        monkeypatch.setattr(solver_mod._lapack(), "dgbtrf", invalid)
+        with pytest.raises(ValueError, match="dgbtrf: argument 3"):
+            solver_mod._factor(derive_full(solve_rate_params(7), np.full(6, 0.3)))
 
-    def test_loaded_dgbsv_is_scipy_linalg_lapack_dgbsv(self, rng):
-        # the same binary: one random band system of the step's widths, which
-        # partial pivoting reorders, gives bit-identical outputs either way
+    def test_loaded_dgbtrf_dgbtrs_are_scipy_linalg_lapacks(self, rng):
+        # the same binaries: one random band system of the step's widths,
+        # which partial pivoting reorders, gives bit-identical outputs either
+        # way; and dgbtrf then dgbtrs is dgbsv bit for bit, so a factored
+        # step is what one dgbsv call would give
         kl, ku = solver_mod._KL, solver_mod._KU
         n = 200
         ab = np.zeros((2 * kl + ku + 1, n), order="F")
         ab[kl:] = rng.standard_normal((kl + ku + 1, n))
         b = rng.standard_normal(n)
-        ours = solver_mod._lapack().dgbsv(kl, ku, ab, b)
-        theirs = lapack.dgbsv(kl, ku, ab, b)
-        assert ours[3] == theirs[3] == 0
+        loaded = solver_mod._lapack()
+        ours, theirs = loaded.dgbtrf(ab, kl, ku), lapack.dgbtrf(ab, kl, ku)
+        assert ours[2] == theirs[2] == 0
         assert np.any(ours[1] != np.arange(1, n + 1))  # rows were swapped
         for mine, ref in zip(ours, theirs):
+            np.testing.assert_array_equal(mine, ref)
+        lub, piv, _ = ours
+        (x, info), (ref_x, ref_info) = (loaded.dgbtrs(lub, kl, ku, b, piv),
+                                        lapack.dgbtrs(lub, kl, ku, b, piv))
+        assert info == ref_info == 0
+        np.testing.assert_array_equal(x, ref_x)
+        for mine, ref in zip((lub, piv, x, info), lapack.dgbsv(kl, ku, ab, b)):
             np.testing.assert_array_equal(mine, ref)
 
     def test_missing_extension_raises_import_error(self, monkeypatch):
@@ -311,17 +319,17 @@ class TestLeastSquaresStep:
     def test_step_memory_per_index(self, start_5000):
         # one step stays within 500 B per index (about 385 B measured): the
         # band matrix in LAPACK's layout (10 rows of three slots per index,
-        # 240 B), which dgbsv factors in place, and the linearization's
-        # coefficient arrays
+        # 240 B), which dgbtrf factors in place, and the linearization's
+        # coefficient arrays; dgbtrs then solves in the right-hand side
         params, d0 = start_5000
         cert = derive_full(params, d0)
         tracemalloc.start()
         try:
-            _, ok, _ = newton_step(cert)
+            s = newton_step(cert)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert ok
+        assert s is not None
         assert peak <= 500 * params.N
 
 
@@ -421,6 +429,34 @@ def counting(monkeypatch, owner, name, wrap=None):
     return calls
 
 
+def chord_solves(monkeypatch, change):
+    """Pass the result (x, info) of each chord step's dgbtrs call through
+    `change(k, x, info)`, k = 1, 2, ... the chord solves so far; returns the
+    list of the chord solves. dgbtrs solves the factored steps too: the
+    first call after each dgbtrf is the factored step's, and it is left
+    alone."""
+    lapack_mod = solver_mod._lapack()
+    real_dgbtrf, real_dgbtrs = lapack_mod.dgbtrf, lapack_mod.dgbtrs
+    solves = []  # one entry per dgbtrs call since the last dgbtrf
+    chords = []
+
+    def factor(*args, **kwargs):
+        solves.clear()
+        return real_dgbtrf(*args, **kwargs)
+
+    def solve(*args, **kwargs):
+        x, info = real_dgbtrs(*args, **kwargs)
+        solves.append(None)
+        if len(solves) == 1:
+            return x, info
+        chords.append(None)
+        return change(len(chords), x, info)
+
+    monkeypatch.setattr(lapack_mod, "dgbtrf", factor)
+    monkeypatch.setattr(lapack_mod, "dgbtrs", solve)
+    return chords
+
+
 class TestChordSteps:
     # after each factored step the band's LU is kept, and further steps
     # solve with it while each one shrinks ||eps||_2 to at most
@@ -430,12 +466,9 @@ class TestChordSteps:
         # the second chord step is cut to a tenth, so it cannot shrink
         # ||eps|| twentyfold: it is discarded, and a new factored step is
         # taken from the same iterate, after which chord steps resume
-        def weak_second(real, *args, **kwargs):
-            x, info = real(*args, **kwargs)
-            return (0.1 * x if len(chords) == 2 else x), info
-
-        chords = counting(monkeypatch, solver_mod._lapack(), "dgbtrs", weak_second)
-        steps = counting(monkeypatch, solver_mod, "newton_step")
+        chords = chord_solves(monkeypatch,
+                              lambda k, x, info: ((0.1 * x if k == 2 else x), info))
+        steps = counting(monkeypatch, solver_mod, "_factor")
         params = solve_rate_params(13)
         report = solver_mod.gauss_newton(params, closed_form_start(13))
         assert report.iterations == len(steps) == 2
@@ -448,12 +481,10 @@ class TestChordSteps:
         assert report.residual_sup <= solver_mod.RESIDUAL_TOL
 
     def test_failed_dgbtrs_leads_to_refactorization(self, monkeypatch):
-        # dgbtrs reports an invalid argument on every call: each chord step
-        # is dropped, and every step is factored, as in plain Gauss-Newton
-        def invalid(real, ab, kl, ku, b, ipiv, **kwargs):
-            return b, -2
-
-        chords = counting(monkeypatch, solver_mod._lapack(), "dgbtrs", invalid)
+        # dgbtrs reports an invalid argument on every chord solve, each call
+        # after the first with one factorization: each chord step is dropped,
+        # and every step is factored, as in plain Gauss-Newton
+        chords = chord_solves(monkeypatch, lambda k, x, info: (x, -2))
         report = solver_mod.gauss_newton(solve_rate_params(13), closed_form_start(13))
         assert (report.iterations, report.chord_steps) == (3, 0)
         assert len(chords) == 2  # one after each factored step but the last
@@ -468,7 +499,7 @@ class TestChordSteps:
         report = solver_mod.gauss_newton(params, d0)
         assert report.iterations + report.chord_steps == 5
         monkeypatch.setattr(solver_mod, "MAX_ITER", 4)
-        steps = counting(monkeypatch, solver_mod, "newton_step")
+        steps = counting(monkeypatch, solver_mod, "_factor")
         with pytest.raises(NonConvergence, match="within 4 steps") as err:
             solver_mod.gauss_newton(params, d0)
         assert err.value.N == 13
@@ -488,27 +519,22 @@ class TestChordSteps:
         # each earlier LU must be gone before the next band is built, and
         # the last one once the solve returns
         # (these wrappers keep no reference to their arguments)
+        chord_solves(monkeypatch, lambda k, x, info: (0.1 * x, info))
         lapack_mod = solver_mod._lapack()
-        real_dgbtrs, real_dgbsv = lapack_mod.dgbtrs, lapack_mod.dgbsv
-        real_step = solver_mod.newton_step
+        real_dgbtrf, real_factor = lapack_mod.dgbtrf, solver_mod._factor
         factors = []
 
-        def weak(*args, **kwargs):
-            x, info = real_dgbtrs(*args, **kwargs)
-            return 0.1 * x, info
-
         def tracked(*args, **kwargs):
-            out = real_dgbsv(*args, **kwargs)
+            out = real_dgbtrf(*args, **kwargs)
             factors.append(weakref.ref(out[0]))
             return out
 
         def before_band(*args, **kwargs):
             assert all(ref() is None for ref in factors)
-            return real_step(*args, **kwargs)
+            return real_factor(*args, **kwargs)
 
-        monkeypatch.setattr(lapack_mod, "dgbtrs", weak)
-        monkeypatch.setattr(lapack_mod, "dgbsv", tracked)
-        monkeypatch.setattr(solver_mod, "newton_step", before_band)
+        monkeypatch.setattr(lapack_mod, "dgbtrf", tracked)
+        monkeypatch.setattr(solver_mod, "_factor", before_band)
         report = solver_mod.gauss_newton(solve_rate_params(13), closed_form_start(13))
         assert report.iterations == len(factors) == 3
         assert all(ref() is None for ref in factors)
@@ -635,7 +661,7 @@ class TestBootstrap:
     def test_single_start_failure_raises(self, monkeypatch):
         # the one start is not a certificate, its first step fails, and there
         # is no fallback start
-        monkeypatch.setattr(solver_mod, "newton_step", lambda *args: (None, False, None))
+        monkeypatch.setattr(solver_mod, "_factor", lambda *args: None)
         with pytest.raises(NonConvergence) as err:
             next(solver_mod.sweep([3]))
         assert err.value.N == 3
@@ -747,17 +773,17 @@ class TestSweep:
         # N = 3..30 and at most two at any strided size
         sizes = sorted({*range(3, 61), *range(60, 1001, 94), *range(1000, 2001, 500)})
         steps = {rep.params.N: (rep.iterations, rep.chord_steps) for rep in sweep(sizes)}
-        assert sum(f for f, _ in steps.values()) <= 115
+        assert sum(f for f, _ in steps.values()) == 70
         assert max(steps[n][0] for n in sizes if n > 60) <= 2
-        assert sum(c for _, c in steps.values()) <= 55
+        assert sum(c for _, c in steps.values()) == 51
         assert max(steps[n][1] for n in sizes if n > 60) <= 2
 
     def test_dense_sweep_steps(self):
         # one factored step at each of the 298 sizes of 3..300, and 41
         # chord steps in all, every one at N <= 30
         reports = list(sweep(range(3, 301)))
-        assert sum(rep.iterations for rep in reports) <= 340
-        assert sum(rep.chord_steps for rep in reports) <= 45
+        assert sum(rep.iterations for rep in reports) == 298
+        assert sum(rep.chord_steps for rep in reports) == 41
         assert all(rep.chord_steps == 0 for rep in reports if rep.params.N > 30)
 
     def test_keeps_only_what_continuation_needs(self):
