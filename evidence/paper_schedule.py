@@ -40,9 +40,10 @@ import scipy
 
 from pepcert import (BALANCE_TOL, lower_bound_envelope, oracle_check, oracle_scale,
                      slack_psd_check, sweep)
-from pepcert.cli import ORACLE_TOL, _parser, _sweep_sizes
+from pepcert.cli import _parser, _sweep_sizes
 from pepcert.recursion import DELTA_TOL
 from pepcert.solver import RESIDUAL_TOL
+from pepcert.verifier import ORACLE_TOL
 
 README_SCHEDULE = ["sweep", "20160", "--segment", "3:2240:1", "--segment", "2240:8960:320",
                    "--segment", "8960:20160:1600"]

@@ -18,7 +18,7 @@ The library is organized around five pieces:
   `oracle_check` and the rank-one slack check `slack_psd_check`, through
   the slack's factors. A certificate's `positive` and `delta` give the rate
   bound r + delta/2.
-- `certfile`/`cli`: the pepcert/1 file format and command-line front end.
+- `certfile`/`cli`: the pepcert/1 format and its checked read; the front end.
 
 `pepcert verify` re-derives a file's vectors from d, checks the stored ones
 against them, and gates positivity and delta; `--oracle` adds the coefficient
@@ -38,6 +38,7 @@ from .certfile import (
     params_from_file,
     parse_certificate,
     read_certificate,
+    read_checked,
     render_certificate,
     write_certificate,
 )

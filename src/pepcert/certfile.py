@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rates import RateParams
-from .recursion import FullCertificate
+from .recursion import FullCertificate, derive_full
 
 __all__ = [
     "FORMAT_TAG",
@@ -50,9 +50,11 @@ __all__ = [
     "certificate_file",
     "default_path",
     "params_from_file",
+    "read_checked",
 ]
 
 FORMAT_TAG = "pepcert/1"
+CROSS_TOL = 1e-12
 _HEADER_KEYS = ("format", "N", "alpha", "r", "delta")
 # block names in file order, each with its length minus N
 _BLOCKS = (("d", -1), ("a", 0), ("b", -1), ("c", 1), ("eps", 1))
@@ -184,3 +186,23 @@ def params_from_file(cf: CertificateFile) -> RateParams:
         return RateParams(N=cf.N, alpha=cf.alpha, r=cf.r).check_balance()
     except ValueError as exc:
         raise CertificateFormatError(f"inconsistent rate parameters: {exc}") from exc
+
+
+def read_checked(path) -> tuple[CertificateFile, FullCertificate]:
+    """The read of `pepcert verify` and `plotdata`: the file at `path` and
+    the certificate derived from its d, once each stored vector matches it
+    to CROSS_TOL; else CertificateFormatError. A finite d whose derivation
+    overflows gives NaN vectors, which the gates reject, and no numpy
+    warning."""
+    cf = read_certificate(path)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cert = derive_full(params_from_file(cf), cf.d)
+    for name in ("a", "b", "c", "eps"):
+        stored = getattr(cf, name)
+        if stored is None:
+            continue
+        gap = float(np.max(np.abs(stored - getattr(cert, name))))
+        if not gap <= CROSS_TOL:  # a NaN gap is corruption too
+            raise CertificateFormatError(
+                f"stored {name} in {path} deviates from recomputed by {gap:.3e}")
+    return cf, cert

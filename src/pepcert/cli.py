@@ -26,8 +26,8 @@ import numpy as np
 
 from . import certfile, solver
 from .rates import huber_rate, lower_bound_envelope, quadratic_rate, solve_rate_params
-from .recursion import DELTA_TOL, derive_full
-from .verifier import oracle_check, oracle_scale
+from .recursion import DELTA_TOL
+from .verifier import ORACLE_TOL, oracle_check, oracle_scale
 
 # solver.gauss_newton and solver.sweep are looked up on the module at each
 # call, so a replacement there (a monkeypatch, a tracer) takes effect; scipy
@@ -41,8 +41,6 @@ EXIT_VERIFY_FAIL = 3
 EXIT_CORRUPT = 4
 EXIT_WRITE = 5
 
-CROSS_TOL = 1e-12
-ORACLE_TOL = 1e-10
 MAX_GRID_POINTS = 10**6  # envelope --grid
 
 
@@ -241,27 +239,8 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _read_checked(path):
-    """The file at `path` and the certificate derived from its d, once each
-    stored vector matches it to CROSS_TOL; else CertificateFormatError (exit 4).
-    A finite d whose derivation overflows gives NaN vectors, which the gates
-    reject, and no numpy warning."""
-    cf = certfile.read_certificate(path)
-    with np.errstate(over="ignore", invalid="ignore"):
-        cert = derive_full(certfile.params_from_file(cf), cf.d)
-    for name in ("a", "b", "c", "eps"):
-        stored = getattr(cf, name)
-        if stored is None:
-            continue
-        gap = float(np.max(np.abs(stored - getattr(cert, name))))
-        if not gap <= CROSS_TOL:  # a NaN gap is corruption too
-            raise certfile.CertificateFormatError(
-                f"stored {name} in {path} deviates from recomputed by {gap:.3e}")
-    return cf, cert
-
-
 def cmd_verify(args) -> int:
-    cf, cert = _read_checked(args.file)
+    cf, cert = certfile.read_checked(args.file)
     params, is_cert, delta = cert.params, cert.positive, cert.delta
     print(f"N {params.N}")
     print(f"delta {delta:.6e}")
@@ -289,7 +268,7 @@ def cmd_plotdata(args) -> int:
     for path, stem in zip(args.files, stems):
         if stems.count(stem) > 1:
             raise _UsageError(f"{stem}_*.dat would be written for more than one input file")
-        _, cert = _read_checked(path)
+        _, cert = certfile.read_checked(path)
         for name in ("a", "b", "c", "d"):
             vec = getattr(cert, name)
             top = float(np.max(vec))

@@ -30,7 +30,7 @@ import importlib.util
 import os
 from collections import deque
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -73,14 +73,12 @@ class SolveReport:
     """Record of one converged Gauss-Newton run and its strictly positive
     certificate; gauss_newton raises NonConvergence rather than return any
     other outcome. `iterations` counts the band factorizations and
-    `chord_steps` the steps that reused one; `res_norms` holds ||eps||_2 of
-    every accepted iterate, the start included. `params`, `d`,
+    `chord_steps` the steps that reused one. `params`, `d`,
     `residual_sup` and `delta` are read from `cert`."""
 
     cert: FullCertificate
     iterations: int
     chord_steps: int
-    res_norms: list[float] = field(default_factory=list)
 
     @property
     def params(self) -> RateParams:
@@ -317,8 +315,7 @@ def gauss_newton(params: RateParams, d0) -> SolveReport:
     -------
     SolveReport of the converged, positive certificate; `iterations` counts
     the factored steps and `chord_steps` the accepted chord steps, at most
-    MAX_ITER together, and `res_norms` has ||eps||_2 of every accepted
-    iterate, the start included.
+    MAX_ITER together.
 
     Raises
     ------
@@ -329,12 +326,11 @@ def gauss_newton(params: RateParams, d0) -> SolveReport:
         never reported as converged.
     """
     cert = derive_full(params, d0)
-    norms: list[float] = []
     factored = chords = 0
     lu = None
     for it in range(MAX_ITER + 1):
         sup = float(np.max(np.abs(cert.eps)))
-        norms.append(float(np.linalg.norm(cert.eps)))
+        norm = float(np.linalg.norm(cert.eps))
         if sup <= RESIDUAL_TOL and cert.delta <= DELTA_TOL:
             if not cert.positive:
                 raise NonConvergence(
@@ -342,8 +338,7 @@ def gauss_newton(params: RateParams, d0) -> SolveReport:
                     "is not strictly positive",
                     N=params.N,
                 )
-            return SolveReport(cert=cert, iterations=factored, chord_steps=chords,
-                               res_norms=norms)
+            return SolveReport(cert=cert, iterations=factored, chord_steps=chords)
         if it == MAX_ITER:
             break
         if lu is not None:
@@ -351,7 +346,7 @@ def gauss_newton(params: RateParams, d0) -> SolveReport:
             trial = None if s is None else derive_full(params, cert.d + s)
             # a NaN norm fails the test too
             if (trial is not None
-                    and np.linalg.norm(trial.eps) <= CHORD_CONTRACTION * norms[-1]):
+                    and np.linalg.norm(trial.eps) <= CHORD_CONTRACTION * norm):
                 cert = trial
                 chords += 1
                 continue
@@ -369,7 +364,7 @@ def gauss_newton(params: RateParams, d0) -> SolveReport:
         t = 1.0
         while t >= 2.0**-20:
             trial = derive_full(params, cert.d + t * s)
-            if np.linalg.norm(trial.eps) < norms[-1]:
+            if np.linalg.norm(trial.eps) < norm:
                 cert = trial
                 break
             t *= 0.5

@@ -33,6 +33,9 @@ from .recursion import FullCertificate
 
 __all__ = ["oracle_check", "oracle_scale", "slack_psd_check"]
 
+# verify --oracle certifies a deviation of at most ORACLE_TOL * oracle_scale
+ORACLE_TOL = 1e-10
+
 # slack_psd_check: entrywise tolerance, and the Frobenius bound that implies
 # sigma_2 <= 1e-10 sigma_1, since tau / (1 - tau) = 1e-10
 SLACK_ENTRY_TOL = 1e-12

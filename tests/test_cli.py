@@ -958,6 +958,19 @@ class TestImports:
         assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0] [] 0 True False"
         assert (tmp_path / "curves" / "cert_N00005.txt").is_file()
 
+    def test_checked_read_loads_neither_scipy_nor_cli(self, cert_dir):
+        # a library caller gets verify's read without the command line; the
+        # package imports the solver module, but no solve runs, so scipy,
+        # which the first factorization loads, stays out too
+        script = ("import sys\n"
+                  "from pepcert.certfile import read_checked\n"
+                  "_, cert = read_checked(sys.argv[1])\n"
+                  "print(cert.params.N, sorted({'scipy', 'mpmath', 'pepcert.cli'} & set(sys.modules)))\n")
+        proc = subprocess.run([sys.executable, "-c", script, str(cert_dir / "cert_N00010.txt")],
+                              capture_output=True, text=True, env=src_env(), timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "10 []"
+
     def test_unknown_name(self):
         with pytest.raises(AttributeError, match="no_such_name"):
             pepcert.no_such_name

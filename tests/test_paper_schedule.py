@@ -9,16 +9,22 @@ import pathlib
 
 import pytest
 
-from pepcert import (BALANCE_TOL, certificate_file, default_path, solve_rate_params, sweep,
-                     write_certificate)
-from pepcert.cli import _parser, _read_checked, _sweep_sizes
+from pepcert import (BALANCE_TOL, certificate_file, default_path, read_checked,
+                     solve_rate_params, sweep, write_certificate)
+from pepcert.cli import _parser, _sweep_sizes
 from pepcert.recursion import DELTA_TOL
 from pepcert.solver import RESIDUAL_TOL
 
 EVIDENCE = pathlib.Path(__file__).resolve().parent.parent / "evidence"
 SUMMARY = EVIDENCE / "paper_schedule.csv"
-README_SCHEDULE = ["sweep", "20160", "--segment", "3:2240:1", "--segment", "2240:8960:320",
-                   "--segment", "8960:20160:1600"]
+
+
+@pytest.fixture(scope="module")
+def evidence():
+    spec = importlib.util.spec_from_file_location("paper_schedule", EVIDENCE / "paper_schedule.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
@@ -27,8 +33,8 @@ def rows():
         return list(csv.DictReader(line for line in fh if not line.startswith("#")))
 
 
-def test_one_row_per_size_of_the_readme_schedule(rows):
-    sizes = _sweep_sizes(_parser().parse_args(README_SCHEDULE))
+def test_one_row_per_size_of_the_readme_schedule(rows, evidence):
+    sizes = _sweep_sizes(_parser().parse_args(evidence.README_SCHEDULE))
     assert len(rows) == len(sizes) == 2266
     assert [int(row["N"]) for row in rows] == sizes
 
@@ -54,13 +60,10 @@ def test_rate_parameters_are_the_balancing_pair(rows):
         assert (float(row["alpha"]), float(row["r"])) == (params.alpha, params.r)
 
 
-def test_row_from_memory_equals_row_from_the_file(tmp_path):
+def test_row_from_memory_equals_row_from_the_file(tmp_path, evidence):
     # the script checks each certificate as it is solved and writes no file;
     # a certificate written by `write_certificate` and read back as `verify`
     # reads it gives the same row, timings aside
-    spec = importlib.util.spec_from_file_location("paper_schedule", EVIDENCE / "paper_schedule.py")
-    evidence = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(evidence)
     timing = {evidence.COLUMNS.index("solve_s"), evidence.COLUMNS.index("check_s")}
 
     def untimed(row):
@@ -71,7 +74,7 @@ def test_row_from_memory_equals_row_from_the_file(tmp_path):
         row, failed = evidence.summary_row(report.cert, *steps, 0.0)
         path = default_path(tmp_path, report.params.N)
         write_certificate(certificate_file(report.cert), path)
-        _, cert = _read_checked(path)
+        _, cert = read_checked(path)
         again, failed_again = evidence.summary_row(cert, *steps, 0.0)
         assert untimed(again) == untimed(row)
         assert failed == failed_again == []

@@ -348,11 +348,12 @@ class TestGaussNewton:
         assert again.iterations + again.chord_steps <= 1
         assert np.max(np.abs(again.d - rep.d)) <= 1e-14
 
-    def test_descent_and_delta_bound(self):
+    def test_descent_and_delta_bound(self, monkeypatch):
         # the cold start takes one factored step and four chord steps, so
         # there are six norms
+        record = accepted_norms(monkeypatch)
         report = gauss_newton(solve_rate_params(13), closed_form_start(13))
-        norms = report.res_norms
+        norms = record(report)
         assert (report.iterations, report.chord_steps) == (1, 4)
         assert len(norms) == 6
         assert all(b < a for a, b in zip(norms, norms[1:]))
@@ -457,6 +458,29 @@ def chord_solves(monkeypatch, change):
     return chords
 
 
+def accepted_norms(monkeypatch):
+    """Wrap solver._solve; returns `norms(report)`, the ||eps||_2 of every
+    accepted iterate of the solve that gave `report`, the start included.
+    Each step solves at the iterate it leaves, and a refactorization after a
+    refused chord step solves again at the same one, so a repeated value
+    marks one; the final certificate takes no step and ends the list. The
+    norms are those of the calls since the last `norms`."""
+    real = solver_mod._solve
+    seen = []
+
+    def solve(lu, eps):
+        seen.append(float(np.linalg.norm(eps)))
+        return real(lu, eps)
+
+    def norms(report):
+        out = [x for k, x in enumerate(seen) if k == 0 or x != seen[k - 1]]
+        seen.clear()
+        return out + [float(np.linalg.norm(report.cert.eps))]
+
+    monkeypatch.setattr(solver_mod, "_solve", solve)
+    return norms
+
+
 class TestChordSteps:
     # after each factored step the band's LU is kept, and further steps
     # solve with it while each one shrinks ||eps||_2 to at most
@@ -475,7 +499,8 @@ class TestChordSteps:
         # the discarded chord step is not counted, and the next factored
         # step starts where the first chord step ended
         assert report.chord_steps == len(chords) - 1
-        first_chord = gauss_newton(params, closed_form_start(13)).res_norms[2]
+        record = accepted_norms(monkeypatch)
+        first_chord = record(gauss_newton(params, closed_form_start(13)))[2]
         assert np.linalg.norm(steps[1][0].eps) == first_chord
         assert report.cert.positive
         assert report.residual_sup <= solver_mod.RESIDUAL_TOL
@@ -505,12 +530,15 @@ class TestChordSteps:
         assert err.value.N == 13
         assert len(steps) == 1
 
-    def test_norm_decreases_at_every_accepted_iterate(self):
-        reports = [gauss_newton(solve_rate_params(n), closed_form_start(n))
-                   for n in (3, 4, 13, 100, 2000)]
-        reports += sweep([*range(3, 41), 60, 90, 130])
-        for report in reports:
-            norms = report.res_norms
+    def test_norm_decreases_at_every_accepted_iterate(self, monkeypatch):
+        # each report's norms are taken before the next solve starts
+        record = accepted_norms(monkeypatch)
+        reports = []
+        for n in (3, 4, 13, 100, 2000):
+            report = gauss_newton(solve_rate_params(n), closed_form_start(n))
+            reports.append((report, record(report)))
+        reports += [(report, record(report)) for report in sweep([*range(3, 41), 60, 90, 130])]
+        for report, norms in reports:
             assert len(norms) == report.iterations + report.chord_steps + 1
             assert all(b < a for a, b in zip(norms, norms[1:]))
 
