@@ -59,15 +59,10 @@ def huber_rate(N, alpha):
 
 
 def _log_balance(N: int, alpha: float) -> float:
-    # log of (alpha-1)^(2N) (2N alpha + 1); root of this = root of the balance
-    # defect. Log domain keeps (alpha-1)^(2N) from underflowing at large N.
-    if alpha <= 1.0:
-        return -math.inf
+    # log of (alpha-1)^(2N) (2N alpha + 1) for alpha > 1; root of this = root
+    # of the balance defect. Log domain keeps (alpha-1)^(2N) from underflowing
+    # at large N.
     return 2 * N * math.log(alpha - 1.0) + math.log(2 * N * alpha + 1.0)
-
-
-def _log_balance_slope(N: int, alpha: float) -> float:
-    return 2 * N / (alpha - 1.0) + 2 * N / (2 * N * alpha + 1.0)
 
 
 @dataclass(frozen=True)
@@ -120,10 +115,11 @@ class RateParams:
 def solve_rate_params(N: int) -> RateParams:
     """Solve the balance equation for the stepsize alpha(N) >= 1 and rate r(N).
 
-    Bisection brackets the sign change of the log-domain balance defect on
-    [1, 2), then safeguarded Newton polishes the root. The defect is -inf at
-    1 and log(4N + 1) > 0 at 2, and strictly increasing on (1, 2) (its slope
-    is positive), so the root exists and is unique.
+    Bisection of the log-domain balance defect on [1, 2), down to adjacent
+    floats. The defect tends to -inf at 1, is log(4N + 1) > 0 at 2, and is
+    strictly increasing in between, so the root exists and is unique. The
+    loop keeps _log_balance(N, lo) < 0 <= _log_balance(N, hi) and stops when
+    the midpoint rounds to lo or hi; that midpoint is alpha.
 
     Returns float64 parameters: alpha within ~1 ulp of the true root, r the
     common value from the well-conditioned Huber side.
@@ -131,27 +127,14 @@ def solve_rate_params(N: int) -> RateParams:
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     lo, hi = 1.0, 2.0
-    # bisect to a short bracket, then Newton confined to it
-    for _ in range(20):
-        mid = 0.5 * (lo + hi)
-        if _log_balance(N, mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    alpha = 0.5 * (lo + hi)
-    for _ in range(60):
-        f = _log_balance(N, alpha)
-        if f < 0.0:
+    while True:
+        alpha = 0.5 * (lo + hi)
+        if alpha == lo or alpha == hi:
+            break
+        if _log_balance(N, alpha) < 0.0:
             lo = alpha
         else:
             hi = alpha
-        step = f / _log_balance_slope(N, alpha)
-        nxt = alpha - step
-        if not lo < nxt < hi:
-            nxt = 0.5 * (lo + hi)
-        if nxt == alpha:
-            break
-        alpha = nxt
     return RateParams(N=N, alpha=alpha, r=huber_rate(N, alpha)).check_balance()
 
 

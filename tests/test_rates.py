@@ -33,6 +33,48 @@ def bisection_oracle(n, iterations=220, dps=80):
         return alpha, 1 / (2 * (2 * n * alpha + 1))
 
 
+def two_stage_alpha(N):
+    """The earlier float64 root finder, kept verbatim as the reference for
+    solve_rate_params: 20 bisection steps on [1, 2), then Newton confined to
+    the bracket, with its own log-domain defect and slope."""
+    def log_balance(alpha):
+        if alpha <= 1.0:
+            return -math.inf
+        return 2 * N * math.log(alpha - 1.0) + math.log(2 * N * alpha + 1.0)
+
+    def log_balance_slope(alpha):
+        return 2 * N / (alpha - 1.0) + 2 * N / (2 * N * alpha + 1.0)
+
+    lo, hi = 1.0, 2.0
+    for _ in range(20):
+        mid = 0.5 * (lo + hi)
+        if log_balance(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    alpha = 0.5 * (lo + hi)
+    for _ in range(60):
+        f = log_balance(alpha)
+        if f < 0.0:
+            lo = alpha
+        else:
+            hi = alpha
+        step = f / log_balance_slope(alpha)
+        nxt = alpha - step
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+        if nxt == alpha:
+            break
+        alpha = nxt
+    return alpha
+
+
+# the README schedule's sizes, then powers up to where alpha rounds to 2
+REFERENCE_SIZES = [*range(1, 2241), *range(2560, 8961, 320),
+                   *range(10560, 20161, 1600), *(2**k for k in range(15, 63)),
+                   *(10**k for k in range(7, 19))]
+
+
 def balance_defect(n, alpha):
     # (alpha-1)^(2n) (2n alpha + 1) - 1, zero at the balancing stepsize
     return (alpha - 1.0) ** (2 * n) * (2 * n * alpha + 1.0) - 1.0
@@ -55,6 +97,24 @@ class TestSolveRateParams:
         params = solve_rate_params(n)
         assert abs(params.alpha - float(alpha_star)) <= 2 * math.ulp(params.alpha)
         assert abs(params.r - float(r_star)) <= 2 * math.ulp(params.r)
+
+    def test_bit_identical_to_two_stage_reference(self):
+        # same alpha and r bit for bit, or the same ValueError where alpha
+        # rounds to 2; the tests above allow 2 ulp
+        errors = 0
+        for n in REFERENCE_SIZES:
+            alpha = two_stage_alpha(n)
+            try:
+                want = RateParams(N=n, alpha=alpha, r=huber_rate(n, alpha)).check_balance()
+            except ValueError as err:
+                errors += 1
+                with pytest.raises(ValueError) as got:
+                    solve_rate_params(n)
+                assert str(got.value) == str(err), n
+                continue
+            got = solve_rate_params(n)
+            assert (got.alpha.hex(), got.r.hex()) == (want.alpha.hex(), want.r.hex()), n
+        assert errors > 0
 
     def test_n100_rate_decreasing_and_balanced(self):
         p99, p100 = solve_rate_params(99), solve_rate_params(100)
