@@ -53,7 +53,6 @@ from .rates import (
     quadratic_rate,
     simulate,
     solve_rate_params,
-    solve_rate_params_mp,
 )
 from .recursion import (
     FullCertificate,

@@ -25,7 +25,6 @@ __all__ = [
     "huber",
     "SimTrace",
     "solve_rate_params",
-    "solve_rate_params_mp",
     "quadratic_rate",
     "huber_rate",
     "simulate",
@@ -136,28 +135,6 @@ def solve_rate_params(N: int) -> RateParams:
         else:
             hi = alpha
     return RateParams(N=N, alpha=alpha, r=huber_rate(N, alpha)).check_balance()
-
-
-def solve_rate_params_mp(N: int, dps: int = 50):
-    """High-precision (alpha, r) as a pair of mpmath scalars.
-
-    Newton on the log-domain balance defect, seeded by the float64 root; the
-    residual lands near 10**(5 - dps). Use for tolerance studies where float64
-    quantization of alpha (relative defect ~ 2 N eps) is too coarse.
-    """
-    import mpmath as mp  # here, not at the top: no other function needs it
-
-    seed = solve_rate_params(N).alpha
-    with mp.workdps(dps):
-        a = mp.mpf(seed)
-        for _ in range(6):
-            f = 2 * N * mp.log(a - 1) + mp.log(2 * N * a + 1)
-            step = f / (2 * N / (a - 1) + 2 * N / (2 * N * a + 1))
-            a -= step
-            if abs(step) < mp.mpf(10) ** (2 - dps):
-                break
-        r = 1 / (2 * (2 * N * a + 1))
-        return +a, +r
 
 
 def quadratic(x: float) -> tuple[float, float]:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from dense_reference import aggregate, assemble_lambda, pattern_mask, rhs_with_errors, slack_gram
+from high_precision import solve_rate_params_mp
 from pepcert import (
     RateParams,
     derive_full,
@@ -24,7 +25,6 @@ from pepcert import (
     simulate,
     slack_psd_check,
     solve_rate_params,
-    solve_rate_params_mp,
     sweep,
 )
 from pepcert import cli

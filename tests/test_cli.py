@@ -254,6 +254,12 @@ class TestSweep:
         assert (tmp_path / "cert_N00003.txt").exists()
         assert len(list(tmp_path.glob("cert_*.txt"))) == 1
 
+    def test_n_max_too_small(self, capsys, tmp_path):
+        code, _, err = run(capsys, "sweep", 2, "--outdir", tmp_path)
+        assert code == 1
+        assert err == "usage error: sweep requires N_MAX >= 3\n"
+        assert not list(tmp_path.iterdir())
+
     def test_size_past_memory_mid_sweep_is_usage_error(self, capsys, tmp_path):
         # the file of the size before it stays
         huge = f"{10**15}:{10**15}:1"
@@ -347,6 +353,7 @@ class TestSweep:
         ("--segment", "3:2:1"),  # ends below its start
         ("--segment", "3:10:0"),
         ("--segment", "3:10:1", "--segment", "2:5:1"),  # a later segment below N=3
+        ("--segment", "3:10"),  # no stride
     ])
     def test_bad_schedule_is_usage_error(self, capsys, tmp_path, flags):
         code, _, err = run(capsys, "sweep", 10, *flags, "--outdir", tmp_path)
@@ -715,6 +722,7 @@ class TestVerify:
 
     @pytest.mark.parametrize("anchor, offset, value", [
         ("a:", 3, "nan"), ("d:", 3, "inf"), ("alpha ", 0, "alpha nan"),
+        ("N ", 0, "N 10.5"),  # not an integer
     ])
     def test_non_finite_value_is_corruption(self, capsys, cert_dir, tmp_path,
                                             anchor, offset, value):
@@ -723,9 +731,10 @@ class TestVerify:
         lines[idx + offset] = value
         bad = tmp_path / "nonfinite.txt"
         bad.write_text("\n".join(lines) + "\n")
-        code, out, _ = run(capsys, "verify", bad)
+        code, out, err = run(capsys, "verify", bad)
         assert code == 4
         assert "CERTIFIED" not in out
+        assert err.startswith("corrupt certificate: ") and err.count("\n") == 1
 
     def test_nan_gap_is_corruption(self, capsys, cert_dir, monkeypatch):
         # the cross check itself must not pass a NaN, whatever the parser lets in
@@ -970,6 +979,21 @@ class TestImports:
                               capture_output=True, text=True, env=src_env(), timeout=300)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "10 []"
+
+    def test_commands_run_without_mpmath(self, tmp_path):
+        # the package's declared dependencies are numpy and scipy alone
+        script = ("import sys\n"
+                  "sys.modules['mpmath'] = None  # any import of it fails\n"
+                  "from pepcert import cli\n"
+                  "out = sys.argv[1]\n"
+                  "codes = [cli.main(argv) for argv in (\n"
+                  "    ['solve', '300', '--outdir', out], ['sweep', '20', '--outdir', out],\n"
+                  "    ['verify', out + '/cert_N00300.txt', '--oracle'])]\n"
+                  "print(codes)\n")
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                              capture_output=True, text=True, env=src_env(), timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[0, 0, 0]"
 
     def test_unknown_name(self):
         with pytest.raises(AttributeError, match="no_such_name"):

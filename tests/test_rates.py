@@ -4,6 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from high_precision import solve_rate_params_mp
 from pepcert import (
     RateParams,
     huber,
@@ -13,7 +14,6 @@ from pepcert import (
     quadratic_rate,
     simulate,
     solve_rate_params,
-    solve_rate_params_mp,
 )
 
 
@@ -229,6 +229,10 @@ class TestSimulate:
         delta = 1.0 / (2 * n * alpha + 1.0)
         hub = simulate(huber(delta), 1.0, alpha, n)
         assert abs(hub.fvals[-1] - huber_rate(n, alpha)) <= 1e-12
+
+    def test_rejects_bad_n(self):
+        with pytest.raises(ValueError):
+            simulate(quadratic, 1.0, 1.5, 0)
 
     def test_huber_breakpoint_validation(self):
         for delta in (0.0, -0.25, 1.5, math.nan):

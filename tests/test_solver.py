@@ -10,6 +10,7 @@ from scipy.linalg import lapack, qr_multiply, solve_triangular
 
 import pepcert.solver as solver_mod
 from pepcert import (
+    FullCertificate,
     NonConvergence,
     RateParams,
     c_from_d,
@@ -391,6 +392,13 @@ class TestGaussNewton:
         except NonConvergence:
             return
         assert report.cert.positive
+
+    def test_non_positive_certificate_raises(self, monkeypatch):
+        # the residual and delta gates pass, yet the solve is not reported
+        monkeypatch.setattr(FullCertificate, "positive", property(lambda self: False))
+        with pytest.raises(NonConvergence, match="not strictly positive") as err:
+            gauss_newton(solve_rate_params(10), closed_form_start(10))
+        assert err.value.N == 10
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
