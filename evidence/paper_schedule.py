@@ -38,12 +38,10 @@ import time
 import numpy as np
 import scipy
 
-from pepcert import (BALANCE_TOL, lower_bound_envelope, oracle_check, oracle_scale,
-                     slack_psd_check, sweep)
+from pepcert import BALANCE_TOL, lower_bound_envelope, oracle_check, slack_psd_check, sweep
 from pepcert.cli import _parser, _sweep_sizes
 from pepcert.recursion import DELTA_TOL
 from pepcert.solver import RESIDUAL_TOL
-from pepcert.verifier import ORACLE_TOL
 
 README_SCHEDULE = ["sweep", "20160", "--segment", "3:2240:1", "--segment", "2240:8960:320",
                    "--segment", "8960:20160:1600"]
@@ -60,7 +58,8 @@ def summary_row(cert, factored, chord, solve_s):
     order with the solve's steps and seconds, and the names of the checks it
     fails."""
     start = time.perf_counter()
-    ratio = oracle_check(cert) / (ORACLE_TOL * oracle_scale(cert))
+    dev, tol = oracle_check(cert)
+    ratio = dev / tol
     slack = slack_psd_check(cert)
     check_s = time.perf_counter() - start
     params = cert.params

@@ -67,6 +67,6 @@ from .solver import (
     gauss_newton,
     sweep,
 )
-from .verifier import oracle_check, oracle_scale, slack_psd_check
+from .verifier import oracle_check, slack_psd_check
 
 __version__ = "0.1.0"

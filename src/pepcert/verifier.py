@@ -31,9 +31,9 @@ import numpy as np
 
 from .recursion import FullCertificate
 
-__all__ = ["oracle_check", "oracle_scale", "slack_psd_check"]
+__all__ = ["oracle_check", "slack_psd_check"]
 
-# verify --oracle certifies a deviation of at most ORACLE_TOL * oracle_scale
+# oracle_check's tolerance, relative to the aggregate's coefficient scale
 ORACLE_TOL = 1e-10
 
 # slack_psd_check: entrywise tolerance, and the Frobenius bound that implies
@@ -42,21 +42,18 @@ SLACK_ENTRY_TOL = 1e-12
 RANK_TAU = 1e-10 / (1.0 + 1e-10)
 
 
-def oracle_scale(cert: FullCertificate) -> float:
-    """Natural magnitude of the aggregate coefficients: entries grow like
-    c_i c_j / (2 r), so deviations are measured against max(1, ||c||^2 / r)."""
-    return max(1.0, float(np.dot(cert.c, cert.c) / cert.params.r))
+def oracle_check(cert: FullCertificate) -> tuple[float, float]:
+    """(deviation, tolerance): the max coefficient deviation between the
+    aggregated multiplier expansion and the target expansion, in O(N) time
+    and memory, and the bound it passes at, ORACLE_TOL * max(1, ||c||^2 / r),
+    since the aggregate's entries grow like c_i c_j / 2r. A NaN deviation
+    passes no comparison.
 
-
-def oracle_check(cert: FullCertificate) -> float:
-    """Max coefficient deviation between the aggregated multiplier expansion
-    and the target expansion, in O(N) time and memory.
-
-    The elimination identity makes this ~0 for every d and every admissible
-    (alpha, r), certificate or not; a nonzero value localizes a transcription
-    error. It is the maximum that comparing the dense aggregate of the
-    multiplier matrix with the dense target entry by entry gives, taken from
-    (a, b, c, d, eps) alone, without the recursion. With od_k = 1 +
+    The elimination identity makes the deviation ~0 for every d and every
+    admissible (alpha, r), certificate or not; a nonzero value localizes a
+    transcription error. It is the maximum that comparing the dense
+    aggregate of the multiplier matrix with the dense target entry by entry
+    gives, taken from (a, b, c, d, eps) alone, without the recursion. With od_k = 1 +
     sum_{l<k} d_l, and rows_j, cols_j the sums of the multiplier matrix's
     row and column of index j, the aggregate's gram is
     - c_j / 2 on the h row and 0 at (h, h), as the target's is: these agree
@@ -106,7 +103,8 @@ def oracle_check(cert: FullCertificate) -> float:
         np.max(np.abs(sup)),
         0.5 * np.max(block),
     ]
-    return float(np.max(deviations))  # np.max, unlike max, keeps a NaN
+    tolerance = ORACLE_TOL * max(1.0, float(np.dot(c, c) / r))
+    return float(np.max(deviations)), tolerance  # np.max, unlike max, keeps a NaN
 
 
 def _slack_factors(

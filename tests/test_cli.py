@@ -21,10 +21,12 @@ from pepcert.certfile import (
     params_from_file,
     parse_certificate,
     read_certificate,
+    read_checked,
     write_certificate,
 )
 from pepcert.rates import solve_rate_params
 from pepcert.recursion import derive_full
+from pepcert.verifier import oracle_check
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -270,17 +272,38 @@ class TestSweep:
         assert len(err.splitlines()) == 1
         assert [p.name for p in tmp_path.iterdir()] == ["cert_N00003.txt"]
 
-    def test_size_without_rate_params_mid_sweep_is_usage_error(self, capsys, tmp_path):
-        # alpha(N) rounds to 2 in float64: one usage line, as for `solve`,
-        # and the file of the size before it stays
+    def test_size_without_rate_params_mid_sweep_is_usage_error(self, capsys, tmp_path,
+                                                              monkeypatch):
+        # alpha(N) rounds to 2 in float64 at the largest size: one usage
+        # line, as for `solve`, and neither the solver nor the writer starts
+        calls = []
+        real_sweep = solver_mod.sweep
+
+        def counting_sweep(sizes):
+            calls.append(sizes)
+            return real_sweep(sizes)
+
+        monkeypatch.setattr(solver_mod, "sweep", counting_sweep)
         huge = 10**17
         code, out, err = run(capsys, "sweep", 3, "--segment", "3:3:1",
                              "--segment", f"{huge}:{huge}:1", "--outdir", tmp_path)
         assert code == 1
         assert err.startswith(f"usage error: no float64 rate parameters for N={huge}: ")
         assert len(err.splitlines()) == 1
-        assert [p.name for p in tmp_path.iterdir()] == ["cert_N00003.txt"]
-        assert len(out.splitlines()) == 2  # the header and the row of N=3
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
+        assert calls == []
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("n", [3, 300])
+    def test_one_size_sweep_writes_solves_file(self, capsys, tmp_path, n):
+        # both start cold from closed_form_start
+        assert cli.main(["solve", str(n), "--outdir", str(tmp_path / "solve")]) == 0
+        assert cli.main(["sweep", str(n), "--segment", f"{n}:{n}:1",
+                         "--outdir", str(tmp_path / "sweep")]) == 0
+        capsys.readouterr()
+        name = f"cert_N{n:05d}.txt"
+        assert (tmp_path / "sweep" / name).read_bytes() == (tmp_path / "solve" / name).read_bytes()
 
     def test_every_solved_size_passes_the_verify_gate(self, capsys, tmp_path):
         # on this strided schedule the warm start of N=12064 reached
@@ -617,8 +640,12 @@ class TestVerify:
     def test_oracle_flag(self, capsys, cert_dir):
         code, out, _ = run(capsys, "verify", cert_dir / "cert_N00010.txt", "--oracle")
         assert code == 0
+        # oracle_deviation X (tolerance Y), Y as oracle_check returns it
         line = next(l for l in out.splitlines() if l.startswith("oracle_deviation"))
-        assert float(line.split()[1]) <= 1e-10
+        dev, tol = (float(word.strip("()")) for word in line.split()[1::2])
+        _, cert = read_checked(cert_dir / "cert_N00010.txt")
+        assert tol == float(f"{oracle_check(cert)[1]:.3e}")
+        assert dev <= tol
 
     # the delta and oracle gates are fixed: no value of either flag is taken
     @pytest.mark.parametrize("flags", [
