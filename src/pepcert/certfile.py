@@ -25,12 +25,18 @@ but those present keep this order. N fixes the length of every block. The
 final newline is optional. Blank lines, unknown or reordered keys and
 blocks, and text after the last block are rejected, every number must be
 finite, and delta, a sum of positive parts of residuals, must not be
-negative. Numbers render as the shortest decimal that round-trips the
-64-bit binary value (Python repr), so parse(render(x)) is bit-identical.
+negative.
+
+Every number is written as the shortest decimal that round-trips its 64-bit
+binary value, so parse(render(x)) is bit-identical. Header values use
+Python's repr (2.48e-05, 1e+16); block values use orjson's layout, which is
+positional for 1e-5 <= |x| < 1e16 and otherwise writes an exponent with no
+plus sign or leading zero (0.0000248, 1e16, 2.5e-8). The parser reads either.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -85,17 +91,35 @@ def certificate_file(cert: FullCertificate) -> CertificateFile:
     )
 
 
+def _number_lines(vec, what: str) -> str:
+    """The entries of `vec` as float64, one shortest round-tripping decimal
+    a line, all rendered by one orjson call; ValueError on a NaN or inf,
+    which orjson would write as null."""
+    import orjson  # only a writer loads it
+
+    values = np.ascontiguousarray(vec, dtype=np.float64)
+    if not np.isfinite(values).all():
+        raise ValueError(f"cannot render the non-finite value in {what}")
+    text = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)
+    return text[1:-1].replace(b",", b"\n").decode()
+
+
 def render_certificate(cf: CertificateFile) -> str:
+    """The text of `cf` in the layout of the module docstring. A NaN or inf
+    anywhere raises ValueError: no file may hold one."""
     lines = [f"format {FORMAT_TAG}"]
     lines.append(f"N {cf.N}")
     for key in ("alpha", "r", "delta"):
-        lines.append(f"{key} {getattr(cf, key)!r}")
+        value = getattr(cf, key)
+        if not math.isfinite(value):
+            raise ValueError(f"cannot render the non-finite header value {key} {value!r}")
+        lines.append(f"{key} {value!r}")
     for name, _ in _BLOCKS:
         vec = getattr(cf, name)
         if vec is None:
             continue
         lines.append(f"{name}:")
-        lines.append("\n".join(map(repr, vec.tolist())))
+        lines.append(_number_lines(vec, f"block '{name}'"))
     return "\n".join(lines) + "\n"
 
 
@@ -156,7 +180,9 @@ def default_path(outdir, n: int) -> str:
 
 def write_certificate(cf: CertificateFile, path) -> str:
     """Write to `path` (for the canonical name, `default_path(outdir, N)`)
-    atomically: a temporary file in the same directory replaces the target."""
+    atomically: a temporary file in the same directory replaces the target.
+    The text is rendered before that file opens, so a certificate that does
+    not render (ValueError) leaves an old file at `path` as it was."""
     os.makedirs(os.path.dirname(os.path.abspath(os.fspath(path))), exist_ok=True)
     text = render_certificate(cf)
     tmp = f"{path}.{os.getpid()}.tmp"

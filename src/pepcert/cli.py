@@ -5,18 +5,19 @@ Subcommands: rates, solve, sweep, verify, plotdata, envelope.
 Exit codes: 0 verified/converged, 1 usage error, a solve or sweep whose
 arrays cannot be allocated too, 2 non-convergence, 3 verification failure,
 4 file corruption, 5 output could not be written, a closed standard output
-too (a sweep keeps the files it wrote before). Files
-go to --outdir, the working directory by default. The gates are fixed: a
-solve converges at max_i |eps_i| <= 1e-13 and delta <= 1e-11, and verify
-certifies a file whose delta, recomputed and as stored, is at most 1e-11 and,
-with --oracle, whose coefficient deviation is within the oracle's tolerance.
-Identical invocations produce byte-identical files.
+too (a sweep keeps the files it wrote before). Files go to --outdir, the
+working directory by default, in the layout of `certfile`, whose block
+numbers orjson renders. `sweep` starts no other process: it writes each
+size's file, then prints its row, before it solves the next size. The gates
+are fixed: a solve converges at max_i |eps_i| <= 1e-13 and delta <= 1e-11,
+and verify certifies a file whose delta, recomputed and as stored, is at
+most 1e-11 and, with --oracle, whose coefficient deviation is within the
+oracle's tolerance. Identical invocations produce byte-identical files.
 """
 
 from __future__ import annotations
 
 import argparse
-import collections
 import contextlib
 import functools
 import os
@@ -145,47 +146,6 @@ def _sweep_sizes(args) -> list[int]:
                    for n in range(start, stop + 1, stride)})
 
 
-def _write_files(conn, parent_end) -> None:
-    """The body of `sweep`'s writer process: write each (CertificateFile,
-    path) that arrives on `conn` and answer None, or answer the exception of
-    the first failed write and exit."""
-    import signal
-
-    # the sweep ends at EOF, also when it dies; Ctrl-C interrupts the sweep,
-    # which then waits for the files in flight
-    parent_end.close()
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    try:
-        while True:
-            cf, path = conn.recv()
-            try:
-                certfile.write_certificate(cf, path)
-                failure = None
-            except Exception as exc:
-                failure = exc
-            # a sweep that stopped listening still gets every file it sent
-            with contextlib.suppress(OSError):
-                conn.send(failure)
-            if failure is not None:
-                return
-    except (EOFError, OSError):
-        pass
-
-
-def _settle(conn, rows) -> None:
-    """Wait for the oldest file in flight and print its row once it is on disk."""
-    try:
-        failure = conn.recv()
-    except EOFError:
-        failure = ChildProcessError("the file writer exited")
-    row = rows.popleft()  # only now, so that an interrupted wait keeps it
-    if failure is not None:
-        rows.clear()  # the writer has exited
-        with _writing():
-            raise failure
-    print(row)
-
-
 def cmd_sweep(args) -> int:
     if args.N_MAX < 3:
         raise _UsageError("sweep requires N_MAX >= 3")
@@ -194,46 +154,22 @@ def cmd_sweep(args) -> int:
     # alpha(N) grows with N, so the largest size is the first whose alpha
     # rounds to 2; it is checked before anything starts
     _rate_params(sizes[-1])
-    import multiprocessing
-
-    # One forked process renders and writes the files while this one solves
-    # the next size. A row is printed only once its file is on disk, so the
-    # rows lag the solver by up to two sizes (at most two files are in
-    # flight), and every exit first waits for the files of the sizes already
-    # solved: an aborted sweep keeps its files. The writer starts before the
-    # header, because the fork flushes standard output first.
-    ctx = multiprocessing.get_context("fork")
-    conn, child_end = ctx.Pipe()
-    writer = ctx.Process(target=_write_files, args=(child_end, conn))
-    with _writing():
-        writer.start()
-    child_end.close()
+    # each row is printed once its file is on disk, before the next size is
+    # solved, so an aborted sweep keeps the file of every row it printed
     outdir = args.outdir
-    rows = collections.deque()
+    print(f"{'N':>6} {'alpha':>20} {'r':>14} {'iters':>5} {'sup|eps|':>10} {'delta':>10}")
     try:
-        print(f"{'N':>6} {'alpha':>20} {'r':>14} {'iters':>5} {'sup|eps|':>10} {'delta':>10}")
         with _in_memory("the sweep"):
-            try:
-                for report in solver.sweep(sizes):
-                    while rows and (len(rows) == 2 or conn.poll()):
-                        _settle(conn, rows)
-                    with _writing():  # the writer may have died
-                        conn.send((certfile.certificate_file(report.cert),
-                                   certfile.default_path(outdir, report.params.N)))
-                    rows.append(
-                        f"{report.params.N:>6} {report.params.alpha:>20.16f} "
-                        f"{report.params.r:>14.6e} {report.iterations:>5} "
-                        f"{report.residual_sup:>10.2e} {report.delta:>10.2e}"
-                    )
-            finally:
-                while rows:
-                    _settle(conn, rows)
+            for report in solver.sweep(sizes):
+                with _writing():
+                    certfile.write_certificate(certfile.certificate_file(report.cert),
+                                               certfile.default_path(outdir, report.params.N))
+                print(f"{report.params.N:>6} {report.params.alpha:>20.16f} "
+                      f"{report.params.r:>14.6e} {report.iterations:>5} "
+                      f"{report.residual_sup:>10.2e} {report.delta:>10.2e}")
     except solver.NonConvergence as exc:
         print(f"sweep aborted: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
-    finally:
-        conn.close()
-        writer.join()
     print(f"{len(sizes)} certificates written to {outdir}")
     return EXIT_OK
 

@@ -2,6 +2,7 @@ import contextlib
 import io
 import math
 import os
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -32,6 +33,21 @@ def tricky_file():
     )
 
 
+# values whose repr and orjson forms differ in layout, and the extremes
+EDGE_VALUES = [1e16, 1e22, 5e-324, 9.999999999999999e-05, 2.5e-08, -0.0,
+               1.7976931348623157e308, 2.48e-05]
+
+
+def edge_file():
+    params = solve_rate_params(len(EDGE_VALUES) + 1)
+    return CertificateFile(N=params.N, alpha=params.alpha, r=params.r, delta=0.0,
+                           d=np.array(EDGE_VALUES))
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
 def full_text(small_sweep):
     """A canonical file with every block, for N=5."""
     return render_certificate(certificate_file(small_sweep[5].cert))
@@ -39,14 +55,14 @@ def full_text(small_sweep):
 
 class TestRoundTrip:
     def test_bit_identical(self):
-        cf = tricky_file()
-        text = render_certificate(cf)
-        back = parse_certificate(text)
-        assert render_certificate(back) == text
-        np.testing.assert_array_equal(back.d, cf.d)
-        assert back.alpha == cf.alpha
-        assert back.r == cf.r
-        assert back.delta == cf.delta
+        for cf in (tricky_file(), edge_file()):
+            text = render_certificate(cf)
+            back = parse_certificate(text)
+            assert render_certificate(back) == text
+            np.testing.assert_array_equal(bits(back.d), bits(cf.d))  # -0.0 too
+            assert back.alpha == cf.alpha
+            assert back.r == cf.r
+            assert back.delta == cf.delta
 
     def test_full_payload_roundtrip(self, small_sweep, tmp_path):
         cf = certificate_file(small_sweep[7].cert)
@@ -57,15 +73,24 @@ class TestRoundTrip:
         assert render_certificate(back) == render_certificate(cf)
 
     def test_render_matches_per_element_form(self, small_sweep):
-        # the reference rendering: one repr(float(x)) line per entry
-        cf = certificate_file(small_sweep[20].cert)
-        lines = ["format pepcert/1", f"N {cf.N}"]
-        lines += [f"{key} {getattr(cf, key)!r}" for key in ("alpha", "r", "delta")]
-        for name in ("d", "a", "b", "c", "eps"):
-            lines.append(f"{name}:")
-            lines.extend(repr(float(x)) for x in getattr(cf, name))
-        expect = "\n".join(lines) + "\n"
-        assert render_certificate(cf).encode() == expect.encode()
+        # header values are repr(x); each block line parses to the bits of
+        # its entry and is the decimal number repr(x) writes, so it carries
+        # the same shortest significant digits, in orjson's layout
+        for cf in (certificate_file(small_sweep[20].cert), edge_file()):
+            lines = render_certificate(cf).splitlines()
+            header = [f"{key} {getattr(cf, key)!r}" for key in ("alpha", "r", "delta")]
+            assert lines[:5] == ["format pepcert/1", f"N {cf.N}", *header]
+            pos = 5
+            for name in ("d", "a", "b", "c", "eps"):
+                vec = getattr(cf, name)
+                if vec is None:
+                    continue
+                assert lines[pos] == f"{name}:"
+                block = lines[pos + 1 : pos + 1 + len(vec)]
+                np.testing.assert_array_equal(bits([float(line) for line in block]), bits(vec))
+                assert [Decimal(line) for line in block] == [Decimal(repr(x)) for x in vec.tolist()]
+                pos += 1 + len(vec)
+            assert pos == len(lines)
 
     def test_derived_vectors_present(self, small_sweep):
         cf = certificate_file(small_sweep[5].cert)
@@ -202,6 +227,22 @@ class TestAtomicWrite:
         monkeypatch.setattr(certfile_mod, "render_certificate", broken)
         with pytest.raises(RuntimeError):
             write_certificate(tricky_file(), path=path)
+        assert open(path, "rb").read() == before
+        assert os.listdir(tmp_path) == ["c.txt"]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["d", "delta"])
+    def test_non_finite_value_keeps_old_file(self, tmp_path, field, bad):
+        # no file may hold a NaN or inf, so none is rendered
+        path = write_certificate(tricky_file(), path=tmp_path / "c.txt")
+        before = open(path, "rb").read()
+        cf = tricky_file()
+        if field == "d":
+            cf.d[1] = bad
+        else:
+            cf.delta = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            write_certificate(cf, path=path)
         assert open(path, "rb").read() == before
         assert os.listdir(tmp_path) == ["c.txt"]
 

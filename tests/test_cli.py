@@ -227,26 +227,16 @@ def fail_solve_at(monkeypatch, fail_at, exc_type):
 
 
 def fail_write_at(monkeypatch, fail_at):
-    # the writer process is forked from this one, so it runs the patch too;
-    # the write fails late, once the next file is in flight
+    # `sweep` looks up `certfile.write_certificate` at each call, so the
+    # patch takes effect
     real = cli.certfile.write_certificate
 
     def failing(cf, path):
         if cf.N == fail_at:
-            time.sleep(0.1)
             raise OSError(f"injected at N={fail_at}")
         return real(cf, path)
 
     monkeypatch.setattr(cli.certfile, "write_certificate", failing)
-
-
-def process_alive(pid):
-    """Whether `pid` runs (a zombie has exited)."""
-    try:
-        with open(f"/proc/{pid}/stat") as fh:
-            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
-    except FileNotFoundError:
-        return False
 
 
 class TestSweep:
@@ -275,7 +265,7 @@ class TestSweep:
     def test_size_without_rate_params_mid_sweep_is_usage_error(self, capsys, tmp_path,
                                                               monkeypatch):
         # alpha(N) rounds to 2 in float64 at the largest size: one usage
-        # line, as for `solve`, and neither the solver nor the writer starts
+        # line, as for `solve`, and the solver does not start
         calls = []
         real_sweep = solver_mod.sweep
 
@@ -407,9 +397,8 @@ class TestSweep:
             assert code == 0
             assert out.endswith("verdict CERTIFIED\n")
 
-    # Every exit of a sweep whose files are written by its writer process
-    # matches a sweep that writes each file before it solves the next size:
-    # the rows and files of the sizes before the failing one, then one line.
+    # Every exit of a sweep matches the library's sequential reference: the
+    # rows and files of the sizes before the failing one, then one line.
     @pytest.mark.parametrize("fail_at", [3, 6, SWEEP_MAX])
     @pytest.mark.parametrize("failure", ["nonconvergence", "memory", "write"])
     def test_exit_matches_sequential_reference(self, capsys, tmp_path, monkeypatch,
@@ -442,8 +431,8 @@ class TestSweep:
 
     def test_write_failure_before_a_solve_failure_exits_5(self, capsys, tmp_path,
                                                           monkeypatch, sweep_reference):
-        # the write of N=5 fails while N=6 is solved: exit 5, as if the
-        # failed write had stopped the sweep, and no file after it
+        # the write of N=5 fails and N=6 would not converge: the failed
+        # write stops the sweep with exit 5, and no file follows it
         fail_write_at(monkeypatch, 5)
         fail_solve_at(monkeypatch, 6, solver_mod.NonConvergence)
         code, out, err = run(capsys, "sweep", SWEEP_MAX, "--outdir", tmp_path)
@@ -477,65 +466,6 @@ class TestSweep:
         assert len(out.getvalue().splitlines()) == len(SWEEP_SIZES) + 2
         assert missing == []
 
-    def test_writer_death_exits_5(self, capsys, tmp_path, monkeypatch, sweep_reference):
-        # a writer that dies (say, at the hands of the OOM killer) is a
-        # failed write of the file it held
-        real = cli.certfile.write_certificate
-
-        def dying(cf, path):
-            if cf.N == 5:
-                os._exit(9)
-            return real(cf, path)
-
-        monkeypatch.setattr(cli.certfile, "write_certificate", dying)
-        code, out, err = run(capsys, "sweep", SWEEP_MAX, "--outdir", tmp_path)
-        assert (code, err) == (5, "cannot write output: the file writer exited\n")
-        assert_sweep_output(out, sweep_reference, [3, 4])
-        assert_sweep_files(tmp_path, sweep_reference, [3, 4])
-        assert multiprocessing.active_children() == []
-
-    def test_idle_writer_death_exits_5(self, capsys, tmp_path, monkeypatch, sweep_reference):
-        # the writer is killed after it has answered for N=5, while N=6 is
-        # solved: sending N=6 fails, and the files and rows before it stay
-        real = solver_mod.gauss_newton
-
-        def killing(params, d0):
-            if params.N == 6:
-                while not (tmp_path / "cert_N00005.txt").exists():
-                    time.sleep(0.01)
-                time.sleep(0.2)  # time for the writer to answer
-                writer, = multiprocessing.active_children()
-                writer.kill()
-                writer.join()
-            return real(params, d0)
-
-        monkeypatch.setattr(solver_mod, "gauss_newton", killing)
-        code, out, err = run(capsys, "sweep", SWEEP_MAX, "--outdir", tmp_path)
-        assert_write_error(code, err)
-        assert_sweep_output(out, sweep_reference, [3, 4, 5])
-        assert_sweep_files(tmp_path, sweep_reference, [3, 4, 5])
-        assert multiprocessing.active_children() == []
-
-    def test_at_most_two_files_in_flight(self, capsys, tmp_path, monkeypatch):
-        # with a slow writer, the solve of the k-th size waits until the
-        # files of all sizes but the last two before it are on disk
-        real_write, real_solve = cli.certfile.write_certificate, solver_mod.gauss_newton
-        on_disk = []
-
-        def slow_write(cf, path):
-            time.sleep(0.05)
-            return real_write(cf, path)
-
-        def counting_solve(params, d0):
-            on_disk.append(len(list(tmp_path.iterdir())))
-            return real_solve(params, d0)
-
-        monkeypatch.setattr(cli.certfile, "write_certificate", slow_write)
-        monkeypatch.setattr(solver_mod, "gauss_newton", counting_solve)
-        code, _, _ = run(capsys, "sweep", SWEEP_MAX, "--outdir", tmp_path)
-        assert code == 0
-        assert all(count >= k - 2 for k, count in enumerate(on_disk))
-
     @pytest.mark.parametrize("escaping", [KeyboardInterrupt, BrokenPipeError])
     def test_escaping_exception_keeps_solved_files(self, capsys, tmp_path, monkeypatch,
                                                    sweep_reference, escaping):
@@ -546,29 +476,19 @@ class TestSweep:
         assert_sweep_files(tmp_path, sweep_reference, [3, 4, 5, 6])
         assert multiprocessing.active_children() == []
 
-    def test_interrupted_wait_still_writes_files_in_flight(self, capsys, tmp_path,
-                                                           monkeypatch, sweep_reference):
-        # the sweep is interrupted while it waits for the writer, before any
-        # answer is read: the writer still writes both files in flight
-        real = cli.certfile.write_certificate
+    def test_starts_no_child_process(self, capsys, tmp_path, monkeypatch, sweep_reference):
+        def no_fork():
+            raise OSError("fork is not available")
 
-        def slow_write(cf, path):
-            time.sleep(0.1)
-            return real(cf, path)
-
-        def interrupted(conn, rows):
-            raise KeyboardInterrupt
-
-        monkeypatch.setattr(cli.certfile, "write_certificate", slow_write)
-        monkeypatch.setattr(cli, "_settle", interrupted)
-        with pytest.raises(KeyboardInterrupt):
-            cli.main(["sweep", str(SWEEP_MAX), "--outdir", str(tmp_path)])
-        assert_sweep_files(tmp_path, sweep_reference, [3, 4])
-        assert multiprocessing.active_children() == []
+        monkeypatch.setattr(os, "fork", no_fork)
+        code, out, err = run(capsys, "sweep", SWEEP_MAX, "--outdir", tmp_path)
+        assert (code, err) == (0, "")
+        assert_sweep_output(out, sweep_reference, SWEEP_SIZES, summary=True)
+        assert_sweep_files(tmp_path, sweep_reference, SWEEP_SIZES)
 
     def test_redirected_output_has_each_row_once(self, tmp_path):
-        # a buffered standard output is forked with the writer: no line may
-        # be written twice
+        # standard output to a file is block-buffered: no line may be
+        # written twice or out of order
         out = tmp_path / "sweep.out"
         with open(out, "w") as fh:
             proc = subprocess.run(
@@ -583,8 +503,8 @@ class TestSweep:
         assert lines[-1].startswith("38 certificates written")
 
     def test_ctrl_c_keeps_solved_files(self, tmp_path):
-        # Ctrl-C reaches the whole process group; the writer ignores it and
-        # writes the files in flight, the sweep stops at KeyboardInterrupt
+        # Ctrl-C reaches the whole process group; the sweep stops at
+        # KeyboardInterrupt and keeps the file of every row it printed
         proc = subprocess.Popen(
             [sys.executable, "-m", "pepcert.cli", "sweep", "400", "--outdir", str(tmp_path)],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=src_env(),
@@ -607,28 +527,6 @@ class TestSweep:
         assert set(rows) <= set(files)
         for n in files:
             assert read_certificate(tmp_path / f"cert_N{n:05d}.txt").N == n
-
-    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
-    def test_killed_sweep_leaves_no_writer(self, tmp_path):
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "pepcert.cli", "sweep", "400", "--outdir", str(tmp_path)],
-            stdout=subprocess.DEVNULL, env=src_env())
-        try:
-            deadline = time.monotonic() + 120
-            while not (tmp_path / "cert_N00020.txt").exists():
-                assert proc.poll() is None and time.monotonic() < deadline
-                time.sleep(0.01)
-            with open(f"/proc/{proc.pid}/task/{proc.pid}/children") as fh:
-                writers = [int(pid) for pid in fh.read().split()]
-            assert len(writers) == 1
-        finally:
-            proc.send_signal(signal.SIGKILL)
-            proc.wait()
-        assert not list(tmp_path.glob("cert_N00400.txt"))  # killed mid-run
-        deadline = time.monotonic() + 5
-        while process_alive(writers[0]) and time.monotonic() < deadline:
-            time.sleep(0.05)
-        assert not process_alive(writers[0])
 
 
 class TestVerify:
@@ -967,7 +865,7 @@ class TestParser:
 
 
 # the commands that do not solve, run in one interpreter; prints the exit
-# codes, then which of the solver's heavy imports are loaded
+# codes, then which of the solver's and the writer's heavy imports are loaded
 NO_SOLVE_SCRIPT = """
 import sys
 from pepcert import cli
@@ -975,7 +873,7 @@ cert, outdir = sys.argv[1:]
 codes = [cli.main(argv) for argv in (
     ["verify", cert], ["verify", cert, "--oracle"], ["rates", "50"],
     ["envelope", "10"], ["plotdata", cert, "--outdir", outdir])]
-loaded = sorted({"scipy", "mpmath", "multiprocessing"} & set(sys.modules))
+loaded = sorted({"scipy", "mpmath", "multiprocessing", "orjson"} & set(sys.modules))
 # scipy loads with the first Gauss-Newton step, not before, and a solve
 # loads its compiled LAPACK module alone, not the scipy.linalg package
 code = cli.main(["solve", "5", "--outdir", outdir])
@@ -1008,7 +906,7 @@ class TestImports:
         assert proc.stdout.splitlines()[-1] == "10 []"
 
     def test_commands_run_without_mpmath(self, tmp_path):
-        # the package's declared dependencies are numpy and scipy alone
+        # the package's declared dependencies are numpy, scipy and orjson alone
         script = ("import sys\n"
                   "sys.modules['mpmath'] = None  # any import of it fails\n"
                   "from pepcert import cli\n"
