@@ -31,7 +31,8 @@ Every number is written as the shortest decimal that round-trips its 64-bit
 binary value, so parse(render(x)) is bit-identical. Header values use
 Python's repr (2.48e-05, 1e+16); block values use orjson's layout, which is
 positional for 1e-5 <= |x| < 1e16 and otherwise writes an exponent with no
-plus sign or leading zero (0.0000248, 1e16, 2.5e-8). The parser reads either.
+plus sign or leading zero (0.0000248, 1e16, 2.5e-8). Block and header
+numbers must be JSON numbers, which both writer layouts are.
 """
 
 from __future__ import annotations
@@ -95,7 +96,7 @@ def _number_lines(vec, what: str) -> str:
     """The entries of `vec` as float64, one shortest round-tripping decimal
     a line, all rendered by one orjson call; ValueError on a NaN or inf,
     which orjson would write as null."""
-    import orjson  # only a writer loads it
+    import orjson  # rates and envelope never load it
 
     values = np.ascontiguousarray(vec, dtype=np.float64)
     if not np.isfinite(values).all():
@@ -123,14 +124,44 @@ def render_certificate(cf: CertificateFile) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _finite(strings: list[str], what: str) -> np.ndarray:
+def _json_numbers(lines: list[str]) -> np.ndarray | None:
+    """The float64 values of `lines` if each is one JSON number, read by one
+    orjson call; else None."""
+    import orjson  # rates and envelope never load it
+
+    # a non-ASCII character becomes b"?". Only the outer brackets may survive
+    # the guard: no true, null, quotes, inner brackets or whitespace. A comma
+    # inside a line gives one value too many.
+    data = b"[" + ",".join(lines).encode("ascii", "replace") + b"]"
+    if data.translate(None, b"0123456789.eE+-,") != b"[]":
+        return None
     try:
-        values = np.array(strings, dtype=float)
-    except ValueError as exc:
-        raise CertificateFormatError(f"bad number in {what}: {exc}") from exc
-    if not np.isfinite(values).all():
-        raise CertificateFormatError(f"non-finite value in {what}")
-    return values
+        values = orjson.loads(data)
+    except orjson.JSONDecodeError:  # bad syntax, or an overflow to infinity
+        return None
+    return np.array(values, dtype=np.float64) if len(values) == len(lines) else None
+
+
+def _numbers(lines: list[str], what: str) -> np.ndarray:
+    """The finite float64 values of `lines`, one JSON number a line;
+    else CertificateFormatError naming `what`."""
+    values = _json_numbers(lines)
+    # orjson 3.8 rejects an overflow such as 1e999; an orjson that read it as
+    # inf would still meet the finiteness check
+    if values is not None and np.isfinite(values).all():
+        return values
+    for line in lines:
+        if _json_numbers([line]) is None:
+            # float() only words the error: a NaN, an infinity or an overflow
+            # such as 1e999 is non-finite, anything else not a number
+            try:
+                finite = math.isfinite(float(line))
+            except ValueError:
+                finite = True
+            if finite:
+                raise CertificateFormatError(f"bad number in {what}: {line!r} is not a JSON number")
+            break
+    raise CertificateFormatError(f"non-finite value in {what}")
 
 
 def parse_certificate(text: str) -> CertificateFile:
@@ -155,7 +186,7 @@ def parse_certificate(text: str) -> CertificateFile:
         raise CertificateFormatError(f"bad header value: {exc}") from exc
     if n < 3:
         raise CertificateFormatError(f"certificates need N >= 3, got N={n}")
-    alpha, r, delta = _finite([header["alpha"], header["r"], header["delta"]], "header").tolist()
+    alpha, r, delta = _numbers([header["alpha"], header["r"], header["delta"]], "header").tolist()
     if delta < 0:  # -0.0 is valid
         raise CertificateFormatError(f"header delta {delta!r} is negative")
     blocks = {}
@@ -165,7 +196,7 @@ def parse_certificate(text: str) -> CertificateFile:
             end = pos + 1 + n + offset
             if end > len(lines):
                 raise CertificateFormatError(f"block '{name}' ends before its {n + offset} values")
-            blocks[name] = _finite(lines[pos + 1 : end], f"block '{name}'")
+            blocks[name] = _numbers(lines[pos + 1 : end], f"block '{name}'")
             pos = end
         elif name == "d":
             raise CertificateFormatError(f"line {pos + 1}: expected the required block 'd:'")

@@ -6,13 +6,14 @@ Exit codes: 0 verified/converged, 1 usage error, a solve or sweep whose
 arrays cannot be allocated too, 2 non-convergence, 3 verification failure,
 4 file corruption, 5 output could not be written, a closed standard output
 too (a sweep keeps the files it wrote before). Files go to --outdir, the
-working directory by default, in the layout of `certfile`, whose block
-numbers orjson renders. `sweep` starts no other process: it writes each
-size's file, then prints its row, before it solves the next size. The gates
-are fixed: a solve converges at max_i |eps_i| <= 1e-13 and delta <= 1e-11,
-and verify certifies a file whose delta, recomputed and as stored, is at
-most 1e-11 and, with --oracle, whose coefficient deviation is within the
-oracle's tolerance. Identical invocations produce byte-identical files.
+working directory by default, in the layout of `certfile`: orjson renders
+its block numbers and parses all its numbers, and `rates` and `envelope`
+never load it. `sweep` starts no other process: it writes each size's file,
+then prints its row, before it solves the next size. The gates are fixed:
+a solve converges at max_i |eps_i| <= 1e-13 and delta <= 1e-11, and verify
+certifies a file whose delta, recomputed and as stored, is at most 1e-11
+and, with --oracle, whose coefficient deviation is within the oracle's
+tolerance. Identical invocations produce byte-identical files.
 """
 
 from __future__ import annotations

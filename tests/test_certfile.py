@@ -2,11 +2,12 @@ import contextlib
 import io
 import math
 import os
+import struct
 from decimal import Decimal
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pepcert import (
@@ -23,6 +24,7 @@ from pepcert import (
     solve_rate_params,
     write_certificate,
 )
+from pepcert.certfile import _number_lines
 
 
 def tricky_file():
@@ -48,6 +50,19 @@ def bits(values):
     return np.asarray(values, dtype=np.float64).view(np.uint64)
 
 
+# every finite float64, drawn by its bit pattern: subnormals and -0.0 too
+FINITE_FLOAT64 = st.integers(0, 2**64 - 1).map(
+    lambda pattern: struct.unpack("<d", pattern.to_bytes(8, "little"))[0]).filter(math.isfinite)
+
+
+def one_value_file(x, number):
+    """A file for N=3 whose header values and d and a entries are all x (its
+    magnitude for delta), each written as number(x)."""
+    lines = ["format pepcert/1", "N 3", f"alpha {number(x)}", f"r {number(x)}",
+             f"delta {number(abs(x))}", "d:", *[number(x)] * 2, "a:", *[number(x)] * 3]
+    return "\n".join(lines) + "\n"
+
+
 def full_text(small_sweep):
     """A canonical file with every block, for N=5."""
     return render_certificate(certificate_file(small_sweep[5].cert))
@@ -63,6 +78,21 @@ class TestRoundTrip:
             assert back.alpha == cf.alpha
             assert back.r == cf.r
             assert back.delta == cf.delta
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(FINITE_FLOAT64)
+    @example(-0.0)
+    @example(5e-324)
+    @example(2.225073858507201e-308)
+    @example(1.7976931348623157e308)
+    def test_every_float64_in_both_layouts(self, x):
+        # orjson's layout, which block values have, and repr's, which header
+        # values and the block values of older files have
+        orjson_layout = lambda v: _number_lines([v], "x")  # noqa: E731
+        for number in (orjson_layout, repr):
+            cf = parse_certificate(one_value_file(x, number))
+            np.testing.assert_array_equal(bits(np.concatenate([cf.d, cf.a])), bits([x] * 5))
+            np.testing.assert_array_equal(bits([cf.alpha, cf.r, cf.delta]), bits([x, x, abs(x)]))
 
     def test_full_payload_roundtrip(self, small_sweep, tmp_path):
         cf = certificate_file(small_sweep[7].cert)
@@ -344,3 +374,39 @@ def test_verify_edited_file(fuzz_inputs, which, edits):
         cf = read_certificate(path)
         cert = derive_full(params_from_file(cf), cf.d)
         assert cert.positive and cert.delta <= 1e-11
+
+
+def verify_text(text: str, path) -> tuple[int, str]:
+    path.write_text(text)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(["verify", str(path)])
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("token", [
+    "true", "false", "null", '"1.0"', "[1]", "{}",
+    "1,2", "1 2", " 1.0", "",
+    "NaN", "Infinity", "1e999",
+    "+1", ".5", "1.", "1_0",
+])
+@pytest.mark.parametrize("block", ["d", "a"])
+def test_line_that_is_not_one_json_number(fuzz_inputs, block, token):
+    # the d-only file for d, where a stray value would otherwise exit 3,
+    # the full file for a; either way the file is corrupt
+    texts, directory = fuzz_inputs
+    lines = texts[block == "d"].decode().split("\n")
+    lines[lines.index(f"{block}:") + 2] = token
+    code, err = verify_text("\n".join(lines), directory / "guard.txt")
+    assert code == 4
+    assert err.startswith("corrupt certificate: ") and f" in block '{block}'" in err
+
+
+@pytest.mark.parametrize("zero", ["-0", "-0.0"])
+def test_negative_zero_d_entry_fails_verification(fuzz_inputs, zero):
+    # orjson reads -0 as the integer 0, which becomes +0.0, and -0.0 as
+    # -0.0; neither is positive, so the file fails verification, not parsing
+    texts, directory = fuzz_inputs
+    lines = texts[1].decode().split("\n")
+    lines[lines.index("d:") + 2] = zero
+    assert verify_text("\n".join(lines), directory / "zero.txt")[0] == 3
