@@ -23,16 +23,18 @@ required and is the single source of truth; the a, b, c, eps blocks are
 advisory (verification re-derives them), and any of them may be left out,
 but those present keep this order. N fixes the length of every block. The
 final newline is optional. Blank lines, unknown or reordered keys and
-blocks, and text after the last block are rejected, every number must be
-finite, and delta, a sum of positive parts of residuals, must not be
-negative.
+blocks, and text after the last block are rejected, and delta, a sum of
+positive parts of residuals, must not be negative.
 
 Every number is written as the shortest decimal that round-trips its 64-bit
 binary value, so parse(render(x)) is bit-identical. Header values use
 Python's repr (2.48e-05, 1e+16); block values use orjson's layout, which is
 positional for 1e-5 <= |x| < 1e16 and otherwise writes an exponent with no
-plus sign or leading zero (0.0000248, 1e16, 2.5e-8). Block and header
-numbers must be JSON numbers, which both writer layouts are.
+plus sign or leading zero (0.0000248, 1e16, 2.5e-8). Every value must be
+one finite JSON number, which both layouts are, and N a JSON integer. The
+parser reads the header's four values with one orjson call. Tag lines are
+the only lines with a colon, so it cuts each block out of the text at the
+tags and reads it with one more.
 """
 
 from __future__ import annotations
@@ -124,52 +126,35 @@ def render_certificate(cf: CertificateFile) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _json_numbers(lines: list[str]) -> np.ndarray | None:
-    """The float64 values of `lines` if each is one JSON number, read by one
-    orjson call; else None."""
+def _numbers(span: str, lineno: int, what: str) -> list:
+    """The values of `span`, one JSON number a line, read by one orjson
+    call; else CertificateFormatError naming the first line, counted from
+    line `lineno` of the file, that is not one finite JSON number."""
     import orjson  # rates and envelope never load it
 
-    # a non-ASCII character becomes b"?". Only the outer brackets may survive
-    # the guard: no true, null, quotes, inner brackets or whitespace. A comma
-    # inside a line gives one value too many.
-    data = b"[" + ",".join(lines).encode("ascii", "replace") + b"]"
-    if data.translate(None, b"0123456789.eE+-,") != b"[]":
-        return None
+    # a non-ASCII character becomes b"?". The guard runs before line breaks
+    # become commas, so a line 1,2 cannot pass for two values; it keeps out
+    # true, null, NaN, Infinity, quotes, brackets and whitespace, and orjson
+    # rejects an overflow such as 1e999, so every value read is finite
+    data = span.encode("ascii", "replace")
+    stray = data.translate(None, b"0123456789.eE+-\n")
     try:
-        values = orjson.loads(data)
-    except orjson.JSONDecodeError:  # bad syntax, or an overflow to infinity
-        return None
-    return np.array(values, dtype=np.float64) if len(values) == len(lines) else None
-
-
-def _numbers(lines: list[str], what: str) -> np.ndarray:
-    """The finite float64 values of `lines`, one JSON number a line;
-    else CertificateFormatError naming `what`."""
-    values = _json_numbers(lines)
-    # orjson 3.8 rejects an overflow such as 1e999; an orjson that read it as
-    # inf would still meet the finiteness check
-    if values is not None and np.isfinite(values).all():
-        return values
-    for line in lines:
-        if _json_numbers([line]) is None:
-            # float() only words the error: a NaN, an infinity or an overflow
-            # such as 1e999 is non-finite, anything else not a number
-            try:
-                finite = math.isfinite(float(line))
-            except ValueError:
-                finite = True
-            if finite:
-                raise CertificateFormatError(f"bad number in {what}: {line!r} is not a JSON number")
-            break
-    raise CertificateFormatError(f"non-finite value in {what}")
+        if not stray:
+            return orjson.loads(b"[" + data.replace(b"\n", b",") + b"]")
+        at = data.index(stray[:1])
+    except orjson.JSONDecodeError as exc:
+        at = exc.pos - 1  # pos counts the opening bracket
+    k = data.count(b"\n", 0, at)
+    line = span.split("\n")[k]
+    raise CertificateFormatError(
+        f"line {lineno + k}: {line!r} in {what} is not one finite JSON number")
 
 
 def parse_certificate(text: str) -> CertificateFile:
     """Parse the layout of the module docstring; anything else raises
     CertificateFormatError."""
-    lines = text.split("\n")
-    if lines[-1] == "":
-        del lines[-1]
+    lines = text.split("\n", len(_HEADER_KEYS))
+    rest = lines.pop() if len(lines) > len(_HEADER_KEYS) else ""
     header = {}
     for lineno, (key, line) in enumerate(zip(_HEADER_KEYS, lines), start=1):
         label, _, value = line.partition(" ")
@@ -180,28 +165,42 @@ def parse_certificate(text: str) -> CertificateFile:
         raise CertificateFormatError(f"missing header key '{_HEADER_KEYS[len(header)]}'")
     if header["format"] != FORMAT_TAG:
         raise CertificateFormatError(f"unsupported format tag {header['format']!r}")
-    try:
-        n = int(header["N"])
-    except ValueError as exc:
-        raise CertificateFormatError(f"bad header value: {exc}") from exc
+    n, *values = _numbers("\n".join(header[key] for key in _HEADER_KEYS[1:]), 2, "the header")
+    if not isinstance(n, int):  # orjson reads a JSON integer as an int
+        raise CertificateFormatError(f"line 2: N {header['N']!r} is not an integer")
     if n < 3:
         raise CertificateFormatError(f"certificates need N >= 3, got N={n}")
-    alpha, r, delta = _numbers([header["alpha"], header["r"], header["delta"]], "header").tolist()
+    alpha, r, delta = np.array(values, dtype=np.float64).tolist()
     if delta < 0:  # -0.0 is valid
         raise CertificateFormatError(f"header delta {delta!r} is negative")
-    blocks = {}
-    pos = len(_HEADER_KEYS)
+    # Only tag lines hold a colon, so each piece after the first is a block's
+    # values and then the next tag line, less its colon. With a final newline
+    # the last piece ends in an empty tag.
+    tag, *pieces = (rest if rest.endswith("\n") else rest + "\n").split(":\n")
+    del rest
+    pieces.reverse()  # popped in file order, so each is freed once read
+    lineno, blocks = len(_HEADER_KEYS) + 1, {}
     for name, offset in _BLOCKS:
-        if lines[pos : pos + 1] == [f"{name}:"]:
-            end = pos + 1 + n + offset
-            if end > len(lines):
-                raise CertificateFormatError(f"block '{name}' ends before its {n + offset} values")
-            blocks[name] = _numbers(lines[pos + 1 : end], f"block '{name}'")
-            pos = end
-        elif name == "d":
-            raise CertificateFormatError(f"line {pos + 1}: expected the required block 'd:'")
-    if pos < len(lines):
-        raise CertificateFormatError(f"line {pos + 1}: unexpected {lines[pos]!r}")
+        if tag != name:
+            if name == "d":
+                raise CertificateFormatError(f"line {lineno}: expected the required block 'd:'")
+            continue
+        piece, count = pieces.pop(), n + offset
+        span, _, tag = piece.rpartition("\n")
+        got = piece.count("\n")
+        if got < count:
+            found = repr(tag + ":") if pieces else "the end of the file"
+            raise CertificateFormatError(f"line {lineno + 1 + got}: expected value {got + 1} "
+                                         f"of {count} in block '{name}', got {found}")
+        if got > count:  # its values are read first, so a bad one is named
+            *head, extra, _ = piece.split("\n", count + 1)
+            _numbers("\n".join(head), lineno + 1, f"block '{name}'")
+            raise CertificateFormatError(
+                f"line {lineno + 1 + count}: unexpected {extra!r} after block '{name}'")
+        blocks[name] = np.array(_numbers(span, lineno + 1, f"block '{name}'"), dtype=np.float64)
+        lineno += 1 + count
+    if tag or pieces:
+        raise CertificateFormatError(f"line {lineno}: unexpected {tag + ':'!r}")
     return CertificateFile(N=n, alpha=alpha, r=r, delta=delta, **blocks)
 
 

@@ -82,8 +82,8 @@ class _Parser(argparse.ArgumentParser):
 def _rate_params(n):
     try:
         return solve_rate_params(n)
-    except ValueError as exc:  # alpha(N) rounds to 2 in float64 for huge N
-        raise _UsageError(f"no float64 rate parameters for N={n}: {exc}")
+    except ValueError as exc:  # no float64 rate pair at some huge N
+        raise _UsageError(str(exc))
 
 
 def cmd_rates(args) -> int:
@@ -152,16 +152,18 @@ def cmd_sweep(args) -> int:
         raise _UsageError("sweep requires N_MAX >= 3")
     with _in_memory("the sweep"):
         sizes = _sweep_sizes(args)
-    # alpha(N) grows with N, so the largest size is the first whose alpha
-    # rounds to 2; it is checked before anything starts
-    _rate_params(sizes[-1])
+        try:
+            # every size's rate pair is solved here, before any solve
+            reports = solver.sweep(sizes)
+        except ValueError as exc:  # the sizes increase from 3, so a rate pair failed
+            raise _UsageError(str(exc))
     # each row is printed once its file is on disk, before the next size is
     # solved, so an aborted sweep keeps the file of every row it printed
     outdir = args.outdir
     print(f"{'N':>6} {'alpha':>20} {'r':>14} {'iters':>5} {'sup|eps|':>10} {'delta':>10}")
     try:
         with _in_memory("the sweep"):
-            for report in solver.sweep(sizes):
+            for report in reports:
                 with _writing():
                     certfile.write_certificate(certfile.certificate_file(report.cert),
                                                certfile.default_path(outdir, report.params.N))

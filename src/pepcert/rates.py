@@ -121,7 +121,9 @@ def solve_rate_params(N: int) -> RateParams:
     the midpoint rounds to lo or hi; that midpoint is alpha.
 
     Returns float64 parameters: alpha within ~1 ulp of the true root, r the
-    common value from the well-conditioned Huber side.
+    common value from the well-conditioned Huber side. Raises ValueError,
+    naming N, where they fail the balance check: alpha rounds to 2 for huge
+    N, and below that the check fails at some sizes too.
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
@@ -134,7 +136,10 @@ def solve_rate_params(N: int) -> RateParams:
             lo = alpha
         else:
             hi = alpha
-    return RateParams(N=N, alpha=alpha, r=huber_rate(N, alpha)).check_balance()
+    try:
+        return RateParams(N=N, alpha=alpha, r=huber_rate(N, alpha)).check_balance()
+    except ValueError as exc:
+        raise ValueError(f"no float64 rate parameters for N={N}: {exc}") from exc
 
 
 def quadratic(x: float) -> tuple[float, float]:

@@ -443,26 +443,33 @@ def sweep(sizes) -> Iterator[SolveReport]:
     A caller that writes each report before asking for the next keeps its
     files through an aborted sweep.
 
-    Raises ValueError for a schedule that is empty, has a size below 3 or
-    does not increase, and NonConvergence (annotated with the failing N) if
-    a size fails from the closed form too; the continuation chain is broken
-    at that point and the sweep stops.
+    Raises ValueError at the call, before any solve, for a schedule that is
+    empty, has a size below 3 or does not increase, or has a size with no
+    float64 rate parameters (from solve_rate_params, which solves each
+    size's pair once). Iterating raises NonConvergence (annotated with the
+    failing N) if a size fails from the closed form too; the continuation
+    chain is broken at that point and the sweep stops.
     """
     sizes = list(sizes)
     if not sizes or sizes[0] < 3 or any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError("sizes must increase strictly from N >= 3")
-    recent: deque = deque(maxlen=CONTINUATION_SOURCES)
-    for n in sizes:
-        params = solve_rate_params(n)
-        report = None
-        if recent:
-            try:
-                report = gauss_newton(params, extrapolate_init(recent, n))
-            except NonConvergence:
-                pass
-        # the retry runs outside the handler, so that the failed solve's
-        # frame, which the exception's traceback holds, is freed first
-        if report is None:
-            report = gauss_newton(params, closed_form_start(n))
-        recent.append((n, report.d))
-        yield report
+    schedule = [solve_rate_params(n) for n in sizes]
+
+    def reports():
+        recent: deque = deque(maxlen=CONTINUATION_SOURCES)
+        for params in schedule:
+            n = params.N
+            report = None
+            if recent:
+                try:
+                    report = gauss_newton(params, extrapolate_init(recent, n))
+                except NonConvergence:
+                    pass
+            # the retry runs outside the handler, so that the failed solve's
+            # frame, which the exception's traceback holds, is freed first
+            if report is None:
+                report = gauss_newton(params, closed_form_start(n))
+            recent.append((n, report.d))
+            yield report
+
+    return reports()

@@ -389,17 +389,34 @@ def verify_text(text: str, path) -> tuple[int, str]:
     "1,2", "1 2", " 1.0", "",
     "NaN", "Infinity", "1e999",
     "+1", ".5", "1.", "1_0",
+    "1:", "a:", "d:", "eps:",
 ])
 @pytest.mark.parametrize("block", ["d", "a"])
 def test_line_that_is_not_one_json_number(fuzz_inputs, block, token):
     # the d-only file for d, where a stray value would otherwise exit 3,
-    # the full file for a; either way the file is corrupt
+    # the full file for a; either way the file is corrupt, and the error
+    # names the line. A line ending in a colon is read as a tag line, which
+    # cuts the block short.
     texts, directory = fuzz_inputs
     lines = texts[block == "d"].decode().split("\n")
     lines[lines.index(f"{block}:") + 2] = token
     code, err = verify_text("\n".join(lines), directory / "guard.txt")
     assert code == 4
     assert err.startswith("corrupt certificate: ") and f" in block '{block}'" in err
+    assert repr(token) in err
+
+
+@pytest.mark.parametrize("token", ["+10", "1_0", "010", " 10", "10 ", "\u0661\u0660",
+                                   "10.0", "1e1"])
+def test_n_that_is_not_one_json_integer(small_sweep, tmp_path, token):
+    # N is read as the other numbers are and must be a JSON integer: no
+    # plus sign, underscore, leading zero, whitespace, non-ASCII digit,
+    # point or exponent
+    text = render_certificate(certificate_file(small_sweep[10].cert))
+    assert verify_text(text, tmp_path / "ok.txt")[0] == 0
+    code, err = verify_text(text.replace("\nN 10\n", f"\nN {token}\n"), tmp_path / "n.txt")
+    assert code == 4
+    assert err.startswith("corrupt certificate: line 2: ") and repr(token) in err
 
 
 @pytest.mark.parametrize("zero", ["-0", "-0.0"])

@@ -264,25 +264,26 @@ class TestSweep:
 
     def test_size_without_rate_params_mid_sweep_is_usage_error(self, capsys, tmp_path,
                                                               monkeypatch):
-        # alpha(N) rounds to 2 in float64 at the largest size: one usage
-        # line, as for `solve`, and the solver does not start
-        calls = []
-        real_sweep = solver_mod.sweep
+        # alpha(N) rounds to 2 in float64 at 10^17, and at 17471709249816364
+        # the balance check fails though a larger size passes it: one usage
+        # line, as for `solve`, and nothing is solved or written
+        solves = []
+        real_gauss_newton = solver_mod.gauss_newton
 
-        def counting_sweep(sizes):
-            calls.append(sizes)
-            return real_sweep(sizes)
+        def counting_gauss_newton(params, d0):
+            solves.append(params.N)
+            return real_gauss_newton(params, d0)
 
-        monkeypatch.setattr(solver_mod, "sweep", counting_sweep)
-        huge = 10**17
-        code, out, err = run(capsys, "sweep", 3, "--segment", "3:3:1",
-                             "--segment", f"{huge}:{huge}:1", "--outdir", tmp_path)
-        assert code == 1
-        assert err.startswith(f"usage error: no float64 rate parameters for N={huge}: ")
-        assert len(err.splitlines()) == 1
-        assert out == ""
-        assert list(tmp_path.iterdir()) == []
-        assert calls == []
+        monkeypatch.setattr(solver_mod, "gauss_newton", counting_gauss_newton)
+        for sizes in ((3, 10**17), (3, 17471709249816364, 5 * 10**16)):
+            argv = [word for n in sizes for word in ("--segment", f"{n}:{n}:1")]
+            code, out, err = run(capsys, "sweep", 3, *argv, "--outdir", tmp_path)
+            assert code == 1
+            assert err.startswith(f"usage error: no float64 rate parameters for N={sizes[1]}: ")
+            assert len(err.splitlines()) == 1
+            assert out == ""
+            assert list(tmp_path.iterdir()) == []
+            assert solves == []
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("n", [3, 300])

@@ -99,8 +99,8 @@ class TestSolveRateParams:
         assert abs(params.r - float(r_star)) <= 2 * math.ulp(params.r)
 
     def test_bit_identical_to_two_stage_reference(self):
-        # same alpha and r bit for bit, or the same ValueError where alpha
-        # rounds to 2; the tests above allow 2 ulp
+        # same alpha and r bit for bit, or the same ValueError, named with
+        # N, where alpha rounds to 2; the tests above allow 2 ulp
         errors = 0
         for n in REFERENCE_SIZES:
             alpha = two_stage_alpha(n)
@@ -110,7 +110,7 @@ class TestSolveRateParams:
                 errors += 1
                 with pytest.raises(ValueError) as got:
                     solve_rate_params(n)
-                assert str(got.value) == str(err), n
+                assert str(got.value) == f"no float64 rate parameters for N={n}: {err}", n
                 continue
             got = solve_rate_params(n)
             assert (got.alpha.hex(), got.r.hex()) == (want.alpha.hex(), want.r.hex()), n
