@@ -31,14 +31,24 @@ binary value, so parse(render(x)) is bit-identical. Header values use
 Python's repr (2.48e-05, 1e+16); block values use orjson's layout, which is
 positional for 1e-5 <= |x| < 1e16 and otherwise writes an exponent with no
 plus sign or leading zero (0.0000248, 1e16, 2.5e-8). Every value must be
-one finite JSON number, which both layouts are, and N a JSON integer. The
-parser reads the header's four values with one orjson call. Tag lines are
-the only lines with a colon, so it cuts each block out of the text at the
-tags and reads it with one more.
+one finite JSON number, which both layouts are, and N a JSON integer. Line
+ends are "\\n" alone: a carriage return is a stray character.
+
+Tag lines are the only lines with a colon, so a reader cuts the text at
+colons: one str.find per tag gives each block's span, with no line split
+and no line count. parse_certificate reads the header's four values with
+one orjson call and each block with one more, and checks a block's length
+from the count of values read. read_checked, the read of `verify`, parses
+only the header and d, derives a, b, c and eps, and compares each stored
+advisory block with the writer's own rendering of the derived vector. A
+block equal to it reads back as exactly that vector, so it passes with no
+parse; any other block (an older file's repr layout, an edit, a non-finite
+derivation) is parsed and compared to CROSS_TOL.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 from dataclasses import dataclass
@@ -150,11 +160,41 @@ def _numbers(span: str, lineno: int, what: str) -> list:
         f"line {lineno + k}: {line!r} in {what} is not one finite JSON number")
 
 
-def parse_certificate(text: str) -> CertificateFile:
-    """Parse the layout of the module docstring; anything else raises
+def _cut(text: str) -> tuple[list[str], list[tuple[str, int, int]]]:
+    """The header lines of `text`, at most five, and each tag after them as
+    (tag, start, stop), in file order. Tag lines are the only lines with a
+    colon, so a tag is the text from its line start to a colon that ends a
+    line, and no line is split off. text[start:stop] holds the tag's value
+    lines, and stop is the index of the line break that ends them: start - 1,
+    the tag line's own break, when there are none, and len(text) for a last
+    line with no final newline. The first tag is all the text from the end
+    of the header to the first such colon."""
+    header, start = [], 0
+    for _ in _HEADER_KEYS:
+        end = text.find("\n", start)
+        if end < 0:  # too few lines for a block
+            header.append(text[start:])
+            start = len(text)
+            break
+        header.append(text[start:end])
+        start = end + 1
+    tags, stops, piece = [], [], start
+    colon = text.find(":", start)
+    while colon >= 0:
+        if colon + 1 == len(text) or text[colon + 1] == "\n":
+            # the break before the tag line ends the previous tag's values
+            line = text.rfind("\n", piece, colon) if tags else -1
+            stops.append(line if line >= 0 else piece - 1)
+            tags.append((text[max(line + 1, piece) : colon], colon + 2))
+            piece = colon + 2
+        colon = text.find(":", colon + 1)
+    stops.append(len(text) - 1 if text.endswith("\n") else len(text))
+    return header, [(tag, begin, stop) for (tag, begin), stop in zip(tags, stops[1:])]
+
+
+def _header(lines: list[str]) -> tuple[int, float, float, float]:
+    """N, alpha, r and delta from the header lines; else
     CertificateFormatError."""
-    lines = text.split("\n", len(_HEADER_KEYS))
-    rest = lines.pop() if len(lines) > len(_HEADER_KEYS) else ""
     header = {}
     for lineno, (key, line) in enumerate(zip(_HEADER_KEYS, lines), start=1):
         label, _, value = line.partition(" ")
@@ -173,34 +213,61 @@ def parse_certificate(text: str) -> CertificateFile:
     alpha, r, delta = np.array(values, dtype=np.float64).tolist()
     if delta < 0:  # -0.0 is valid
         raise CertificateFormatError(f"header delta {delta!r} is negative")
-    # Only tag lines hold a colon, so each piece after the first is a block's
-    # values and then the next tag line, less its colon. With a final newline
-    # the last piece ends in an empty tag.
-    tag, *pieces = (rest if rest.endswith("\n") else rest + "\n").split(":\n")
-    del rest
-    pieces.reverse()  # popped in file order, so each is freed once read
-    lineno, blocks = len(_HEADER_KEYS) + 1, {}
+    return n, alpha, r, delta
+
+
+def _walk(n: int, tags: list[tuple[str, int, int]]):
+    """Each block of the cut `tags` in file order, as (name, length, start,
+    stop, lineno, after): `lineno` is its tag line's number and `after` the
+    tag that follows it, None at the end of the file. A tag out of place
+    raises CertificateFormatError once the blocks before it are read, so a
+    corrupt file's error names its first fault."""
+    lineno, i = len(_HEADER_KEYS) + 1, 0
+    if not tags or tags[0][0] != "d":
+        raise CertificateFormatError(f"line {lineno}: expected the required block 'd:'")
     for name, offset in _BLOCKS:
-        if tag != name:
-            if name == "d":
-                raise CertificateFormatError(f"line {lineno}: expected the required block 'd:'")
-            continue
-        piece, count = pieces.pop(), n + offset
-        span, _, tag = piece.rpartition("\n")
-        got = piece.count("\n")
-        if got < count:
-            found = repr(tag + ":") if pieces else "the end of the file"
-            raise CertificateFormatError(f"line {lineno + 1 + got}: expected value {got + 1} "
-                                         f"of {count} in block '{name}', got {found}")
-        if got > count:  # its values are read first, so a bad one is named
-            *head, extra, _ = piece.split("\n", count + 1)
-            _numbers("\n".join(head), lineno + 1, f"block '{name}'")
-            raise CertificateFormatError(
-                f"line {lineno + 1 + count}: unexpected {extra!r} after block '{name}'")
-        blocks[name] = np.array(_numbers(span, lineno + 1, f"block '{name}'"), dtype=np.float64)
-        lineno += 1 + count
-    if tag or pieces:
-        raise CertificateFormatError(f"line {lineno}: unexpected {tag + ':'!r}")
+        if i < len(tags) and tags[i][0] == name:
+            _, start, stop = tags[i]
+            i += 1
+            after = tags[i][0] if i < len(tags) else None
+            yield name, n + offset, start, stop, lineno, after
+            lineno += 1 + n + offset
+    if i < len(tags):
+        raise CertificateFormatError(f"line {lineno}: unexpected {tags[i][0] + ':'!r}")
+
+
+def _values(text: str, name: str, length: int, start: int, stop: int, lineno: int,
+            after: str | None) -> np.ndarray:
+    """The values of a block from `_walk`; else CertificateFormatError for
+    the fault a line-by-line read meets first. The length is checked from
+    the count `_numbers` returns, so the lines are counted only for an
+    error."""
+    span, what = text[start:stop], f"block '{name}'"
+    try:
+        values, error = _numbers(span, lineno + 1, what), None
+    except CertificateFormatError as exc:
+        values, error = [], exc
+    if len(values) == length:  # length > 1, so an empty span is never right
+        return np.array(values, dtype=np.float64)
+    got = text.count("\n", start - 1, stop)
+    if got < length:
+        found = "the end of the file" if after is None else repr(after + ":")
+        raise CertificateFormatError(f"line {lineno + 1 + got}: expected value {got + 1} "
+                                     f"of {length} in {what}, got {found}")
+    if got > length:  # its values are read first, so a bad one is named
+        lines = span.split("\n", length + 1)
+        _numbers("\n".join(lines[:length]), lineno + 1, what)
+        raise CertificateFormatError(
+            f"line {lineno + 1 + length}: unexpected {lines[length]!r} after {what}")
+    raise error  # every line is there, and one is not a number
+
+
+def parse_certificate(text: str) -> CertificateFile:
+    """Parse the layout of the module docstring; anything else raises
+    CertificateFormatError."""
+    lines, tags = _cut(text)
+    n, alpha, r, delta = _header(lines)
+    blocks = {block[0]: _values(text, *block) for block in _walk(n, tags)}
     return CertificateFile(N=n, alpha=alpha, r=r, delta=delta, **blocks)
 
 
@@ -212,27 +279,41 @@ def write_certificate(cf: CertificateFile, path) -> str:
     """Write to `path` (for the canonical name, `default_path(outdir, N)`)
     atomically: a temporary file in the same directory replaces the target.
     The text is rendered before that file opens, so a certificate that does
-    not render (ValueError) leaves an old file at `path` as it was."""
-    os.makedirs(os.path.dirname(os.path.abspath(os.fspath(path))), exist_ok=True)
+    not render (ValueError) leaves an old file at `path` as it was. The
+    directory is made only when the temporary file cannot open without it,
+    and the file holds the rendered text byte for byte, "\\n" line ends on
+    every platform."""
     text = render_certificate(cf)
+    path = os.fspath(path)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w") as fh:
+        fh = open(tmp, "w", encoding="utf-8", newline="")
+    except FileNotFoundError:
+        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+        fh = open(tmp, "w", encoding="utf-8", newline="")
+    try:
+        with fh:
             fh.write(text)
         os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
+    except BaseException:
+        with contextlib.suppress(OSError):
             os.unlink(tmp)
-    return os.fspath(path)
+        raise
+    return path
+
+
+def _read_text(path) -> str:
+    """The bytes of the file at `path` decoded as UTF-8, line ends as they
+    are: a carriage return is a stray character, not a line break."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read().decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CertificateFormatError(f"cannot read {path}: {exc}") from exc
 
 
 def read_certificate(path) -> CertificateFile:
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise CertificateFormatError(f"cannot read {path}: {exc}") from exc
-    return parse_certificate(text)
+    return parse_certificate(_read_text(path))
 
 
 def params_from_file(cf: CertificateFile) -> RateParams:
@@ -244,20 +325,46 @@ def params_from_file(cf: CertificateFile) -> RateParams:
         raise CertificateFormatError(f"inconsistent rate parameters: {exc}") from exc
 
 
+def _is_rendering(text: str, start: int, stop: int, vec: np.ndarray) -> bool:
+    """Whether text[start:stop] is the writer's rendering of `vec`, which
+    reads back as exactly `vec`; never for a NaN or inf, which has none."""
+    try:
+        lines = _number_lines(vec, "a derived vector")
+    except ValueError:
+        return False
+    return stop - start == len(lines) and text.startswith(lines, start)
+
+
 def read_checked(path) -> tuple[CertificateFile, FullCertificate]:
     """The read of `pepcert verify` and `plotdata`: the file at `path` and
     the certificate derived from its d, once each stored vector matches it
-    to CROSS_TOL; else CertificateFormatError. A finite d whose derivation
-    overflows gives NaN vectors, which the gates reject, and no numpy
-    warning."""
-    cf = read_certificate(path)
+    to CROSS_TOL; else CertificateFormatError. Only the header and d are
+    parsed. A stored a, b, c or eps block that is, byte for byte, the
+    writer's rendering of the derived vector holds exactly that vector, so
+    it passes unparsed and the file's field is the derived array itself;
+    any other block (an older file's repr layout, an edit) is parsed and
+    compared to CROSS_TOL. The header's rate pair is checked before that,
+    so a file with a bad rate pair and a malformed advisory block reports
+    the rate pair. A finite d whose derivation overflows gives NaN vectors,
+    which the gates reject, and no numpy warning."""
+    text = _read_text(path)
+    lines, tags = _cut(text)
+    n, alpha, r, delta = _header(lines)
+    blocks = _walk(n, tags)
+    cf = CertificateFile(N=n, alpha=alpha, r=r, delta=delta, d=_values(text, *next(blocks)))
     with np.errstate(over="ignore", invalid="ignore"):
         cert = derive_full(params_from_file(cf), cf.d)
-    for name in ("a", "b", "c", "eps"):
-        stored = getattr(cf, name)
-        if stored is None:
-            continue
-        gap = float(np.max(np.abs(stored - getattr(cert, name))))
+    parsed = []
+    for block in blocks:
+        name, _, start, stop, *_ = block
+        derived = getattr(cert, name)
+        if _is_rendering(text, start, stop, derived):
+            setattr(cf, name, derived)
+        else:
+            setattr(cf, name, _values(text, *block))
+            parsed.append(name)
+    for name in parsed:  # once the whole file is read, as after a full parse
+        gap = float(np.max(np.abs(getattr(cf, name) - getattr(cert, name))))
         if not gap <= CROSS_TOL:  # a NaN gap is corruption too
             raise CertificateFormatError(
                 f"stored {name} in {path} deviates from recomputed by {gap:.3e}")

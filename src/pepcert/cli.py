@@ -7,8 +7,9 @@ arrays cannot be allocated too, 2 non-convergence, 3 verification failure,
 4 file corruption, 5 output could not be written, a closed standard output
 too (a sweep keeps the files it wrote before). Files go to --outdir, the
 working directory by default, in the layout of `certfile`: orjson renders
-its block numbers and parses all its numbers, and `rates` and `envelope`
-never load it. `sweep` starts no other process: it writes each size's file,
+its block numbers and parses the header and `d`, `verify` and `plotdata`
+parse a stored a, b, c or eps block only when it is not the rendering of
+the vector derived from `d`, and `rates` and `envelope` never load orjson. `sweep` starts no other process: it writes each size's file,
 then prints its row, before it solves the next size. The gates are fixed:
 a solve converges at max_i |eps_i| <= 1e-13 and delta <= 1e-11, and verify
 certifies a file whose delta, recomputed and as stored, is at most 1e-11

@@ -2,8 +2,10 @@ import contextlib
 import io
 import math
 import os
+import re
 import struct
 from decimal import Decimal
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,11 +22,13 @@ from pepcert import (
     parse_certificate,
     params_from_file,
     read_certificate,
+    read_checked,
     render_certificate,
     solve_rate_params,
     write_certificate,
 )
-from pepcert.certfile import _number_lines
+from pepcert import certfile
+from pepcert.certfile import CROSS_TOL, _number_lines
 
 
 def tricky_file():
@@ -249,7 +253,7 @@ class TestAtomicWrite:
         import pepcert.certfile as certfile_mod
 
         path = write_certificate(tricky_file(), path=tmp_path / "c.txt")
-        before = open(path, "rb").read()
+        before = Path(path).read_bytes()
 
         def broken(cf):
             raise RuntimeError("render failed")
@@ -257,7 +261,7 @@ class TestAtomicWrite:
         monkeypatch.setattr(certfile_mod, "render_certificate", broken)
         with pytest.raises(RuntimeError):
             write_certificate(tricky_file(), path=path)
-        assert open(path, "rb").read() == before
+        assert Path(path).read_bytes() == before
         assert os.listdir(tmp_path) == ["c.txt"]
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -265,7 +269,7 @@ class TestAtomicWrite:
     def test_non_finite_value_keeps_old_file(self, tmp_path, field, bad):
         # no file may hold a NaN or inf, so none is rendered
         path = write_certificate(tricky_file(), path=tmp_path / "c.txt")
-        before = open(path, "rb").read()
+        before = Path(path).read_bytes()
         cf = tricky_file()
         if field == "d":
             cf.d[1] = bad
@@ -273,12 +277,12 @@ class TestAtomicWrite:
             cf.delta = bad
         with pytest.raises(ValueError, match="non-finite"):
             write_certificate(cf, path=path)
-        assert open(path, "rb").read() == before
+        assert Path(path).read_bytes() == before
         assert os.listdir(tmp_path) == ["c.txt"]
 
     def test_failed_replace_keeps_old_file(self, tmp_path, monkeypatch):
         path = write_certificate(tricky_file(), path=tmp_path / "c.txt")
-        before = open(path, "rb").read()
+        before = Path(path).read_bytes()
         cf = tricky_file()
         cf.delta = 0.5
 
@@ -289,11 +293,26 @@ class TestAtomicWrite:
         with pytest.raises(OSError):
             write_certificate(cf, path=path)
         monkeypatch.undo()
-        assert open(path, "rb").read() == before
+        assert Path(path).read_bytes() == before
         assert os.listdir(tmp_path) == ["c.txt"]
         write_certificate(cf, path=path)
         assert read_certificate(path).delta == 0.5
         assert os.listdir(tmp_path) == ["c.txt"]
+
+    def test_makes_a_missing_directory_only(self, tmp_path, monkeypatch):
+        made, real = [], os.makedirs
+        monkeypatch.setattr(os, "makedirs", lambda name, **kw: made.append(name) or real(name, **kw))
+        write_certificate(tricky_file(), path=tmp_path / "c.txt")
+        assert made == []
+        path = write_certificate(tricky_file(), path=tmp_path / "new" / "deeper" / "c.txt")
+        assert made[0] == str(tmp_path / "new" / "deeper")  # it makes the parents itself
+        assert read_certificate(path).N == 4
+        assert os.listdir(tmp_path / "new" / "deeper") == ["c.txt"]
+
+    def test_file_holds_the_rendered_text(self, tmp_path):
+        # "\n" line ends, whatever a platform's text mode would write
+        path = write_certificate(tricky_file(), path=tmp_path / "c.txt")
+        assert Path(path).read_bytes() == render_certificate(tricky_file()).encode()
 
 
 class TestParamsFromFile:
@@ -376,8 +395,110 @@ def test_verify_edited_file(fuzz_inputs, which, edits):
         assert cert.positive and cert.delta <= 1e-11
 
 
+def full_parse_read_checked(path):
+    """The checked read as a full parse, the reference for read_checked:
+    every block parsed, then each stored vector compared with the
+    derivation to CROSS_TOL."""
+    cf = read_certificate(path)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cert = derive_full(params_from_file(cf), cf.d)
+    for name in ("a", "b", "c", "eps"):
+        stored = getattr(cf, name)
+        if stored is None:
+            continue
+        gap = float(np.max(np.abs(stored - getattr(cert, name))))
+        if not gap <= CROSS_TOL:
+            raise CertificateFormatError(
+                f"stored {name} in {path} deviates from recomputed by {gap:.3e}")
+    return cf, cert
+
+
+def payload_bits(cf, cert):
+    """Every number of a checked read, floats as their bit patterns."""
+    header = [cf.N, cert.params.N,
+              *bits([cf.alpha, cf.r, cf.delta, cert.params.alpha, cert.params.r]).tolist()]
+    vectors = [None if vec is None else bits(vec).tolist()
+               for vec in (cf.d, cf.a, cf.b, cf.c, cf.eps,
+                           cert.d, cert.a, cert.b, cert.c, cert.eps)]
+    return header, vectors
+
+
+def checked_outcome(read, path):
+    try:
+        return payload_bits(*read(path))
+    except CertificateFormatError as exc:
+        return str(exc)
+
+
+def count_number_reads(monkeypatch) -> list:
+    """The `what` of every certfile._numbers call from now on."""
+    calls, real = [], certfile._numbers
+    monkeypatch.setattr(certfile, "_numbers",
+                        lambda span, lineno, what: calls.append(what) or real(span, lineno, what))
+    return calls
+
+
+class TestCheckedRead:
+    def test_bit_identical_to_a_full_parse(self, small_sweep, tmp_path):
+        for n, report in small_sweep.items():
+            cf = certificate_file(report.cert)
+            d_only = CertificateFile(N=n, alpha=cf.alpha, r=cf.r, delta=cf.delta, d=cf.d)
+            for name, payload in (("full", cf), ("d-only", d_only)):
+                path = write_certificate(payload, tmp_path / name / f"{n}.txt")
+                assert checked_outcome(read_checked, path) == checked_outcome(
+                    full_parse_read_checked, path)
+
+    def test_canonical_file_parses_header_and_d_only(self, small_sweep, tmp_path, monkeypatch):
+        path = write_certificate(certificate_file(small_sweep[12].cert), tmp_path / "c.txt")
+        calls = count_number_reads(monkeypatch)
+        cf, cert = read_checked(path)
+        assert calls == ["the header", "block 'd'"]
+        assert cf.a is cert.a and cf.eps is cert.eps
+        calls.clear()
+        read_certificate(path)
+        assert len(calls) == 6
+
+    @pytest.mark.parametrize("rewrite", [
+        lambda line: f"{Decimal(line):e}",  # the same value in an equal JSON form
+        lambda line: repr(float(line) + CROSS_TOL / 10),  # a value moved within the tolerance
+    ], ids=["equal-json-form", "within-tolerance"])
+    def test_other_block_is_parsed_and_compared(self, small_sweep, tmp_path, monkeypatch,
+                                                rewrite):
+        lines = full_text(small_sweep).split("\n")
+        at = lines.index("a:") + 2
+        edited = rewrite(lines[at])
+        assert edited != lines[at]
+        lines[at] = edited
+        text = "\n".join(lines)
+        calls = count_number_reads(monkeypatch)
+        assert verify_text(text, tmp_path / "c.txt") == (0, "")
+        assert calls == ["the header", "block 'd'", "block 'a'"]
+        cf, cert = read_checked(tmp_path / "c.txt")
+        assert cf.a is not cert.a and cf.a[1] == float(edited)
+        assert cf.b is cert.b
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 1), st.lists(EDITS, min_size=1, max_size=3))
+def test_checked_read_of_edited_file_matches_a_full_parse(fuzz_inputs, which, edits):
+    # the same values or the same error, but that the header's rate pair is
+    # checked before the advisory blocks are read, so a file with a bad rate
+    # pair and a malformed advisory block reports the rate pair
+    texts, directory = fuzz_inputs
+    data = texts[which]
+    for edit in edits:
+        data = edit_bytes(data, edit)
+    path = directory / "checked.txt"
+    path.write_bytes(data)
+    outcome = checked_outcome(read_checked, path)
+    reference = checked_outcome(full_parse_read_checked, path)
+    if outcome != reference:
+        assert isinstance(reference, str) and isinstance(outcome, str)
+        assert outcome.startswith("inconsistent rate parameters: ")
+
+
 def verify_text(text: str, path) -> tuple[int, str]:
-    path.write_text(text)
+    path.write_bytes(text.encode())
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = cli.main(["verify", str(path)])
@@ -427,3 +548,17 @@ def test_negative_zero_d_entry_fails_verification(fuzz_inputs, zero):
     lines = texts[1].decode().split("\n")
     lines[lines.index("d:") + 2] = zero
     assert verify_text("\n".join(lines), directory / "zero.txt")[0] == 3
+
+
+@pytest.mark.parametrize("end, error", [
+    ("\r\n", "unsupported format tag 'pepcert/1\\r'"),
+    ("\r", "missing header key 'N'"),
+], ids=["CRLF", "CR"])
+def test_carriage_return_line_ends_are_corrupt(small_sweep, tmp_path, end, error):
+    # a file is read with its line ends as they are: "\n" alone ends a line
+    text = render_certificate(certificate_file(small_sweep[10].cert))
+    assert verify_text(text, tmp_path / "ok.txt") == (0, "")
+    path = tmp_path / "cr.txt"
+    assert verify_text(text.replace("\n", end), path) == (4, f"corrupt certificate: {error}\n")
+    with pytest.raises(CertificateFormatError, match=re.escape(error)):
+        read_certificate(path)

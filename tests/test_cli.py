@@ -663,11 +663,19 @@ class TestVerify:
         assert err.startswith("corrupt certificate: ") and err.count("\n") == 1
 
     def test_nan_gap_is_corruption(self, capsys, cert_dir, monkeypatch):
-        # the cross check itself must not pass a NaN, whatever the parser lets in
-        cf = read_certificate(cert_dir / "cert_N00010.txt")
-        cf.a[5] = np.nan
-        monkeypatch.setattr(cli.certfile, "read_certificate", lambda path: cf)
-        code, out, err = run(capsys, "verify", "any.txt")
+        # the cross check itself must not pass a NaN, whatever the parser lets
+        # in: the a block is parsed, not matched to its rendering, and gets one
+        real = cli.certfile._values
+
+        def with_nan(text, name, *rest):
+            values = real(text, name, *rest)
+            if name == "a":
+                values[5] = np.nan
+            return values
+
+        monkeypatch.setattr(cli.certfile, "_is_rendering", lambda *args: False)
+        monkeypatch.setattr(cli.certfile, "_values", with_nan)
+        code, out, err = run(capsys, "verify", cert_dir / "cert_N00010.txt")
         assert code == 4
         assert err.startswith("corrupt certificate: stored a ") and err.count("\n") == 1
         assert "CERTIFIED" not in out
