@@ -40,6 +40,6 @@ print(f"  max gap = {np.max(np.abs(pred - r3)):.2e}\n")
 # solving eps(d) = 0 produces the genuine certificate
 report = gauss_newton(params, guess)
 print(f"after {report.iterations + report.chord_steps} Gauss-Newton steps:")
-print("  d   =", np.array2string(report.d, precision=10))
-print(f"  sup |eps| = {report.residual_sup:.3e}")
+print("  d   =", np.array2string(report.cert.d, precision=10))
+print(f"  sup |eps| = {report.cert.residual_sup:.3e}")
 print(f"  all of a, b, c, d positive: {report.cert.positive}")

@@ -29,14 +29,15 @@ iters = []
 ends = []
 # the sweep only yields reports; each file is written as its report arrives
 for rep in sweep(range(3, n_max + 1)):
-    write_certificate(certificate_file(rep.cert), default_path(outdir, rep.params.N))
+    cert = rep.cert
+    write_certificate(certificate_file(cert), default_path(outdir, cert.params.N))
     iters.append(rep.iterations + rep.chord_steps)
     # the two equations the Newton step leaves out
-    eps0, epsN = abs(rep.cert.eps[0]), abs(rep.cert.eps[-1])
+    eps0, epsN = abs(cert.eps[0]), abs(cert.eps[-1])
     ends.append(max(eps0, epsN))
-    if rep.params.N % 6 == 0 or rep.params.N == 3:
-        print(f"{rep.params.N:>4} {iters[-1]:>5} {rep.residual_sup:>10.2e} {eps0:>10.2e} "
-              f"{epsN:>10.2e} {rep.delta:>10.2e} {rep.params.r:>12.6e}")
+    if cert.params.N % 6 == 0 or cert.params.N == 3:
+        print(f"{cert.params.N:>4} {iters[-1]:>5} {cert.residual_sup:>10.2e} {eps0:>10.2e} "
+              f"{epsN:>10.2e} {cert.delta:>10.2e} {cert.params.r:>12.6e}")
 
 print(f"\niteration counts across the sweep: min {min(iters)}, max {max(iters)}")
 print(f"eps_0 and eps_N, never solved for, reach at most {max(ends):.2e}")
@@ -52,5 +53,5 @@ print(f"stored certificate for N={sample.N}: delta = {sample.delta:.2e}, "
 strided = list(sweep([*range(3, 31), 60, 90, 120]))
 print("\nstrided schedule 3..30 dense then every 30th:")
 for rep in strided[-4:]:
-    print(f"  N={rep.params.N:>3}: {rep.iterations + rep.chord_steps} iterations, "
-          f"sup|eps| = {rep.residual_sup:.2e}")
+    print(f"  N={rep.cert.params.N:>3}: {rep.iterations + rep.chord_steps} iterations, "
+          f"sup|eps| = {rep.cert.residual_sup:.2e}")

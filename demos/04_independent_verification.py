@@ -28,7 +28,7 @@ from pepcert import (
 n = 12
 params = solve_rate_params(n)
 report = gauss_newton(params, np.full(n - 1, 0.3))
-cert = derive_full(params, report.d)
+cert = derive_full(params, report.cert.d)
 
 # the coefficient match holds for a certificate or not; a
 # one-part-in-a-thousand bump of one multiplier (a_2, at matrix position

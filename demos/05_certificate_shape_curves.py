@@ -18,12 +18,10 @@ outdir = os.path.join(tempfile.gettempdir(), "pepcert_demo_curves")
 os.makedirs(outdir, exist_ok=True)
 
 sizes = (20, 60, 180)
-reports = {rep.params.N: rep for rep in sweep(range(3, max(sizes) + 1))}
-
-from pepcert import derive_full  # noqa: E402
+reports = {rep.cert.params.N: rep for rep in sweep(range(3, max(sizes) + 1))}
 
 for n in sizes:
-    cert = derive_full(reports[n].params, reports[n].d)
+    cert = reports[n].cert
     for name in ("a", "b", "c", "d"):
         vec = getattr(cert, name)
         xs = np.linspace(0.0, 1.0, len(vec))
@@ -37,7 +35,7 @@ print(f"plot them with any tool, e.g. gnuplot> plot '{outdir}/N00060_d.dat' w l\
 width, height = 64, 12
 print("normalized d curves (x: index fraction, y: value fraction)")
 for n in sizes:
-    cert = derive_full(reports[n].params, reports[n].d)
+    cert = reports[n].cert
     ys = cert.d / cert.d.max()
     xs = np.linspace(0.0, 1.0, len(ys))
     grid = [[" "] * width for _ in range(height)]

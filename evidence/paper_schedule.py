@@ -63,16 +63,15 @@ def summary_row(cert, factored, chord, solve_s):
     slack = slack_psd_check(cert)
     check_s = time.perf_counter() - start
     params = cert.params
-    sup = float(np.max(np.abs(cert.eps)))
     gap = float(np.min(lower_bound_envelope(params.N, np.append(GRID, params.alpha)))) - params.r
     failed = [name for name, ok in (
-        ("positive", cert.positive), ("sup_eps", sup <= RESIDUAL_TOL),
+        ("positive", cert.positive), ("sup_eps", cert.residual_sup <= RESIDUAL_TOL),
         ("delta", cert.delta <= DELTA_TOL), ("oracle", ratio <= 1.0),
         ("slack", slack is True), ("envelope", abs(gap) <= BALANCE_TOL)) if not ok]
     extremes = [f(getattr(cert, name)) for name in "abcd" for f in (np.min, np.max)]
-    row = [str(params.N), repr(params.alpha), repr(params.r), f"{sup:.3e}", f"{cert.delta:.3e}",
-           *(f"{x:.3e}" for x in extremes), str(factored), str(chord), f"{solve_s:.4f}",
-           f"{check_s:.4f}", f"{ratio:.3e}", str(slack), f"{gap:.2e}"]
+    row = [str(params.N), repr(params.alpha), repr(params.r), f"{cert.residual_sup:.3e}",
+           f"{cert.delta:.3e}", *(f"{x:.3e}" for x in extremes), str(factored), str(chord),
+           f"{solve_s:.4f}", f"{check_s:.4f}", f"{ratio:.3e}", str(slack), f"{gap:.2e}"]
     return row, failed
 
 
@@ -88,7 +87,7 @@ def main(argv=None):
         solve_s = time.perf_counter() - clock
         row, failed = summary_row(report.cert, report.iterations, report.chord_steps, solve_s)
         rows.append(",".join(row))
-        failures += [f"N={report.params.N}: {name}" for name in failed]
+        failures += [f"N={report.cert.params.N}: {name}" for name in failed]
         solve_total += solve_s
         clock = time.perf_counter()
     check_total = clock - begin - solve_total

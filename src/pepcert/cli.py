@@ -9,12 +9,15 @@ too (a sweep keeps the files it wrote before). Files go to --outdir, the
 working directory by default, in the layout of `certfile`: orjson renders
 its block numbers and parses the header and `d`, `verify` and `plotdata`
 parse a stored a, b, c or eps block only when it is not the rendering of
-the vector derived from `d`, and `rates` and `envelope` never load orjson. `sweep` starts no other process: it writes each size's file,
-then prints its row, before it solves the next size. The gates are fixed:
-a solve converges at max_i |eps_i| <= 1e-13 and delta <= 1e-11, and verify
-certifies a file whose delta, recomputed and as stored, is at most 1e-11
-and, with --oracle, whose coefficient deviation is within the oracle's
-tolerance. Identical invocations produce byte-identical files.
+the vector derived from `d`, and `rates` and `envelope` never load orjson.
+`solve N` is a sweep of the one size N. `sweep` starts no other process:
+it writes each size's file, then prints its row, before it solves the next
+size. The library checks the values it is given; its ValueError is one
+usage line. The gates are fixed: a solve converges at max_i |eps_i| <=
+1e-13 and delta <= 1e-11, and verify certifies a file whose delta,
+recomputed and as stored, is at most 1e-11 and, with --oracle, whose
+coefficient deviation is within the oracle's tolerance. Identical
+invocations produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -32,8 +35,9 @@ from .rates import huber_rate, lower_bound_envelope, quadratic_rate, solve_rate_
 from .recursion import DELTA_TOL
 from .verifier import oracle_check
 
-# solver.gauss_newton and solver.sweep are looked up on the module at each
-# call, so a replacement there (a monkeypatch, a tracer) takes effect; scipy
+# solver.sweep is looked up on the module at each call, and it calls
+# solver.gauss_newton through the module, so a replacement of either (a
+# monkeypatch, a tracer) takes effect; scipy
 # (its top-level package and compiled LAPACK module, never scipy.linalg)
 # loads only when a solve takes its first step
 
@@ -80,17 +84,16 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _rate_params(n):
+def _checked(fn, *args):
+    # the library checks the values it is given: its ValueError is the usage line
     try:
-        return solve_rate_params(n)
-    except ValueError as exc:  # no float64 rate pair at some huge N
+        return fn(*args)
+    except ValueError as exc:
         raise _UsageError(str(exc))
 
 
 def cmd_rates(args) -> int:
-    if args.N < 1:
-        raise _UsageError("N must be >= 1")
-    params = _rate_params(args.N)
+    params = _checked(solve_rate_params, args.N)
     gap = abs(quadratic_rate(params.N, params.alpha) - huber_rate(params.N, params.alpha))
     print(f"N {params.N}")
     print(f"alpha {params.alpha!r}")
@@ -100,26 +103,24 @@ def cmd_rates(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    if args.N < 3:
-        raise _UsageError("solve requires N >= 3")
-    params = _rate_params(args.N)
     try:
         with _in_memory(f"N={args.N}"):
-            report = solver.gauss_newton(params, solver.closed_form_start(args.N))
+            # the sweep checks N and solves its rate pair before the cold solve
+            report = next(_checked(solver.sweep, [args.N]))
     except solver.NonConvergence as exc:
         print(f"non-convergence: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
-    cf = certfile.certificate_file(report.cert)
+    cert = report.cert
     path = args.out or certfile.default_path(args.outdir, args.N)
     with _writing():
-        certfile.write_certificate(cf, path)
-    print(f"N {report.params.N}")
-    print(f"alpha {report.params.alpha!r}")
-    print(f"r {report.params.r!r}")
+        certfile.write_certificate(certfile.certificate_file(cert), path)
+    print(f"N {cert.params.N}")
+    print(f"alpha {cert.params.alpha!r}")
+    print(f"r {cert.params.r!r}")
     print(f"iterations {report.iterations}")
-    print(f"residual_sup {report.residual_sup:.3e}")
-    print(f"delta {report.delta:.3e}")
-    print(f"positive {report.cert.positive}")
+    print(f"residual_sup {cert.residual_sup:.3e}")
+    print(f"delta {cert.delta:.3e}")
+    print(f"positive {cert.positive}")
     print("converged True")
     print(f"wrote {path}")
     return EXIT_OK
@@ -130,8 +131,6 @@ def _parse_segment(spec: str):
         start, stop, stride = (int(part) for part in spec.split(":"))
     except ValueError:
         raise _UsageError(f"bad segment {spec!r}, expected START:STOP:STRIDE")
-    if start < 3:
-        raise _UsageError(f"segment start {start} below N=3")
     if stop < start:
         raise _UsageError(f"segment stop {stop} below start {start}")
     if stride < 1:
@@ -149,15 +148,10 @@ def _sweep_sizes(args) -> list[int]:
 
 
 def cmd_sweep(args) -> int:
-    if args.N_MAX < 3:
-        raise _UsageError("sweep requires N_MAX >= 3")
     with _in_memory("the sweep"):
         sizes = _sweep_sizes(args)
-        try:
-            # every size's rate pair is solved here, before any solve
-            reports = solver.sweep(sizes)
-        except ValueError as exc:  # the sizes increase from 3, so a rate pair failed
-            raise _UsageError(str(exc))
+        # the sweep checks the sizes and solves every rate pair before any solve
+        reports = _checked(solver.sweep, sizes)
     # each row is printed once its file is on disk, before the next size is
     # solved, so an aborted sweep keeps the file of every row it printed
     outdir = args.outdir
@@ -165,12 +159,13 @@ def cmd_sweep(args) -> int:
     try:
         with _in_memory("the sweep"):
             for report in reports:
+                cert = report.cert
+                params = cert.params
                 with _writing():
-                    certfile.write_certificate(certfile.certificate_file(report.cert),
-                                               certfile.default_path(outdir, report.params.N))
-                print(f"{report.params.N:>6} {report.params.alpha:>20.16f} "
-                      f"{report.params.r:>14.6e} {report.iterations:>5} "
-                      f"{report.residual_sup:>10.2e} {report.delta:>10.2e}")
+                    certfile.write_certificate(certfile.certificate_file(cert),
+                                               certfile.default_path(outdir, params.N))
+                print(f"{params.N:>6} {params.alpha:>20.16f} {params.r:>14.6e} "
+                      f"{report.iterations:>5} {cert.residual_sup:>10.2e} {cert.delta:>10.2e}")
     except solver.NonConvergence as exc:
         print(f"sweep aborted: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
@@ -233,8 +228,6 @@ def _parse_grid(spec: str) -> np.ndarray:
         raise _UsageError(f"bad grid spec {spec!r}, expected lo:hi:step")
     if not np.isfinite([lo, hi, step]).all() or step <= 0 or hi < lo:
         raise _UsageError(f"bad grid spec {spec!r}")
-    if lo < 0:  # huber_rate has a pole at alpha = -1/(2N)
-        raise _UsageError(f"grid spec {spec!r} starts below 0; stepsizes must be >= 0")
     n = np.floor((hi - lo) / step + 1e-9) + 1
     if not n <= MAX_GRID_POINTS:  # also catches an infinite count
         raise _UsageError(f"grid spec {spec!r} has more than {MAX_GRID_POINTS} points")
@@ -245,7 +238,7 @@ def cmd_envelope(args) -> int:
     if args.N < 1:
         raise _UsageError("N must be >= 1")
     grid = _parse_grid(args.grid)
-    vals = lower_bound_envelope(args.N, grid)
+    vals = _checked(lower_bound_envelope, args.N, grid)
     imin = int(np.argmin(vals))
     for i, (al, v) in enumerate(zip(grid, vals)):
         mark = " *" if i == imin else ""

@@ -169,6 +169,11 @@ class FullCertificate:
         )
 
     @property
+    def residual_sup(self) -> float:
+        """The largest residual error, max_i |eps_i|."""
+        return float(np.max(np.abs(self.eps)))
+
+    @property
     def delta(self) -> float:
         """Total positive error, the sum of max(eps_i, 0)."""
         return float(np.sum(np.maximum(self.eps, 0.0)))

@@ -60,41 +60,20 @@ CONTINUATION_SOURCES = 4
 
 
 class NonConvergence(RuntimeError):
-    """Gauss-Newton failed: a failed step, stagnation, iteration budget, or a
-    sign-violating terminal certificate. Carries the problem size N."""
-
-    def __init__(self, message: str, N: int | None = None):
-        super().__init__(message)
-        self.N = N
+    """Gauss-Newton failed: a failed step, stagnation, the step budget, or a
+    certificate that is not strictly positive. The message names N."""
 
 
 @dataclass
 class SolveReport:
-    """Record of one converged Gauss-Newton run and its strictly positive
-    certificate; gauss_newton raises NonConvergence rather than return any
-    other outcome. `iterations` counts the band factorizations and
-    `chord_steps` the steps that reused one. `params`, `d`,
-    `residual_sup` and `delta` are read from `cert`."""
+    """Record of one converged Gauss-Newton run: its strictly positive
+    certificate, the band factorizations (`iterations`) and the chord steps
+    that reused one. gauss_newton raises NonConvergence rather than return
+    any other outcome."""
 
     cert: FullCertificate
     iterations: int
     chord_steps: int
-
-    @property
-    def params(self) -> RateParams:
-        return self.cert.params
-
-    @property
-    def d(self) -> np.ndarray:
-        return self.cert.d
-
-    @property
-    def residual_sup(self) -> float:
-        return float(np.max(np.abs(self.cert.eps)))
-
-    @property
-    def delta(self) -> float:
-        return self.cert.delta
 
 
 def _linearized_equations(cert: FullCertificate) -> dict:
@@ -329,15 +308,12 @@ def gauss_newton(params: RateParams, d0) -> SolveReport:
     factored = chords = 0
     lu = None
     for it in range(MAX_ITER + 1):
-        sup = float(np.max(np.abs(cert.eps)))
+        sup = cert.residual_sup
         norm = float(np.linalg.norm(cert.eps))
         if sup <= RESIDUAL_TOL and cert.delta <= DELTA_TOL:
             if not cert.positive:
-                raise NonConvergence(
-                    f"residual converged at N={params.N} but certificate data "
-                    "is not strictly positive",
-                    N=params.N,
-                )
+                raise NonConvergence(f"residual converged at N={params.N} but certificate "
+                                     "data is not strictly positive")
             return SolveReport(cert=cert, iterations=factored, chord_steps=chords)
         if it == MAX_ITER:
             break
@@ -356,11 +332,8 @@ def gauss_newton(params: RateParams, d0) -> SolveReport:
         factored += 1
         s = None if lu is None else _solve(lu, cert.eps)
         if s is None:
-            raise NonConvergence(
-                f"Gauss-Newton step failed at N={params.N} (singular system or "
-                f"non-finite step) with residual sup {sup:.3e}",
-                N=params.N,
-            )
+            raise NonConvergence(f"Gauss-Newton step failed at N={params.N} (singular system "
+                                 f"or non-finite step) with residual sup {sup:.3e}")
         t = 1.0
         while t >= 2.0**-20:
             trial = derive_full(params, cert.d + t * s)
@@ -370,14 +343,9 @@ def gauss_newton(params: RateParams, d0) -> SolveReport:
             t *= 0.5
         else:
             raise NonConvergence(
-                f"line search stagnated at N={params.N} with residual sup {sup:.3e}",
-                N=params.N,
-            )
-    raise NonConvergence(
-        f"no convergence at N={params.N} within {MAX_ITER} steps "
-        f"(residual sup {sup:.3e})",
-        N=params.N,
-    )
+                f"line search stagnated at N={params.N} with residual sup {sup:.3e}")
+    raise NonConvergence(f"no convergence at N={params.N} within {MAX_ITER} steps "
+                         f"(residual sup {sup:.3e})")
 
 
 def closed_form_start(N: int) -> np.ndarray:
@@ -443,16 +411,20 @@ def sweep(sizes) -> Iterator[SolveReport]:
     A caller that writes each report before asking for the next keeps its
     files through an aborted sweep.
 
-    Raises ValueError at the call, before any solve, for a schedule that is
-    empty, has a size below 3 or does not increase, or has a size with no
-    float64 rate parameters (from solve_rate_params, which solves each
-    size's pair once). Iterating raises NonConvergence (annotated with the
-    failing N) if a size fails from the closed form too; the continuation
-    chain is broken at that point and the sweep stops.
+    Raises ValueError at the call, before any solve, naming the offending
+    size, for a schedule that is empty, does not increase strictly from
+    N >= 3, or has a size with no float64 rate parameters (from
+    solve_rate_params, which solves each size's pair once). Iterating raises
+    NonConvergence, whose message names N, if a size fails from the closed
+    form too; the continuation chain is broken at that point and the sweep
+    stops.
     """
     sizes = list(sizes)
-    if not sizes or sizes[0] < 3 or any(b <= a for a, b in zip(sizes, sizes[1:])):
-        raise ValueError("sizes must increase strictly from N >= 3")
+    if not sizes:
+        raise ValueError("a sweep needs at least one size")
+    for prev, n in zip([2, *sizes], sizes):  # the first size must exceed 2
+        if n <= prev:
+            raise ValueError(f"sizes must increase strictly from N >= 3, got N={n}")
     schedule = [solve_rate_params(n) for n in sizes]
 
     def reports():
@@ -469,7 +441,7 @@ def sweep(sizes) -> Iterator[SolveReport]:
             # frame, which the exception's traceback holds, is freed first
             if report is None:
                 report = gauss_newton(params, closed_form_start(n))
-            recent.append((n, report.d))
+            recent.append((n, report.cert.d))
             yield report
 
     return reports()

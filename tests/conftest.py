@@ -8,7 +8,7 @@ from pepcert import solve_rate_params, sweep
 def small_sweep():
     """Converged certificates for N = 3..20, shared across tests."""
     reports = list(sweep(range(3, 21)))
-    return {rep.params.N: rep for rep in reports}
+    return {rep.cert.params.N: rep for rep in reports}
 
 
 @pytest.fixture(scope="session")

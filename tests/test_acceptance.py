@@ -79,12 +79,12 @@ def test_criterion_1_desk_scale_sweep(sweep300_dir):
 def test_criterion_2_strided_continuation():
     with criterion(2, "strided continuation: stride 1 to 300, stride 50 to 1000"):
         reports = list(sweep([*range(3, 301), *range(350, 1001, 50)]))
-        ns = [rep.params.N for rep in reports]
+        ns = [rep.cert.params.N for rep in reports]
         assert ns == list(range(3, 301)) + list(range(350, 1001, 50))
         for rep in reports:
             assert rep.cert.positive
-            assert rep.residual_sup <= SUP_TOL
-            assert rep.delta <= DELTA_TOL
+            assert rep.cert.residual_sup <= SUP_TOL
+            assert rep.cert.delta <= DELTA_TOL
 
 
 def test_criterion_3_elimination_oracle():

@@ -180,14 +180,23 @@ class TestParseErrors:
                 with pytest.raises(CertificateFormatError):
                     parse_certificate("\n".join(edited) + "\n")
 
-    def test_blocks_out_of_order(self, small_sweep):
+    def test_blocks_out_of_order(self, small_sweep, tmp_path):
         text = full_text(small_sweep)
         head, rest = text.split("a:\n")
         a_block, b_rest = rest.split("b:\n")
         b_block, tail = b_rest.split("c:\n")
-        swapped = f"{head}b:\n{b_block}a:\n{a_block}c:\n{tail}"
-        with pytest.raises(CertificateFormatError):
-            parse_certificate(swapped)
+        # a after b, last or before c and eps: the full parse, the checked
+        # read (which parses only d and matches the rest against the
+        # rendering) and verify all stop at the a tag, line 16 for N=5
+        error = "line 16: unexpected 'a:'"
+        for k, swapped in enumerate([f"{head}b:\n{b_block}a:\n{a_block}",
+                                     f"{head}b:\n{b_block}a:\n{a_block}c:\n{tail}"]):
+            with pytest.raises(CertificateFormatError, match=re.escape(error)):
+                parse_certificate(swapped)
+            path = tmp_path / f"swapped{k}.txt"
+            assert verify_text(swapped, path) == (4, f"corrupt certificate: {error}\n")
+            with pytest.raises(CertificateFormatError, match=re.escape(error)):
+                read_checked(path)
         # the required block first, too
         d_block = head.split("d:\n")[1]
         with pytest.raises(CertificateFormatError):
@@ -552,7 +561,7 @@ def test_negative_zero_d_entry_fails_verification(fuzz_inputs, zero):
 
 @pytest.mark.parametrize("end, error", [
     ("\r\n", "unsupported format tag 'pepcert/1\\r'"),
-    ("\r", "missing header key 'N'"),
+    ("\r", "line 1: carriage return after 'format pepcert/1'; lines end in '\\n' alone"),
 ], ids=["CRLF", "CR"])
 def test_carriage_return_line_ends_are_corrupt(small_sweep, tmp_path, end, error):
     # a file is read with its line ends as they are: "\n" alone ends a line

@@ -94,8 +94,10 @@ class TestSolve:
         assert cf.delta <= 1e-11
 
     def test_n_too_small(self, capsys):
+        # the sweep of the one size makes the check
         code, _, err = run(capsys, "solve", 2)
         assert code == 1
+        assert err == "usage error: sizes must increase strictly from N >= 3, got N=2\n"
 
     # the gates and the iteration budget are fixed: even their old defaults
     # are refused, and nothing is solved or written
@@ -166,7 +168,7 @@ class TestSolve:
 
     def test_nonconvergence_exits_2(self, capsys, tmp_path, monkeypatch):
         def failing(params, d0):
-            raise solver_mod.NonConvergence("synthetic failure", N=params.N)
+            raise solver_mod.NonConvergence(f"synthetic failure at N={params.N}")
 
         monkeypatch.setattr(solver_mod, "gauss_newton", failing)
         code, out, err = run(capsys, "solve", 30, "--outdir", tmp_path / "out")
@@ -194,9 +196,9 @@ def sweep_reference(tmp_path_factory):
     outdir = tmp_path_factory.mktemp("library")
     for report in solver_mod.sweep(SWEEP_SIZES):
         path = write_certificate(certificate_file(report.cert),
-                                 default_path(outdir, report.params.N))
+                                 default_path(outdir, report.cert.params.N))
         with open(path, "rb") as fh:
-            files[report.params.N] = fh.read()
+            files[report.cert.params.N] = fh.read()
     lines = out.getvalue().splitlines()
     return {"header": lines[0], "rows": lines[1:-1], "files": files}
 
@@ -249,7 +251,7 @@ class TestSweep:
     def test_n_max_too_small(self, capsys, tmp_path):
         code, _, err = run(capsys, "sweep", 2, "--outdir", tmp_path)
         assert code == 1
-        assert err == "usage error: sweep requires N_MAX >= 3\n"
+        assert err == "usage error: a sweep needs at least one size\n"
         assert not list(tmp_path.iterdir())
 
     def test_size_past_memory_mid_sweep_is_usage_error(self, capsys, tmp_path):
@@ -302,8 +304,8 @@ class TestSweep:
         # now stops only once delta passes verify's gate too
         sizes = [*range(3, 61), 3061, 6062, 9063, 12064]
         reports = list(solver_mod.sweep(sizes))
-        assert [rep.params.N for rep in reports] == sizes
-        assert max(rep.delta for rep in reports) <= 1e-11
+        assert [rep.cert.params.N for rep in reports] == sizes
+        assert max(rep.cert.delta for rep in reports) <= 1e-11
         path = write_certificate(certificate_file(reports[-1].cert),
                                  default_path(tmp_path, 12064))
         code, out, _ = run(capsys, "verify", path)

@@ -72,7 +72,7 @@ def test_row_from_memory_equals_row_from_the_file(tmp_path, evidence):
     for report in sweep([*range(3, 41), 60, 120]):
         steps = (report.iterations, report.chord_steps)
         row, failed = evidence.summary_row(report.cert, *steps, 0.0)
-        path = default_path(tmp_path, report.params.N)
+        path = default_path(tmp_path, report.cert.params.N)
         write_certificate(certificate_file(report.cert), path)
         _, cert = read_checked(path)
         again, failed_again = evidence.summary_row(cert, *steps, 0.0)

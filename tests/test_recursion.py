@@ -137,7 +137,7 @@ class TestEpsAndResidual:
 
     def test_converged_residual_small(self, small_sweep):
         rep = small_sweep[10]
-        eps = derive_full(rep.params, rep.d).eps
+        eps = derive_full(rep.cert.params, rep.cert.d).eps
         assert np.max(np.abs(eps)) <= 1e-13
         assert np.sum(np.maximum(eps, 0.0)) <= 1e-11
 
@@ -171,7 +171,7 @@ class TestDeriveFull:
         assert np.any(cert.eps != 0.0)
 
     def test_positive_at_certificate(self, small_sweep):
-        cert = derive_full(small_sweep[5].params, small_sweep[5].d)
+        cert = small_sweep[5].cert
         assert cert.positive
 
     def test_c_last_pinned(self):

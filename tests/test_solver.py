@@ -210,7 +210,7 @@ class TestLeastSquaresStep:
         # the band solves for, are typically about 17 times its entries, so
         # their first differences must keep the step's accuracy
         params = solve_rate_params(n)
-        d_star = gauss_newton(params, closed_form_start(n)).d
+        d_star = gauss_newton(params, closed_form_start(n)).cert.d
         for scale in (1e-2, 1e-6):
             d = d_star * (1.0 + scale * rng.standard_normal(n - 1))
             cert = derive_full(params, d)
@@ -256,7 +256,6 @@ class TestLeastSquaresStep:
         assert solver_mod._factor(derive_full(solve_rate_params(7), np.full(6, 0.3))) is None
         with pytest.raises(NonConvergence) as err:
             solver_mod.gauss_newton(solve_rate_params(7), np.full(6, 0.3))
-        assert err.value.N == 7
         assert "N=7" in str(err.value)
 
     def test_invalid_band_argument_raises(self, monkeypatch):
@@ -336,18 +335,18 @@ class TestLeastSquaresStep:
 
 class TestGaussNewton:
     def test_warm_start_n5(self, small_sweep):
-        d0 = extrapolate_init([(3, small_sweep[3].d), (4, small_sweep[4].d)], 5)
+        d0 = extrapolate_init([(3, small_sweep[3].cert.d), (4, small_sweep[4].cert.d)], 5)
         report = gauss_newton(solve_rate_params(5), d0)
         assert report.cert.positive
-        assert report.residual_sup <= 1e-13
+        assert report.cert.residual_sup <= 1e-13
         # one factored and three chord steps
         assert report.iterations + report.chord_steps <= 20
 
     def test_fixed_point(self, small_sweep):
         rep = small_sweep[10]
-        again = gauss_newton(rep.params, rep.d)
+        again = gauss_newton(rep.cert.params, rep.cert.d)
         assert again.iterations + again.chord_steps <= 1
-        assert np.max(np.abs(again.d - rep.d)) <= 1e-14
+        assert np.max(np.abs(again.cert.d - rep.cert.d)) <= 1e-14
 
     def test_descent_and_delta_bound(self, monkeypatch):
         # the cold start takes one factored step and four chord steps, so
@@ -358,8 +357,8 @@ class TestGaussNewton:
         assert (report.iterations, report.chord_steps) == (1, 4)
         assert len(norms) == 6
         assert all(b < a for a, b in zip(norms, norms[1:]))
-        n = report.params.N
-        assert report.delta <= (n + 1) * report.residual_sup
+        n = report.cert.params.N
+        assert report.cert.delta <= (n + 1) * report.cert.residual_sup
 
     @pytest.mark.parametrize("n, value, factored, chords", [(6, 0.4, 2, 8), (40, 0.3, 4, 7)])
     def test_far_start(self, n, value, factored, chords):
@@ -369,7 +368,7 @@ class TestGaussNewton:
         report = gauss_newton(solve_rate_params(n), np.full(n - 1, value))
         assert (report.iterations, report.chord_steps) == (factored, chords)
         assert report.cert.positive
-        assert report.residual_sup <= solver_mod.RESIDUAL_TOL
+        assert report.cert.residual_sup <= solver_mod.RESIDUAL_TOL
 
     @pytest.mark.parametrize("n", [20, 100])
     @pytest.mark.parametrize("shift", [-1e-3, 1e-6, 1e-3])
@@ -381,7 +380,7 @@ class TestGaussNewton:
         params = RateParams(n, balanced.alpha + shift, balanced.r)
         with pytest.raises(NonConvergence) as err:
             gauss_newton(params, closed_form_start(n))
-        assert err.value.N == n
+        assert f"N={n}" in str(err.value)
 
     def test_bad_start_contract(self):
         # far start with a negative entry: either a positive certificate or
@@ -398,7 +397,7 @@ class TestGaussNewton:
         monkeypatch.setattr(FullCertificate, "positive", property(lambda self: False))
         with pytest.raises(NonConvergence, match="not strictly positive") as err:
             gauss_newton(solve_rate_params(10), closed_form_start(10))
-        assert err.value.N == 10
+        assert "N=10" in str(err.value)
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
@@ -417,7 +416,7 @@ class TestGaussNewton:
 
     def test_report_carries_its_certificate(self, small_sweep):
         report = small_sweep[8]
-        again = derive_full(report.params, report.d)
+        again = derive_full(report.cert.params, report.cert.d)
         assert report.cert.positive
         for name in ("a", "b", "c", "d", "eps"):
             np.testing.assert_array_equal(getattr(report.cert, name), getattr(again, name))
@@ -511,7 +510,7 @@ class TestChordSteps:
         first_chord = record(gauss_newton(params, closed_form_start(13)))[2]
         assert np.linalg.norm(steps[1][0].eps) == first_chord
         assert report.cert.positive
-        assert report.residual_sup <= solver_mod.RESIDUAL_TOL
+        assert report.cert.residual_sup <= solver_mod.RESIDUAL_TOL
 
     def test_failed_dgbtrs_leads_to_refactorization(self, monkeypatch):
         # dgbtrs reports an invalid argument on every chord solve, each call
@@ -522,7 +521,7 @@ class TestChordSteps:
         assert (report.iterations, report.chord_steps) == (3, 0)
         assert len(chords) == 2  # one after each factored step but the last
         assert report.cert.positive
-        assert report.residual_sup <= solver_mod.RESIDUAL_TOL
+        assert report.cert.residual_sup <= solver_mod.RESIDUAL_TOL
 
     def test_budget_counts_chord_steps(self, monkeypatch):
         # the cold start at N=13 takes one factored and four chord steps:
@@ -535,7 +534,7 @@ class TestChordSteps:
         steps = counting(monkeypatch, solver_mod, "_factor")
         with pytest.raises(NonConvergence, match="within 4 steps") as err:
             solver_mod.gauss_newton(params, d0)
-        assert err.value.N == 13
+        assert "N=13" in str(err.value)
         assert len(steps) == 1
 
     def test_norm_decreases_at_every_accepted_iterate(self, monkeypatch):
@@ -584,13 +583,13 @@ def ratio_start(sizes, ratio):
 
 class TestExtrapolateInit:
     def test_one_source_same_size_is_d(self, small_sweep):
-        d = small_sweep[9].d
+        d = small_sweep[9].cert.d
         np.testing.assert_allclose(extrapolate_init([(9, d)], 9), d, rtol=3e-16, atol=0)
 
     def test_one_source_one_size_up(self, small_sweep):
         # aligned at the last index: entry i of size 8 continues entry i + 1
         # of size 9, and the new first entry takes the first ratio
-        d = small_sweep[8].d
+        d = small_sweep[8].cert.d
         out = extrapolate_init([(8, d)], 9)
         ratio = d / closed_form_start(8)
         np.testing.assert_allclose(out[1:], closed_form_start(9)[1:] * ratio,
@@ -599,14 +598,14 @@ class TestExtrapolateInit:
                                    rtol=3e-16, atol=0)
 
     def test_smaller_target_drops_leading_entries(self, small_sweep):
-        d = small_sweep[12].d
+        d = small_sweep[12].cert.d
         out = extrapolate_init([(12, d)], 9)
         np.testing.assert_allclose(out, closed_form_start(9) * (d / closed_form_start(12))[3:],
                                    rtol=3e-16, atol=0)
 
     def test_degenerate_equal_sources(self, small_sweep):
         # a size given twice is rejected, even with the same vector
-        d6, d7 = small_sweep[6].d, small_sweep[7].d
+        d6, d7 = small_sweep[6].cert.d, small_sweep[7].cert.d
         for sources in ([(6, d6), (6, d6.copy())], [(7, d7), (6, d6), (7, d7)]):
             with pytest.raises(ValueError, match="sizes must differ"):
                 extrapolate_init(sources, 9)
@@ -616,7 +615,7 @@ class TestExtrapolateInit:
             extrapolate_init([(6, np.full(5, 0.3)), (6, np.full(5, 0.4))], 9)
 
     def test_source_count(self, small_sweep):
-        five = [(n, small_sweep[n].d) for n in (7, 8, 9, 10, 11)]
+        five = [(n, small_sweep[n].cert.d) for n in (7, 8, 9, 10, 11)]
         with pytest.raises(ValueError):
             extrapolate_init(five, 12)
         with pytest.raises(ValueError):
@@ -656,7 +655,7 @@ class TestExtrapolateInit:
             np.testing.assert_allclose(out, expect, rtol=1e-13, atol=0)
 
     def test_pipeline_10_11_to_12(self, small_sweep):
-        d0 = extrapolate_init([(10, small_sweep[10].d), (11, small_sweep[11].d)], 12)
+        d0 = extrapolate_init([(10, small_sweep[10].cert.d), (11, small_sweep[11].cert.d)], 12)
         report = gauss_newton(solve_rate_params(12), d0)
         assert report.cert.positive
         # one factored and two chord steps
@@ -670,7 +669,7 @@ class TestExtrapolateInit:
         def forbidden(*args, **kwargs):
             raise AssertionError("the warm start must not evaluate residuals")
 
-        sources = [(n, small_sweep[n].d) for n in (10, 11, 12, 13)]
+        sources = [(n, small_sweep[n].cert.d) for n in (10, 11, 12, 13)]
         expect = extrapolate_init(sources, 14)
         monkeypatch.setattr(solver_mod, "derive_full", forbidden)
         np.testing.assert_array_equal(solver_mod.extrapolate_init(sources, 14), expect)
@@ -682,12 +681,12 @@ class TestBootstrap:
     def test_converges_positive(self):
         report = gauss_newton(solve_rate_params(3), closed_form_start(3))
         assert report.cert.positive
-        assert report.delta <= 1e-11
+        assert report.cert.delta <= 1e-11
 
     def test_deterministic(self):
         r1 = gauss_newton(solve_rate_params(40), closed_form_start(40))
         r2 = gauss_newton(solve_rate_params(40), closed_form_start(40))
-        np.testing.assert_array_equal(r1.d, r2.d)
+        np.testing.assert_array_equal(r1.cert.d, r2.cert.d)
         assert r1.iterations == r2.iterations
 
     def test_requires_n3(self):
@@ -700,7 +699,7 @@ class TestBootstrap:
         monkeypatch.setattr(solver_mod, "_factor", lambda *args: None)
         with pytest.raises(NonConvergence) as err:
             next(solver_mod.sweep([3]))
-        assert err.value.N == 3
+        assert "N=3" in str(err.value)
 
     def test_formula(self):
         # d_i = sqrt(N) / (2 (N - i)^{3/2}) for i = 0..N-2: smallest first
@@ -724,56 +723,59 @@ class TestSweep:
         reports = list(sweep([3]))
         boot = gauss_newton(solve_rate_params(3), closed_form_start(3))
         assert len(reports) == 1
-        np.testing.assert_array_equal(reports[0].d, boot.d)
+        np.testing.assert_array_equal(reports[0].cert.d, boot.cert.d)
 
     def test_step_is_gauss_newton_from_extrapolate_init(self, small_sweep):
-        sources = [(n, small_sweep[n].d) for n in (11, 9, 10, 8)]
+        sources = [(n, small_sweep[n].cert.d) for n in (11, 9, 10, 8)]
         report = gauss_newton(solve_rate_params(12), extrapolate_init(sources, 12))
-        np.testing.assert_array_equal(report.d, small_sweep[12].d)
+        np.testing.assert_array_equal(report.cert.d, small_sweep[12].cert.d)
         assert report.iterations == small_sweep[12].iterations
 
     def test_second_size_resamples_the_first(self, small_sweep):
         # N=4 starts from N=3's solution carried to its grid: the ratio to the
         # closed form at N=3, aligned at the last index, and its first entry
         # again in front
-        ratio = small_sweep[3].d / closed_form_start(3)
+        ratio = small_sweep[3].cert.d / closed_form_start(3)
         d0 = np.maximum(np.append(ratio[0], ratio) * closed_form_start(4), 1e-12)
         expect = gauss_newton(solve_rate_params(4), d0)
-        np.testing.assert_array_equal(small_sweep[4].d, expect.d)
+        np.testing.assert_array_equal(small_sweep[4].cert.d, expect.cert.d)
 
     def test_dense_small(self, small_sweep):
         assert sorted(small_sweep) == list(range(3, 21))
         for rep in small_sweep.values():
             assert rep.cert.positive
-            assert rep.residual_sup <= 1e-13
+            assert rep.cert.residual_sup <= 1e-13
             assert rep.iterations + rep.chord_steps <= 15
-            cert = derive_full(rep.params, rep.d)
+            cert = derive_full(rep.cert.params, rep.cert.d)
             assert cert.positive
 
     def test_strided_gaps(self):
         reports = list(sweep([*range(3, 13), 18, 24, 30]))
-        ns = [rep.params.N for rep in reports]
+        ns = [rep.cert.params.N for rep in reports]
         assert ns == list(range(3, 13)) + [18, 24, 30]
         assert all(rep.cert.positive for rep in reports)
 
     def test_schedule_validation(self):
-        # a strictly increasing list of sizes >= 3, checked before any solve
-        for sizes in ([], [2, 3, 4], [3, 5, 4], [3, 4, 4, 5]):
-            with pytest.raises(ValueError):
-                next(sweep(sizes))
+        # a strictly increasing list of sizes >= 3, checked before any solve;
+        # the message names the offending size
+        with pytest.raises(ValueError, match="^a sweep needs at least one size$"):
+            sweep([])
+        for sizes, bad in (([2, 3, 4], 2), ([3, 5, 4], 4), ([3, 4, 4, 5], 4)):
+            with pytest.raises(ValueError, match=f"strictly from N >= 3, got N={bad}$"):
+                sweep(sizes)
 
     def test_abort_reports_failing_n(self, monkeypatch):
         real = solver_mod.gauss_newton
 
         def failing(params, d0, **kw):
             if params.N == 7:
-                raise NonConvergence("synthetic failure", N=7)
+                raise NonConvergence("synthetic failure at N=7")
             return real(params, d0, **kw)
 
         monkeypatch.setattr(solver_mod, "gauss_newton", failing)
         with pytest.raises(NonConvergence) as err:
             list(solver_mod.sweep(range(3, 10)))
-        assert err.value.N == 7
+        assert "N=7" in str(err.value)
 
     def test_failed_warm_start_is_solved_from_the_closed_form(self, monkeypatch):
         # the warm start of N=7 is not finite, so its solve fails; the sweep
@@ -787,19 +789,19 @@ class TestSweep:
         monkeypatch.setattr(solver_mod, "extrapolate_init", broken_at_7)
         solves = counting(monkeypatch, solver_mod, "gauss_newton")
         reports = list(solver_mod.sweep(range(3, 13)))
-        assert [rep.params.N for rep in reports] == list(range(3, 13))
+        assert [rep.cert.params.N for rep in reports] == list(range(3, 13))
         assert [params.N for params, _ in solves] == [3, 4, 5, 6, 7, 7, *range(8, 13)]
         cold = gauss_newton(solve_rate_params(7), closed_form_start(7))
-        np.testing.assert_array_equal(reports[4].d, cold.d)
+        np.testing.assert_array_equal(reports[4].cert.d, cold.cert.d)
         for rep in reports:
             assert rep.cert.positive
-            assert rep.residual_sup <= solver_mod.RESIDUAL_TOL
+            assert rep.cert.residual_sup <= solver_mod.RESIDUAL_TOL
 
     def test_one_step_past_n100(self):
         # the cubic warm start in 1/N leaves each size past N=100 within one
         # Gauss-Newton step of the 1e-13 gate: one factored step and no
         # chord step (chord steps stop after N=30)
-        late = [rep for rep in sweep(range(3, 151)) if rep.params.N >= 100]
+        late = [rep for rep in sweep(range(3, 151)) if rep.cert.params.N >= 100]
         assert len(late) == 51
         assert [(rep.iterations, rep.chord_steps) for rep in late] == [(1, 0)] * 51
 
@@ -808,7 +810,7 @@ class TestSweep:
         # step at every size, and 51 chord steps in all, 41 of them at
         # N = 3..30 and at most two at any strided size
         sizes = sorted({*range(3, 61), *range(60, 1001, 94), *range(1000, 2001, 500)})
-        steps = {rep.params.N: (rep.iterations, rep.chord_steps) for rep in sweep(sizes)}
+        steps = {rep.cert.params.N: (rep.iterations, rep.chord_steps) for rep in sweep(sizes)}
         assert sum(f for f, _ in steps.values()) == 70
         assert max(steps[n][0] for n in sizes if n > 60) <= 2
         assert sum(c for _, c in steps.values()) == 51
@@ -820,7 +822,7 @@ class TestSweep:
         reports = list(sweep(range(3, 301)))
         assert sum(rep.iterations for rep in reports) == 298
         assert sum(rep.chord_steps for rep in reports) == 41
-        assert all(rep.chord_steps == 0 for rep in reports if rep.params.N > 30)
+        assert all(rep.chord_steps == 0 for rep in reports if rep.cert.params.N > 30)
 
     def test_keeps_only_what_continuation_needs(self):
         # a report the caller drops is freed once the sweep has moved on

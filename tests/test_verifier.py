@@ -118,7 +118,7 @@ class TestAssembleLambda:
 
     def test_exact_zeros_outside_pattern(self, small_sweep):
         for n in (3, 9, 17):
-            cert = derive_full(small_sweep[n].params, small_sweep[n].d)
+            cert = small_sweep[n].cert
             lam = assemble_lambda(cert)
             outside = lam[~pattern_mask(n)]
             assert np.all(outside == 0.0)
@@ -127,12 +127,12 @@ class TestAssembleLambda:
             assert np.all(lam[-1, :] == 0.0)
 
     def test_unit_column_sum(self, small_sweep):
-        cert = derive_full(small_sweep[10].params, small_sweep[10].d)
+        cert = small_sweep[10].cert
         lam = assemble_lambda(cert)
         assert abs(lam[:, -1].sum() - 1.0) <= 1e-12
 
     def test_nonnegative_at_certificate(self, small_sweep):
-        cert = derive_full(small_sweep[14].params, small_sweep[14].d)
+        cert = small_sweep[14].cert
         assert np.all(assemble_lambda(cert) >= 0.0)
 
     def test_row_minus_column_gives_eps(self, rng):
@@ -341,7 +341,7 @@ class TestOracle:
     def test_star_coefficient_compared(self, small_sweep):
         # a shift of every eps_i, i < N, moves the star's f-coefficient N
         # times as far as any other coefficient
-        cert = derive_full(small_sweep[20].params, small_sweep[20].d)
+        cert = small_sweep[20].cert
         shifted = cert.eps.copy()
         shifted[:20] += 1e-6
         mutant = dataclasses.replace(cert, eps=shifted)
@@ -381,7 +381,7 @@ class TestOracle:
 
 class TestDeltaCertificate:
     def test_converged(self, small_sweep):
-        cert = derive_full(small_sweep[20].params, small_sweep[20].d)
+        cert = small_sweep[20].cert
         assert cert.positive
         assert cert.delta <= 1e-11
         assert cert.params.r + cert.delta / 2.0 <= cert.params.r + 5e-12
@@ -402,7 +402,7 @@ class TestDeltaCertificate:
 class TestSlack:
     def test_rank_one_psd(self, small_sweep):
         for n in (3, 8, 15):
-            cert = derive_full(small_sweep[n].params, small_sweep[n].d)
+            cert = small_sweep[n].cert
             assert slack_psd_check(cert)
             svals = np.linalg.svd(slack_gram(cert), compute_uv=False)
             assert svals[1] <= 1e-10 * svals[0]
@@ -503,7 +503,7 @@ class TestSlack:
     def test_bumped_factor_rejected(self, monkeypatch, small_sweep):
         # one factor of the slack off by 1e-6 relative at one index
         factors = verifier._slack_factors
-        twenty = derive_full(small_sweep[20].params, small_sweep[20].d)
+        twenty = small_sweep[20].cert
         for cert in (example_cert(), twenty):
             n = cert.params.N
             for which, k in [(0, 0), *((i, k) for i in (1, 2, 3) for k in range(n + 1))]:
