@@ -197,15 +197,15 @@ def _header(lines: list[str]) -> tuple[int, float, float, float]:
     CertificateFormatError."""
     header = {}
     for lineno, (key, line) in enumerate(zip(_HEADER_KEYS, lines), start=1):
+        before, cr, _ = line.partition("\r")
+        if cr:
+            raise CertificateFormatError(f"line {lineno}: carriage return after "
+                                         f"{before!r}; lines end in '\\n' alone")
         label, _, value = line.partition(" ")
         header[key] = value
         if label != key or not value:
             raise CertificateFormatError(f"line {lineno}: expected '{key} VALUE', got {line!r}")
     if len(header) < len(_HEADER_KEYS):
-        before, cr, _ = lines[-1].partition("\r")
-        if cr:  # a carriage return that ends no line leaves the header short
-            raise CertificateFormatError(f"line {len(lines)}: carriage return after "
-                                         f"{before!r}; lines end in '\\n' alone")
         raise CertificateFormatError(f"missing header key '{_HEADER_KEYS[len(header)]}'")
     if header["format"] != FORMAT_TAG:
         raise CertificateFormatError(f"unsupported format tag {header['format']!r}")

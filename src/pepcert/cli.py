@@ -2,28 +2,28 @@
 
 Subcommands: rates, solve, sweep, verify, plotdata, envelope.
 
-Exit codes: 0 verified/converged, 1 usage error, a solve or sweep whose
-arrays cannot be allocated too, 2 non-convergence, 3 verification failure,
-4 file corruption, 5 output could not be written, a closed standard output
-too (a sweep keeps the files it wrote before). Files go to --outdir, the
-working directory by default, in the layout of `certfile`: orjson renders
-its block numbers and parses the header and `d`, `verify` and `plotdata`
-parse a stored a, b, c or eps block only when it is not the rendering of
-the vector derived from `d`, and `rates` and `envelope` never load orjson.
-`solve N` is a sweep of the one size N. `sweep` starts no other process:
-it writes each size's file, then prints its row, before it solves the next
-size. The library checks the values it is given; its ValueError is one
-usage line. The gates are fixed: a solve converges at max_i |eps_i| <=
-1e-13 and delta <= 1e-11, and verify certifies a file whose delta,
-recomputed and as stored, is at most 1e-11 and, with --oracle, whose
-coefficient deviation is within the oracle's tolerance. Identical
+Exit codes: 0 verified/converged, 1 usage error or an array that cannot be
+allocated, 2 non-convergence, 3 verification failure, 4 file corruption, 5
+output could not be written: a file, a directory or standard output (a
+closed pipe, a full device). `main` alone maps each failure's type to its
+code and one stderr line; a sweep keeps the files it wrote before. Files go
+to --outdir, the working directory by default, in the layout of `certfile`:
+orjson renders its block numbers and parses the header and `d`, `verify`
+and `plotdata` parse a stored a, b, c or eps block only when it is not the
+rendering of the vector derived from `d`, and `rates` and `envelope` never
+load orjson. `solve N` is a sweep of the one size N. `sweep` starts no
+other process: it writes each size's file, then prints its row, before it
+solves the next size. The library checks the values it is given; its
+ValueError is one usage line. The gates are fixed: a solve converges at
+max_i |eps_i| <= 1e-13 and delta <= 1e-11, and verify certifies a file
+whose delta, recomputed and as stored, is at most 1e-11 and, with --oracle,
+whose coefficient deviation is within the oracle's tolerance. Identical
 invocations produce byte-identical files.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import os
 import sys
@@ -37,9 +37,8 @@ from .verifier import oracle_check
 
 # solver.sweep is looked up on the module at each call, and it calls
 # solver.gauss_newton through the module, so a replacement of either (a
-# monkeypatch, a tracer) takes effect; scipy
-# (its top-level package and compiled LAPACK module, never scipy.linalg)
-# loads only when a solve takes its first step
+# monkeypatch, a tracer) takes effect; scipy (its top-level package and
+# compiled LAPACK module, never scipy.linalg) loads at a solve's first step
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -53,29 +52,6 @@ MAX_GRID_POINTS = 10**6  # envelope --grid
 
 class _UsageError(Exception):
     pass
-
-
-class _WriteError(Exception):
-    pass
-
-
-@contextlib.contextmanager
-def _writing():
-    # an OSError from creating a directory or writing a file exits 5
-    try:
-        yield
-    except OSError as exc:
-        raise _WriteError(exc) from exc
-
-
-@contextlib.contextmanager
-def _in_memory(what):
-    # a size past the address space fails its first allocation at once, so
-    # it is reported as one usage line, not a traceback
-    try:
-        yield
-    except MemoryError as exc:
-        raise _UsageError(f"{what} does not fit in memory: {str(exc) or 'MemoryError'}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -103,17 +79,11 @@ def cmd_rates(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    try:
-        with _in_memory(f"N={args.N}"):
-            # the sweep checks N and solves its rate pair before the cold solve
-            report = next(_checked(solver.sweep, [args.N]))
-    except solver.NonConvergence as exc:
-        print(f"non-convergence: {exc}", file=sys.stderr)
-        return EXIT_NONCONVERGENCE
+    # the sweep checks N and solves its rate pair before the cold solve
+    report = next(_checked(solver.sweep, [args.N]))
     cert = report.cert
     path = args.out or certfile.default_path(args.outdir, args.N)
-    with _writing():
-        certfile.write_certificate(certfile.certificate_file(cert), path)
+    certfile.write_certificate(certfile.certificate_file(cert), path)
     print(f"N {cert.params.N}")
     print(f"alpha {cert.params.alpha!r}")
     print(f"r {cert.params.r!r}")
@@ -148,27 +118,20 @@ def _sweep_sizes(args) -> list[int]:
 
 
 def cmd_sweep(args) -> int:
-    with _in_memory("the sweep"):
-        sizes = _sweep_sizes(args)
-        # the sweep checks the sizes and solves every rate pair before any solve
-        reports = _checked(solver.sweep, sizes)
+    sizes = _sweep_sizes(args)
+    # the sweep checks the sizes and solves every rate pair before any solve
+    reports = _checked(solver.sweep, sizes)
     # each row is printed once its file is on disk, before the next size is
     # solved, so an aborted sweep keeps the file of every row it printed
     outdir = args.outdir
     print(f"{'N':>6} {'alpha':>20} {'r':>14} {'iters':>5} {'sup|eps|':>10} {'delta':>10}")
-    try:
-        with _in_memory("the sweep"):
-            for report in reports:
-                cert = report.cert
-                params = cert.params
-                with _writing():
-                    certfile.write_certificate(certfile.certificate_file(cert),
-                                               certfile.default_path(outdir, params.N))
-                print(f"{params.N:>6} {params.alpha:>20.16f} {params.r:>14.6e} "
-                      f"{report.iterations:>5} {cert.residual_sup:>10.2e} {cert.delta:>10.2e}")
-    except solver.NonConvergence as exc:
-        print(f"sweep aborted: {exc}", file=sys.stderr)
-        return EXIT_NONCONVERGENCE
+    for report in reports:
+        cert = report.cert
+        params = cert.params
+        certfile.write_certificate(certfile.certificate_file(cert),
+                                   certfile.default_path(outdir, params.N))
+        print(f"{params.N:>6} {params.alpha:>20.16f} {params.r:>14.6e} "
+              f"{report.iterations:>5} {cert.residual_sup:>10.2e} {cert.delta:>10.2e}")
     print(f"{len(sizes)} certificates written to {outdir}")
     return EXIT_OK
 
@@ -186,8 +149,7 @@ def cmd_verify(args) -> int:
         print(f"header delta {cf.delta:.3e} exceeds {DELTA_TOL:.0e}", file=sys.stderr)
     ok = is_cert and max(delta, cf.delta) <= DELTA_TOL
     if args.oracle:
-        with np.errstate(over="ignore", invalid="ignore"):  # NaN data fails the gate
-            dev, tol = oracle_check(cert)
+        dev, tol = oracle_check(cert)
         print(f"oracle_deviation {dev:.3e} (tolerance {tol:.3e})")
         ok = ok and dev <= tol
     print("verdict " + ("CERTIFIED" if ok else "FAILED"))
@@ -209,15 +171,14 @@ def cmd_plotdata(args) -> int:
                 raise _UsageError(f"vector {name} in {path} has max {top!r}; cannot rescale")
             curves.append((f"{stem}_{name}.dat", vec / top))
     outdir = args.outdir
-    with _writing():
-        os.makedirs(outdir, exist_ok=True)
-        for name, values in curves:
-            out = os.path.join(outdir, name)
-            with open(out, "w") as fh:
-                m = len(values)
-                for i, v in enumerate(values.tolist()):
-                    fh.write(f"{i / (m - 1)!r} {v!r}\n")
-            print(f"wrote {out}")
+    os.makedirs(outdir, exist_ok=True)
+    for name, values in curves:
+        out = os.path.join(outdir, name)
+        with open(out, "w") as fh:
+            m = len(values)
+            for i, v in enumerate(values.tolist()):
+                fh.write(f"{i / (m - 1)!r} {v!r}\n")
+        print(f"wrote {out}")
     return EXIT_OK
 
 
@@ -235,8 +196,6 @@ def _parse_grid(spec: str) -> np.ndarray:
 
 
 def cmd_envelope(args) -> int:
-    if args.N < 1:
-        raise _UsageError("N must be >= 1")
     grid = _parse_grid(args.grid)
     vals = _checked(lower_bound_envelope, args.N, grid)
     imin = int(np.argmin(vals))
@@ -294,29 +253,40 @@ def _parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    # the one map from a failure's type to its exit code and stderr line;
+    # any other exception, a bug or Ctrl-C, escapes
     try:
         args = _parser().parse_args(argv)
         return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError as exc:  # a size past the address space fails at once
+        print(f"usage error: does not fit in memory: {str(exc) or 'MemoryError'}",
+              file=sys.stderr)
+        return EXIT_USAGE
+    except solver.NonConvergence as exc:
+        print(f"non-convergence: {exc}", file=sys.stderr)
+        return EXIT_NONCONVERGENCE
     except certfile.CertificateFormatError as exc:
         print(f"corrupt certificate: {exc}", file=sys.stderr)
         return EXIT_CORRUPT
-    except _WriteError as exc:
+    except OSError as exc:  # a failed read is a CertificateFormatError
         print(f"cannot write output: {exc}", file=sys.stderr)
         return EXIT_WRITE
 
 
 def entry():
+    code = main()
     try:
-        code = main()
         sys.stdout.flush()
-    except BrokenPipeError as exc:
-        # stdout's reader is gone: exit 5, and send what is still buffered
-        # to devnull so that the interpreter's flush at exit cannot fail again
+    except OSError as exc:
+        # stdout cannot take what is buffered (its reader is gone, its device
+        # is full): exit 5, and send the rest to devnull so that the
+        # interpreter's flush at exit cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print(f"cannot write output: {exc}", file=sys.stderr)
+        if code != EXIT_WRITE:  # else main has printed the one line
+            print(f"cannot write output: {exc}", file=sys.stderr)
         code = EXIT_WRITE
     raise SystemExit(code)
 

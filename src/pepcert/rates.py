@@ -201,9 +201,11 @@ def lower_bound_envelope(N: int, alphas) -> np.ndarray:
     Every gradient method with constant stepsize alpha' performs at least this
     badly on one of the two objectives, so the grid minimum lower-bounds the
     best achievable worst case; the minimum over a grid containing alpha(N)
-    equals r(N). Raises ValueError for a negative or NaN stepsize, through
-    huber_rate.
+    equals r(N). Raises ValueError for N < 1, and for a negative or NaN
+    stepsize, through huber_rate.
     """
+    if N < 1:
+        raise ValueError(f"N must be >= 1, got {N}")
     alphas = np.asarray(alphas, dtype=float)
     with np.errstate(under="ignore"):
         q = quadratic_rate(N, alphas)

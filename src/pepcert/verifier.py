@@ -46,8 +46,9 @@ def oracle_check(cert: FullCertificate) -> tuple[float, float]:
     """(deviation, tolerance): the max coefficient deviation between the
     aggregated multiplier expansion and the target expansion, in O(N) time
     and memory, and the bound it passes at, ORACLE_TOL * max(1, ||c||^2 / r),
-    since the aggregate's entries grow like c_i c_j / 2r. A NaN deviation
-    passes no comparison.
+    since the aggregate's entries grow like c_i c_j / 2r. Data that
+    overflows gives a NaN deviation, which passes no comparison, and no
+    numpy warning.
 
     The elimination identity makes the deviation ~0 for every d and every
     admissible (alpha, r), certificate or not; a nonzero value localizes a
@@ -69,42 +70,43 @@ def oracle_check(cert: FullCertificate) -> tuple[float, float]:
     The f-coefficients are rows - cols against the target's eps_i, with
     1 - sum_{i<N} eps_i at star and -1 at N.
     """
-    N, alpha, r = cert.params.N, cert.params.alpha, cert.params.r
-    a, c, d, eps = cert.a, cert.c, cert.d, cert.eps
-    az = np.zeros(N + 1)
-    az[:N] = a
-    bz = np.zeros(N + 1)
-    bz[: N - 1] = cert.b
-    # column j of the matrix holds c_j * above[j] outside its band entries:
-    # above[j] = 1 + sum_{i <= j-2} d_i, which is od_{j-1}
-    above = np.ones(N + 1)
-    above[2:] += np.cumsum(d)
-    suffc = np.cumsum(c[::-1])[::-1]  # sum_{k >= j} c_k
-    rows = az.copy()
-    rows[1:] += bz[:N]
-    rows[: N - 1] += d * suffc[2:]
-    cols = c * above
-    cols[1:] += az[:N]
-    cols += bz
-    four_r = 4.0 * r
-    diag = alpha * bz - 0.5 * (rows + cols) + c * c / four_r
-    diag[0] -= eps[N] / 2.0
-    sup = (0.5 * ((1.0 - alpha) * a - alpha * c[1:] * above[1:] + bz[:N])
-           + c[:N] * c[1:] / four_r)
-    cmax = np.maximum.accumulate(np.abs(c[::-1]))[::-1]  # max_{k >= j} |c_k|
-    block = cmax[2:] * np.abs(d - alpha * above[2:] + c[: N - 1] / (2.0 * r))
-    deviations = [
-        # f-coefficients in the order (star, 0, ..., N): the star row sums
-        # to sum c, the star column is zero, and row N is zero
-        abs(np.sum(c) - (1.0 - np.sum(eps[:N]))),
-        np.max(np.abs(rows[:N] - cols[:N] - eps[:N])),
-        abs(1.0 - cols[N]),
-        np.max(np.abs(diag)),
-        np.max(np.abs(sup)),
-        0.5 * np.max(block),
-    ]
-    tolerance = ORACLE_TOL * max(1.0, float(np.dot(c, c) / r))
-    return float(np.max(deviations)), tolerance  # np.max, unlike max, keeps a NaN
+    with np.errstate(over="ignore", invalid="ignore"):  # NaN data fails the gate
+        N, alpha, r = cert.params.N, cert.params.alpha, cert.params.r
+        a, c, d, eps = cert.a, cert.c, cert.d, cert.eps
+        az = np.zeros(N + 1)
+        az[:N] = a
+        bz = np.zeros(N + 1)
+        bz[: N - 1] = cert.b
+        # column j of the matrix holds c_j * above[j] outside its band entries:
+        # above[j] = 1 + sum_{i <= j-2} d_i, which is od_{j-1}
+        above = np.ones(N + 1)
+        above[2:] += np.cumsum(d)
+        suffc = np.cumsum(c[::-1])[::-1]  # sum_{k >= j} c_k
+        rows = az.copy()
+        rows[1:] += bz[:N]
+        rows[: N - 1] += d * suffc[2:]
+        cols = c * above
+        cols[1:] += az[:N]
+        cols += bz
+        four_r = 4.0 * r
+        diag = alpha * bz - 0.5 * (rows + cols) + c * c / four_r
+        diag[0] -= eps[N] / 2.0
+        sup = (0.5 * ((1.0 - alpha) * a - alpha * c[1:] * above[1:] + bz[:N])
+               + c[:N] * c[1:] / four_r)
+        cmax = np.maximum.accumulate(np.abs(c[::-1]))[::-1]  # max_{k >= j} |c_k|
+        block = cmax[2:] * np.abs(d - alpha * above[2:] + c[: N - 1] / (2.0 * r))
+        deviations = [
+            # f-coefficients in the order (star, 0, ..., N): the star row sums
+            # to sum c, the star column is zero, and row N is zero
+            abs(np.sum(c) - (1.0 - np.sum(eps[:N]))),
+            np.max(np.abs(rows[:N] - cols[:N] - eps[:N])),
+            abs(1.0 - cols[N]),
+            np.max(np.abs(diag)),
+            np.max(np.abs(sup)),
+            0.5 * np.max(block),
+        ]
+        tolerance = ORACLE_TOL * max(1.0, float(np.dot(c, c) / r))
+        return float(np.max(deviations)), tolerance  # np.max, unlike max, keeps a NaN
 
 
 def _slack_factors(

@@ -559,15 +559,21 @@ def test_negative_zero_d_entry_fails_verification(fuzz_inputs, zero):
     assert verify_text("\n".join(lines), directory / "zero.txt")[0] == 3
 
 
-@pytest.mark.parametrize("end, error", [
-    ("\r\n", "unsupported format tag 'pepcert/1\\r'"),
-    ("\r", "line 1: carriage return after 'format pepcert/1'; lines end in '\\n' alone"),
-], ids=["CRLF", "CR"])
-def test_carriage_return_line_ends_are_corrupt(small_sweep, tmp_path, end, error):
-    # a file is read with its line ends as they are: "\n" alone ends a line
+@pytest.mark.parametrize("end, at, error", [
+    ("\r\n", None, "line 1: carriage return after 'format pepcert/1'"),
+    ("\r", None, "line 1: carriage return after 'format pepcert/1'"),
+    ("\r", 2, "line 2: carriage return after 'N 10'"),
+], ids=["CRLF", "CR", "CR-line-2"])
+def test_carriage_return_line_ends_are_corrupt(small_sweep, tmp_path, end, at, error):
+    # a file is read with its line ends as they are: "\n" alone ends a line;
+    # `end` replaces the end of line `at` alone, or of every line
+    error += "; lines end in '\\n' alone"
     text = render_certificate(certificate_file(small_sweep[10].cert))
     assert verify_text(text, tmp_path / "ok.txt") == (0, "")
+    lines = text.split("\n")
+    broken = (text.replace("\n", end) if at is None
+              else "\n".join(lines[:at]) + end + "\n".join(lines[at:]))
     path = tmp_path / "cr.txt"
-    assert verify_text(text.replace("\n", end), path) == (4, f"corrupt certificate: {error}\n")
+    assert verify_text(broken, path) == (4, f"corrupt certificate: {error}\n")
     with pytest.raises(CertificateFormatError, match=re.escape(error)):
         read_certificate(path)

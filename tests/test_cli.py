@@ -260,7 +260,7 @@ class TestSweep:
         code, _, err = run(capsys, "sweep", 3, "--segment", "3:3:1", "--segment", huge,
                            "--outdir", tmp_path)
         assert code == 1
-        assert err.startswith("usage error: the sweep does not fit in memory")
+        assert err.startswith("usage error: does not fit in memory: ")
         assert len(err.splitlines()) == 1
         assert [p.name for p in tmp_path.iterdir()] == ["cert_N00003.txt"]
 
@@ -345,6 +345,19 @@ class TestSweep:
         assert written == ([] if unbuffered else
                            [f"cert_N{n:05d}.txt" for n in (3, 4, 5)])
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("argv", [["rates", "10"], ["sweep", "5"]], ids=["rates", "sweep"])
+    def test_full_stdout_exits_5(self, tmp_path, argv):
+        # every write to /dev/full fails with ENOSPC, so the command's output
+        # cannot be written: exit 5 with one line, not a traceback
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "pepcert.cli", *argv], cwd=tmp_path,
+                                  stdout=full, stderr=subprocess.PIPE,
+                                  env=src_env(PYTHONUNBUFFERED=""), timeout=300)
+        err = proc.stderr.decode()
+        assert "Traceback" not in err
+        assert_write_error(proc.returncode, err)
+
     def test_deterministic_output(self, capsys, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         assert cli.main(["sweep", "6", "--outdir", str(a)]) == 0
@@ -403,20 +416,21 @@ class TestSweep:
     # Every exit of a sweep matches the library's sequential reference: the
     # rows and files of the sizes before the failing one, then one line.
     @pytest.mark.parametrize("fail_at", [3, 6, SWEEP_MAX])
-    @pytest.mark.parametrize("failure", ["nonconvergence", "memory", "write"])
+    @pytest.mark.parametrize("failure", ["nonconvergence", "memory", "write", "pipe"])
     def test_exit_matches_sequential_reference(self, capsys, tmp_path, monkeypatch,
                                                sweep_reference, failure, fail_at):
         expected_code, expected_err = {
-            "nonconvergence": (2, f"sweep aborted: injected at N={fail_at}\n"),
-            "memory": (1, "usage error: the sweep does not fit in memory: "
-                          f"injected at N={fail_at}\n"),
+            "nonconvergence": (2, f"non-convergence: injected at N={fail_at}\n"),
+            "memory": (1, f"usage error: does not fit in memory: injected at N={fail_at}\n"),
             "write": (5, f"cannot write output: injected at N={fail_at}\n"),
+            "pipe": (5, f"cannot write output: injected at N={fail_at}\n"),
         }[failure]
         if failure == "write":
             fail_write_at(monkeypatch, fail_at)
         else:
-            fail_solve_at(monkeypatch, fail_at,
-                          MemoryError if failure == "memory" else solver_mod.NonConvergence)
+            fail_solve_at(monkeypatch, fail_at, {"nonconvergence": solver_mod.NonConvergence,
+                                                 "memory": MemoryError,
+                                                 "pipe": BrokenPipeError}[failure])
         code, out, err = run(capsys, "sweep", SWEEP_MAX, "--outdir", tmp_path)
         assert (code, err) == (expected_code, expected_err)
         assert_sweep_output(out, sweep_reference, [n for n in SWEEP_SIZES if n < fail_at])
@@ -469,11 +483,11 @@ class TestSweep:
         assert len(out.getvalue().splitlines()) == len(SWEEP_SIZES) + 2
         assert missing == []
 
-    @pytest.mark.parametrize("escaping", [KeyboardInterrupt, BrokenPipeError])
     def test_escaping_exception_keeps_solved_files(self, capsys, tmp_path, monkeypatch,
-                                                   sweep_reference, escaping):
-        fail_solve_at(monkeypatch, 7, escaping)
-        with pytest.raises(escaping):
+                                                   sweep_reference):
+        # Ctrl-C is no failure of the exit table: it escapes main
+        fail_solve_at(monkeypatch, 7, KeyboardInterrupt)
+        with pytest.raises(KeyboardInterrupt):
             cli.main(["sweep", str(SWEEP_MAX), "--outdir", str(tmp_path)])
         assert_sweep_output(capsys.readouterr().out, sweep_reference, [3, 4, 5, 6])
         assert_sweep_files(tmp_path, sweep_reference, [3, 4, 5, 6])
@@ -815,8 +829,8 @@ class TestEnvelope:
         assert err.startswith("usage error: ")
 
     def test_bad_n(self, capsys):
-        code, _, _ = run(capsys, "envelope", 0)
-        assert code == 1
+        code, out, err = run(capsys, "envelope", 0)
+        assert (code, out, err) == (1, "", "usage error: N must be >= 1, got 0\n")
 
     @pytest.mark.parametrize("n, grid", [(5, "-1:0:0.1"), (1, "-0.5:-0.5:1")])
     def test_negative_stepsize_is_usage_error(self, capsys, n, grid):

@@ -261,3 +261,10 @@ class TestEnvelope:
             with pytest.raises(ValueError):
                 lower_bound_envelope(5, alphas)
         assert lower_bound_envelope(5, [0.0]) == pytest.approx([0.5], abs=1e-15)
+
+    def test_size_below_one_rejected(self):
+        # at N=0 both rates would be 1/2 at every stepsize, and below it the
+        # Huber rate would have its pole inside the grid
+        for n in (0, -1):
+            with pytest.raises(ValueError, match=f"N must be >= 1, got {n}"):
+                lower_bound_envelope(n, [0.5, 1.0])

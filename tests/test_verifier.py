@@ -356,6 +356,15 @@ class TestOracle:
                 poisoned[k] = np.nan
                 assert np.isnan(oracle_check(dataclasses.replace(cert, **{name: poisoned}))[0])
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_derivation_fails_without_a_warning(self):
+        # a finite d whose derivation overflows, as `read_checked` derives it
+        with np.errstate(over="ignore", invalid="ignore"):
+            cert = derive_full(solve_rate_params(10), np.full(9, 1e200))
+        dev, tol = oracle_check(cert)
+        assert np.isnan(dev) and tol == np.inf
+        assert not dev <= tol
+
     def test_single_entry_mutations_as_dense(self, rng):
         # a bump of any one entry of a, b, c or d that the dense reference
         # rejects is rejected too
