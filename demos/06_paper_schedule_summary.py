@@ -2,8 +2,10 @@
 hold at every size of the published schedule up to N=20160.
 
 `evidence/paper_schedule.py` solved the README's `--segment` schedule (every
-N to 2240, then strides of 320 and 1600) and checked each certificate file
-as `pepcert verify --oracle` does; this script renders its summary,
+N to 2240, then strides of 320 and 1600) and checked each certificate in
+memory as it was solved, writing no file: with `verifier.verdict`, the
+checks `pepcert verify --oracle` applies to a file, and with its own
+`sup|eps|`, slack and envelope checks. This script renders its summary,
 `evidence/paper_schedule.csv`, without running the solver. Conjecture 1 (the
 balancing stepsize is the minimax one) is the envelope column: the lower
 bound's minimum over stepsizes is r(N), at alpha(N). Conjecture 2 (a

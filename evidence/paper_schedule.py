@@ -8,15 +8,18 @@ The schedule is the README's `pepcert sweep 20160 --segment 3:2240:1
 --segment 2240:8960:320 --segment 8960:20160:1600`: 2266 sizes, every N up
 to 2240, then strides of 320 and 1600, as in the paper. One pass over
 `solver.sweep` solves them, and each certificate is checked in this process
-as it arrives, with the checks `pepcert verify --oracle` applies to a file:
-positivity of (a, b, c, d), the `sup|eps|` and delta gates, `oracle_check`
-against its tolerance, and `slack_psd_check`. One more check ties the
-stepsize to the lower bound: the envelope of the quadratic and Huber rates,
-on the grid 0.1, 0.101, ..., 1.99 with alpha(N) added, takes its minimum
-r(N) there, to the balance tolerance `rates.BALANCE_TOL`. No certificate
-file is written: `pepcert sweep` writes the same certificates, and
-`tests/test_paper_schedule.py` checks that a certificate written to a file
-and read back gives the same row.
+as it arrives. The checks are those of `verifier.verdict` with the oracle,
+which `pepcert verify --oracle` applies to a file: positivity of (a, b, c,
+d), the delta gate on the recomputed delta and on the one a file's header
+would store, and `oracle_check` against its tolerance. Three more are the
+evidence's own, which `verify` does not make: the solver's `sup|eps|` gate,
+`slack_psd_check`, and a check that ties the stepsize to the lower bound:
+the envelope of the quadratic and Huber rates, on the grid 0.1, 0.101, ...,
+1.99 with alpha(N) added, takes its minimum r(N) there, to the balance
+tolerance `rates.BALANCE_TOL`. No certificate file is written: `pepcert
+sweep` writes the same certificates, and `tests/test_paper_schedule.py`
+checks that a certificate written to a file and read back gives the same
+row.
 
 The summary (default `evidence/paper_schedule.csv`) has one row per N:
 `alpha` and `r` as stored, `sup_eps` and `delta` of the derived eps, the
@@ -38,9 +41,8 @@ import time
 import numpy as np
 import scipy
 
-from pepcert import BALANCE_TOL, lower_bound_envelope, oracle_check, slack_psd_check, sweep
+from pepcert import BALANCE_TOL, lower_bound_envelope, slack_psd_check, sweep, verdict
 from pepcert.cli import _parser, _sweep_sizes
-from pepcert.recursion import DELTA_TOL
 from pepcert.solver import RESIDUAL_TOL
 
 README_SCHEDULE = ["sweep", "20160", "--segment", "3:2240:1", "--segment", "2240:8960:320",
@@ -56,22 +58,21 @@ DEFAULT_OUT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "paper_sc
 def summary_row(cert, factored, chord, solve_s):
     """Check `cert`; returns its summary row, a list of fields in COLUMNS
     order with the solve's steps and seconds, and the names of the checks it
-    fails."""
+    fails, those of `verdict` first, then the evidence's own."""
     start = time.perf_counter()
-    dev, tol = oracle_check(cert)
-    ratio = dev / tol
+    checks = verdict(cert, cert.delta, oracle=True)
     slack = slack_psd_check(cert)
     check_s = time.perf_counter() - start
+    (dev, tol), _ = checks["oracle"]
     params = cert.params
     gap = float(np.min(lower_bound_envelope(params.N, np.append(GRID, params.alpha)))) - params.r
-    failed = [name for name, ok in (
-        ("positive", cert.positive), ("sup_eps", cert.residual_sup <= RESIDUAL_TOL),
-        ("delta", cert.delta <= DELTA_TOL), ("oracle", ratio <= 1.0),
-        ("slack", slack is True), ("envelope", abs(gap) <= BALANCE_TOL)) if not ok]
+    checks.update(sup_eps=(cert.residual_sup, cert.residual_sup <= RESIDUAL_TOL),
+                  slack=(slack, slack is True), envelope=(gap, abs(gap) <= BALANCE_TOL))
+    failed = [name for name, (_, ok) in checks.items() if not ok]
     extremes = [f(getattr(cert, name)) for name in "abcd" for f in (np.min, np.max)]
     row = [str(params.N), repr(params.alpha), repr(params.r), f"{cert.residual_sup:.3e}",
            f"{cert.delta:.3e}", *(f"{x:.3e}" for x in extremes), str(factored), str(chord),
-           f"{solve_s:.4f}", f"{check_s:.4f}", f"{ratio:.3e}", str(slack), f"{gap:.2e}"]
+           f"{solve_s:.4f}", f"{check_s:.4f}", f"{dev / tol:.3e}", str(slack), f"{gap:.2e}"]
     return row, failed
 
 

@@ -16,17 +16,18 @@ The library is organized around five pieces:
 - `verifier`: symbolic aggregation of the interpolation inequalities against
   the target rate expression, in O(N) time and memory: the oracle
   `oracle_check` and the rank-one slack check `slack_psd_check`, through
-  the slack's factors. A certificate's `positive` and `delta` give the rate
-  bound r + delta/2.
+  the slack's factors, and `verdict`, what CERTIFIED means. A certificate's
+  `positive` and `delta` give the rate bound r + delta/2.
 - `certfile`/`cli`: the pepcert/1 format and its checked read; the front end.
 
 `pepcert verify` re-derives a file's vectors from d, checks the stored ones
-against them, and gates positivity and delta; `--oracle` adds the coefficient
-match, in O(N) memory. No part of the package builds an (N+2)^2 array, and
-`verify` runs no structural check: criterion 7 of the acceptance suite checks
-the sparsity pattern, unit column sum and row/column balance of the
-multiplier matrix through the tests' dense reference, and calls
-`slack_psd_check`.
+against them, and certifies the file when every check of `verdict` passes:
+positivity and the delta gate, on the recomputed delta and the header's;
+`--oracle` adds the coefficient match, in O(N) memory. No part of the
+package builds an (N+2)^2 array, and `verify` runs no structural check:
+criterion 7 of the acceptance suite checks the sparsity pattern, unit
+column sum and row/column balance of the multiplier matrix through the
+tests' dense reference, and calls `slack_psd_check`.
 """
 
 from .certfile import (
@@ -67,6 +68,6 @@ from .solver import (
     gauss_newton,
     sweep,
 )
-from .verifier import oracle_check, slack_psd_check
+from .verifier import oracle_check, slack_psd_check, verdict
 
 __version__ = "0.1.0"

@@ -291,11 +291,13 @@ def write_certificate(cf: CertificateFile, path) -> str:
     path = os.fspath(path)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        fh = open(tmp, "w", encoding="utf-8", newline="")
-    except FileNotFoundError:
-        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-        fh = open(tmp, "w", encoding="utf-8", newline="")
-    try:
+        # the open is inside the try that unlinks tmp, so an interrupt that
+        # lands just after it returns leaves no temporary file behind
+        try:
+            fh = open(tmp, "w", encoding="utf-8", newline="")
+        except FileNotFoundError:
+            os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+            fh = open(tmp, "w", encoding="utf-8", newline="")
         with fh:
             fh.write(text)
         os.replace(tmp, path)

@@ -15,9 +15,10 @@ load orjson. `solve N` is a sweep of the one size N. `sweep` starts no
 other process: it writes each size's file, then prints its row, before it
 solves the next size. The library checks the values it is given; its
 ValueError is one usage line. The gates are fixed: a solve converges at
-max_i |eps_i| <= 1e-13 and delta <= 1e-11, and verify certifies a file
-whose delta, recomputed and as stored, is at most 1e-11 and, with --oracle,
-whose coefficient deviation is within the oracle's tolerance. Identical
+max_i |eps_i| <= 1e-13 and delta <= 1e-11, and verify prints the checks of
+`verifier.verdict` and certifies a file that passes all of them: a, b, c and
+d positive, delta, recomputed and as stored, at most 1e-11 and, with
+--oracle, the coefficient deviation within the oracle's tolerance. Identical
 invocations produce byte-identical files.
 """
 
@@ -32,8 +33,7 @@ import numpy as np
 
 from . import certfile, solver
 from .rates import huber_rate, lower_bound_envelope, quadratic_rate, solve_rate_params
-from .recursion import DELTA_TOL
-from .verifier import oracle_check
+from .verifier import verdict
 
 # solver.sweep is looked up on the module at each call, and it calls
 # solver.gauss_newton through the module, so a replacement of either (a
@@ -138,20 +138,18 @@ def cmd_sweep(args) -> int:
 
 def cmd_verify(args) -> int:
     cf, cert = certfile.read_checked(args.file)
-    params, is_cert, delta = cert.params, cert.positive, cert.delta
-    print(f"N {params.N}")
-    print(f"delta {delta:.6e}")
-    print(f"positive {is_cert}")
-    print(f"bound {params.r!r} + {delta / 2:.3e} = {params.r + delta / 2.0!r}")
-    # the header's delta is gated too: a file may not claim a larger error
-    # than the gate, even when its d shows a smaller one
-    if cf.delta > DELTA_TOL:
-        print(f"header delta {cf.delta:.3e} exceeds {DELTA_TOL:.0e}", file=sys.stderr)
-    ok = is_cert and max(delta, cf.delta) <= DELTA_TOL
+    checks = verdict(cert, cf.delta, args.oracle)
+    params = cert.params
+    (positive, _), ((delta, _), _) = checks["positive"], checks["delta"]
+    print(f"N {params.N}\ndelta {delta:.6e}\npositive {positive}\n"
+          f"bound {params.r!r} + {delta / 2:.3e} = {params.r + delta / 2.0!r}")
+    (header_delta, gate), header_ok = checks["header_delta"]
+    if not header_ok:
+        print(f"header delta {header_delta:.3e} exceeds {gate:.0e}", file=sys.stderr)
     if args.oracle:
-        dev, tol = oracle_check(cert)
+        (dev, tol), _ = checks["oracle"]
         print(f"oracle_deviation {dev:.3e} (tolerance {tol:.3e})")
-        ok = ok and dev <= tol
+    ok = all(passed for _, passed in checks.values())
     print("verdict " + ("CERTIFIED" if ok else "FAILED"))
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
 

@@ -23,15 +23,19 @@ Weyl bound on ||G - r v v^T||_F, without an SVD, through the factors
 `_slack_factors` returns, in O(N) time and memory. Neither check builds an
 (N+2)^2 array; the dense O(N^2) expansion they are tested against lives
 with the tests, in tests/dense_reference.py.
+
+`verdict` is what CERTIFIED means: positivity, the delta gate on the
+recomputed and the stored delta, and, when asked for, the oracle. `pepcert
+verify` prints its checks, and the paper's evidence adds its own to them.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .recursion import FullCertificate
+from .recursion import DELTA_TOL, FullCertificate
 
-__all__ = ["oracle_check", "slack_psd_check"]
+__all__ = ["oracle_check", "slack_psd_check", "verdict"]
 
 # oracle_check's tolerance, relative to the aggregate's coefficient scale
 ORACLE_TOL = 1e-10
@@ -107,6 +111,25 @@ def oracle_check(cert: FullCertificate) -> tuple[float, float]:
         ]
         tolerance = ORACLE_TOL * max(1.0, float(np.dot(c, c) / r))
         return float(np.max(deviations)), tolerance  # np.max, unlike max, keeps a NaN
+
+
+def verdict(cert: FullCertificate, header_delta: float, oracle: bool) -> dict:
+    """What CERTIFIED means: each named check of `cert` as (value, passed),
+    in the order
+    - `positive`: whether a, b, c and d are all strictly positive;
+    - `delta`: (the recomputed delta, DELTA_TOL);
+    - `header_delta`: (the delta stored in the file's header, DELTA_TOL): a
+      file may not claim a larger error than the gate, even when its d
+      shows a smaller one;
+    - `oracle`: `oracle_check`'s (deviation, tolerance), only when `oracle`
+      is true.
+    A (measure, bound) check passes when measure <= bound, so a NaN passes
+    none. The certificate is certified when every check passes."""
+    measures = {"delta": (cert.delta, DELTA_TOL), "header_delta": (header_delta, DELTA_TOL)}
+    if oracle:
+        measures["oracle"] = oracle_check(cert)
+    checks = {name: ((value, bound), value <= bound) for name, (value, bound) in measures.items()}
+    return {"positive": (cert.positive,) * 2, **checks}
 
 
 def _slack_factors(

@@ -25,6 +25,7 @@ from pepcert import (
     slack_psd_check,
     solve_rate_params,
     sweep,
+    verdict,
 )
 from pepcert import cli
 from pepcert.certfile import parse_certificate, read_certificate, render_certificate, params_from_file
@@ -73,6 +74,10 @@ def test_criterion_1_desk_scale_sweep(sweep300_dir):
             assert np.sum(np.maximum(cert.eps, 0.0)) <= DELTA_TOL
             assert cf.delta <= DELTA_TOL
             assert cert.positive
+            # and the verdict `verify --oracle` reads passes every check
+            checks = verdict(cert, cf.delta, oracle=True)
+            assert list(checks) == ["positive", "delta", "header_delta", "oracle"]
+            assert all(ok for _, ok in checks.values()), (cf.N, checks)
         assert seen == list(range(3, 301))
 
 

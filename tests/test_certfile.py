@@ -308,6 +308,20 @@ class TestAtomicWrite:
         assert read_certificate(path).delta == 0.5
         assert os.listdir(tmp_path) == ["c.txt"]
 
+    @pytest.mark.parametrize("where", [[], ["new"]], ids=["existing-dir", "missing-dir"])
+    def test_interrupt_just_after_the_open_leaves_no_temporary_file(self, tmp_path,
+                                                                    monkeypatch, where):
+        # Ctrl-C delivered as the temporary file's open returns: the file is
+        # on disk, and the interrupt propagates without leaving it there
+        def interrupted(*args, **kwargs):
+            open(*args, **kwargs).close()
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(certfile, "open", interrupted, raising=False)
+        with pytest.raises(KeyboardInterrupt):
+            write_certificate(tricky_file(), path=tmp_path.joinpath(*where, "c.txt"))
+        assert os.listdir(tmp_path.joinpath(*where)) == []
+
     def test_makes_a_missing_directory_only(self, tmp_path, monkeypatch):
         made, real = [], os.makedirs
         monkeypatch.setattr(os, "makedirs", lambda name, **kw: made.append(name) or real(name, **kw))

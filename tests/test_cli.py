@@ -562,6 +562,19 @@ class TestVerify:
         assert tol == float(f"{oracle_check(cert)[1]:.3e}")
         assert dev <= tol
 
+    def test_oracle_deviation_above_tolerance_fails(self, capsys, cert_dir, monkeypatch):
+        # the oracle leg decides the verdict: a positive file with a small
+        # delta fails --oracle once its deviation exceeds the tolerance
+        monkeypatch.setattr(pepcert.verifier, "oracle_check", lambda cert: (2e-9, 1e-9))
+        path = cert_dir / "cert_N00010.txt"
+        code, out, _ = run(capsys, "verify", path)
+        assert code == 0 and "verdict CERTIFIED" in out
+        code, out, _ = run(capsys, "verify", path, "--oracle")
+        assert code == 3
+        lines = out.splitlines()
+        assert "positive True" in lines and "verdict FAILED" in lines
+        assert "oracle_deviation 2.000e-09 (tolerance 1.000e-09)" in lines
+
     # the delta and oracle gates are fixed: no value of either flag is taken
     @pytest.mark.parametrize("flags", [
         ("--tol", 1e-11), ("--tol", 1), ("--oracle-tol", 1e-10),

@@ -29,6 +29,7 @@ from pepcert import (
     slack_psd_check,
     solve_rate_params,
     sweep,
+    verdict,
     verifier,
 )
 
@@ -406,6 +407,63 @@ class TestDeltaCertificate:
         bad_c[0] = -bad_c[0]
         mutant = dataclasses.replace(cert, c=bad_c, eps=np.zeros(4))
         assert not mutant.positive
+
+
+class TestVerdict:
+    @staticmethod
+    def passed(checks):
+        return {name: ok for name, (_, ok) in checks.items()}
+
+    def test_checks_in_order(self, small_sweep):
+        cert = small_sweep[20].cert
+        checks = verdict(cert, cert.delta, oracle=True)
+        assert list(checks) == ["positive", "delta", "header_delta", "oracle"]
+        assert checks["positive"] == (True, True)
+        assert checks["delta"] == ((cert.delta, 1e-11), True)
+        assert checks["header_delta"] == ((cert.delta, 1e-11), True)
+        assert checks["oracle"] == (oracle_check(cert), True)
+
+    def test_oracle_only_when_asked(self, small_sweep, monkeypatch):
+        cert = small_sweep[10].cert
+        calls = []
+        monkeypatch.setattr(verifier, "oracle_check", lambda c: calls.append(c) or (0.0, 1.0))
+        assert list(verdict(cert, 0.0, oracle=False)) == ["positive", "delta", "header_delta"]
+        assert calls == []
+        assert verdict(cert, 0.0, oracle=True)["oracle"] == ((0.0, 1.0), True)
+        assert calls == [cert]
+
+    def test_oracle_is_required(self, small_sweep):
+        with pytest.raises(TypeError):
+            verdict(small_sweep[10].cert, 0.0)
+
+    def test_non_positive_d_fails(self, small_sweep):
+        cert = small_sweep[10].cert
+        d = cert.d.copy()
+        d[3] = -d[3]
+        checks = verdict(derive_full(cert.params, d), 0.0, oracle=True)
+        assert self.passed(checks)["positive"] is False
+        assert checks["positive"][0] is False
+
+    def test_header_delta_above_the_gate_fails(self, small_sweep):
+        # a header may not claim more error than the gate, whatever d gives
+        cert = small_sweep[10].cert
+        checks = verdict(cert, 2e-11, oracle=True)
+        assert checks["header_delta"] == ((2e-11, 1e-11), False)
+        assert self.passed(checks) == {"positive": True, "delta": True,
+                                       "header_delta": False, "oracle": True}
+        assert self.passed(verdict(cert, 1e-11, oracle=False))["header_delta"] is True
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_d_fails_every_measure(self):
+        # a finite d whose derivation overflows gives a NaN delta, which
+        # passes no check
+        with np.errstate(over="ignore", invalid="ignore"):
+            cert = derive_full(solve_rate_params(5), np.full(4, 1e200))
+        checks = verdict(cert, 0.0, oracle=True)
+        (delta, _), _ = checks["delta"]
+        assert np.isnan(delta)
+        assert self.passed(checks) == {"positive": False, "delta": False,
+                                       "header_delta": True, "oracle": False}
 
 
 class TestSlack:
