@@ -42,12 +42,11 @@ import numpy as np
 import scipy
 
 from pepcert import BALANCE_TOL, lower_bound_envelope, slack_psd_check, sweep, verdict
-from pepcert.cli import _parser, _sweep_sizes
+from pepcert.cli import segment_sizes
 from pepcert.solver import RESIDUAL_TOL
 
-README_SCHEDULE = ["sweep", "20160", "--segment", "3:2240:1", "--segment", "2240:8960:320",
-                   "--segment", "8960:20160:1600"]
-SIZES = _sweep_sizes(_parser().parse_args(README_SCHEDULE))
+README_SEGMENTS = ["3:2240:1", "2240:8960:320", "8960:20160:1600"]
+SIZES = segment_sizes(README_SEGMENTS)
 GRID = 0.1 + 1e-3 * np.arange(1891)
 COLUMNS = ("N", "alpha", "r", "sup_eps", "delta",
            "a_min", "a_max", "b_min", "b_max", "c_min", "c_max", "d_min", "d_max",

@@ -18,7 +18,9 @@ The library is organized around five pieces:
   `oracle_check` and the rank-one slack check `slack_psd_check`, through
   the slack's factors, and `verdict`, what CERTIFIED means. A certificate's
   `positive` and `delta` give the rate bound r + delta/2.
-- `certfile`/`cli`: the pepcert/1 format and its checked read; the front end.
+- `certfile`/`cli`: the pepcert/1 format and its checked read, which
+  returns the certificate derived from d and the header's delta, the two
+  arguments of `verdict`; the front end.
 
 `pepcert verify` re-derives a file's vectors from d, checks the stored ones
 against them, and certifies the file when every check of `verdict` passes:
@@ -28,46 +30,15 @@ package builds an (N+2)^2 array, and `verify` runs no structural check:
 criterion 7 of the acceptance suite checks the sparsity pattern, unit
 column sum and row/column balance of the multiplier matrix through the
 tests' dense reference, and calls `slack_psd_check`.
+
+The package root republishes each module's `__all__`, the one list of its
+public names.
 """
 
-from .certfile import (
-    FORMAT_TAG,
-    CertificateFile,
-    CertificateFormatError,
-    certificate_file,
-    default_path,
-    params_from_file,
-    parse_certificate,
-    read_certificate,
-    read_checked,
-    render_certificate,
-    write_certificate,
-)
-from .rates import (
-    BALANCE_TOL,
-    RateParams,
-    SimTrace,
-    huber,
-    huber_rate,
-    lower_bound_envelope,
-    quadratic,
-    quadratic_rate,
-    simulate,
-    solve_rate_params,
-)
-from .recursion import (
-    FullCertificate,
-    c_from_d,
-    derive_full,
-)
-from .solver import (
-    NonConvergence,
-    SolveReport,
-    closed_form_start,
-    extrapolate_init,
-    gauss_newton,
-    sweep,
-)
-from .verifier import oracle_check, slack_psd_check, verdict
+from .certfile import *
+from .rates import *
+from .recursion import *
+from .solver import *
+from .verifier import *
 
 __version__ = "0.1.0"

@@ -43,7 +43,9 @@ only the header and d, derives a, b, c and eps, and compares each stored
 advisory block with the writer's own rendering of the derived vector. A
 block equal to it reads back as exactly that vector, so it passes with no
 parse; any other block (an older file's repr layout, an edit, a non-finite
-derivation) is parsed and compared to CROSS_TOL.
+derivation) is parsed and compared to CROSS_TOL. It returns the derived
+certificate and the header's delta, what `verifier.verdict` takes: no
+stored block leaves this module.
 """
 
 from __future__ import annotations
@@ -254,16 +256,16 @@ def _values(text: str, name: str, length: int, start: int, stop: int, lineno: in
     if len(values) == length:  # length > 1, so an empty span is never right
         return np.array(values, dtype=np.float64)
     got = text.count("\n", start - 1, stop)
-    if got < length:
-        found = "the end of the file" if after is None else repr(after + ":")
-        raise CertificateFormatError(f"line {lineno + 1 + got}: expected value {got + 1} "
-                                     f"of {length} in {what}, got {found}")
     if got > length:  # its values are read first, so a bad one is named
         lines = span.split("\n", length + 1)
         _numbers("\n".join(lines[:length]), lineno + 1, what)
         raise CertificateFormatError(
             f"line {lineno + 1 + length}: unexpected {lines[length]!r} after {what}")
-    raise error  # every line is there, and one is not a number
+    if error is not None:  # a line that is not a number comes before a missing one
+        raise error
+    found = "the end of the file" if after is None else repr(after + ":")
+    raise CertificateFormatError(f"line {lineno + 1 + got}: expected value {got + 1} "
+                                 f"of {length} in {what}, got {found}")
 
 
 def parse_certificate(text: str) -> CertificateFile:
@@ -341,18 +343,19 @@ def _is_rendering(text: str, start: int, stop: int, vec: np.ndarray) -> bool:
     return stop - start == len(lines) and text.startswith(lines, start)
 
 
-def read_checked(path) -> tuple[CertificateFile, FullCertificate]:
-    """The read of `pepcert verify` and `plotdata`: the file at `path` and
-    the certificate derived from its d, once each stored vector matches it
+def read_checked(path) -> tuple[FullCertificate, float]:
+    """The read of `pepcert verify` and `plotdata`: the certificate derived
+    from the d of the file at `path` and the header's delta, the arguments
+    of `verifier.verdict`, once each stored vector matches the derivation
     to CROSS_TOL; else CertificateFormatError. Only the header and d are
     parsed. A stored a, b, c or eps block that is, byte for byte, the
     writer's rendering of the derived vector holds exactly that vector, so
-    it passes unparsed and the file's field is the derived array itself;
-    any other block (an older file's repr layout, an edit) is parsed and
-    compared to CROSS_TOL. The header's rate pair is checked before that,
-    so a file with a bad rate pair and a malformed advisory block reports
-    the rate pair. A finite d whose derivation overflows gives NaN vectors,
-    which the gates reject, and no numpy warning."""
+    it passes unparsed; any other block (an older file's repr layout, an
+    edit) is parsed and compared to CROSS_TOL. The header's rate pair is
+    checked before that, so a file with a bad rate pair and a malformed
+    advisory block reports the rate pair. A finite d whose derivation
+    overflows gives NaN vectors, which the gates reject, and no numpy
+    warning."""
     text = _read_text(path)
     lines, tags = _cut(text)
     n, alpha, r, delta = _header(lines)
@@ -360,18 +363,12 @@ def read_checked(path) -> tuple[CertificateFile, FullCertificate]:
     cf = CertificateFile(N=n, alpha=alpha, r=r, delta=delta, d=_values(text, *next(blocks)))
     with np.errstate(over="ignore", invalid="ignore"):
         cert = derive_full(params_from_file(cf), cf.d)
-    parsed = []
-    for block in blocks:
-        name, _, start, stop, *_ = block
-        derived = getattr(cert, name)
-        if _is_rendering(text, start, stop, derived):
-            setattr(cf, name, derived)
-        else:
-            setattr(cf, name, _values(text, *block))
-            parsed.append(name)
-    for name in parsed:  # once the whole file is read, as after a full parse
-        gap = float(np.max(np.abs(getattr(cf, name) - getattr(cert, name))))
+    # every block is read before any is compared, as in a full parse
+    parsed = [(block[0], _values(text, *block)) for block in blocks
+              if not _is_rendering(text, *block[2:4], getattr(cert, block[0]))]
+    for name, stored in parsed:
+        gap = float(np.max(np.abs(stored - getattr(cert, name))))
         if not gap <= CROSS_TOL:  # a NaN gap is corruption too
             raise CertificateFormatError(
                 f"stored {name} in {path} deviates from recomputed by {gap:.3e}")
-    return cf, cert
+    return cert, delta

@@ -7,11 +7,10 @@ allocated, 2 non-convergence, 3 verification failure, 4 file corruption, 5
 output could not be written: a file, a directory or standard output (a
 closed pipe, a full device). `main` alone maps each failure's type to its
 code and one stderr line; a sweep keeps the files it wrote before. Files go
-to --outdir, the working directory by default, in the layout of `certfile`:
-orjson renders its block numbers and parses the header and `d`, `verify`
-and `plotdata` parse a stored a, b, c or eps block only when it is not the
-rendering of the vector derived from `d`, and `rates` and `envelope` never
-load orjson. `solve N` is a sweep of the one size N. `sweep` starts no
+to --outdir, the working directory by default, in the layout of `certfile`,
+whose `read_checked` is the read of `verify` and `plotdata`; `rates` and
+`envelope` never load orjson. `solve N` is a sweep of the one size N, and
+`segment_sizes` reads the sizes of `sweep --segment`. `sweep` starts no
 other process: it writes each size's file, then prints its row, before it
 solves the next size. The library checks the values it is given; its
 ValueError is one usage line. The gates are fixed: a solve converges at
@@ -96,29 +95,26 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _parse_segment(spec: str):
-    try:
-        start, stop, stride = (int(part) for part in spec.split(":"))
-    except ValueError:
-        raise _UsageError(f"bad segment {spec!r}, expected START:STOP:STRIDE")
-    if stop < start:
-        raise _UsageError(f"segment stop {stop} below start {start}")
-    if stride < 1:
-        raise _UsageError(f"stride must be >= 1, got {stride}")
-    return start, stop, stride
-
-
-def _sweep_sizes(args) -> list[int]:
-    """The sizes a sweep covers: 3..N_MAX, or the merged and sorted values
-    of the --segment specs (stops inclusive), given in any order."""
-    if not args.segment:
-        return list(range(3, args.N_MAX + 1))
-    return sorted({n for start, stop, stride in map(_parse_segment, args.segment)
-                   for n in range(start, stop + 1, stride)})
+def segment_sizes(specs) -> list[int]:
+    """The sizes START:STOP:STRIDE specs cover, stops inclusive, merged and
+    sorted, the specs given in any order; ValueError for a bad spec."""
+    sizes = set()
+    for spec in specs:
+        try:
+            start, stop, stride = (int(part) for part in spec.split(":"))
+        except ValueError:
+            raise ValueError(f"bad segment {spec!r}, expected START:STOP:STRIDE") from None
+        if stop < start:
+            raise ValueError(f"segment stop {stop} below start {start}")
+        if stride < 1:
+            raise ValueError(f"stride must be >= 1, got {stride}")
+        sizes.update(range(start, stop + 1, stride))
+    return sorted(sizes)
 
 
 def cmd_sweep(args) -> int:
-    sizes = _sweep_sizes(args)
+    sizes = (_checked(segment_sizes, args.segment) if args.segment
+             else list(range(3, args.N_MAX + 1)))
     # the sweep checks the sizes and solves every rate pair before any solve
     reports = _checked(solver.sweep, sizes)
     # each row is printed once its file is on disk, before the next size is
@@ -137,8 +133,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cf, cert = certfile.read_checked(args.file)
-    checks = verdict(cert, cf.delta, args.oracle)
+    cert, header_delta = certfile.read_checked(args.file)
+    checks = verdict(cert, header_delta, args.oracle)
     params = cert.params
     (positive, _), ((delta, _), _) = checks["positive"], checks["delta"]
     print(f"N {params.N}\ndelta {delta:.6e}\npositive {positive}\n"
@@ -161,7 +157,7 @@ def cmd_plotdata(args) -> int:
     for path, stem in zip(args.files, stems):
         if stems.count(stem) > 1:
             raise _UsageError(f"{stem}_*.dat would be written for more than one input file")
-        _, cert = certfile.read_checked(path)
+        cert, _ = certfile.read_checked(path)
         for name in ("a", "b", "c", "d"):
             vec = getattr(cert, name)
             top = float(np.max(vec))

@@ -1,12 +1,16 @@
+import ast
 import contextlib
+import importlib
 import io
 import multiprocessing
 import os
+import pathlib
 import shlex
 import signal
 import subprocess
 import sys
 import time
+import types
 import warnings
 
 import numpy as np
@@ -558,7 +562,7 @@ class TestVerify:
         # oracle_deviation X (tolerance Y), Y as oracle_check returns it
         line = next(l for l in out.splitlines() if l.startswith("oracle_deviation"))
         dev, tol = (float(word.strip("()")) for word in line.split()[1::2])
-        _, cert = read_checked(cert_dir / "cert_N00010.txt")
+        cert, _ = read_checked(cert_dir / "cert_N00010.txt")
         assert tol == float(f"{oracle_check(cert)[1]:.3e}")
         assert dev <= tol
 
@@ -625,6 +629,21 @@ class TestVerify:
             got, out, err = run(capsys, name, write_certificate(cf, tmp_path / "big.txt"), *flags)
         assert got == code and set(lines) <= set(out.splitlines())
         assert err.count("\n") == (code == 1)
+
+    @pytest.mark.parametrize("flags", [(), ("--oracle",)], ids=["verify", "verify-oracle"])
+    def test_overflowing_d_with_stored_vectors_is_corruption(self, capsys, cert_dir, tmp_path,
+                                                             flags):
+        # the derived vectors are not finite, so they have no rendering: the
+        # stored a block is parsed, and its NaN gap is corruption, with no
+        # numpy RuntimeWarning
+        cf = read_certificate(cert_dir / "cert_N00005.txt")
+        cf.d = np.full(4, 1e200)
+        path = write_certificate(cf, tmp_path / "big.txt")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run(capsys, "verify", path, *flags)
+        assert (code, out) == (4, "")
+        assert err == f"corrupt certificate: stored a in {path} deviates from recomputed by nan\n"
 
     def test_negated_d_with_stored_vectors_is_corruption(self, capsys, cert_dir, tmp_path):
         text = (cert_dir / "cert_N00005.txt").read_text()
@@ -939,7 +958,7 @@ class TestImports:
         # which the first factorization loads, stays out too
         script = ("import sys\n"
                   "from pepcert.certfile import read_checked\n"
-                  "_, cert = read_checked(sys.argv[1])\n"
+                  "cert, _ = read_checked(sys.argv[1])\n"
                   "print(cert.params.N, sorted({'scipy', 'mpmath', 'pepcert.cli'} & set(sys.modules)))\n")
         proc = subprocess.run([sys.executable, "-c", script, str(cert_dir / "cert_N00010.txt")],
                               capture_output=True, text=True, env=src_env(), timeout=300)
@@ -960,6 +979,23 @@ class TestImports:
                               capture_output=True, text=True, env=src_env(), timeout=300)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "[0, 0, 0]"
+
+    def test_root_republishes_each_module_all(self):
+        # each module's __all__ is the one list of its public names: the
+        # root star-imports the five library modules, names no function or
+        # class itself, and its public names are their union, none in two
+        tree = ast.parse(pathlib.Path(pepcert.__file__).read_text())
+        imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
+        assert [(node.module, [alias.name for alias in node.names]) for node in imports] == [
+            (name, ["*"]) for name in ("certfile", "rates", "recursion", "solver", "verifier")]
+        assert not any(isinstance(node, (ast.FunctionDef, ast.ClassDef)) for node in tree.body)
+        modules = [importlib.import_module(f"pepcert.{node.module}") for node in imports]
+        names = [name for module in modules for name in module.__all__]
+        public = {name for name, value in vars(pepcert).items()
+                  if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+        assert len(names) == len(public) and set(names) == public
+        assert all(getattr(pepcert, name) is getattr(module, name)
+                   for module in modules for name in module.__all__)
 
     def test_unknown_name(self):
         with pytest.raises(AttributeError, match="no_such_name"):

@@ -11,11 +11,12 @@ import pytest
 
 from pepcert import (BALANCE_TOL, certificate_file, default_path, read_checked,
                      solve_rate_params, sweep, write_certificate)
-from pepcert.cli import _parser, _sweep_sizes
+from pepcert.cli import segment_sizes
 from pepcert.recursion import DELTA_TOL
 from pepcert.solver import RESIDUAL_TOL
 
-EVIDENCE = pathlib.Path(__file__).resolve().parent.parent / "evidence"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+EVIDENCE = ROOT / "evidence"
 SUMMARY = EVIDENCE / "paper_schedule.csv"
 
 
@@ -34,7 +35,10 @@ def rows():
 
 
 def test_one_row_per_size_of_the_readme_schedule(rows, evidence):
-    sizes = _sweep_sizes(_parser().parse_args(evidence.README_SCHEDULE))
+    readme = " ".join((ROOT / "README.md").read_text().replace("\\\n", " ").split())
+    flags = " ".join(f"--segment {spec}" for spec in evidence.README_SEGMENTS)
+    assert f"pepcert sweep 20160 {flags} " in readme
+    sizes = segment_sizes(evidence.README_SEGMENTS)
     assert len(rows) == len(sizes) == 2266
     assert [int(row["N"]) for row in rows] == sizes
 
@@ -74,7 +78,7 @@ def test_row_from_memory_equals_row_from_the_file(tmp_path, evidence):
         row, failed = evidence.summary_row(report.cert, *steps, 0.0)
         path = default_path(tmp_path, report.cert.params.N)
         write_certificate(certificate_file(report.cert), path)
-        _, cert = read_checked(path)
+        cert, _ = read_checked(path)
         again, failed_again = evidence.summary_row(cert, *steps, 0.0)
         assert untimed(again) == untimed(row)
         assert failed == failed_again == []
