@@ -6,8 +6,9 @@ and eps_N, end at rounding level too (about 1e-16, at most 1.5e-15 here),
 and the gate checks all N+1: that is the nontrivial numerical evidence,
 since a generic overdetermined quadratic system has no solution at all.
 Certificate shapes vary smoothly with N, so each solve is warm-started by
-extrapolating the four previous solutions with a cubic in 1/N; past the N of
-about 80 one Newton step suffices.
+extrapolating the four previous solutions with a cubic in 1/N. In a sweep to
+N = 300 every size takes one factored Newton step; N = 3..30 add 1 to 5 chord
+steps that reuse its factorization, and every N >= 31 needs none.
 """
 
 import os

@@ -80,7 +80,7 @@ def _linearized_equations(cert: FullCertificate) -> dict:
     """Equations of the step at cert.d, linear in the local unknowns S, T, Z.
 
     With the step s, S_i = sum_{l<=i} s_l (i <= N-2, so s_i = S_i - S_{i-1}),
-    T_j = sum_{l>=j} dc_l (dc the tangent of c_from_d) and Z the tangent of the
+    T_j = sum_{l>=j} dc_l (dc the tangent of c) and Z the tangent of the
     recursion's scan variable z, every tangent of the recursion reaches only
     indices i-2 .. i+3 (kappa = (2 - alpha) / alpha, rho = 2 alpha - 3):
 

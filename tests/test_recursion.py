@@ -6,7 +6,6 @@ import pytest
 from pepcert import (
     FullCertificate,
     RateParams,
-    c_from_d,
     derive_full,
     solve_rate_params,
 )
@@ -23,8 +22,9 @@ EXAMPLE_EPS = np.array([0.5, -0.0625, -1.75, -0.609375])
 
 
 def ab_loop(params, c, d):
-    """Reference for derive_full's a and b: the per-index backward recursion
-    on (a_i, b_i)."""
+    """Reference for derive_full's a, b and eps: the per-index backward
+    recursion on (a_i, b_i), then the residual rows one by one, the boundary
+    rows eps_0, eps_{N-1} and eps_N written out."""
     N, alpha, r = params.N, params.alpha, params.r
     two_r = 2.0 * r
     suffc = np.zeros(c.shape[:-1] + (N + 2,))
@@ -55,12 +55,26 @@ def ab_loop(params, c, d):
             (alpha - 1.0) * (csq - a[..., i + 1] - tail + (2.0 * alpha - 1.0) * b[..., i + 1])
             - cross + lin
         ) / alpha
-    return a, b
+    eps = np.empty(d.shape[:-1] + (N + 1,))
+    eps[..., 0] = a[..., 0] + d[..., 0] * suffc[..., 2] - b[..., 0] - c[..., 0]
+    for i in range(1, N - 1):
+        eps[..., i] = (
+            b[..., i - 1] + a[..., i] + d[..., i] * suffc[..., i + 2]
+            - a[..., i - 1] - b[..., i] - c[..., i] * od[..., i - 1]
+        )
+    eps[..., N - 1] = (
+        b[..., N - 2] + a[..., N - 1] - a[..., N - 2] - c[..., N - 1] * od[..., N - 2]
+    )
+    eps[..., N] = (
+        -c[..., 0] - a[..., 0] - d[..., 0] * suffc[..., 2]
+        + (2.0 * alpha - 1.0) * b[..., 0] + c[..., 0] ** 2 / two_r
+    )
+    return a, b, eps
 
 
 class TestCFromD:
     def test_example_values(self):
-        c = c_from_d(EXAMPLE, EXAMPLE_D)
+        c = derive_full(EXAMPLE, EXAMPLE_D).c
         assert c[3] == 0.5  # sqrt(2 r), independent of d
         assert c[0] == 0.4375
         assert c[2] == 0.75
@@ -69,19 +83,18 @@ class TestCFromD:
     def test_last_entry_independent_of_d(self, rng):
         for _ in range(5):
             d = rng.uniform(0.01, 2.0, 2)
-            assert c_from_d(EXAMPLE, d)[3] == 0.5
+            assert derive_full(EXAMPLE, d).c[3] == 0.5
 
     def test_affine_in_d(self, rng):
         params = solve_rate_params(9)
         d1 = rng.uniform(0.05, 2.0, 8)
         d2 = rng.uniform(0.05, 2.0, 8)
-        lhs = c_from_d(params, d1) + c_from_d(params, d2) - c_from_d(params, np.zeros(8))
-        rhs = c_from_d(params, d1 + d2)
-        np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-12)
+        c1, c2, c0, c12 = (derive_full(params, v).c for v in (d1, d2, np.zeros(8), d1 + d2))
+        np.testing.assert_allclose(c1 + c2 - c0, c12, rtol=0, atol=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            c_from_d(EXAMPLE, np.ones(3))
+            derive_full(EXAMPLE, np.ones(3))
 
 
 class TestAbFromCd:
@@ -108,18 +121,20 @@ class TestAbFromCd:
             d = rng.uniform(0.05, 1.5, n - 1) * rng.choice([1.0, 10.0 / n])
             cert = derive_full(params, d)
             a, b = cert.a, cert.b
-            a_ref, b_ref = ab_loop(params, cert.c, d)
+            a_ref, b_ref, eps_ref = ab_loop(params, cert.c, d)
             scale = max(np.max(np.abs(a_ref)), np.max(np.abs(b_ref)))
             assert np.max(np.abs(a - a_ref)) <= 1e-13 * scale
             assert np.max(np.abs(b - b_ref)) <= 1e-13 * scale
+            assert np.max(np.abs(cert.eps - eps_ref)) <= 1e-13 * scale
 
     def test_loop_reference_example_values(self):
-        a, b = ab_loop(EXAMPLE, EXAMPLE_C, EXAMPLE_D)
+        a, b, eps = ab_loop(EXAMPLE, EXAMPLE_C, EXAMPLE_D)
         np.testing.assert_array_equal(a, EXAMPLE_A)
         np.testing.assert_array_equal(b, EXAMPLE_B)
+        np.testing.assert_array_equal(eps, EXAMPLE_EPS)
 
     def test_rejects_small_n(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"requires N >= 3, got N=2"):
             derive_full(RateParams(N=2, alpha=1.4, r=0.1), np.array([0.5]))
 
 

@@ -13,7 +13,6 @@ from pepcert import (
     FullCertificate,
     NonConvergence,
     RateParams,
-    c_from_d,
     closed_form_start,
     derive_full,
     extrapolate_init,
@@ -58,7 +57,7 @@ def jacobian(params, d) -> np.ndarray:
     two_r = 2.0 * r
     rho = 2.0 * alpha - 3.0
     kappa = (2.0 - alpha) / alpha
-    c = c_from_d(params, d)
+    c = derive_full(params, d).c
     od = np.ones(N)
     od[1:] += np.cumsum(d)
     odp = np.append(1.0, od[:-1])
