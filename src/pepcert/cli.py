@@ -236,6 +236,7 @@ def build_parser() -> _Parser:
     p.add_argument("N", type=int)
     p.add_argument("--grid", default="0.1:1.99:0.01", help="lo:hi:step")
     p.set_defaults(func=cmd_envelope)
+    parser.commands = sub.choices  # each command word's own parser
     return parser
 
 
@@ -249,8 +250,15 @@ def _parser() -> _Parser:
 def main(argv=None) -> int:
     # the one map from a failure's type to its exit code and stderr line;
     # any other exception, a bug or Ctrl-C, escapes
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _parser().parse_args(argv)
+        parser = _parser()
+        # a command word goes straight to its own parser; the top-level one
+        # runs only for a missing or unknown command, or to print its help
+        if argv and argv[0] in parser.commands:
+            args = parser.commands[argv[0]].parse_args(argv[1:])
+        else:
+            args = parser.parse_args(argv)
         return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -52,7 +52,7 @@ def huber_rate(N, alpha):
     formula has a pole at alpha = -1/(2N)): raises ValueError for a negative
     or NaN alpha, scalar or array.
     """
-    if not np.all(np.asarray(alpha) >= 0.0):
+    if not np.greater_equal(alpha, 0.0).all():
         raise ValueError("the stepsize must be >= 0")
     return 1.0 / (2.0 * (2 * N * alpha + 1.0))
 

@@ -114,14 +114,15 @@ def derive_full(params: RateParams, d) -> FullCertificate:
     lin = c[1:N] * od[1:N]
     tail = dp[1:] * suffc[3:]
     p = csq + cross - (1.0 + alpha) * lin - tail
-    q = (alpha - 1.0) * (csq - tail) - cross + lin
+    csq_tail = csq - tail
+    q = (alpha - 1.0) * csq_tail - cross + lin
 
     # ap[i] = a_{i-1} and bp[i] = b_{i-1} for i = 0..N
     ap = np.zeros(N + 1)
     ap[N] = 1.0 - c[N] * od[N]
     rho = 2.0 * alpha - 3.0
     h = np.empty(N)
-    h[: N - 1] = rho * (csq - tail) - 2.0 * cross + 3.0 * lin
+    h[: N - 1] = rho * csq_tail - 2.0 * cross + 3.0 * lin
     h[N - 1] = -ap[N]
     z_next = _backward_scan(h, rho)[1:]
     ap[1:N] = (z_next + p) / alpha
@@ -156,11 +157,9 @@ class FullCertificate:
 
     @property
     def positive(self) -> bool:
-        """True when all of a, b, c, d are strictly positive."""
-        return bool(
-            (self.a > 0).all() and (self.b > 0).all()
-            and (self.c > 0).all() and (self.d > 0).all()
-        )
+        """True when all of a, b, c, d are strictly positive; one NaN makes
+        it False."""
+        return bool(np.concatenate((self.a, self.b, self.c, self.d)).min() > 0)
 
     @property
     def residual_sup(self) -> float:

@@ -293,16 +293,19 @@ class TestAtomicWrite:
         assert os.listdir(tmp_path) == ["c.txt"]
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("field", ["d", "delta"])
-    def test_non_finite_value_keeps_old_file(self, tmp_path, field, bad):
-        # no file may hold a NaN or inf, so none is rendered
+    @pytest.mark.parametrize("field", ["d", "delta", "a", "b", "c", "eps"])
+    def test_non_finite_value_keeps_old_file(self, small_sweep, tmp_path, field, bad):
+        # no file may hold a NaN or inf, so none is rendered: not in the
+        # header, not in d, not in an advisory block
         path = write_certificate(tricky_file(), path=tmp_path / "c.txt")
         before = Path(path).read_bytes()
-        cf = tricky_file()
-        if field == "d":
-            cf.d[1] = bad
-        else:
+        cf = certificate_file(small_sweep[5].cert)
+        if field == "delta":
             cf.delta = bad
+        else:
+            vec = getattr(cf, field).copy()  # the fixture's arrays stay intact
+            vec[1] = bad
+            setattr(cf, field, vec)
         with pytest.raises(ValueError, match="non-finite"):
             write_certificate(cf, path=path)
         assert Path(path).read_bytes() == before

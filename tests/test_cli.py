@@ -896,10 +896,32 @@ class TestParser:
                 pytest.fail(f"README command {shlex.join(argv)!r}: {exc}")
 
     def test_unknown_command(self, capsys):
-        assert cli.main(["frobnicate"]) == 1
+        assert run(capsys, "frobnicate") == (
+            1, "", "usage error: argument command: invalid choice: 'frobnicate' "
+                   "(choose from 'rates', 'solve', 'sweep', 'verify', 'plotdata', 'envelope')\n")
 
     def test_no_command(self, capsys):
-        assert cli.main([]) == 1
+        assert run(capsys) == (
+            1, "", "usage error: the following arguments are required: command\n")
+
+    @pytest.mark.parametrize("argv, err", [
+        (["verify"], "the following arguments are required: file"),
+        (["verify", "cert_N00010.txt", "--bogus"], "unrecognized arguments: --bogus"),
+        (["solve", "x"], "argument N: invalid int value: 'x'"),
+    ])
+    def test_usage_line(self, capsys, argv, err):
+        assert run(capsys, *argv) == (1, "", f"usage error: {err}\n")
+
+    @pytest.mark.parametrize("argv, usage", [
+        (["-h"], "usage: pepcert [-h] {rates,solve,sweep,verify,plotdata,envelope} ...\n"),
+        (["verify", "-h"], "usage: pepcert verify [-h] [--oracle] file\n"),
+    ])
+    def test_help(self, capsys, argv, usage):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        out, err = capsys.readouterr()
+        assert exc.value.code == 0
+        assert out.startswith(usage) and err == ""
 
     def test_parser_built_once(self, capsys, monkeypatch):
         built = []

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -188,6 +189,17 @@ class TestDeriveFull:
     def test_positive_at_certificate(self, small_sweep):
         cert = small_sweep[5].cert
         assert cert.positive
+
+    @pytest.mark.parametrize("at", [0, -1])
+    @pytest.mark.parametrize("bad", [0.0, -1e-300, math.nan])
+    @pytest.mark.parametrize("name", ["a", "b", "c", "d"])
+    def test_one_bad_entry_is_not_positive(self, small_sweep, name, bad, at):
+        # one zero, negative or NaN entry in one vector, the other three
+        # those of a solved certificate
+        cert = small_sweep[5].cert
+        vec = getattr(cert, name).copy()
+        vec[at] = bad
+        assert not dataclasses.replace(cert, **{name: vec}).positive
 
     def test_c_last_pinned(self):
         params = solve_rate_params(50)
