@@ -141,9 +141,10 @@ def render_certificate(cf: CertificateFile) -> str:
 
 
 def _numbers(span: str, lineno: int, what: str) -> list:
-    """The values of `span`, one JSON number a line, read by one orjson
-    call; else CertificateFormatError naming the first line, counted from
-    line `lineno` of the file, that is not one finite JSON number."""
+    """The values of `span`, one or more lines of one JSON number each, read
+    by one orjson call; else CertificateFormatError naming the first line,
+    counted from line `lineno` of the file, that is not one finite JSON
+    number."""
     import orjson  # rates and envelope never load it
 
     # a non-ASCII character becomes b"?". The guard runs before line breaks
@@ -152,12 +153,20 @@ def _numbers(span: str, lineno: int, what: str) -> list:
     # rejects an overflow such as 1e999, so every value read is finite
     data = span.encode("ascii", "replace")
     stray = data.translate(None, b"0123456789.eE+-\n")
+    at = data.index(stray[:1]) if stray else len(data)
+    # past the guard, JSON may still reject a line (+1, 01, a blank) before
+    # the stray character's line: the whole lines before it are read too
+    head = data[: max(data.rfind(b"\n", 0, at), 0)] if stray else data
     try:
-        if not stray:
-            return orjson.loads(b"[" + data.replace(b"\n", b",") + b"]")
-        at = data.index(stray[:1])
+        values = orjson.loads(b"[" + head.replace(b"\n", b",") + b"]")
+        if not values:  # an empty head: line 0 is blank or holds the stray
+            at = 0
+        elif not stray:
+            return values
     except orjson.JSONDecodeError as exc:
-        at = exc.pos - 1  # pos counts the opening bracket
+        # pos counts the opening bracket, and a trailing comma's error is
+        # one past the closing one
+        at = min(exc.pos - 1, len(head))
     k = data.count(b"\n", 0, at)
     line = span.split("\n")[k]
     raise CertificateFormatError(
@@ -213,7 +222,13 @@ def _header(lines: list[str]) -> tuple[int, float, float, float]:
         raise CertificateFormatError(f"missing header key '{_HEADER_KEYS[len(header)]}'")
     if header["format"] != FORMAT_TAG:
         raise CertificateFormatError(f"unsupported format tag {header['format']!r}")
-    n, *values = _numbers("\n".join(header[key] for key in _HEADER_KEYS[1:]), 2, "the header")
+    try:
+        n, *values = _numbers("\n".join(header[key] for key in _HEADER_KEYS[1:]), 2, "the header")
+    except CertificateFormatError:
+        # an N that is a number but not an integer is the first fault
+        n = _numbers(header["N"], 2, "the header")[0]
+        if isinstance(n, int):
+            raise
     if not isinstance(n, int):  # orjson reads a JSON integer as an int
         raise CertificateFormatError(f"line 2: N {header['N']!r} is not an integer")
     if n < 3:
@@ -252,7 +267,9 @@ def _values(text: str, name: str, length: int, start: int, stop: int, lineno: in
     error."""
     span, what = text[start:stop], f"block '{name}'"
     try:
-        values, error = _numbers(span, lineno + 1, what), None
+        # a block with no lines has stop = start - 1, and its empty span is
+        # no line, where a span of one blank line is a fault
+        values, error = _numbers(span, lineno + 1, what) if stop >= start else [], None
     except CertificateFormatError as exc:
         values, error = [], exc
     if len(values) == length:  # length > 1, so an empty span is never right

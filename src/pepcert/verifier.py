@@ -51,8 +51,8 @@ def oracle_check(cert: FullCertificate) -> tuple[float, float]:
     aggregated multiplier expansion and the target expansion, in O(N) time
     and memory, and the bound it passes at, ORACLE_TOL * max(1, ||c||^2 / r),
     since the aggregate's entries grow like c_i c_j / 2r. Data that
-    overflows gives a NaN deviation, which passes no comparison, and no
-    numpy warning.
+    overflows, the deviation or the tolerance, gives a NaN deviation, which
+    passes no comparison, and no numpy warning.
 
     The elimination identity makes the deviation ~0 for every d and every
     admissible (alpha, r), certificate or not; a nonzero value localizes a
@@ -110,6 +110,8 @@ def oracle_check(cert: FullCertificate) -> tuple[float, float]:
             0.5 * np.max(block),
         ]
         tolerance = ORACLE_TOL * max(1.0, float(np.dot(c, c) / r))
+        if tolerance == np.inf:  # ||c||^2 / r overflows, and inf <= inf would pass
+            return np.nan, tolerance
         return float(np.max(deviations)), tolerance  # np.max, unlike max, keeps a NaN
 
 

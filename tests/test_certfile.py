@@ -412,11 +412,13 @@ def edit_bytes(data: bytes, edit) -> bytes:
 
 @pytest.fixture(scope="module")
 def fuzz_inputs(small_sweep, tmp_path_factory):
-    """The canonical N=5 file with every block and with d only, and a
-    directory for the edited copies."""
+    """The canonical N=5 file with every block, with d only and with d, b
+    and eps, and a directory for the edited copies."""
     cf = certificate_file(small_sweep[5].cert)
     d_only = CertificateFile(N=cf.N, alpha=cf.alpha, r=cf.r, delta=cf.delta, d=cf.d)
-    texts = [render_certificate(f).encode() for f in (cf, d_only)]
+    d_b_eps = CertificateFile(N=cf.N, alpha=cf.alpha, r=cf.r, delta=cf.delta, d=cf.d, b=cf.b,
+                              eps=cf.eps)
+    texts = [render_certificate(f).encode() for f in (cf, d_only, d_b_eps)]
     return texts, tmp_path_factory.mktemp("fuzz")
 
 
@@ -438,6 +440,105 @@ def test_verify_edited_file(fuzz_inputs, which, edits):
         cf = read_certificate(path)
         cert = derive_full(params_from_file(cf), cf.d)
         assert cert.positive and cert.delta <= 1e-11
+
+
+JSON_NUMBER = re.compile(r"-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?")
+HEADER_KEYS = ("format", "N", "alpha", "r", "delta")
+
+
+def line_by_line_parse(text: str) -> CertificateFile:
+    """The reference for parse_certificate: the file read one line at a time,
+    each fault reported at the first line that shows it. The header's five
+    lines are checked for their keys, then the format tag, then its four
+    values, N a JSON integer, then N >= 3 and delta >= 0. A block holds the
+    lines from its tag line to the next line that ends in a colon."""
+    def number(line, lineno, what):
+        match = JSON_NUMBER.fullmatch(line)
+        if match and math.isfinite(float(line)):
+            # JSON reads an integer as an integer, so -0 is +0.0
+            return int(line) if match.group(2, 3) == (None, None) else float(line)
+        raise CertificateFormatError(
+            f"line {lineno}: {line!r} in {what} is not one finite JSON number")
+
+    lines = text.split("\n")
+    header, body = lines[:5], lines[5:]
+    for lineno, (key, line) in enumerate(zip(HEADER_KEYS, header), start=1):
+        before, cr, _ = line.partition("\r")
+        if cr:
+            raise CertificateFormatError(f"line {lineno}: carriage return after "
+                                         f"{before!r}; lines end in '\\n' alone")
+        label, _, value = line.partition(" ")
+        if label != key or not value:
+            raise CertificateFormatError(f"line {lineno}: expected '{key} VALUE', got {line!r}")
+    if len(header) < 5:
+        raise CertificateFormatError(f"missing header key '{HEADER_KEYS[len(header)]}'")
+    tag, *values = [line.partition(" ")[2] for line in header]
+    if tag != "pepcert/1":
+        raise CertificateFormatError(f"unsupported format tag {tag!r}")
+    n = number(values[0], 2, "the header")
+    if not isinstance(n, int):
+        raise CertificateFormatError(f"line 2: N {values[0]!r} is not an integer")
+    alpha, r, delta = [number(v, k, "the header") for k, v in enumerate(values[1:], start=3)]
+    if n < 3:
+        raise CertificateFormatError(f"certificates need N >= 3, got N={n}")
+    if delta < 0:
+        raise CertificateFormatError(f"header delta {float(delta)!r} is negative")
+    if text.endswith("\n") and body:  # the final newline is optional
+        body.pop()
+    if body[:1] != ["d:"]:
+        raise CertificateFormatError("line 6: expected the required block 'd:'")
+    blocks, i = {}, 0  # body[i] is line 6 + i
+    for name, length in (("d", n - 1), ("a", n), ("b", n - 1), ("c", n + 1), ("eps", n + 1)):
+        if i == len(body) or body[i] != f"{name}:":
+            continue
+        stop = i + 1
+        while stop < len(body) and not body[stop].endswith(":"):
+            stop += 1
+        block, what = body[i + 1 : stop], f"block '{name}'"
+        blocks[name] = np.array([number(line, 7 + i + k, what)
+                                 for k, line in enumerate(block[:length])], dtype=np.float64)
+        if len(block) > length:
+            raise CertificateFormatError(
+                f"line {7 + i + length}: unexpected {block[length]!r} after {what}")
+        if len(block) < length:
+            found = "the end of the file" if stop == len(body) else repr(body[stop])
+            raise CertificateFormatError(f"line {7 + i + len(block)}: expected value "
+                                         f"{len(block) + 1} of {length} in {what}, got {found}")
+        i = stop
+    if i < len(body):
+        raise CertificateFormatError(f"line {6 + i}: unexpected {body[i]!r}")
+    return CertificateFile(N=n, alpha=float(alpha), r=float(r), delta=float(delta), **blocks)
+
+
+def parse_outcome(parse, text):
+    """Every number parse(text) reads, floats as their bit patterns, or its
+    error message."""
+    try:
+        cf = parse(text)
+    except CertificateFormatError as exc:
+        return str(exc)
+    return ([cf.N, *bits([cf.alpha, cf.r, cf.delta]).tolist()],
+            [None if getattr(cf, name) is None else bits(getattr(cf, name)).tolist()
+             for name in ("d", "a", "b", "c", "eps")])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(0, 2), st.lists(EDITS, min_size=1, max_size=3))
+@example(0, [("truncate", 491, None), ("blank", 29, None)])  # eps: one blank line (30)
+@example(1, [("blank", 7, None), ("replace", 8, b"x")])  # a blank line 8, then a stray line
+@example(2, [("replace", 7, b"+1"), ("replace", 9, b"1.5x")])  # JSON rejects line 8 first
+@example(1, [("replace", 1, b"N 5.0"), ("replace", 2, b"alpha +1")])  # N is no integer
+def test_parse_matches_a_line_by_line_read(fuzz_inputs, which, edits):
+    # the same values or the same error: a corrupt file's error names its
+    # first bad line
+    data = fuzz_inputs[0][which]
+    for edit in edits:
+        data = edit_bytes(data, edit)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        return  # read_certificate reports the decoding error
+    assert parse_outcome(parse_certificate, text) == parse_outcome(line_by_line_parse, text)
 
 
 def full_parse_read_checked(path):

@@ -20,6 +20,7 @@ import pepcert
 import pepcert.solver as solver_mod
 from pepcert import cli
 from pepcert.certfile import (
+    CertificateFile,
     certificate_file,
     default_path,
     params_from_file,
@@ -611,24 +612,30 @@ class TestVerify:
         assert (code, out) == (4, "")
         assert err == "corrupt certificate: header delta -1.0 is negative\n"
 
-    @pytest.mark.parametrize("command, code, lines", [
-        ("verify", 3, ["delta nan", "verdict FAILED"]),
-        ("verify --oracle", 3, ["oracle_deviation nan (tolerance inf)", "verdict FAILED"]),
-        ("plotdata --outdir OUT", 1, []),
+    @pytest.mark.parametrize("command, expected", [
+        ("verify", [(3, ["delta nan", "verdict FAILED"]), (3, ["delta inf", "verdict FAILED"])]),
+        ("verify --oracle", [(3, ["oracle_deviation nan (tolerance inf)", "verdict FAILED"])] * 2),
+        ("plotdata --outdir OUT", [(1, []), (0, [])]),
     ], ids=["verify", "verify-oracle", "plotdata"])
-    def test_overflowing_d_warns_nothing(self, capsys, cert_dir, tmp_path, command, code,
-                                         lines):
+    def test_overflowing_d_warns_nothing(self, capsys, cert_dir, tmp_path, command, expected):
         # a finite d whose derivation overflows fails its gates without a
-        # numpy RuntimeWarning; plotdata prints one usage line
+        # numpy RuntimeWarning, and so does one with finite residuals that
+        # sum past the float range; plotdata prints one usage line for the
+        # first, whose vectors are NaN, and plots the second
         cf = read_certificate(cert_dir / "cert_N00005.txt")
         cf.a = cf.b = cf.c = cf.eps = None
         cf.d = np.full(4, 1e200)
+        params = solve_rate_params(100)
+        summed = CertificateFile(N=100, alpha=params.alpha, r=params.r, delta=0.0,
+                                 d=1e153 * np.random.default_rng(0).random(99))
         name, *flags = command.replace("OUT", str(tmp_path / "out")).split()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            got, out, err = run(capsys, name, write_certificate(cf, tmp_path / "big.txt"), *flags)
-        assert got == code and set(lines) <= set(out.splitlines())
-        assert err.count("\n") == (code == 1)
+        for k, (payload, (code, lines)) in enumerate(zip((cf, summed), expected)):
+            path = write_certificate(payload, tmp_path / f"big{k}.txt")
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                got, out, err = run(capsys, name, path, *flags)
+            assert got == code and set(lines) <= set(out.splitlines())
+            assert err.count("\n") == (code == 1)
 
     @pytest.mark.parametrize("flags", [(), ("--oracle",)], ids=["verify", "verify-oracle"])
     def test_overflowing_d_with_stored_vectors_is_corruption(self, capsys, cert_dir, tmp_path,

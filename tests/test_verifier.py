@@ -358,13 +358,20 @@ class TestOracle:
                 assert np.isnan(oracle_check(dataclasses.replace(cert, **{name: poisoned}))[0])
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_overflowing_derivation_fails_without_a_warning(self):
-        # a finite d whose derivation overflows, as `read_checked` derives it
+    def test_overflowing_derivation_fails_without_a_warning(self, small_sweep):
+        # a finite d whose derivation overflows, as `read_checked` derives it,
+        # and finite data whose ||c||^2 / r overflows: its tolerance is inf,
+        # which an inf deviation would meet
         with np.errstate(over="ignore", invalid="ignore"):
-            cert = derive_full(solve_rate_params(10), np.full(9, 1e200))
-        dev, tol = oracle_check(cert)
-        assert np.isnan(dev) and tol == np.inf
-        assert not dev <= tol
+            nan_data = derive_full(solve_rate_params(10), np.full(9, 1e200))
+            big = derive_full(solve_rate_params(100), 1e153 * np.random.default_rng(0).random(99))
+        scaled = dataclasses.replace(small_sweep[10].cert, c=small_sweep[10].cert.c * 1e160)
+        for cert in (big, scaled):
+            assert np.isfinite(cert.c).all() and np.isfinite(cert.eps).all()
+        for cert in (nan_data, big, scaled):
+            dev, tol = oracle_check(cert)
+            assert np.isnan(dev) and tol == np.inf
+            assert verdict(cert, 0.0, oracle=True)["oracle"][1] is False
 
     def test_single_entry_mutations_as_dense(self, rng):
         # a bump of any one entry of a, b, c or d that the dense reference
@@ -554,6 +561,26 @@ class TestSlack:
             cert = FullCertificate(params, a=np.ones(n), b=np.ones(n - 1), c=c,
                                    d=np.ones(n - 1), eps=np.zeros(n + 1))
             assert (slack_psd_check(cert), self.dense_verdict(cert)) == (True, True)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rejection_fails_the_verdict(self):
+        # wherever the slack check rejects derived data, here where c^2 / r
+        # overflows, the verdict with the oracle fails too; the oracle alone
+        # passes some of these cases, whose delta or positivity fails
+        rejected = 0
+        rng = np.random.default_rng(0)
+        for n in (3, 4, 5, 10, 30, 100, 300, 1000, 3000):
+            params = solve_rate_params(n)
+            shapes = (rng.random(n - 1), rng.standard_normal(n - 1), np.ones(n - 1))
+            for e in range(100, 171):
+                for shape in shapes:
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        cert = derive_full(params, 10.0 ** e * shape)
+                    if not slack_psd_check(cert):
+                        rejected += 1
+                        checks = verdict(cert, cert.delta, oracle=True)
+                        assert not all(ok for _, ok in checks.values()), (n, e)
+        assert rejected >= 400
 
     def test_non_finite_or_overflowing_c_rejected(self):
         cert = example_cert()
