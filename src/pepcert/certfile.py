@@ -21,10 +21,10 @@ A file is exactly what `render_certificate` writes, one item per line:
 The five header lines come first and in this order; N >= 3. The d block is
 required and is the single source of truth; the a, b, c, eps blocks are
 advisory (verification re-derives them), and any of them may be left out,
-but those present keep this order. N fixes the length of every block. The
-final newline is optional. Blank lines, unknown or reordered keys and
-blocks, and text after the last block are rejected, and delta, a sum of
-positive parts of residuals, must not be negative.
+but those present keep this order. N fixes the length of every block.
+Blank lines, unknown or reordered keys and blocks, and text after the last
+block are rejected, and delta, a sum of positive parts of residuals, must
+not be negative.
 
 Every number is written as the shortest decimal that round-trips its 64-bit
 binary value, so parse(render(x)) is bit-identical. Header values use
@@ -34,18 +34,24 @@ plus sign or leading zero (0.0000248, 1e16, 2.5e-8). Every value must be
 one finite JSON number, which both layouts are, and N a JSON integer. Line
 ends are "\\n" alone: a carriage return is a stray character.
 
-Tag lines are the only lines with a colon, so a reader cuts the text at
-colons: one str.find per tag gives each block's span, with no line split
-and no line count. parse_certificate reads the header's four values with
-one orjson call and each block with one more, and checks a block's length
-from the count of values read. read_checked, the read of `verify`, parses
-only the header and d, derives a, b, c and eps, and compares each stored
-advisory block with the writer's own rendering of the derived vector. A
-block equal to it reads back as exactly that vector, so it passes with no
-parse; any other block (an older file's repr layout, an edit, a non-finite
-derivation) is parsed and compared to CROSS_TOL. It returns the derived
-certificate and the header's delta, what `verifier.verdict` takes: no
-stored block leaves this module.
+The final newline is optional, wherever the file ends: a reader adds it
+when it is missing, so every line ends in "\\n". It then walks the file in
+order: the five header lines, then each block from its tag line to the next
+line that ends in a colon, found with str.find(":") as it goes. The header
+reads N, then alpha, r and delta. A block's value lines are read by one
+orjson call after a bytes guard, and its length is checked from the count
+of values read, so a valid file's lines are never split or counted. Only
+when that read rejects a line are the block's first lines, as many as N
+fixes, read one at a time, and a block of another length has its lines
+counted, so a corrupt file's error names the first fault a line-by-line
+read meets. read_checked, the read of `verify`, parses only the header and
+d, derives a, b, c and eps, and compares each stored advisory block with
+the writer's own rendering of the derived vector. A block equal to it reads
+back as exactly that vector, so it passes with no parse; any other block
+(an older file's repr layout, an edit, a non-finite derivation) is parsed
+and compared to CROSS_TOL. It returns the derived certificate and the
+header's delta, what `verifier.verdict` takes: no stored block leaves this
+module.
 """
 
 from __future__ import annotations
@@ -140,11 +146,10 @@ def render_certificate(cf: CertificateFile) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _numbers(span: str, lineno: int, what: str) -> list:
-    """The values of `span`, one or more lines of one JSON number each, read
-    by one orjson call; else CertificateFormatError naming the first line,
-    counted from line `lineno` of the file, that is not one finite JSON
-    number."""
+def _loads(span: str) -> list | None:
+    """The values of `span`, whole lines of one JSON number each, read by
+    one orjson call; None if the bytes guard or orjson rejects a line. A
+    span of one blank line reads as no value."""
     import orjson  # rates and envelope never load it
 
     # a non-ASCII character becomes b"?". The guard runs before line breaks
@@ -152,147 +157,116 @@ def _numbers(span: str, lineno: int, what: str) -> list:
     # true, null, NaN, Infinity, quotes, brackets and whitespace, and orjson
     # rejects an overflow such as 1e999, so every value read is finite
     data = span.encode("ascii", "replace")
-    stray = data.translate(None, b"0123456789.eE+-\n")
-    at = data.index(stray[:1]) if stray else len(data)
-    # past the guard, JSON may still reject a line (+1, 01, a blank) before
-    # the stray character's line: the whole lines before it are read too
-    head = data[: max(data.rfind(b"\n", 0, at), 0)] if stray else data
+    if data.translate(None, b"0123456789.eE+-\n"):
+        return None
     try:
-        values = orjson.loads(b"[" + head.replace(b"\n", b",") + b"]")
-        if not values:  # an empty head: line 0 is blank or holds the stray
-            at = 0
-        elif not stray:
-            return values
-    except orjson.JSONDecodeError as exc:
-        # pos counts the opening bracket, and a trailing comma's error is
-        # one past the closing one
-        at = min(exc.pos - 1, len(head))
-    k = data.count(b"\n", 0, at)
-    line = span.split("\n")[k]
-    raise CertificateFormatError(
-        f"line {lineno + k}: {line!r} in {what} is not one finite JSON number")
+        return orjson.loads(b"[" + data[:-1].replace(b"\n", b",") + b"]")
+    except orjson.JSONDecodeError:
+        return None
 
 
-def _cut(text: str) -> tuple[list[str], list[tuple[str, int, int]]]:
-    """The header lines of `text`, at most five, and each tag after them as
-    (tag, start, stop), in file order. Tag lines are the only lines with a
-    colon, so a tag is the text from its line start to a colon that ends a
-    line, and no line is split off. text[start:stop] holds the tag's value
-    lines, and stop is the index of the line break that ends them: start - 1,
-    the tag line's own break, when there are none, and len(text) for a last
-    line with no final newline. The first tag is all the text from the end
-    of the header to the first such colon."""
-    header, start = [], 0
-    for _ in _HEADER_KEYS:
-        end = text.find("\n", start)
-        if end < 0:  # too few lines for a block
-            header.append(text[start:])
-            start = len(text)
-            break
-        header.append(text[start:end])
-        start = end + 1
-    tags, stops, piece = [], [], start
-    colon = text.find(":", start)
-    while colon >= 0:
-        if colon + 1 == len(text) or text[colon + 1] == "\n":
-            # the break before the tag line ends the previous tag's values
-            line = text.rfind("\n", piece, colon) if tags else -1
-            stops.append(line if line >= 0 else piece - 1)
-            tags.append((text[max(line + 1, piece) : colon], colon + 2))
-            piece = colon + 2
-        colon = text.find(":", colon + 1)
-    stops.append(len(text) - 1 if text.endswith("\n") else len(text))
-    return header, [(tag, begin, stop) for (tag, begin), stop in zip(tags, stops[1:])]
+def _numbers(span: str, lineno: int, length: int, what: str) -> list:
+    """The values of `span`, whole lines from line `lineno` of the file on,
+    read by one `_loads` when that gives `length` values. Else, when a line
+    is not one finite JSON number, the first `length` lines are read one at
+    a time. CertificateFormatError names the first that is not, then a line
+    past them; a span of fewer lines gives the values it has."""
+    values = _loads(span)
+    if values is not None and len(values) == length:
+        return values
+    lines = span.split("\n")[:-1]
+    if not values:  # None, or no value from one blank line
+        for k, line in enumerate(lines[:length]):
+            if not _loads(line + "\n"):
+                raise CertificateFormatError(
+                    f"line {lineno + k}: {line!r} in {what} is not one finite JSON number")
+    if len(lines) > length:
+        raise CertificateFormatError(
+            f"line {lineno + length}: unexpected {lines[length]!r} after {what}")
+    return values
 
 
-def _header(lines: list[str]) -> tuple[int, float, float, float]:
-    """N, alpha, r and delta from the header lines; else
-    CertificateFormatError."""
-    header = {}
-    for lineno, (key, line) in enumerate(zip(_HEADER_KEYS, lines), start=1):
+def _header(text: str) -> tuple[int, float, float, float, int]:
+    """N, alpha, r and delta from the first five lines of `text`, and the
+    offset of the line after them; else CertificateFormatError."""
+    values, start = [], 0
+    for lineno, key in enumerate(_HEADER_KEYS, start=1):
+        if start == len(text):
+            raise CertificateFormatError(f"missing header key '{key}'")
+        end = text.index("\n", start)
+        line, start = text[start:end], end + 1
         before, cr, _ = line.partition("\r")
         if cr:
             raise CertificateFormatError(f"line {lineno}: carriage return after "
                                          f"{before!r}; lines end in '\\n' alone")
         label, _, value = line.partition(" ")
-        header[key] = value
         if label != key or not value:
             raise CertificateFormatError(f"line {lineno}: expected '{key} VALUE', got {line!r}")
-    if len(header) < len(_HEADER_KEYS):
-        raise CertificateFormatError(f"missing header key '{_HEADER_KEYS[len(header)]}'")
-    if header["format"] != FORMAT_TAG:
-        raise CertificateFormatError(f"unsupported format tag {header['format']!r}")
-    try:
-        n, *values = _numbers("\n".join(header[key] for key in _HEADER_KEYS[1:]), 2, "the header")
-    except CertificateFormatError:
-        # an N that is a number but not an integer is the first fault
-        n = _numbers(header["N"], 2, "the header")[0]
-        if isinstance(n, int):
-            raise
-    if not isinstance(n, int):  # orjson reads a JSON integer as an int
-        raise CertificateFormatError(f"line 2: N {header['N']!r} is not an integer")
+        values.append(value)
+    tag, n, *rest = values
+    if tag != FORMAT_TAG:
+        raise CertificateFormatError(f"unsupported format tag {tag!r}")
+    _numbers(n + "\n", 2, 1, "the header")
+    # a JSON integer has no point or exponent; orjson reads one past 64
+    # bits as a float, so int() takes it from its text
+    if any(c in n for c in ".eE"):
+        raise CertificateFormatError(f"line 2: N {n!r} is not an integer")
+    n = int(n)
+    values = _numbers("\n".join(rest) + "\n", 3, 3, "the header")
     if n < 3:
         raise CertificateFormatError(f"certificates need N >= 3, got N={n}")
     alpha, r, delta = np.array(values, dtype=np.float64).tolist()
     if delta < 0:  # -0.0 is valid
         raise CertificateFormatError(f"header delta {delta!r} is negative")
-    return n, alpha, r, delta
+    return n, alpha, r, delta, start
 
 
-def _walk(n: int, tags: list[tuple[str, int, int]]):
-    """Each block of the cut `tags` in file order, as (name, length, start,
-    stop, lineno, after): `lineno` is its tag line's number and `after` the
-    tag that follows it, None at the end of the file. A tag out of place
-    raises CertificateFormatError once the blocks before it are read, so a
-    corrupt file's error names its first fault."""
-    lineno, i = len(_HEADER_KEYS) + 1, 0
-    if not tags or tags[0][0] != "d":
+def _blocks(text: str, start: int, n: int):
+    """Each block of `text` from offset `start`, line 6, on, in file order,
+    as (name, length, start, stop, lineno): text[start:stop] holds its value
+    lines and `lineno` is its tag line's number. A block ends at the next
+    tag line, the next line that ends in a colon, or at the end of the
+    file. A tag out of place raises CertificateFormatError once the blocks
+    before it are read, so a corrupt file's error names its first fault."""
+    lineno = len(_HEADER_KEYS) + 1
+    if not text.startswith("d:\n", start):
         raise CertificateFormatError(f"line {lineno}: expected the required block 'd:'")
     for name, offset in _BLOCKS:
-        if i < len(tags) and tags[i][0] == name:
-            _, start, stop = tags[i]
-            i += 1
-            after = tags[i][0] if i < len(tags) else None
-            yield name, n + offset, start, stop, lineno, after
-            lineno += 1 + n + offset
-    if i < len(tags):
-        raise CertificateFormatError(f"line {lineno}: unexpected {tags[i][0] + ':'!r}")
+        if not text.startswith(f"{name}:\n", start):
+            continue
+        begin = start + len(name) + 2
+        colon = text.find(":", begin)
+        while colon >= 0 and text[colon + 1] != "\n":
+            colon = text.find(":", colon + 1)
+        start = text.rfind("\n", begin - 1, colon) + 1 if colon >= 0 else len(text)
+        yield name, n + offset, begin, start, lineno
+        lineno += 1 + n + offset
+    if start < len(text):
+        tag = text[start : text.index("\n", start)]
+        raise CertificateFormatError(f"line {lineno}: unexpected {tag!r}")
 
 
-def _values(text: str, name: str, length: int, start: int, stop: int, lineno: int,
-            after: str | None) -> np.ndarray:
-    """The values of a block from `_walk`; else CertificateFormatError for
-    the fault a line-by-line read meets first. The length is checked from
-    the count `_numbers` returns, so the lines are counted only for an
-    error."""
-    span, what = text[start:stop], f"block '{name}'"
-    try:
-        # a block with no lines has stop = start - 1, and its empty span is
-        # no line, where a span of one blank line is a fault
-        values, error = _numbers(span, lineno + 1, what) if stop >= start else [], None
-    except CertificateFormatError as exc:
-        values, error = [], exc
-    if len(values) == length:  # length > 1, so an empty span is never right
-        return np.array(values, dtype=np.float64)
-    got = text.count("\n", start - 1, stop)
-    if got > length:  # its values are read first, so a bad one is named
-        lines = span.split("\n", length + 1)
-        _numbers("\n".join(lines[:length]), lineno + 1, what)
-        raise CertificateFormatError(
-            f"line {lineno + 1 + length}: unexpected {lines[length]!r} after {what}")
-    if error is not None:  # a line that is not a number comes before a missing one
-        raise error
-    found = "the end of the file" if after is None else repr(after + ":")
-    raise CertificateFormatError(f"line {lineno + 1 + got}: expected value {got + 1} "
-                                 f"of {length} in {what}, got {found}")
+def _values(text: str, name: str, length: int, start: int, stop: int,
+            lineno: int) -> np.ndarray:
+    """The values of a block from `_blocks`; else CertificateFormatError for
+    the fault a line-by-line read meets first."""
+    what = f"block '{name}'"
+    values = _numbers(text[start:stop], lineno + 1, length, what)
+    if len(values) < length:
+        found = ("the end of the file" if stop == len(text)
+                 else repr(text[stop : text.index("\n", stop)]))
+        raise CertificateFormatError(f"line {lineno + 1 + len(values)}: expected value "
+                                     f"{len(values) + 1} of {length} in {what}, got {found}")
+    return np.array(values, dtype=np.float64)
 
 
 def parse_certificate(text: str) -> CertificateFile:
     """Parse the layout of the module docstring; anything else raises
     CertificateFormatError."""
-    lines, tags = _cut(text)
-    n, alpha, r, delta = _header(lines)
-    blocks = {block[0]: _values(text, *block) for block in _walk(n, tags)}
+    if not text.endswith("\n"):
+        text += "\n"
+    n, alpha, r, delta, start = _header(text)
+    blocks = {block[0]: _values(text, *block) for block in _blocks(text, start, n)}
     return CertificateFile(N=n, alpha=alpha, r=r, delta=delta, **blocks)
 
 
@@ -359,7 +333,7 @@ def _is_rendering(text: str, start: int, stop: int, vec: np.ndarray) -> bool:
         lines = _number_lines(vec, "a derived vector")
     except ValueError:
         return False
-    return stop - start == len(lines) and text.startswith(lines, start)
+    return stop - start == len(lines) + 1 and text.startswith(lines, start)
 
 
 def read_checked(path) -> tuple[FullCertificate, float]:
@@ -376,9 +350,10 @@ def read_checked(path) -> tuple[FullCertificate, float]:
     overflows gives NaN vectors, which the gates reject, and no numpy
     warning."""
     text = _read_text(path)
-    lines, tags = _cut(text)
-    n, alpha, r, delta = _header(lines)
-    blocks = _walk(n, tags)
+    if not text.endswith("\n"):
+        text += "\n"
+    n, alpha, r, delta, start = _header(text)
+    blocks = _blocks(text, start, n)
     cf = CertificateFile(N=n, alpha=alpha, r=r, delta=delta, d=_values(text, *next(blocks)))
     with np.errstate(over="ignore", invalid="ignore"):
         cert = derive_full(params_from_file(cf), cf.d)

@@ -153,6 +153,27 @@ class TestParseErrors:
         with pytest.raises(CertificateFormatError):
             parse_certificate(text)
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_header_cut_names_the_next_key(self, k):
+        # the final newline is optional, in the header as after it
+        head = "\n".join(render_certificate(tricky_file()).split("\n")[:k])
+        error = f"missing header key '{HEADER_KEYS[k]}'"
+        for text in (head, head + "\n"):
+            assert parse_outcome(parse_certificate, text) == error
+            assert parse_outcome(line_by_line_parse, text) == error
+
+    @pytest.mark.parametrize("token, error", [
+        ("99999999999999999999",
+         "line 11: expected value 5 of 99999999999999999998 in block 'd', got 'a:'"),
+        ("-9223372036854775809", "certificates need N >= 3, got N=-9223372036854775809"),
+    ], ids=["above", "below"])
+    def test_n_past_64_bits_is_a_json_integer(self, small_sweep, tmp_path, token, error):
+        # orjson reads such an integer as a float; N is still an integer
+        text = full_text(small_sweep).replace("\nN 5\n", f"\nN {token}\n")
+        assert parse_outcome(parse_certificate, text) == error
+        assert parse_outcome(line_by_line_parse, text) == error
+        assert verify_text(text, tmp_path / "n.txt") == (4, f"corrupt certificate: {error}\n")
+
     def test_bad_number(self):
         text = render_certificate(tricky_file()).replace(repr(math.pi), "not-a-number")
         with pytest.raises(CertificateFormatError):
@@ -460,7 +481,7 @@ def line_by_line_parse(text: str) -> CertificateFile:
         raise CertificateFormatError(
             f"line {lineno}: {line!r} in {what} is not one finite JSON number")
 
-    lines = text.split("\n")
+    lines = text.removesuffix("\n").split("\n")  # the final newline is optional
     header, body = lines[:5], lines[5:]
     for lineno, (key, line) in enumerate(zip(HEADER_KEYS, header), start=1):
         before, cr, _ = line.partition("\r")
@@ -483,8 +504,6 @@ def line_by_line_parse(text: str) -> CertificateFile:
         raise CertificateFormatError(f"certificates need N >= 3, got N={n}")
     if delta < 0:
         raise CertificateFormatError(f"header delta {float(delta)!r} is negative")
-    if text.endswith("\n") and body:  # the final newline is optional
-        body.pop()
     if body[:1] != ["d:"]:
         raise CertificateFormatError("line 6: expected the required block 'd:'")
     blocks, i = {}, 0  # body[i] is line 6 + i
@@ -574,12 +593,26 @@ def checked_outcome(read, path):
         return str(exc)
 
 
-def count_number_reads(monkeypatch) -> list:
-    """The `what` of every certfile._numbers call from now on."""
-    calls, real = [], certfile._numbers
-    monkeypatch.setattr(certfile, "_numbers",
-                        lambda span, lineno, what: calls.append(what) or real(span, lineno, what))
-    return calls
+def record_number_reads(monkeypatch) -> list:
+    """Every number orjson reads from now on, in the order read: the
+    numbers a reader parses, whatever the helpers that call it."""
+    import orjson
+
+    numbers, real = [], orjson.loads
+
+    def loads(data):
+        value = real(data)
+        numbers.extend(value if isinstance(value, list) else [value])
+        return value
+
+    monkeypatch.setattr(orjson, "loads", loads)
+    return numbers
+
+
+def header_and_blocks(cf, *names):
+    """The numbers of cf's header, then of its blocks `names`, in file order."""
+    return [cf.N, cf.alpha, cf.r, cf.delta,
+            *[x for name in names for x in getattr(cf, name).tolist()]]
 
 
 class TestCheckedRead:
@@ -593,14 +626,15 @@ class TestCheckedRead:
                     full_parse_read_checked, path)
 
     def test_canonical_file_parses_header_and_d_only(self, small_sweep, tmp_path, monkeypatch):
-        path = write_certificate(certificate_file(small_sweep[12].cert), tmp_path / "c.txt")
-        calls = count_number_reads(monkeypatch)
+        cf = certificate_file(small_sweep[12].cert)
+        path = write_certificate(cf, tmp_path / "c.txt")
+        numbers = record_number_reads(monkeypatch)
         cert, header_delta = read_checked(path)
-        assert calls == ["the header", "block 'd'"]
+        assert numbers == header_and_blocks(cf, "d")
         assert header_delta == small_sweep[12].cert.delta
-        calls.clear()
+        numbers.clear()
         read_certificate(path)
-        assert len(calls) == 6
+        assert numbers == header_and_blocks(cf, "d", "a", "b", "c", "eps")
 
     @pytest.mark.parametrize("rewrite", [
         lambda line: f"{Decimal(line):e}",  # the same value in an equal JSON form
@@ -614,9 +648,11 @@ class TestCheckedRead:
         assert edited != lines[at]
         lines[at] = edited
         text = "\n".join(lines)
-        calls = count_number_reads(monkeypatch)
+        numbers = record_number_reads(monkeypatch)
         assert verify_text(text, tmp_path / "c.txt") == (0, "")
-        assert calls == ["the header", "block 'd'", "block 'a'"]
+        cf = certificate_file(small_sweep[5].cert)
+        cf.a = np.array([float(line) for line in lines[at - 1 : at - 1 + cf.N]])
+        assert numbers == header_and_blocks(cf, "d", "a")
         path = tmp_path / "c.txt"
         assert checked_outcome(read_checked, path) == checked_outcome(
             full_parse_read_checked, path)
